@@ -150,22 +150,17 @@ var (
 	NewScriptPolicy      = sched.NewScript
 	ScriptFromSchedule   = sched.ScriptFromSchedule
 	// Explore model-checks a protocol over every failure-free schedule
-	// (or a randomized crash sweep) with a work-stealing worker pool;
-	// ExploreAll is its single-worker form, ExploreSequential the
-	// historical depth-first baseline it is differentially tested against.
+	// (or a randomized crash sweep) with a work-stealing worker pool; it
+	// is one unbounded slice of the engine a campaign runs in checkpointed
+	// slices. ExploreSequential is the historical depth-first baseline it
+	// is differentially tested against.
 	Explore           = sched.Explore
-	ExploreAll        = sched.ExploreAll
 	ExploreCrashes    = sched.ExploreCrashes
 	ExploreSequential = sched.ExploreSequential
-	// SampleExplore executes a statistical sampling batch (see
-	// ExploreOptions.SampleRuns/SampleMode/Depth) and reports
-	// distinct-trace-class coverage; SampleVerified is its task-level
-	// form. ExploreSeeded is the underlying seeded-run worker pool the
-	// crash sweep and the samplers share, and DeriveRunSeed the single
-	// definition of per-run seed derivation (seed→schedule
-	// reproducibility), which makes any reported failing run replayable.
-	SampleExplore = sample.Explore
-	ExploreSeeded = sched.ExploreSeeded
+	// DeriveRunSeed is the single definition of per-run seed derivation
+	// (seed→schedule reproducibility) shared by the crash sweep and the
+	// samplers (SampleVerified), which makes any reported failing run
+	// replayable.
 	DeriveRunSeed = sched.DeriveRunSeed
 	// NewPCTPolicy builds the standalone PCT scheduling policy (random
 	// priorities + depth-1 seeded change points), e.g. to replay a

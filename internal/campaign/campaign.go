@@ -495,65 +495,79 @@ func provisionalReport(cfg *Config, p payload) Report {
 func finalize(ctx context.Context, cfg *Config, p payload) (Report, error) {
 	rep := provisionalReport(cfg, p)
 	rep.Done = true
-	n := cfg.Spec.N()
-	if cfg.Of > 1 {
-		// Provisional shard verdict: raw counts plus this shard's own
-		// failure, loudly labeled by Shard/Of fields.
-		switch {
-		case p.Explore != nil:
-			if f := p.Explore.Failure; f != nil {
-				rep.Violation = f.Message
-				return rep, f.Err()
-			}
-		case p.Sample != nil:
-			rep.Depth = p.Sample.Depth
-			rep.Classes = len(p.Sample.Classes)
-			if p.Sample.FailedRun >= 0 {
-				rep.FailedRun = p.Sample.FailedRun
-				rep.FailedSeed = sched.DeriveRunSeed(cfg.Opts.Seed, p.Sample.FailedRun)
-				rep.Violation = p.Sample.Pool.Failure.Message
-				return rep, p.Sample.Pool.Failure.Err()
-			}
-		case p.Crash != nil:
-			if f := p.Crash.Failure; f != nil {
-				rep.FailedRun = f.Run
-				rep.FailedSeed = sched.DeriveRunSeed(cfg.Opts.Seed, f.Run)
-				rep.Violation = f.Message
-				return rep, f.Err()
-			}
-		}
-		return rep, nil
+	if cfg.Of == 1 {
+		return settle(ctx, cfg, rep, []payload{p})
 	}
-
+	// Provisional shard verdict: raw counts plus this shard's own
+	// failure, loudly labeled by Shard/Of fields.
+	var err error
 	switch {
 	case p.Explore != nil:
-		r := &sched.ResumableExplorer{N: n, IDs: cfg.IDs, Opts: cfg.Opts, Build: cfg.body(), Check: cfg.check()}
-		count, err := r.Finalize(ctx, p.Explore)
-		rep.Schedules = count
-		if err != nil {
-			rep.Violation = err.Error()
+		if f := p.Explore.Failure; f != nil {
+			err = f.Err()
 		}
-		return rep, err
 	case p.Sample != nil:
-		r := &sample.ResumableBatch{N: n, IDs: cfg.IDs, Opts: cfg.Opts, Build: cfg.body(), Check: cfg.check()}
-		srep, err := r.Finalize(p.Sample)
-		rep.Schedules, rep.Classes, rep.Coverage, rep.Depth = srep.Runs, srep.Classes, srep.Coverage(), srep.Depth
-		rep.FailedRun, rep.FailedSeed = srep.FailedRun, srep.FailedSeed
-		if err != nil {
-			rep.Violation = err.Error()
+		rep.Depth = p.Sample.Depth
+		rep.Classes = len(p.Sample.Classes)
+		if p.Sample.FailedRun >= 0 {
+			rep.FailedRun = p.Sample.FailedRun
+			err = p.Sample.Pool.Failure.Err()
 		}
-		return rep, err
-	default:
+	case p.Crash != nil:
 		if f := p.Crash.Failure; f != nil {
-			rep.Schedules = f.Run + 1
 			rep.FailedRun = f.Run
-			rep.FailedSeed = sched.DeriveRunSeed(cfg.Opts.Seed, f.Run)
-			rep.Violation = f.Message
-			return rep, f.Err()
+			err = f.Err()
 		}
-		rep.Schedules = cfg.Opts.CrashRuns
-		return rep, nil
 	}
+	return withVerdict(cfg, rep, err)
+}
+
+// settle runs the family Finalize over the engine states of a complete
+// shard set — the one state of a single-shard campaign, or every shard's
+// state of a merge, indexed by shard — and renders its report and
+// verdict. It is the campaign's only settle step, and the same Finalize
+// the one-shot entry points run.
+func settle(ctx context.Context, cfg *Config, rep Report, payloads []payload) (Report, error) {
+	n := cfg.Spec.N()
+	var err error
+	switch ModeOf(cfg.Opts).family() {
+	case "explore":
+		states := make([]*sched.ExploreState, len(payloads))
+		for i, p := range payloads {
+			states[i] = p.Explore
+		}
+		r := &sched.ResumableExplorer{N: n, IDs: cfg.IDs, Opts: cfg.Opts, Build: cfg.body(), Check: cfg.check()}
+		rep.Schedules, err = r.Finalize(ctx, states...)
+	case "sample":
+		states := make([]*sample.BatchState, len(payloads))
+		for i, p := range payloads {
+			states[i] = p.Sample
+		}
+		r := &sample.ResumableBatch{N: n, IDs: cfg.IDs, Opts: cfg.Opts, Build: cfg.body(), Check: cfg.check()}
+		var srep sample.Report
+		srep, err = r.Finalize(ctx, states...)
+		rep.Schedules, rep.Classes, rep.Coverage, rep.Depth = srep.Runs, srep.Classes, srep.Coverage(), srep.Depth
+		rep.FailedRun = srep.FailedRun
+	default: // crash sweep
+		states := make([]*sched.SeededState, len(payloads))
+		for i, p := range payloads {
+			states[i] = p.Crash
+		}
+		rep.Schedules, rep.FailedRun, err = sched.FinalizeSeeded(ctx, cfg.Opts.CrashRuns, states...)
+	}
+	return withVerdict(cfg, rep, err)
+}
+
+// withVerdict records err as the report's violation, and the failing run's
+// replay seed in the seeded modes.
+func withVerdict(cfg *Config, rep Report, err error) (Report, error) {
+	if rep.FailedRun >= 0 {
+		rep.FailedSeed = sched.DeriveRunSeed(cfg.Opts.Seed, rep.FailedRun)
+	}
+	if err != nil {
+		rep.Violation = err.Error()
+	}
+	return rep, err
 }
 
 // Status reads a snapshot's header: campaign identity, progress and — for

@@ -56,10 +56,9 @@ func Merge(ctx context.Context, cfg Config, paths []string) (Report, error) {
 	}
 	want := cfg.header()
 
-	headers := make([]Header, len(paths))
-	payloads := make([]payload, len(paths))
+	payloads := make([]payload, len(paths)) // indexed by shard
 	seen := make(map[int]string, len(paths))
-	for i, path := range paths {
+	for _, path := range paths {
 		h, p, err := readSnapshot(path)
 		if err != nil {
 			return Report{}, err
@@ -77,8 +76,7 @@ func Merge(ctx context.Context, cfg Config, paths []string) (Report, error) {
 		if !h.Done {
 			return Report{}, fmt.Errorf("campaign: %s (shard %d) has not finished (%d runs done); resume it before merging", path, h.Shard, h.Runs)
 		}
-		headers[i] = h
-		payloads[i] = p
+		payloads[h.Shard] = p
 	}
 
 	rep := Report{
@@ -86,69 +84,20 @@ func Merge(ctx context.Context, cfg Config, paths []string) (Report, error) {
 		Shard: 0, Of: len(paths), Done: true, FailedRun: -1,
 	}
 	rep.Stats = mergeStats(payloads)
-	defer func() {
-		// The exact-count counters are recomputed from the merged report:
-		// per-shard first sightings over-count classes shared between
-		// shards, and under the memo reduction per-shard schedule counts
-		// over-count classes the same way. On a violation the counters
-		// keep the raw summed work figures — the report's counts then
-		// describe the lex-min violation, not the work done.
-		if rep.Stats == nil || rep.Violation != "" {
-			return
-		}
+	rep, err := settle(ctx, &cfg, rep, payloads)
+	// The exact-count counters are recomputed from the merged report:
+	// per-shard first sightings over-count classes shared between shards,
+	// and under the memo reduction per-shard schedule counts over-count
+	// classes the same way. On a violation the counters keep the raw
+	// summed work figures — the report's counts then describe the lex-min
+	// violation, not the work done.
+	if rep.Stats != nil && rep.Stats.Counters != nil && rep.Violation == "" {
 		switch ModeOf(cfg.Opts).family() {
 		case "explore":
-			if rep.Stats.Counters != nil {
-				rep.Stats.Counters[sched.MetricSchedules] = int64(rep.Schedules)
-			}
+			rep.Stats.Counters[sched.MetricSchedules] = int64(rep.Schedules)
 		case "sample":
-			if rep.Stats.Counters != nil {
-				rep.Stats.Counters[sample.MetricClasses] = int64(rep.Classes)
-			}
+			rep.Stats.Counters[sample.MetricClasses] = int64(rep.Classes)
 		}
-	}()
-	n := cfg.Spec.N()
-	switch ModeOf(cfg.Opts).family() {
-	case "explore":
-		states := make([]*sched.ExploreState, len(paths))
-		for i, p := range payloads {
-			states[headers[i].Shard] = p.Explore
-		}
-		r := &sched.ResumableExplorer{N: n, IDs: cfg.IDs, Opts: cfg.Opts, Build: cfg.body(), Check: cfg.check()}
-		count, err := r.Finalize(ctx, states...)
-		rep.Schedules = count
-		if err != nil {
-			rep.Violation = err.Error()
-		}
-		return rep, err
-	case "sample":
-		states := make([]*sample.BatchState, len(paths))
-		for i, p := range payloads {
-			states[headers[i].Shard] = p.Sample
-		}
-		r := &sample.ResumableBatch{N: n, IDs: cfg.IDs, Opts: cfg.Opts, Build: cfg.body(), Check: cfg.check()}
-		srep, err := r.Finalize(states...)
-		rep.Schedules, rep.Classes, rep.Coverage, rep.Depth = srep.Runs, srep.Classes, srep.Coverage(), srep.Depth
-		rep.FailedRun, rep.FailedSeed = srep.FailedRun, srep.FailedSeed
-		if err != nil {
-			rep.Violation = err.Error()
-		}
-		return rep, err
-	default: // crash sweep
-		var best *sched.SeededFailure
-		for _, p := range payloads {
-			if f := p.Crash.Failure; f != nil && (best == nil || f.Run < best.Run) {
-				best = f
-			}
-		}
-		if best != nil {
-			rep.Schedules = best.Run + 1
-			rep.FailedRun = best.Run
-			rep.FailedSeed = sched.DeriveRunSeed(cfg.Opts.Seed, best.Run)
-			rep.Violation = best.Message
-			return rep, best.Err()
-		}
-		rep.Schedules = cfg.Opts.CrashRuns
-		return rep, nil
 	}
+	return rep, err
 }

@@ -212,14 +212,16 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 	return next, done, nil
 }
 
-// Finalize merges completed shard states into the batch's Report and
-// verdict, identical to what the uninterrupted single-process Explore
-// returns: the coverage figure counts distinct trace classes over the
-// runs up to and including the smallest failing one (all runs, when every
-// shard verified), and a failure is reported as a *RunError for that
-// smallest run. States must be the complete shard set of one batch: one
-// state per shard, all complete, with matching PCT parameters.
-func (r *ResumableBatch) Finalize(states ...*BatchState) (Report, error) {
+// Finalize merges shard states into the batch's Report and verdict — the
+// one state of a one-shot Explore or a single campaign, or the shard
+// states of a sharded one: the coverage figure counts distinct trace
+// classes over the runs up to and including the smallest failing one (all
+// runs, when every shard verified), and a failure is reported as a
+// *RunError for that smallest run. States must be the complete shard set
+// of one batch, all complete, with matching PCT parameters; the settle
+// rule itself (shard-set checks, smallest failure, cancellation of
+// unfinished states under a canceled ctx) is sched.FinalizeSeeded's.
+func (r *ResumableBatch) Finalize(ctx context.Context, states ...*BatchState) (Report, error) {
 	rep := Report{Mode: r.Opts.SampleMode, FailedRun: -1}
 	if err := r.validate(); err != nil {
 		return rep, err
@@ -227,54 +229,32 @@ func (r *ResumableBatch) Finalize(states ...*BatchState) (Report, error) {
 	if len(states) == 0 {
 		return rep, fmt.Errorf("sample: finalize needs at least one batch state")
 	}
-	of := len(states)
-	seen := make(map[int]bool, of)
-	best := -1 // smallest failing global run index across shards
-	var bestState *BatchState
+	pools := make([]*sched.SeededState, len(states))
 	for i, st := range states {
 		if st == nil {
 			return rep, fmt.Errorf("sample: finalize: state %d is nil", i)
 		}
-		pool := st.Pool
-		if pool.Of == 0 {
-			pool.Of = 1
-		}
-		if pool.Of != of {
-			return rep, fmt.Errorf("sample: finalize: state %d is shard %d of %d, but %d states were given", i, pool.Shard, pool.Of, of)
-		}
-		if pool.Shard < 0 || pool.Shard >= of || seen[pool.Shard] {
-			return rep, fmt.Errorf("sample: finalize: duplicate or out-of-range shard %d", pool.Shard)
-		}
-		seen[pool.Shard] = true
-		if !st.Pool.SeededDone(r.Opts.SampleRuns) {
-			return rep, fmt.Errorf("sample: finalize: shard %d has not completed (next run %d)", pool.Shard, pool.Next)
-		}
 		if st.Depth != states[0].Depth || st.Horizon != states[0].Horizon {
 			return rep, fmt.Errorf("sample: finalize: shard %d PCT parameters (depth %d, horizon %d) differ from shard 0's (depth %d, horizon %d)",
-				pool.Shard, st.Depth, st.Horizon, states[0].Depth, states[0].Horizon)
+				st.Pool.Shard, st.Depth, st.Horizon, states[0].Depth, states[0].Horizon)
 		}
-		if st.FailedRun >= 0 && (best < 0 || st.FailedRun < best) {
-			best, bestState = st.FailedRun, st
-		}
+		pools[i] = &st.Pool
 	}
 	rep.Depth, rep.Horizon = states[0].Depth, states[0].Horizon
 
-	count := r.Opts.SampleRuns
-	if best >= 0 {
-		count = best + 1
-	}
+	count, best, err := sched.FinalizeSeeded(ctx, r.Opts.SampleRuns, pools...)
 	rep.Runs = count
-	classes := make(map[uint64]struct{})
-	for _, st := range states {
-		for h, first := range st.Classes {
-			if first < count {
-				classes[h] = struct{}{}
-			}
-		}
-	}
-	rep.Classes = len(classes)
+	rep.Classes = classesBelow(states, count)
 	if best < 0 {
-		return rep, nil
+		// Every run verified, or the states settled as a cancellation
+		// (count is then the runs executed) or as an incomplete shard set.
+		return rep, err
+	}
+	var bestState *BatchState
+	for _, st := range states {
+		if st.FailedRun == best {
+			bestState = st
+		}
 	}
 	inner := bestState.failedErr
 	if inner == nil {
@@ -289,4 +269,18 @@ func (r *ResumableBatch) Finalize(states ...*BatchState) (Report, error) {
 	}
 	rep.FailedRun, rep.FailedSeed = re.Run, re.Seed
 	return rep, re
+}
+
+// classesBelow counts the distinct trace classes first seen by a run
+// below count, across the shard states.
+func classesBelow(states []*BatchState, count int) int {
+	classes := make(map[uint64]struct{})
+	for _, st := range states {
+		for h, first := range st.Classes {
+			if first < count {
+				classes[h] = struct{}{}
+			}
+		}
+	}
+	return len(classes)
 }

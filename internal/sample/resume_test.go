@@ -112,7 +112,7 @@ func TestBatchSliceResumeMatchesExplore(t *testing.T) {
 						break
 					}
 				}
-				gotRep, gotErr := r.Finalize(st)
+				gotRep, gotErr := r.Finalize(context.Background(), st)
 				if gotRep != wantRep || errText(gotErr) != errText(wantErr) {
 					t.Errorf("%s %v workers=%d:\n sliced (%+v, %q)\noneshot (%+v, %q)",
 						tc.name, mode, workers, gotRep, errText(gotErr), wantRep, errText(wantErr))
@@ -160,7 +160,7 @@ func TestBatchShardMergeMatchesExplore(t *testing.T) {
 					}
 					finals[shard] = st
 				}
-				gotRep, gotErr := r.Finalize(finals...)
+				gotRep, gotErr := r.Finalize(context.Background(), finals...)
 				if gotRep != wantRep || errText(gotErr) != errText(wantErr) {
 					t.Errorf("%s %v m=%d:\n merged (%+v, %q)\noneshot (%+v, %q)",
 						tc.name, mode, m, gotRep, errText(gotErr), wantRep, errText(wantErr))
@@ -190,20 +190,20 @@ func TestBatchFinalizeRejectsIncompleteShardSets(t *testing.T) {
 		return st
 	}
 	s0, s1 := complete(0, 2), complete(1, 2)
-	if _, err := r.Finalize(s0); err == nil {
+	if _, err := r.Finalize(context.Background(), s0); err == nil {
 		t.Error("finalize of 1 of 2 shards succeeded")
 	}
-	if _, err := r.Finalize(s0, s0); err == nil {
+	if _, err := r.Finalize(context.Background(), s0, s0); err == nil {
 		t.Error("finalize of a duplicated shard succeeded")
 	}
 	unfinished, err := r.Init(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Finalize(s0, unfinished); err == nil {
+	if _, err := r.Finalize(context.Background(), s0, unfinished); err == nil {
 		t.Error("finalize with an unfinished shard succeeded")
 	}
-	if rep, err := r.Finalize(s0, s1); err != nil || rep.Runs != runs {
+	if rep, err := r.Finalize(context.Background(), s0, s1); err != nil || rep.Runs != runs {
 		t.Errorf("complete shard set: (%+v, %v)", rep, err)
 	}
 }

@@ -9,16 +9,15 @@
 // schedule is a pure function of sched.DeriveRunSeed(Seed, i), so every
 // report is reproducible at any worker count, any failing run is
 // replayable from its derived seed alone, and batches checkpoint, resume
-// and shard exactly (ResumableBatch). Explore is the one-shot entry
-// point; tasks.ExploreVerified dispatches here when
+// and shard exactly. ResumableBatch is the subsystem's one execution path
+// (Init, Slice, Finalize): Explore, the one-shot entry point, is one
+// unbounded slice of it, and tasks.ExploreVerified dispatches there when
 // sched.ExploreOptions.SampleRuns is set.
 package sample
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/sched"
 )
@@ -98,73 +97,19 @@ func (e *RunError) Unwrap() error { return e.Err }
 // the report's FailedRun/FailedSeed identify the replayable run; the
 // report is returned alongside the error with the coverage measured over
 // the runs up to and including the failing one.
+//
+// Explore is one unbounded ResumableBatch slice followed by its Finalize,
+// the path a checkpointed sampling campaign takes in bounded slices.
 func Explore(ctx context.Context, n int, ids []int, opts sched.ExploreOptions, build func() sched.Body, check func(*sched.Result) error) (Report, error) {
-	rep := Report{Mode: opts.SampleMode, FailedRun: -1}
-	if ctx == nil {
-		ctx = context.Background()
+	r := &ResumableBatch{N: n, IDs: ids, Opts: opts, Build: build, Check: check}
+	st, err := r.Init(0, 1)
+	if err == nil {
+		st, _, err = r.Slice(ctx, st, 0, nil)
 	}
-	if err := opts.Validate(); err != nil {
-		return rep, err
+	if err != nil {
+		return Report{Mode: opts.SampleMode, FailedRun: -1}, err
 	}
-	if opts.SampleRuns <= 0 {
-		return rep, fmt.Errorf("sample: sampling needs SampleRuns > 0 (got %d)", opts.SampleRuns)
-	}
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 4096 * n
-	}
-
-	var policyFor func(i int) sched.Policy
-	switch opts.SampleMode {
-	case sched.SampleWalk:
-		policyFor = func(i int) sched.Policy {
-			return sched.NewRandom(sched.DeriveRunSeed(opts.Seed, i))
-		}
-	case sched.SamplePCT:
-		depth := opts.Depth
-		if depth <= 0 {
-			depth = DefaultDepth
-		}
-		horizon := ProbeHorizon(n, ids, maxSteps, build)
-		rep.Depth, rep.Horizon = depth, horizon
-		policyFor = func(i int) sched.Policy {
-			return NewPCT(sched.DeriveRunSeed(opts.Seed, i), n, depth, horizon)
-		}
-	default:
-		// Validate already rejected anything else.
-		return rep, fmt.Errorf("sample: unknown SampleMode(%d)", int(opts.SampleMode))
-	}
-
-	cov := &coverage{byRun: make(map[int]uint64)}
-	visit := func(i int, res *sched.Result, err error) error {
-		seed := sched.DeriveRunSeed(opts.Seed, i)
-		if err != nil {
-			return &RunError{Mode: opts.SampleMode, Run: i, Seed: seed, Err: err}
-		}
-		// Record coverage before checking, so the failing run's own
-		// class is part of the reported coverage.
-		cov.record(i, sched.CanonicalTraceHash(res.Schedule, sched.OpIndependent))
-		if check != nil {
-			if cerr := check(res); cerr != nil {
-				return &RunError{Mode: opts.SampleMode, Run: i, Seed: seed, Violation: true, Err: cerr}
-			}
-		}
-		return nil
-	}
-
-	count, err := sched.ExploreSeeded(ctx, n, ids, opts, opts.SampleRuns, policyFor, build, visit)
-	rep.Runs = count
-	// Count classes over run indices below the settled count: on success
-	// that is every run; on failure it is exactly the runs up to and
-	// including the smallest failing one, all of which executed (indices
-	// are claimed in order), so the figure is interleaving-independent.
-	// Only a cancellation — already nondeterministic — can leave gaps.
-	rep.Classes = cov.distinct(count)
-	var re *RunError
-	if errors.As(err, &re) {
-		rep.FailedRun, rep.FailedSeed = re.Run, re.Seed
-	}
-	return rep, err
+	return r.Finalize(ctx, st)
 }
 
 // ProbeHorizon measures the protocol's run length under a deterministic
@@ -181,31 +126,4 @@ func ProbeHorizon(n int, ids []int, maxSteps int, build func() sched.Body) int {
 		return maxSteps
 	}
 	return res.Steps
-}
-
-// coverage maps run index to the run's canonical trace-class hash. Runs
-// record concurrently from the pool workers; distinct() is called once
-// after the pool drains.
-type coverage struct {
-	mu    sync.Mutex
-	byRun map[int]uint64
-}
-
-func (c *coverage) record(i int, h uint64) {
-	c.mu.Lock()
-	c.byRun[i] = h
-	c.mu.Unlock()
-}
-
-// distinct counts distinct class hashes among run indices < limit.
-func (c *coverage) distinct(limit int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seen := make(map[uint64]struct{}, len(c.byRun))
-	for i, h := range c.byRun {
-		if i < limit {
-			seen[h] = struct{}{}
-		}
-	}
-	return len(seen)
 }

@@ -22,12 +22,14 @@ import (
 // after a kill, and lets disjoint partitions of F run as shards on
 // different machines and be merged.
 //
-// Two deliberate deviations from the one-shot Explore path, both settled
-// at Finalize time: a failure restored from a checkpoint carries only its
-// rendered message (error chains do not serialize), and the counting pass
-// that fixes the schedule count below a violation is re-run from the root
-// rather than checkpointed — it is read-only, pruned by the settled bound,
-// and much cheaper than discovery.
+// This is the engine's only execution path: the one-shot Explore is one
+// unbounded Slice plus Finalize, a campaign is a sequence of bounded
+// slices plus Finalize, and a shard merge is Finalize over the shard
+// states. A failure restored from a checkpoint carries only its rendered
+// message (error chains do not serialize), and the counting pass that
+// fixes the schedule count below a violation runs in Finalize from the
+// root rather than being checkpointed — it is read-only, pruned by the
+// settled bound, and much cheaper than discovery.
 
 // ExploreState is the serializable discovery-pass state of the
 // exhaustive/partial-order-reduced exploration engine: everything needed
@@ -126,9 +128,12 @@ func (r *ResumableExplorer) validate() (ExploreOptions, error) {
 // and resumable — when pause returns true or ctx is canceled: frontier
 // items already popped by a worker are processed to completion (their
 // results counted, their branches pushed), un-popped items are collected
-// back into the state, so nothing is lost or double-counted. The only
-// error conditions are invalid options and an exhausted MaxRuns budget
-// (which, as in Explore, is terminal rather than resumable).
+// back into the state, so nothing is lost or double-counted. A slice of
+// sliceRuns runs claims exactly that many run-budget slots unless
+// discovery drains first. The only error conditions are invalid options
+// and an exhausted MaxRuns budget. The budget is terminal rather than
+// resumable: the error comes with the collected state, whose Claimed then
+// exceeds MaxRuns, and Finalize settles it into the budget verdict.
 func (r *ResumableExplorer) Slice(ctx context.Context, state *ExploreState, sliceRuns int, pause func() bool) (*ExploreState, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -164,16 +169,14 @@ func (r *ResumableExplorer) Slice(ctx context.Context, state *ExploreState, slic
 			sleep:   append([]int(nil), it.Sleep...),
 		})
 	}
-	if sliceRuns > 0 {
-		e.sliceLimit = state.Claimed + int64(sliceRuns)
-	}
+	e.sliceRuns = int64(sliceRuns)
 	e.pause = pause
 	e.runWorkers()
 
-	if e.budgetHit.Load() {
-		return state, false, fmt.Errorf("%w (after %d runs)", ErrExplorationBudget, opts.MaxRuns)
-	}
 	next := e.collectState()
+	if e.budgetHit.Load() {
+		return next, false, fmt.Errorf("%w (after %d runs)", ErrExplorationBudget, opts.MaxRuns)
+	}
 	return next, next.done(), nil
 }
 
@@ -214,13 +217,19 @@ func (e *explorer) collectState() *ExploreState {
 }
 
 // Finalize turns one or more completed discovery states — the one state
-// of a single campaign, or the per-shard states of a sharded one — into
-// the (count, err) verdict Explore would have returned: the number of
-// verified schedules (distinct trace classes when the memo reduction
-// merged counts), and on failure the lexicographically smallest violation
-// with the count of schedules up to and including it, recomputed by a
-// counting pass against the settled global bound. It is an error to
-// finalize a state whose frontier has not drained.
+// of a one-shot Explore or a single campaign, or the per-shard states of a
+// sharded one — into the (count, err) verdict: the number of verified
+// schedules (distinct trace classes when the memo reduction merged
+// counts), and on failure the lexicographically smallest violation with
+// the count of schedules up to and including it, recomputed by a counting
+// pass against the settled global bound. This is the engine's only
+// counting pass.
+//
+// It is an error to finalize a state whose frontier has not drained,
+// except for the two terminal stops of a slice: a state whose Claimed
+// exceeds MaxRuns settles as budget exhaustion (count MaxRuns, or the
+// verified schedules under reduction), and when ctx is canceled an
+// undrained state settles as the cancellation.
 func (r *ResumableExplorer) Finalize(ctx context.Context, states ...*ExploreState) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -236,15 +245,24 @@ func (r *ResumableExplorer) Finalize(ctx context.Context, states ...*ExploreStat
 		completed int64
 		best      *FailureState
 		union     map[uint64]struct{}
+		budgetHit bool
+		canceled  bool
 	)
-	if opts.Reduction == ReductionSleepMemo {
+	if opts.Reduction == ReductionSleepMemo && len(states) > 1 {
+		// A single state's memo already deduplicated its own count.
 		union = make(map[uint64]struct{})
 	}
 	for i, st := range states {
 		if st == nil {
 			return 0, fmt.Errorf("sched: finalize of shard %d: nil exploration state", i)
 		}
-		if !st.done() {
+		switch {
+		case st.Claimed > int64(opts.MaxRuns):
+			budgetHit = true
+		case st.done():
+		case ctx.Err() != nil:
+			canceled = true
+		default:
 			return 0, fmt.Errorf("sched: finalize of shard %d: discovery has not drained (%d frontier items left)", i, len(st.Frontier))
 		}
 		completed += st.Completed
@@ -263,18 +281,35 @@ func (r *ResumableExplorer) Finalize(ctx context.Context, states ...*ExploreStat
 		completed = int64(len(union))
 	}
 	if best == nil {
+		switch {
+		case budgetHit:
+			count := opts.MaxRuns
+			if opts.Reduction != ReductionNone {
+				// Under reduction the claimed budget slots include pruned
+				// probe runs; report only the schedules actually verified.
+				count = int(completed)
+			}
+			return count, fmt.Errorf("%w (after %d runs)", ErrExplorationBudget, opts.MaxRuns)
+		case canceled:
+			return int(completed), fmt.Errorf("sched: exploration canceled: %w", ctx.Err())
+		}
 		return int(completed), nil
 	}
 	// The counting pass: re-walk the tree pruned against the settled
-	// lexicographic bound, exactly as Explore does after discovery. It
-	// re-runs schedules already counted, so (as in Explore) it publishes
-	// no stats.
+	// lexicographic bound. If discovery drained without exhausting
+	// MaxRuns, the recount — which visits a subset of discovery's
+	// prefixes — cannot exhaust it either, so the count is exact;
+	// otherwise the truncation is surfaced on the returned error. It
+	// re-runs schedules discovery already counted, so it publishes no
+	// stats: the observed totals describe the verification work, not the
+	// bookkeeping replay.
 	opts.Stats = nil
-	recount := newRootExplorer(ctx, r.N, r.IDs, opts, r.Build, nil, best.Choices)
+	recount := newExplorer(ctx, r.N, r.IDs, opts, r.Build, nil, best.Choices)
+	recount.pushTo(0, frontierItem{choices: []int{}})
 	recount.runWorkers()
 	count := int(recount.countBelow.Load()) + 1
 	ferr := best.Err()
-	if recount.budgetHit.Load() {
+	if budgetHit || recount.budgetHit.Load() {
 		ferr = fmt.Errorf("%w (schedule count truncated: %w)", ferr, ErrExplorationBudget)
 	} else if cerr := ctx.Err(); cerr != nil {
 		ferr = fmt.Errorf("%w (schedule count truncated: exploration canceled: %w)", ferr, cerr)

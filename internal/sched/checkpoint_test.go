@@ -155,9 +155,9 @@ func TestExploreSlicePause(t *testing.T) {
 }
 
 // TestSeededSliceResumeMatchesExploreSeeded drives the seeded pool in
-// slices and shards and asserts outcome equality with ExploreSeeded:
-// same failing run (the protocol fails on a seeded subset of runs), same
-// completed counts, at several worker counts.
+// slices and shards and asserts outcome equality with the one-shot batch
+// (one unbounded slice): same failing run (the protocol fails on a seeded
+// subset of runs), same counts, at several worker counts.
 func TestSeededSliceResumeMatchesExploreSeeded(t *testing.T) {
 	const n, total = 3, 200
 	build := func() Body { return stepsBody(2) }
@@ -175,7 +175,7 @@ func TestSeededSliceResumeMatchesExploreSeeded(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		opts := ExploreOptions{Workers: workers, MaxSteps: 1000}
-		wantCount, wantErr := ExploreSeeded(context.Background(), n, DefaultIDs(n), opts, total, policyFor, build, visit)
+		wantCount, wantErr := seededOneShot(n, opts, total, policyFor, build, visit)
 
 		// Sliced single shard with JSON round-trips between slices.
 		var st *SeededState
@@ -193,15 +193,15 @@ func TestSeededSliceResumeMatchesExploreSeeded(t *testing.T) {
 				break
 			}
 		}
-		gotCount, gotErr := st.Failure.Run+1, st.Failure.Err()
+		gotCount, _, gotErr := FinalizeSeeded(context.Background(), total, st)
 		if gotCount != wantCount || errText(gotErr) != errText(wantErr) {
 			t.Errorf("workers=%d: sliced (%d, %q), one-shot (%d, %q)", workers, gotCount, errText(gotErr), wantCount, errText(wantErr))
 		}
 
-		// 3-way sharded: the minimum failing global index across shards
-		// must be the reference's failing run.
-		best := -1
-		for shard := 0; shard < 3; shard++ {
+		// 3-way sharded: the settled shard set must report the reference's
+		// failing run.
+		shards := make([]*SeededState, 3)
+		for shard := range shards {
 			st := &SeededState{Shard: shard, Of: 3}
 			for {
 				next, done, err := SeededSlice(context.Background(), n, DefaultIDs(n), opts, total, policyFor, build, visit, st, 9, nil)
@@ -213,12 +213,14 @@ func TestSeededSliceResumeMatchesExploreSeeded(t *testing.T) {
 					break
 				}
 			}
-			if st.Failure != nil && (best < 0 || st.Failure.Run < best) {
-				best = st.Failure.Run
-			}
+			shards[shard] = st
 		}
-		if best+1 != wantCount {
-			t.Errorf("workers=%d: sharded smallest failing run %d, one-shot count %d", workers, best, wantCount)
+		gotCount, failed, gotErr := FinalizeSeeded(context.Background(), total, shards...)
+		if gotCount != wantCount || failed+1 != wantCount || errText(gotErr) != errText(wantErr) {
+			t.Errorf("workers=%d: sharded (%d, run %d, %q), one-shot (%d, %q)", workers, gotCount, failed, errText(gotErr), wantCount, errText(wantErr))
+		}
+		if _, _, err := FinalizeSeeded(context.Background(), total, shards[0], shards[2]); err == nil {
+			t.Errorf("workers=%d: settling 2 of 3 shards succeeded", workers)
 		}
 	}
 }

@@ -10,14 +10,16 @@ import (
 // scheduled by the registered adversary's crash policy (opts.Adversary,
 // uniform-crash by default) seeded deterministically from
 // opts.Seed and the run index (DeriveRunSeed), distributed over
-// opts.Workers goroutines by the seeded-run pool (ExploreSeeded). check
-// sees every completed run, including runs with crashed processes
-// (Result.Crashed reports which).
+// opts.Workers goroutines by the seeded-run pool: one unbounded
+// SeededSlice settled by FinalizeSeeded, the path a checkpointed crash
+// campaign takes in bounded slices. check sees every completed run,
+// including runs with crashed processes (Result.Crashed reports which).
 //
 // On success the returned count is exactly opts.CrashRuns. On failure the
 // reported run is the one with the smallest index whose property check
 // (or execution) failed — independent of worker interleaving — and the
-// count is that run's 1-based index. Explore dispatches here when
+// count is that run's 1-based index. On cancellation the count is the
+// number of runs that actually executed. Explore dispatches here when
 // opts.CrashRuns > 0.
 func ExploreCrashes(ctx context.Context, n int, ids []int, opts ExploreOptions, build func() Body, check func(*Result) error) (int, error) {
 	if err := opts.Validate(); err != nil {
@@ -26,9 +28,13 @@ func ExploreCrashes(ctx context.Context, n int, ids []int, opts ExploreOptions, 
 	if opts.CrashRuns <= 0 {
 		return 0, fmt.Errorf("sched: crash sweep needs CrashRuns > 0 (got %d)", opts.CrashRuns)
 	}
-	opts = opts.withDefaults(n)
-	return ExploreSeeded(ctx, n, ids, opts, opts.CrashRuns,
-		CrashSweepPolicies(n, opts), build, CrashSweepCheck(n, opts, check))
+	st, _, err := SeededSlice(ctx, n, ids, opts, opts.CrashRuns,
+		CrashSweepPolicies(n, opts), build, CrashSweepCheck(n, opts, check), nil, 0, nil)
+	if err != nil {
+		return 0, err
+	}
+	count, _, err := FinalizeSeeded(ctx, opts.CrashRuns, st)
+	return count, err
 }
 
 // CrashSweepPolicies returns the per-run policy constructor of a crash

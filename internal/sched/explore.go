@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"errors"
 	"fmt"
 )
@@ -99,43 +98,21 @@ func (e *explorePolicy) branches() [][]int {
 	return out
 }
 
-// ExploreAll runs the protocol under every failure-free schedule and
-// invokes check on each completed run. build is called once per run and
-// must return a fresh protocol instance (fresh shared memory). It returns
-// the number of distinct schedules explored. maxRuns bounds the
-// exploration (ErrExplorationBudget beyond it); maxSteps bounds each
-// individual run.
-//
-// ExploreAll is the single-worker entry point of the work-distributing
-// engine in explore_parallel.go; build and check may therefore keep state
-// across runs. Note one difference from the historical depth-first
-// implementation: on a property violation the engine keeps exploring
-// lexicographically smaller schedules and then re-executes the runs below
-// the reported one to make the returned count deterministic, so build and
-// check are invoked more times (and in a different order) than a DFS that
-// stops at the first violation. Builds whose behavior depends on the
-// invocation count should use ExploreSequential instead. Use Explore with
-// ExploreOptions{Workers: N} to spread the tree over N workers (build and
-// check must then be safe for concurrent use).
+// ExploreSequential is the historical LIFO-stack depth-first exploration,
+// kept as the reference implementation: the parallel engine is
+// differentially tested and benchmarked against it. It runs the protocol
+// under every failure-free schedule and invokes check on each completed
+// run, returning the number of schedules explored; maxRuns bounds the
+// exploration (ErrExplorationBudget beyond it) and maxSteps each run.
+// Unlike Explore it stops at the first violation it meets, so build and
+// check are invoked exactly once per schedule in DFS order. It
+// deliberately constructs a fresh Runner per run — unlike the parallel
+// engine, whose workers reuse one runner each via Reset — so the
+// differential tests double as a reuse-versus-fresh equivalence check.
 //
 // The protocol must be deterministic given the schedule (true for every
 // protocol in this repository; randomized protocols would make prefix
 // replay diverge, which is detected and reported as ErrScheduleDiverged).
-func ExploreAll(n int, ids []int, maxRuns, maxSteps int, build func() Body, check func(*Result) error) (int, error) {
-	return Explore(context.Background(), n, ids, ExploreOptions{
-		Workers:  1,
-		MaxRuns:  maxRuns,
-		MaxSteps: maxSteps,
-	}, build, check)
-}
-
-// ExploreSequential is the historical LIFO-stack depth-first exploration,
-// kept as the reference implementation: the parallel engine is
-// differentially tested and benchmarked against it. Semantics are those
-// of ExploreAll. It deliberately constructs a fresh Runner per run —
-// unlike the parallel engine, whose workers reuse one runner each via
-// Reset — so the differential tests double as a reuse-versus-fresh
-// equivalence check.
 func ExploreSequential(n int, ids []int, maxRuns, maxSteps int, build func() Body, check func(*Result) error) (int, error) {
 	stack := [][]int{{}}
 	runs := 0

@@ -29,7 +29,8 @@ import (
 // the lexicographically smallest violating choice sequence, the frontier
 // is pruned against that bound (prefixes that can only lead to larger
 // schedules are dropped), and a final counting pass with the settled bound
-// recomputes how many schedules precede the reported one. The returned
+// (ResumableExplorer.Finalize, checkpoint.go) recomputes how many
+// schedules precede the reported one. The returned
 // (count, trace) pair is therefore a pure function of the protocol, the
 // property and the options — never of worker interleaving. Only a budget
 // exhausted mid-failure (MaxRuns smaller than the tree) can make the
@@ -73,9 +74,10 @@ type ExploreOptions struct {
 	// enumerating the schedule tree, execute SampleRuns failure-free
 	// schedules drawn by the SampleMode sampler, each seeded via
 	// DeriveRunSeed(Seed, i), and report distinct-trace-class coverage.
-	// Sampling is implemented by internal/sample (sample.Explore);
-	// tasks.ExploreVerified dispatches there automatically, while
-	// calling sched.Explore directly with SampleRuns set is an error.
+	// Sampling is implemented by internal/sample (ResumableBatch, whose
+	// one-shot form is sample.Explore); tasks.ExploreVerified dispatches
+	// there automatically, while calling sched.Explore directly with
+	// SampleRuns set is an error.
 	// Mutually exclusive with CrashRuns (Validate).
 	SampleRuns int
 	// SampleMode picks the sampler: SampleWalk (uniform over the
@@ -210,14 +212,17 @@ func (o ExploreOptions) withDefaults(n int) ExploreOptions {
 // to and including it (both independent of worker interleaving). With
 // opts.Reduction enabled the walk executes one schedule per commuting-
 // step equivalence class (the class's lex-min member) and counts
-// classes; verdict and violation report are unchanged.
+// classes; verdict and violation report are unchanged. When MaxRuns is
+// exhausted first, the count is MaxRuns (the verified schedules under
+// reduction) and the error wraps ErrExplorationBudget.
+//
+// Explore is one unbounded ResumableExplorer slice followed by its
+// Finalize: the one-shot run and a checkpointed campaign share a single
+// engine path.
 //
 // ctx cancellation aborts the exploration early; a nil ctx means
 // context.Background().
 func Explore(ctx context.Context, n int, ids []int, opts ExploreOptions, build func() Body, check func(*Result) error) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := opts.Validate(); err != nil {
 		return 0, err
 	}
@@ -227,50 +232,17 @@ func Explore(ctx context.Context, n int, ids []int, opts ExploreOptions, build f
 		// running an exhaustive walk the caller did not ask for.
 		return 0, fmt.Errorf("sched: SampleRuns > 0 selects statistical sampling, which is implemented by internal/sample (call sample.Explore, or tasks.ExploreVerified which dispatches)")
 	}
-	opts = opts.withDefaults(n)
 	if opts.CrashRuns > 0 {
 		return ExploreCrashes(ctx, n, ids, opts, build, check)
 	}
-
-	e := newRootExplorer(ctx, n, ids, opts, build, check, nil)
-	e.runWorkers()
-
-	if f := e.best; f != nil {
-		// Deterministic aggregation: recount the schedules preceding the
-		// settled lexicographic-minimum failure with a fixed bound. If the
-		// discovery pass drained without exhausting MaxRuns, the recount —
-		// which visits a subset of the discovery pass's prefixes — cannot
-		// exhaust it either, so the count is exact; otherwise the
-		// truncation is surfaced on the returned error. The recount re-runs
-		// schedules the discovery pass already counted, so it publishes no
-		// stats: the observed totals describe the verification work, not
-		// the bookkeeping replay.
-		ropts := opts
-		ropts.Stats = nil
-		recount := newRootExplorer(ctx, n, ids, ropts, build, nil, f.choices)
-		recount.runWorkers()
-		count := int(recount.countBelow.Load()) + 1
-		err := f.err
-		if e.budgetHit.Load() || recount.budgetHit.Load() {
-			err = fmt.Errorf("%w (schedule count truncated: %w)", f.err, ErrExplorationBudget)
-		} else if cerr := ctx.Err(); cerr != nil {
-			err = fmt.Errorf("%w (schedule count truncated: exploration canceled: %w)", f.err, cerr)
-		}
-		return count, err
+	r := &ResumableExplorer{N: n, IDs: ids, Opts: opts, Build: build, Check: check}
+	st, _, err := r.Slice(ctx, nil, 0, nil)
+	if err != nil && !errors.Is(err, ErrExplorationBudget) {
+		return 0, err
 	}
-	if e.budgetHit.Load() {
-		count := opts.MaxRuns
-		if opts.Reduction != ReductionNone {
-			// Under reduction the claimed budget slots include pruned
-			// probe runs; report only the schedules actually verified.
-			count = int(e.completed.Load())
-		}
-		return count, fmt.Errorf("%w (after %d runs)", ErrExplorationBudget, opts.MaxRuns)
-	}
-	if err := ctx.Err(); err != nil {
-		return int(e.completed.Load()), fmt.Errorf("sched: exploration canceled: %w", err)
-	}
-	return int(e.completed.Load()), nil
+	// An exhausted budget is recorded in the state (Claimed > MaxRuns);
+	// Finalize turns it into the budget verdict.
+	return r.Finalize(ctx, st)
 }
 
 // exploreFailure is a failed run: a property violation or a runner error,
@@ -328,11 +300,15 @@ type explorer struct {
 
 	// Checkpoint pause points (checkpoint.go). Workers stop claiming new
 	// frontier items — leaving the remaining frontier collectable — when
-	// pause returns true or total claimed runs reach sliceLimit; items
-	// already popped are always processed to completion, so a paused
-	// frontier plus the counters is an exact resume point.
-	pause      func() bool
-	sliceLimit int64
+	// pause returns true or the slice's sliceRuns run slots are taken;
+	// items already popped are always processed to completion, so a
+	// paused frontier plus the counters is an exact resume point. A worker
+	// takes a slot (tickets) before it pops and returns it when the pop
+	// yields no run, so a slice claims exactly sliceRuns runs unless the
+	// tree drains first. 0 means no slice bound.
+	pause     func() bool
+	sliceRuns int64
+	tickets   atomic.Int64
 
 	indep Independence   // commutation oracle; nil without reduction
 	memo  *traceMemo     // canonical-trace dedupe; nil unless ReductionSleepMemo
@@ -368,24 +344,27 @@ func newExplorer(ctx context.Context, n int, ids []int, opts ExploreOptions, bui
 	return e
 }
 
-// newRootExplorer is newExplorer primed with the root frontier item (the
-// unconstrained run); resumable explorations instead restore a saved
-// frontier (checkpoint.go).
-func newRootExplorer(ctx context.Context, n int, ids []int, opts ExploreOptions, build func() Body, check func(*Result) error, bound []int) *explorer {
-	e := newExplorer(ctx, n, ids, opts, build, check, bound)
-	e.pushTo(0, frontierItem{choices: []int{}})
-	return e
+// takeTicket reserves one of the slice's run slots, failing once every
+// slot is claimed or held by another worker. The compare-and-swap never
+// overshoots, so a denied worker cannot starve a holder that returns its
+// slot.
+func (e *explorer) takeTicket() bool {
+	for {
+		t := e.tickets.Load()
+		if t >= e.sliceRuns {
+			return false
+		}
+		if e.tickets.CompareAndSwap(t, t+1) {
+			return true
+		}
+	}
 }
 
-// stopClaiming reports whether a checkpoint pause point fired: workers
-// return without popping further frontier items (but finish the item in
-// hand), so the frontier left behind is a complete description of the
-// remaining work.
-func (e *explorer) stopClaiming() bool {
-	if e.sliceLimit > 0 && e.claimed.Load() >= e.sliceLimit {
-		return true
+// returnTicket releases a reserved slot that claimed no run.
+func (e *explorer) returnTicket() {
+	if e.sliceRuns > 0 {
+		e.tickets.Add(-1)
 	}
-	return e.pause != nil && e.pause()
 }
 
 func (e *explorer) runWorkers() {
@@ -413,10 +392,13 @@ func (e *explorer) worker(w int) {
 	defer runner.Close()
 	idle := 0
 	for {
-		if e.ctx.Err() != nil {
+		// A pause point fired: return without popping further frontier
+		// items (but after finishing the item in hand), so the frontier
+		// left behind is a complete description of the remaining work.
+		if e.ctx.Err() != nil || (e.pause != nil && e.pause()) {
 			return
 		}
-		if e.stopClaiming() {
+		if e.sliceRuns > 0 && !e.takeTicket() {
 			return
 		}
 		item, ok := e.popOwn(w)
@@ -424,6 +406,7 @@ func (e *explorer) worker(w int) {
 			item, ok = e.steal(w, rng)
 		}
 		if !ok {
+			e.returnTicket()
 			if e.pending.Load() == 0 {
 				return
 			}
@@ -436,7 +419,9 @@ func (e *explorer) worker(w int) {
 			continue
 		}
 		idle = 0
-		e.process(w, item, runner)
+		if !e.process(w, item, runner) {
+			e.returnTicket()
+		}
 		e.pending.Add(-1)
 		e.met.setFrontier(e.pending.Load())
 	}
@@ -516,16 +501,17 @@ func (e *explorer) recordFailure(choices []int, err error) {
 }
 
 // process executes the run scripted by item's prefix on the worker's
-// reused runner and pushes its unexplored sibling prefixes.
-func (e *explorer) process(w int, item frontierItem, runner *Runner) {
+// reused runner and pushes its unexplored sibling prefixes. It reports
+// whether the item claimed a run-budget slot (false when pruned).
+func (e *explorer) process(w int, item frontierItem, runner *Runner) bool {
 	if b := e.pruneBound(); b != nil && !prefixViable(item.choices, b) {
 		e.met.incPrunes()
-		return
+		return false
 	}
 	if e.claimed.Add(1) > int64(e.opts.MaxRuns) {
 		e.budgetHit.Store(true)
 		e.cancel()
-		return
+		return true
 	}
 	e.met.incRuns()
 
@@ -575,6 +561,7 @@ func (e *explorer) process(w int, item frontierItem, runner *Runner) {
 		}
 		e.pushTo(w, branch)
 	}
+	return true
 }
 
 // admit reports whether the completed run should be counted: always,

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -16,6 +17,12 @@ func stepsBody(k int) Body {
 	}
 }
 
+// exploreOneWorker explores on a single worker, so build and check may
+// keep state across runs.
+func exploreOneWorker(n, maxRuns, maxSteps int, build func() Body, check func(*Result) error) (int, error) {
+	return Explore(context.Background(), n, DefaultIDs(n), ExploreOptions{Workers: 1, MaxRuns: maxRuns, MaxSteps: maxSteps}, build, check)
+}
+
 func TestExploreAllCountsInterleavings(t *testing.T) {
 	// Two processes with s total steps each (k noops + 1 decide) have
 	// C(2s, s) distinct schedules.
@@ -29,7 +36,7 @@ func TestExploreAllCountsInterleavings(t *testing.T) {
 		{3, 70}, // C(8,4)
 	}
 	for _, tc := range tests {
-		runs, err := ExploreAll(2, DefaultIDs(2), 10000, 1000, func() Body { return stepsBody(tc.k) },
+		runs, err := exploreOneWorker(2, 10000, 1000, func() Body { return stepsBody(tc.k) },
 			func(*Result) error { return nil })
 		if err != nil {
 			t.Fatalf("k=%d: %v", tc.k, err)
@@ -42,7 +49,7 @@ func TestExploreAllCountsInterleavings(t *testing.T) {
 
 func TestExploreAllThreeProcesses(t *testing.T) {
 	// Multinomial(6; 2,2,2) = 90 schedules for 3 processes x 2 steps.
-	runs, err := ExploreAll(3, DefaultIDs(3), 10000, 1000, func() Body { return stepsBody(1) },
+	runs, err := exploreOneWorker(3, 10000, 1000, func() Body { return stepsBody(1) },
 		func(*Result) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -71,14 +78,14 @@ func TestExploreAllDetectsViolations(t *testing.T) {
 		}
 		return nil
 	}
-	_, err := ExploreAll(2, DefaultIDs(2), 1000, 100, build, check)
+	_, err := exploreOneWorker(2, 1000, 100, build, check)
 	if err == nil {
 		t.Fatal("exploration missed the lost-update schedule")
 	}
 }
 
 func TestExploreAllBudget(t *testing.T) {
-	_, err := ExploreAll(3, DefaultIDs(3), 5, 1000, func() Body { return stepsBody(3) },
+	_, err := exploreOneWorker(3, 5, 1000, func() Body { return stepsBody(3) },
 		func(*Result) error { return nil })
 	if !errors.Is(err, ErrExplorationBudget) {
 		t.Fatalf("err = %v, want budget error", err)
@@ -86,7 +93,7 @@ func TestExploreAllBudget(t *testing.T) {
 }
 
 func TestExploreAllSingleProcess(t *testing.T) {
-	runs, err := ExploreAll(1, DefaultIDs(1), 100, 100, func() Body { return stepsBody(4) },
+	runs, err := exploreOneWorker(1, 100, 100, func() Body { return stepsBody(4) },
 		func(*Result) error { return nil })
 	if err != nil || runs != 1 {
 		t.Fatalf("runs=%d err=%v, want 1 run", runs, err)

@@ -70,41 +70,6 @@ func (m SampleMode) valid() bool {
 	return m == SampleWalk || m == SamplePCT
 }
 
-// ExploreSeeded executes runs independently-seeded runs over a pool of
-// opts.Workers goroutines: run i is scheduled by policyFor(i) and executed
-// against a fresh build() instance, and visit(i, res, err) sees its
-// outcome. The crash sweep and the statistical samplers are both built on
-// this driver.
-//
-// visit is called concurrently from the workers (at most once per run
-// index) and must be safe for concurrent use; a non-nil error it returns
-// marks run i failed. On failure the reported error is that of the run
-// with the smallest failing index — independent of worker interleaving,
-// because indices are claimed in order and later runs cannot precede an
-// already-recorded smaller failure — and the returned count is that run's
-// 1-based index. On success the count is runs; on cancellation it is the
-// number of runs that actually executed.
-func ExploreSeeded(ctx context.Context, n int, ids []int, opts ExploreOptions, runs int,
-	policyFor func(run int) Policy, build func() Body, visit func(run int, res *Result, err error) error) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	st, _, err := SeededSlice(ctx, n, ids, opts, runs, policyFor, build, visit, nil, 0, nil)
-	if err != nil {
-		return 0, err
-	}
-	if st.Failure != nil {
-		return st.Failure.Run + 1, st.Failure.Err()
-	}
-	if err := ctx.Err(); err != nil {
-		// Report runs that actually executed, not claimed run indices:
-		// a worker that claimed an index and then saw the cancellation
-		// (or the end-of-batch sentinel) exited without running it.
-		return int(st.Completed), fmt.Errorf("sched: seeded run pool canceled: %w", err)
-	}
-	return runs, nil
-}
-
 // SeededState is the serializable state of a (possibly sharded) seeded
 // batch: shard Shard of Of owns the global run indices Shard, Shard+Of,
 // Shard+2*Of, …, and has executed the first Next of them. Because local
@@ -176,12 +141,22 @@ func (s *SeededState) SeededDone(total int) bool {
 	return s.Failure != nil || s.Next >= s.localTotal(total)
 }
 
-// SeededSlice advances a seeded batch from state by at most sliceRuns
-// runs (0 means no slice bound): run i of the shard's index space is
-// scheduled by policyFor(globalIndex) against a fresh build() instance,
-// and visit sees its outcome exactly as in ExploreSeeded. It returns the
-// advanced state and whether the batch is complete (see SeededDone). A
-// nil state means shard 0 of 1 from the beginning.
+// SeededSlice advances a seeded batch of total runs from state by at most
+// sliceRuns runs (0 means no slice bound) over a pool of opts.Workers
+// goroutines: run i of the shard's index space is scheduled by
+// policyFor(globalIndex) against a fresh build() instance, and
+// visit(globalIndex, res, err) sees its outcome. It returns the advanced
+// state and whether the batch is complete (see SeededDone). A nil state
+// means shard 0 of 1 from the beginning. The crash sweep and the
+// statistical samplers are both built on this driver, and FinalizeSeeded
+// settles its states into their verdict.
+//
+// visit is called concurrently from the workers (at most once per run
+// index) and must be safe for concurrent use; a non-nil error it returns
+// marks run i failed. The state keeps the failure with the smallest
+// index — independent of worker interleaving, because indices are
+// claimed in order and later runs cannot precede an already-recorded
+// smaller failure.
 //
 // Like ResumableExplorer.Slice, a pause (pause() true or ctx canceled)
 // returns early with an exact resume point: runs already claimed finish,
@@ -310,4 +285,65 @@ func SeededSlice(ctx context.Context, n int, ids []int, opts ExploreOptions, tot
 	}
 	mu.Unlock()
 	return out, out.SeededDone(total), nil
+}
+
+// FinalizeSeeded settles the states of a seeded batch of total runs — the
+// one state of an unsharded batch, or the complete shard set of a sharded
+// one — into the batch verdict. On a failure, failedRun is the smallest
+// failing global run index across the states, count its 1-based index and
+// err that run's error; when every run verified, count is total,
+// failedRun -1 and err nil. This is the single settle rule of the seeded
+// modes: ExploreCrashes, the sampling batches, and campaign finalize and
+// merge all run through it.
+//
+// States must be the complete shard set — one per shard of the same Of,
+// each complete (SeededDone) — or the result is an error. The exception
+// is a canceled ctx: unfinished states then settle as the cancellation,
+// with count the number of runs that actually executed.
+func FinalizeSeeded(ctx context.Context, total int, states ...*SeededState) (count, failedRun int, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if len(states) == 0 {
+		return 0, -1, fmt.Errorf("sched: finalize needs at least one seeded state")
+	}
+	seen := make([]bool, len(states))
+	var (
+		best       *SeededFailure
+		completed  int64
+		unfinished bool
+	)
+	for i, st := range states {
+		if st == nil {
+			return 0, -1, fmt.Errorf("sched: finalize: seeded state %d is nil", i)
+		}
+		st = st.normalized()
+		if st.Of != len(states) {
+			return 0, -1, fmt.Errorf("sched: finalize: state %d is shard %d of %d, but %d states were given", i, st.Shard, st.Of, len(states))
+		}
+		if st.Shard < 0 || st.Shard >= st.Of || seen[st.Shard] {
+			return 0, -1, fmt.Errorf("sched: finalize: duplicate or out-of-range shard %d", st.Shard)
+		}
+		seen[st.Shard] = true
+		if !st.SeededDone(total) {
+			if ctx.Err() == nil {
+				return 0, -1, fmt.Errorf("sched: finalize: shard %d has not completed (next run %d)", st.Shard, st.Next)
+			}
+			unfinished = true
+		}
+		completed += st.Completed
+		if f := st.Failure; f != nil && (best == nil || f.Run < best.Run) {
+			best = f
+		}
+	}
+	if unfinished {
+		// Report runs that actually executed, not claimed run indices: a
+		// worker that claimed an index and then saw the cancellation (or
+		// the end-of-batch sentinel) exited without running it.
+		return int(completed), -1, fmt.Errorf("sched: seeded run pool canceled: %w", ctx.Err())
+	}
+	if best != nil {
+		return best.Run + 1, best.Run, best.Err()
+	}
+	return total, -1, nil
 }

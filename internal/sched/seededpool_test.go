@@ -48,6 +48,18 @@ func scheduleKey(schedule []Step) string {
 	return key
 }
 
+// seededOneShot runs a whole seeded batch as one unbounded slice and
+// settles it: the path ExploreCrashes and the samplers take.
+func seededOneShot(n int, opts ExploreOptions, total int, policyFor func(int) Policy,
+	build func() Body, visit func(int, *Result, error) error) (int, error) {
+	st, _, err := SeededSlice(context.Background(), n, DefaultIDs(n), opts, total, policyFor, build, visit, nil, 0, nil)
+	if err != nil {
+		return 0, err
+	}
+	count, _, err := FinalizeSeeded(context.Background(), total, st)
+	return count, err
+}
+
 // TestExploreSeededSchedulesReproducible is the seed→schedule
 // reproducibility contract: the same seed yields exactly the same
 // schedule for every run index, at 1, 2 and 8 workers.
@@ -65,8 +77,7 @@ func TestExploreSeededSchedulesReproducible(t *testing.T) {
 	collect := func(workers int) map[int]string {
 		var mu sync.Mutex
 		got := map[int]string{}
-		count, err := ExploreSeeded(context.Background(), n, DefaultIDs(n),
-			ExploreOptions{Workers: workers, Seed: 11}, runs,
+		count, err := seededOneShot(n, ExploreOptions{Workers: workers, Seed: 11}, runs,
 			func(i int) Policy { return NewRandom(DeriveRunSeed(11, i)) },
 			build,
 			func(i int, res *Result, err error) error {
@@ -109,8 +120,7 @@ func TestExploreSeededSmallestFailure(t *testing.T) {
 		return func(p *Proc) { p.Decide(p.ID()) }
 	}
 	for _, workers := range []int{1, 2, 8} {
-		count, err := ExploreSeeded(context.Background(), n, DefaultIDs(n),
-			ExploreOptions{Workers: workers}, runs,
+		count, err := seededOneShot(n, ExploreOptions{Workers: workers}, runs,
 			func(i int) Policy { return NewRandom(DeriveRunSeed(5, i)) },
 			build,
 			func(i int, res *Result, err error) error {

@@ -1,6 +1,7 @@
 package tasks
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // These tests verify protocols over EVERY failure-free schedule at small
-// n using the sched.ExploreAll model checker, not just sampled ones.
+// n using the sched.Explore model checker, not just sampled ones.
 
 func checkAgainst(spec gsb.Spec) func(*sched.Result) error {
 	return func(res *sched.Result) error {
@@ -29,7 +30,7 @@ func TestSlotRenamingExhaustiveSchedules(t *testing.T) {
 	n := 3
 	spec := gsb.Renaming(n, n+1)
 	for seed := int64(0); seed < 6; seed++ {
-		runs, err := sched.ExploreAll(n, sched.DefaultIDs(n), 50000, 1000,
+		runs, err := sched.Explore(context.Background(), n, sched.DefaultIDs(n), sched.ExploreOptions{Workers: 1, MaxRuns: 50000, MaxSteps: 1000},
 			func() sched.Body {
 				return Body(NewSlotRenaming("F2", n, mem.SlotBox("KS", n, n-1, seed)))
 			},
@@ -48,7 +49,7 @@ func TestSlotRenamingExhaustiveN2(t *testing.T) {
 	// resolve to names 2 and 3 whenever they see each other.
 	n := 2
 	spec := gsb.Renaming(n, n+1)
-	runs, err := sched.ExploreAll(n, sched.DefaultIDs(n), 10000, 1000,
+	runs, err := sched.Explore(context.Background(), n, sched.DefaultIDs(n), sched.ExploreOptions{Workers: 1, MaxRuns: 10000, MaxSteps: 1000},
 		func() sched.Body {
 			return Body(NewSlotRenaming("F2", n, mem.SlotBox("KS", n, n-1, 1)))
 		},
@@ -64,7 +65,7 @@ func TestSlotRenamingExhaustiveN2(t *testing.T) {
 func TestTASRenamingExhaustiveSchedules(t *testing.T) {
 	n := 3
 	spec := gsb.PerfectRenaming(n)
-	runs, err := sched.ExploreAll(n, sched.DefaultIDs(n), 200000, 1000,
+	runs, err := sched.Explore(context.Background(), n, sched.DefaultIDs(n), sched.ExploreOptions{Workers: 1, MaxRuns: 200000, MaxSteps: 1000},
 		func() sched.Body { return Body(NewTASRenaming("TAS", n)) },
 		checkAgainst(spec))
 	if err != nil {
@@ -78,7 +79,7 @@ func TestTASRenamingExhaustiveSchedules(t *testing.T) {
 func TestElectionExhaustiveSchedules(t *testing.T) {
 	n := 3
 	spec := gsb.Election(n)
-	_, err := sched.ExploreAll(n, sched.DefaultIDs(n), 200000, 1000,
+	_, err := sched.Explore(context.Background(), n, sched.DefaultIDs(n), sched.ExploreOptions{Workers: 1, MaxRuns: 200000, MaxSteps: 1000},
 		func() sched.Body {
 			return Body(NewElectionFromPerfectRenaming(NewTASRenaming("TAS", n)))
 		},
@@ -92,7 +93,7 @@ func TestWSBFromSlotExhaustiveSchedules(t *testing.T) {
 	n := 3
 	spec := gsb.WSB(n)
 	for seed := int64(0); seed < 4; seed++ {
-		_, err := sched.ExploreAll(n, sched.DefaultIDs(n), 50000, 1000,
+		_, err := sched.Explore(context.Background(), n, sched.DefaultIDs(n), sched.ExploreOptions{Workers: 1, MaxRuns: 50000, MaxSteps: 1000},
 			func() sched.Body {
 				box := mem.NewTaskBox("slot", gsb.KSlot(n, 2), seed)
 				return Body(NewWSBFromSlotTask(2, NewBoxSolver(box)))
@@ -109,7 +110,7 @@ func TestSnapshotRenamingExhaustiveN2(t *testing.T) {
 	// schedule: names distinct and within [1..3].
 	n := 2
 	spec := gsb.Renaming(n, 2*n-1)
-	runs, err := sched.ExploreAll(n, sched.DefaultIDs(n), 100000, 10000,
+	runs, err := sched.Explore(context.Background(), n, sched.DefaultIDs(n), sched.ExploreOptions{Workers: 1, MaxRuns: 100000, MaxSteps: 10000},
 		func() sched.Body { return Body(NewSnapshotRenaming("R", n)) },
 		checkAgainst(spec))
 	if err != nil {
@@ -121,7 +122,7 @@ func TestSnapshotRenamingExhaustiveN2(t *testing.T) {
 func TestGridRenamingExhaustiveN2(t *testing.T) {
 	n := 2
 	spec := gsb.Renaming(n, n*(n+1)/2)
-	_, err := sched.ExploreAll(n, sched.DefaultIDs(n), 100000, 10000,
+	_, err := sched.Explore(context.Background(), n, sched.DefaultIDs(n), sched.ExploreOptions{Workers: 1, MaxRuns: 100000, MaxSteps: 10000},
 		func() sched.Body { return Body(NewGridRenaming("G", n)) },
 		checkAgainst(spec))
 	if err != nil {
@@ -133,7 +134,7 @@ func TestRenamingFromWSBExhaustiveN2(t *testing.T) {
 	n := 2
 	spec := gsb.Renaming(n, 2*n-2) // = perfect renaming for n=2
 	for seed := int64(0); seed < 4; seed++ {
-		_, err := sched.ExploreAll(n, sched.DefaultIDs(n), 200000, 10000,
+		_, err := sched.Explore(context.Background(), n, sched.DefaultIDs(n), sched.ExploreOptions{Workers: 1, MaxRuns: 200000, MaxSteps: 10000},
 			func() sched.Body {
 				return Body(NewRenamingFromWSB("RW", n, mem.WSBBox("WSB", n, seed)))
 			},

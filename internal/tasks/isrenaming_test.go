@@ -1,6 +1,7 @@
 package tasks
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gsb"
@@ -57,7 +58,7 @@ func TestISRenamingExhaustiveN3(t *testing.T) {
 	// All failure-free schedules at n=3: names distinct in [1..6].
 	n := 3
 	spec := gsb.Renaming(n, n*(n+1)/2)
-	_, err := sched.ExploreAll(n, sched.DefaultIDs(n), 500000, 10000,
+	_, err := sched.Explore(context.Background(), n, sched.DefaultIDs(n), sched.ExploreOptions{Workers: 1, MaxRuns: 500000, MaxSteps: 10000},
 		func() sched.Body { return Body(NewISRenaming("IS", n)) },
 		checkAgainst(spec))
 	if err != nil {

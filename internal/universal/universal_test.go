@@ -1,6 +1,7 @@
 package universal
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -151,11 +152,11 @@ func TestSymmetricConstructionIsBalanced(t *testing.T) {
 
 func TestUniversalExhaustiveSchedules(t *testing.T) {
 	// Theorem 8's construction over EVERY failure-free schedule (model
-	// checking via sched.ExploreAll) for the hardest <3,2,-,-> task and
+	// checking via sched.Explore) for the hardest <3,2,-,-> task and
 	// an asymmetric task.
 	for _, spec := range []gsb.Spec{gsb.Hardest(3, 2), gsb.NewAsym(3, []int{1, 1}, []int{1, 2})} {
 		spec := spec
-		_, err := sched.ExploreAll(spec.N(), sched.DefaultIDs(spec.N()), 200000, 1000,
+		_, err := sched.Explore(context.Background(), spec.N(), sched.DefaultIDs(spec.N()), sched.ExploreOptions{Workers: 1, MaxRuns: 200000, MaxSteps: 1000},
 			func() sched.Body {
 				return tasks.Body(New(spec, tasks.NewFetchIncRenaming("FI", spec.N())))
 			},
