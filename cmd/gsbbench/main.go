@@ -114,6 +114,9 @@ type Entry struct {
 	Error   string `json:"error,omitempty"`
 }
 
+// reportSchema versions the Report document.
+const reportSchema = "gsb-bench/v1"
+
 // Report is the top-level BENCH_sched.json document.
 type Report struct {
 	Schema     string  `json:"schema"`
@@ -570,6 +573,35 @@ func explainRegressions(w io.Writer, regressed [][2]Entry, baselineDir, curDir s
 	}
 }
 
+// readBaseline loads a -compare baseline report, refusing one written
+// under another schema.
+func readBaseline(path string) (Report, error) {
+	var base Report
+	bf, err := os.ReadFile(path)
+	if err != nil {
+		return base, fmt.Errorf("baseline: %w", err)
+	}
+	if err := json.Unmarshal(bf, &base); err != nil {
+		return base, fmt.Errorf("baseline %s: %w", path, err)
+	}
+	if base.Schema != reportSchema {
+		return base, fmt.Errorf("baseline %s has schema %q, this build writes %q (regenerate the baseline)", path, base.Schema, reportSchema)
+	}
+	return base, nil
+}
+
+// matchBaselineProcs runs the measurements at the baseline's GOMAXPROCS
+// (and so, by default, its worker count): allocs/run under sleep sets
+// and runs/sec both move with the core count, so a gate comparing runs
+// made at different counts would flag the host, not the change. A
+// baseline without the field leaves the setting alone.
+func matchBaselineProcs(base Report) {
+	if base.GOMAXPROCS > 0 && base.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		fmt.Printf("gsbbench: GOMAXPROCS %d, the baseline's\n", base.GOMAXPROCS)
+		runtime.GOMAXPROCS(base.GOMAXPROCS)
+	}
+}
+
 func main() {
 	out := flag.String("out", "BENCH_sched.json", "output path for the JSON report")
 	workers := flag.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS)")
@@ -602,6 +634,15 @@ func main() {
 		return
 	}
 
+	var base Report
+	if *compare != "" {
+		var err error
+		if base, err = readBaseline(*compare); err != nil {
+			fmt.Fprintf(os.Stderr, "gsbbench: %v\n", err)
+			os.Exit(1)
+		}
+		matchBaselineProcs(base)
+	}
 	if *profiles != "" {
 		if err := os.MkdirAll(*profiles, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "gsbbench: -profiles: %v\n", err)
@@ -613,7 +654,7 @@ func main() {
 		w = runtime.GOMAXPROCS(0)
 	}
 	rep := Report{
-		Schema:     "gsb-bench/v1",
+		Schema:     reportSchema,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Full:       *full,
@@ -697,20 +738,6 @@ func main() {
 	fmt.Printf("wrote %s (%d entries)\n", *out, len(rep.Entries))
 
 	if *compare != "" {
-		bf, err := os.ReadFile(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gsbbench: baseline: %v\n", err)
-			os.Exit(1)
-		}
-		var base Report
-		if err := json.Unmarshal(bf, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "gsbbench: baseline %s: %v\n", *compare, err)
-			os.Exit(1)
-		}
-		if base.Schema != rep.Schema {
-			fmt.Fprintf(os.Stderr, "gsbbench: baseline %s has schema %q, this build writes %q (regenerate the baseline)\n", *compare, base.Schema, rep.Schema)
-			os.Exit(1)
-		}
 		failures, notes, regressed := compareReports(rep, base, *maxDrop, *maxAllocsGrowth)
 		for _, n := range notes {
 			fmt.Printf("  note: %s\n", n)

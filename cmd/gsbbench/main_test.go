@@ -1,6 +1,10 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -117,5 +121,39 @@ func TestExplainRegressions(t *testing.T) {
 	explainRegressions(&buf, [][2]Entry{{b, c}}, "../../internal/profdiff/testdata", "../../internal/profdiff/testdata", 10)
 	if !strings.Contains(buf.String(), "cannot explain") {
 		t.Errorf("unreadable-profile note absent:\n%s", buf.String())
+	}
+}
+
+// TestBaselineSetsGOMAXPROCS: -compare measures at the baseline report's
+// GOMAXPROCS, so the allocs and throughput gates compare runs made at
+// the same core count; a baseline without the field changes nothing,
+// and a baseline of another schema is refused.
+func TestBaselineSetsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, procs := range []int{1, 2, 1} {
+		base, err := readBaseline(write("b.json", `{"schema":"gsb-bench/v1","gomaxprocs":`+strconv.Itoa(procs)+`,"entries":[]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchBaselineProcs(base)
+		if got := runtime.GOMAXPROCS(0); got != procs {
+			t.Errorf("baseline gomaxprocs %d: measuring at GOMAXPROCS %d", procs, got)
+		}
+	}
+	runtime.GOMAXPROCS(2)
+	matchBaselineProcs(Report{Schema: reportSchema})
+	if got := runtime.GOMAXPROCS(0); got != 2 {
+		t.Errorf("baseline without gomaxprocs changed GOMAXPROCS to %d", got)
+	}
+	if _, err := readBaseline(write("old.json", `{"schema":"gsb-bench/v0","gomaxprocs":1}`)); err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Errorf("baseline of another schema: err = %v, want a schema error", err)
 	}
 }

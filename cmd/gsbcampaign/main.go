@@ -12,9 +12,9 @@
 //	gsbcampaign status -ckpt run.ckpt [-json | -watch [-interval 2s]]
 //	gsbcampaign merge  shard0.ckpt shard1.ckpt shard2.ckpt
 //
-// Modes (-mode): exhaustive, por, por-memo (enumerating; one schedule
-// per interleaving / trace class), walk, pct (statistical sampling of
-// -runs schedules), crash (randomized crash sweep of -runs runs).
+// Modes (-mode) are the request modes of the campaign library; the
+// table in docs/checkpoint-format.md maps each one to the mode its
+// snapshot header records and the engine options it sets.
 //
 // The execution model is a campaign axis (docs/models.md): -model picks
 // the memory model the shared registers and snapshots execute under
@@ -138,48 +138,6 @@ func parseShard(s string) (int, int, error) {
 	return shard, of, nil
 }
 
-// optionsForMode builds the campaign's exploration options. model and
-// adversary are registry names (repro.MemModels, repro.Adversaries);
-// empty means the default. Both are validated here so a typo is a usage
-// error before any snapshot file is touched, and both become part of the
-// snapshot's options hash — a resume under a changed model fails loudly.
-func optionsForMode(mode string, runs, pctDepth, workers, maxRuns, maxSteps int, seed int64, crashProb float64, model, adversary string) (repro.ExploreOptions, error) {
-	opts := repro.ExploreOptions{Workers: workers, Seed: seed, MaxRuns: maxRuns, MaxSteps: maxSteps}
-	if _, err := repro.MemModelByName(model); err != nil {
-		return opts, err
-	}
-	if _, err := repro.AdversaryByName(adversary); err != nil {
-		return opts, err
-	}
-	if adversary != "" && mode != "crash" {
-		return opts, fmt.Errorf("-adversary selects a crash-sweep strategy and needs -mode crash, got -mode %s", mode)
-	}
-	opts.Model = model
-	opts.Adversary = adversary
-	switch mode {
-	case "exhaustive":
-	case "por":
-		opts.Reduction = repro.ReductionSleepSets
-	case "por-memo":
-		opts.Reduction = repro.ReductionSleepMemo
-	case "walk":
-		opts.SampleRuns = runs
-	case "pct":
-		opts.SampleRuns = runs
-		opts.SampleMode = repro.SamplePCT
-		opts.Depth = pctDepth
-	case "crash":
-		opts.CrashRuns = runs
-		opts.CrashProb = crashProb
-	default:
-		return opts, fmt.Errorf("unknown mode %q (want exhaustive, por, por-memo, walk, pct or crash)", mode)
-	}
-	if (mode == "walk" || mode == "pct" || mode == "crash") && runs <= 0 {
-		return opts, fmt.Errorf("mode %s needs -runs > 0", mode)
-	}
-	return opts, nil
-}
-
 // signalContext returns a context canceled by SIGINT/SIGTERM: the
 // campaign loop sees the cancellation as a pause request and writes a
 // checkpoint before exiting.
@@ -262,29 +220,26 @@ func cmdStart(args []string) int {
 		fmt.Fprintln(os.Stderr, "gsbcampaign start: -ckpt is required")
 		return exitUsage
 	}
-	if *n < 2 {
-		fmt.Fprintln(os.Stderr, "gsbcampaign start: need n >= 2")
-		return exitUsage
-	}
 	shard, of, err := parseShard(*shardSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gsbcampaign start: %v\n", err)
 		return exitUsage
 	}
-	opts, err := optionsForMode(*mode, *runs, *pctDepth, *workers, *maxRuns, *maxSteps, *seed, *crashProb, *model, *adversary)
+	// The model and adversary are validated with the rest of the
+	// request, so a typo is a usage error before any snapshot file is
+	// touched; both are part of the snapshot's options hash.
+	req := repro.CampaignRequest{
+		Protocol: *protocol, N: *n, Mode: *mode, Runs: *runs, PCTDepth: *pctDepth,
+		CrashProb: *crashProb, Model: *model, Adversary: *adversary, Seed: *seed,
+		MaxRuns: *maxRuns, MaxSteps: *maxSteps, CheckpointEvery: *every,
+	}
+	cfg, err := req.Config(shard, of, *ckpt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gsbcampaign start: %v\n", err)
 		return exitUsage
 	}
-	spec, build, err := repro.SelectProtocol(*protocol, *n, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gsbcampaign start: %v\n", err)
-		return exitUsage
-	}
-	cfg := repro.CampaignConfig{
-		Protocol: *protocol, Spec: spec, Opts: opts, Build: build,
-		Shard: shard, Of: of, CheckpointEvery: *every, Path: *ckpt, Force: *force,
-	}
+	cfg.Opts.Workers = *workers
+	cfg.Force = *force
 	obs := repro.NewCampaignObserver()
 	cfg.Observer = obs
 	stop, err := startObservability(obs, *metricsAddr, *progress)
@@ -403,23 +358,6 @@ func cmdStatus(args []string) int {
 	return exitOK
 }
 
-// shardTotalOf mirrors the campaign library's shard split: the number
-// of seeded runs this shard owns, 0 when the total is unknowable up
-// front (the enumerating modes discover their tree as they walk it).
-func shardTotalOf(h repro.CampaignHeader) int64 {
-	total := 0
-	switch h.Mode {
-	case repro.CampaignWalk, repro.CampaignPCT:
-		total = h.Options.SampleRuns
-	case repro.CampaignCrash:
-		total = h.Options.CrashRuns
-	}
-	if total <= h.Shard {
-		return 0
-	}
-	return int64((total-h.Shard-1)/h.Of + 1)
-}
-
 // sparkline renders the timeline's coverage-growth curve — distinct
 // trace classes when the mode counts them, verified runs otherwise — as
 // a string of spark characters over the last w samples.
@@ -494,11 +432,8 @@ func watchStatus(path string, interval time.Duration) int {
 			rate = fmt.Sprintf(", %.0f runs/sec", rateVal)
 		}
 		eta := ""
-		if total := shardTotalOf(h); !h.Done && total > 0 && rateVal > 0 {
-			if left := total - h.Runs; left > 0 {
-				d := time.Duration(float64(left) / rateVal * float64(time.Second))
-				eta = fmt.Sprintf(", ETA %s", d.Round(time.Second))
-			}
+		if sec := repro.CampaignETASec(h.ShardTotal(), h.Runs, rateVal, h.Done); sec > 0 {
+			eta = fmt.Sprintf(", ETA %s", time.Duration(sec*float64(time.Second)).Round(time.Second))
 		}
 		line := fmt.Sprintf("%s shard %d/%d on %s: %d runs", h.Mode, h.Shard, h.Of, h.Task, h.Runs)
 		if h.Frontier > 0 {

@@ -54,13 +54,14 @@ func TestGsbcampaignInvalidUsage(t *testing.T) {
 		{"unknown-command", []string{"explode"}, 2, "unknown command"},
 		{"start-no-ckpt", []string{"start"}, 2, "-ckpt is required"},
 		{"start-bad-mode", []string{"start", "-ckpt", missing, "-mode", "bogus"}, 2, "unknown mode"},
-		{"start-walk-no-runs", []string{"start", "-ckpt", missing, "-mode", "walk"}, 2, "needs -runs"},
+		{"start-walk-no-runs", []string{"start", "-ckpt", missing, "-mode", "walk"}, 2, "needs runs"},
 		{"start-bad-shard", []string{"start", "-ckpt", missing, "-shard", "3/2"}, 2, "-shard wants i/m"},
 		{"start-shard-not-a-pair", []string{"start", "-ckpt", missing, "-shard", "x"}, 2, "-shard wants i/m"},
 		{"start-n-too-small", []string{"start", "-ckpt", missing, "-n", "1"}, 2, "need n >= 2"},
 		{"start-bad-protocol", []string{"start", "-ckpt", missing, "-protocol", "bogus"}, 2, "unknown protocol"},
 		{"start-undefined-flag", []string{"start", "-bogus"}, 2, "flag provided but not defined"},
-		{"start-bad-crash-prob", []string{"start", "-ckpt", missing, "-mode", "crash", "-runs", "10", "-crash", "1.5"}, 1, "outside [0, 1]"},
+		{"start-bad-crash-prob", []string{"start", "-ckpt", missing, "-mode", "crash", "-runs", "10", "-crash", "1.5"}, 2, "outside [0, 1]"},
+		{"start-crash-never-crashes", []string{"start", "-ckpt", missing, "-mode", "crash", "-runs", "10", "-crash", "0"}, 2, "needs crash_prob > 0"},
 		{"resume-no-ckpt", []string{"resume"}, 2, "-ckpt is required"},
 		{"resume-missing-file", []string{"resume", "-ckpt", missing}, 1, "no such file"},
 		{"status-no-ckpt", []string{"status"}, 2, "-ckpt is required"},
@@ -236,38 +237,5 @@ func TestSparkline(t *testing.T) {
 	}
 	if s := sparkline(runs, 2); s != "▄█" {
 		t.Errorf("truncated sparkline = %q, want the last 2 samples", s)
-	}
-}
-
-// TestShardTotalOf mirrors the library's shard split: seeded modes
-// divide their run budget across shards, enumerating modes have no
-// up-front total.
-func TestShardTotalOf(t *testing.T) {
-	h := func(mode repro.CampaignMode, runs, shard, of int) repro.CampaignHeader {
-		hh := repro.CampaignHeader{Mode: mode, Shard: shard, Of: of}
-		if mode == repro.CampaignCrash {
-			hh.Options.CrashRuns = runs
-		} else {
-			hh.Options.SampleRuns = runs
-		}
-		return hh
-	}
-	cases := []struct {
-		name string
-		h    repro.CampaignHeader
-		want int64
-	}{
-		{"walk-shard0", h(repro.CampaignWalk, 10, 0, 3), 4},
-		{"walk-shard1", h(repro.CampaignWalk, 10, 1, 3), 3},
-		{"walk-shard2", h(repro.CampaignWalk, 10, 2, 3), 3},
-		{"pct", h(repro.CampaignPCT, 6, 0, 2), 3},
-		{"crash", h(repro.CampaignCrash, 7, 1, 2), 3},
-		{"exhaustive-unknown", h(repro.CampaignExhaustive, 0, 0, 1), 0},
-		{"por-unknown", h(repro.CampaignPOR, 0, 0, 1), 0},
-	}
-	for _, tc := range cases {
-		if got := shardTotalOf(tc.h); got != tc.want {
-			t.Errorf("%s: shardTotalOf = %d, want %d", tc.name, got, tc.want)
-		}
 	}
 }

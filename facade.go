@@ -18,32 +18,24 @@ import (
 	"repro/internal/timeline"
 	"repro/internal/topology"
 	"repro/internal/universal"
-	"repro/internal/vecmath"
 )
 
 // Task algebra (internal/gsb).
 type (
 	// Spec describes an <n,m,l,u>-GSB task (possibly asymmetric).
 	Spec = gsb.Spec
-	// Vec is an integer vector (counting and kernel vectors).
-	Vec = vecmath.Vec
-	// HasseEdge is an edge of the strict-inclusion diagram (Figure 1).
-	HasseEdge = gsb.HasseEdge
 )
 
 // Spec constructors and named instances (Section 3).
 var (
-	NewSym               = gsb.NewSym
-	NewAsym              = gsb.NewAsym
-	Election             = gsb.Election
-	WSB                  = gsb.WSB
-	KWSB                 = gsb.KWSB
-	Renaming             = gsb.Renaming
-	PerfectRenaming      = gsb.PerfectRenaming
-	KSlot                = gsb.KSlot
-	BoundedHomonymous    = gsb.BoundedHomonymous
-	Hardest              = gsb.Hardest
-	BalancedKernelVector = gsb.BalancedKernelVector
+	NewSym          = gsb.NewSym
+	NewAsym         = gsb.NewAsym
+	Election        = gsb.Election
+	WSB             = gsb.WSB
+	Renaming        = gsb.Renaming
+	PerfectRenaming = gsb.PerfectRenaming
+	KSlot           = gsb.KSlot
+	Hardest         = gsb.Hardest
 )
 
 // Family structure (Section 4).
@@ -78,7 +70,7 @@ type (
 	// runs executed, distinct-trace-class coverage, and the replayable
 	// smallest failing run (index + derived seed).
 	SampleReport = sample.Report
-	// ProcessPanics is the panic value Run re-raises when protocol code
+	// ProcessPanics is the panic value a run re-raises when protocol code
 	// panicked: one ProcessPanic per panicking process, in index order,
 	// each carrying the original panic value verbatim.
 	ProcessPanics = sched.ProcessPanics
@@ -95,34 +87,29 @@ const (
 // Memory models (ExploreOptions.Model; docs/models.md): register and
 // snapshot semantics as a named, first-class execution axis. The default
 // atomic model is bit-identical to the pre-registry engine; the weak
-// models express their weakness as extra scheduler-visible decision
-// points, so runs stay pure functions of (model, schedule).
+// models (regular, safe, stale-snapshot) express their weakness as extra
+// scheduler-visible decision points, so runs stay pure functions of
+// (model, schedule).
 const (
-	ModelAtomic        = sched.ModelAtomic
-	ModelRegular       = sched.ModelRegular
-	ModelSafe          = sched.ModelSafe
-	ModelStaleSnapshot = sched.ModelStaleSnapshot
+	ModelAtomic  = sched.ModelAtomic
+	ModelRegular = sched.ModelRegular
 )
 
 // Crash adversaries (ExploreOptions.Adversary; docs/models.md): the
-// strategy generating per-run crash policies in seeded sweeps.
+// strategy generating per-run crash policies in seeded sweeps
+// (uniform-crash, t-resilient, adaptive).
 const (
 	AdversaryUniformCrash = sched.AdversaryUniformCrash
 	AdversaryTResilient   = sched.AdversaryTResilient
-	AdversaryAdaptive     = sched.AdversaryAdaptive
 )
 
 var (
-	// MemModels and Adversaries list the registered names (default
-	// first); MemModelByName and AdversaryByName resolve a name, with an
-	// error naming the registered set on an unknown one.
-	MemModels       = sched.MemModels
+	// MemModelByName and AdversaryByName resolve a registry name, with
+	// an error naming the registered set on an unknown one.
 	MemModelByName  = sched.MemModelByName
-	Adversaries     = sched.Adversaries
 	AdversaryByName = sched.AdversaryByName
 	// WithModel runs a runner's shared objects under a resolved memory
-	// model; RunUnder / RunVerifiedUnder are the name-resolving one-shot
-	// forms.
+	// model; RunVerifiedUnder is the name-resolving one-shot form.
 	WithModel = sched.WithModel
 )
 
@@ -137,35 +124,25 @@ const (
 
 var (
 	NewRunner = sched.NewRunner
-	// WithMaxSteps overrides a runner's per-run step budget; WithReuse
-	// keeps its process coroutines parked between runs (Reset re-arms it
-	// per run; the caller must Close), which is the zero-allocation path
-	// the exploration engines use.
-	WithMaxSteps         = sched.WithMaxSteps
+	// WithReuse keeps a runner's process coroutines parked between runs
+	// (Reset re-arms it per run; the caller must Close), which is the
+	// zero-allocation path the exploration engines use.
 	WithReuse            = sched.WithReuse
 	DefaultIDs           = sched.DefaultIDs
 	NewRoundRobinPolicy  = sched.NewRoundRobin
 	NewRandomPolicy      = sched.NewRandom
 	NewRandomCrashPolicy = sched.NewRandomCrash
-	NewScriptPolicy      = sched.NewScript
 	ScriptFromSchedule   = sched.ScriptFromSchedule
 	// Explore model-checks a protocol over every failure-free schedule
 	// (or a randomized crash sweep) with a work-stealing worker pool; it
 	// is one unbounded slice of the engine a campaign runs in checkpointed
-	// slices. ExploreSequential is the historical depth-first baseline it
-	// is differentially tested against.
-	Explore           = sched.Explore
-	ExploreCrashes    = sched.ExploreCrashes
-	ExploreSequential = sched.ExploreSequential
+	// slices.
+	Explore = sched.Explore
 	// DeriveRunSeed is the single definition of per-run seed derivation
 	// (seed→schedule reproducibility) shared by the crash sweep and the
 	// samplers (SampleVerified), which makes any reported failing run
 	// replayable.
 	DeriveRunSeed = sched.DeriveRunSeed
-	// NewPCTPolicy builds the standalone PCT scheduling policy (random
-	// priorities + depth-1 seeded change points), e.g. to replay a
-	// failing PCT run from its derived seed.
-	NewPCTPolicy = sample.NewPCT
 	// CanonicalTraceHash hashes a schedule's Foata normal form under an
 	// independence relation: equal hashes identify the Mazurkiewicz
 	// trace class. The sampling subsystem counts coverage with it.
@@ -198,49 +175,35 @@ type (
 	// task, solver, options, shard index/count, checkpoint interval and
 	// snapshot path.
 	CampaignConfig = campaign.Config
+	// CampaignRequest is a campaign in request form (protocol, n, mode
+	// name and its parameters): the one mapping from a mode name to
+	// options and a CampaignConfig, shared by cmd/gsbcampaign and the
+	// fleet.
+	CampaignRequest = campaign.Request
 	// CampaignReport is a campaign outcome (final for a single shard,
 	// provisional per shard until MergeCampaigns combines the set).
 	CampaignReport = campaign.Report
 	// CampaignHeader is the self-describing first line of a snapshot
 	// file: identity, options hash, progress, and the result once done.
 	CampaignHeader = campaign.Header
-	// CampaignMode names a campaign's verification mode.
-	CampaignMode = campaign.Mode
 	// CampaignObserver is the live observability endpoint of a running
 	// campaign shard: it owns the StatsRegistry the engines publish into
 	// and renders it as Prometheus /metrics, a JSON /status endpoint and
 	// gsbprogress/v1 NDJSON records (cmd/gsbcampaign's -metrics and
 	// -progress flags; docs/metrics.md).
 	CampaignObserver = campaign.Observer
-	// CampaignStatusRecord is one live progress observation — the /status
-	// response body (schema gsbstatus/v1) and the NDJSON progress record
-	// (schema gsbprogress/v1).
-	CampaignStatusRecord = campaign.StatusRecord
 	// StatsRegistry is the engine observability registry
 	// (internal/stats): named atomic counters/gauges/histograms with
 	// zero-allocation publishing, Prometheus rendering, and serializable
 	// snapshots that campaigns checkpoint and merge. Attach one via
 	// ExploreOptions.Stats (or use a CampaignObserver's).
 	StatsRegistry = stats.Registry
-	// StatsSnapshot is a serializable point-in-time copy of a registry:
-	// carried in campaign checkpoints and final reports.
-	StatsSnapshot = stats.Snapshot
 	// TimelineRecord is one gsbtimeline/v1 coverage-timeline sample: a
 	// snapshot of the cumulative campaign counters taken at each
 	// checkpoint write and appended to the snapshot's NDJSON timeline
 	// sidecar (<snapshot>.timeline). Kill/resume extends one continuous
 	// series; MergeTimelines interleaves finished shard sidecars.
 	TimelineRecord = timeline.Record
-)
-
-// Campaign modes (derived from ExploreOptions by CampaignModeOf).
-const (
-	CampaignExhaustive = campaign.ModeExhaustive
-	CampaignPOR        = campaign.ModePOR
-	CampaignPORMemo    = campaign.ModePORMemo
-	CampaignWalk       = campaign.ModeWalk
-	CampaignPCT        = campaign.ModePCT
-	CampaignCrash      = campaign.ModeCrash
 )
 
 var (
@@ -255,7 +218,10 @@ var (
 	ResumeCampaign = campaign.Resume
 	MergeCampaigns = campaign.Merge
 	CampaignStatus = campaign.Status
-	CampaignModeOf = campaign.ModeOf
+	// CampaignETASec is the remaining-time estimate every campaign ETA
+	// uses (0 when none is honest); CampaignHeader.ShardTotal is its
+	// usual total.
+	CampaignETASec = campaign.ETASec
 	// NewStatsRegistry creates an empty observability registry;
 	// NewCampaignObserver an observer with its own registry.
 	NewStatsRegistry    = stats.New
@@ -272,7 +238,7 @@ var (
 	// SelectProtocol maps a CLI protocol name to its task spec and
 	// solver constructor — the registry cmd/gsbrun and cmd/gsbcampaign
 	// share.
-	SelectProtocol = harness.SelectProtocol
+	SelectProtocol = campaign.SelectProtocol
 	// Timeline sidecar access (internal/timeline): TimelineSidecarPath
 	// maps a snapshot path to its NDJSON timeline file, ReadTimeline
 	// loads a sidecar (tolerating a torn tail), MergeTimelines
@@ -300,10 +266,8 @@ type (
 	// FleetCoordinatorConfig/FleetWorkerConfig configure the two halves.
 	FleetCoordinatorConfig = fleet.CoordinatorConfig
 	FleetWorkerConfig      = fleet.WorkerConfig
-	// FleetCoordinator is the control plane (an http.Handler);
-	// FleetWorker a campaign-running agent.
+	// FleetCoordinator is the control plane (an http.Handler).
 	FleetCoordinator = fleet.Coordinator
-	FleetWorker      = fleet.Worker
 	// FleetCampaignStatus / FleetStatus are the live status views.
 	FleetCampaignStatus = fleet.CampaignStatus
 	FleetStatus         = fleet.FleetStatus
@@ -321,98 +285,43 @@ const (
 	FleetStatusSchema = fleet.FleetStatusSchema
 )
 
-// Profile-diff regression explanations (internal/profdiff): a minimal
-// stdlib-only pprof profile.proto reader and per-function flat-time
-// differ, so the gsbbench -compare gate can explain a regression by
-// naming the hot-path functions whose flat share moved.
-type (
-	// PprofProfile is the flat-value view of one parsed pprof profile.
-	PprofProfile = profdiff.Profile
-	// ProfileDelta is one function's flat-share change between two
-	// profiles (positive Diff: the function grew).
-	ProfileDelta = profdiff.Delta
-)
-
-var (
-	// ParseProfile reads a pprof CPU profile (gzipped or bare proto);
-	// DiffProfiles compares per-function flat shares largest-move-first;
-	// FormatProfileDiff renders the top-n deltas as an aligned table; and
-	// ExplainProfileDiff is the one-call file-to-table form gsbbench
-	// prints under a failed regression gate.
-	ParseProfile       = profdiff.ParseFile
-	DiffProfiles       = profdiff.Diff
-	FormatProfileDiff  = profdiff.Format
-	ExplainProfileDiff = profdiff.Explain
-)
+// ExplainProfileDiff explains a regression (internal/profdiff): it reads
+// two pprof CPU profiles with a minimal stdlib-only profile.proto reader
+// and renders the top-n per-function flat-time shifts as the aligned
+// table gsbbench prints under a failed -compare gate.
+var ExplainProfileDiff = profdiff.Explain
 
 // Shared-memory objects (internal/mem).
 var (
-	NewTaskBox         = mem.NewTaskBox
-	PerfectRenamingBox = mem.PerfectRenamingBox
-	SlotBox            = mem.SlotBox
-	WSBBox             = mem.WSBBox
-	// Adaptive oracle objects contrasted with GSB tasks in Section 1.
-	NewKTAS            = mem.NewKTAS
-	NewKLeaderElection = mem.NewKLeaderElection
-	// Agreement-task oracles (the non-GSB foil: outputs relate to inputs).
-	NewConsensus     = mem.NewConsensus
-	NewKSetAgreement = mem.NewKSetAgreement
+	NewTaskBox = mem.NewTaskBox
+	SlotBox    = mem.SlotBox
 )
 
 // Protocols (internal/tasks).
 type (
 	// Solver is a one-shot task protocol.
 	Solver = tasks.Solver
-	// SolverFunc adapts a function to Solver.
-	SolverFunc = tasks.SolverFunc
 )
 
 var (
-	Run = tasks.Run
-	// RunOn / RunVerifiedOn execute on a caller-owned (typically
-	// reusable) runner re-armed per call — the zero-allocation form of
-	// Run / RunVerified for seed sweeps and other many-run loops.
-	RunOn                          = tasks.RunOn
-	RunVerifiedOn                  = tasks.RunVerifiedOn
-	RunVerified                    = tasks.RunVerified
-	RunUnder                       = tasks.RunUnder
-	RunVerifiedUnder               = tasks.RunVerifiedUnder
-	ExploreVerified                = tasks.ExploreVerified
-	SampleVerified                 = tasks.SampleVerified
-	SolverBody                     = tasks.Body
-	NewSnapshotRenaming            = tasks.NewSnapshotRenaming
-	NewGridRenaming                = tasks.NewGridRenaming
-	NewISRenaming                  = tasks.NewISRenaming
-	NewFetchIncRenaming            = tasks.NewFetchIncRenaming
-	NewTASRenaming                 = tasks.NewTASRenaming
-	NewBoxSolver                   = tasks.NewBoxSolver
-	NewElectionFromPerfectRenaming = tasks.NewElectionFromPerfectRenaming
-	NewSlotRenaming                = tasks.NewSlotRenaming
-	NewWSBFromRenaming             = tasks.NewWSBFromRenaming
-	NewRenamingFromWSB             = tasks.NewRenamingFromWSB
-	NewKWSBFromRenaming            = tasks.NewKWSBFromRenaming
-	NewWSBFromSlotTask             = tasks.NewWSBFromSlotTask
-	NewIDReducer                   = tasks.NewIDReducer
-	NewUniversalConstruction       = universal.New
+	RunVerified              = tasks.RunVerified
+	RunVerifiedUnder         = tasks.RunVerifiedUnder
+	ExploreVerified          = tasks.ExploreVerified
+	SampleVerified           = tasks.SampleVerified
+	SolverBody               = tasks.Body
+	NewTASRenaming           = tasks.NewTASRenaming
+	NewBoxSolver             = tasks.NewBoxSolver
+	NewSlotRenaming          = tasks.NewSlotRenaming
+	NewWSBFromRenaming       = tasks.NewWSBFromRenaming
+	NewIDReducer             = tasks.NewIDReducer
+	NewUniversalConstruction = universal.New
 )
 
-// Solvability analysis (Theorems 9-11).
-type (
-	// SolvabilityReport classifies one task.
-	SolvabilityReport = solvability.Report
-	// SolvabilityStatus is the classification outcome.
-	SolvabilityStatus = solvability.Status
-	// DecisionFunc is a communication-free algorithm (Theorem 9).
-	DecisionFunc = nocomm.DecisionFunc
-)
-
-// Solvability statuses.
+// Solvability analysis (Theorems 9-11): the statuses Classify reports.
 const (
-	StatusInfeasible  = solvability.StatusInfeasible
 	StatusTrivial     = solvability.StatusTrivial
 	StatusSolvable    = solvability.StatusSolvable
 	StatusNotSolvable = solvability.StatusNotSolvable
-	StatusUnknown     = solvability.StatusUnknown
 )
 
 var (
@@ -420,7 +329,6 @@ var (
 	FamilyReport        = solvability.FamilyReport
 	BinomialGCD         = solvability.BinomialGCD
 	BinomialsPrime      = solvability.BinomialsPrime
-	GCDTable            = solvability.GCDTable
 	NoCommSolvable      = nocomm.Solvable
 	NoCommBuild         = nocomm.Build
 	NoCommVerify        = nocomm.Verify
@@ -428,11 +336,6 @@ var (
 )
 
 // Topology certificates (Theorem 11).
-type (
-	// IISComplex is the iterated-immediate-snapshot protocol complex.
-	IISComplex = topology.Complex
-)
-
 var (
 	BuildIIS           = topology.BuildIIS
 	BoundedRoundsCheck = topology.Solvable
@@ -465,8 +368,6 @@ var (
 
 // Message-passing baselines (internal/msgnet, internal/luby).
 type (
-	// Graph is an undirected message-passing topology.
-	Graph = msgnet.Graph
 	// NetAdversary is the seeded message adversary: per-directed-edge
 	// loss, delay and reordering between synchronous rounds
 	// (docs/models.md). Executions are deterministic per seed.
@@ -474,23 +375,15 @@ type (
 )
 
 var (
-	NewGraph       = msgnet.NewGraph
 	Ring           = msgnet.Ring
-	Complete       = msgnet.Complete
 	GNP            = msgnet.GNP
 	LubyMIS        = luby.MIS
 	VerifyMIS      = luby.VerifyMIS
 	LubyColoring   = luby.Coloring
 	VerifyColoring = luby.VerifyColoring
 	RingThreeColor = luby.RingThreeColor
-	// RunAdversarial executes a msgnet protocol under a message
-	// adversary; Synchronize wraps fault-free protocols so they tolerate
-	// it (retransmission repairs loss; buffering absorbs delay and
-	// reordering). The *Under variants are the baselines composed with
-	// both: the symmetry-breaking algorithms running under faults.
-	RunAdversarial      = msgnet.RunAdversarial
-	Synchronize         = msgnet.Synchronize
-	LubyMISUnder        = luby.MISUnder
-	LubyColoringUnder   = luby.ColoringUnder
+	// RingThreeColorUnder runs Cole-Vishkin ring 3-coloring under a
+	// message adversary, wrapped in a synchronizer so the baseline
+	// survives loss, delay and reordering unchanged.
 	RingThreeColorUnder = luby.RingThreeColorUnder
 )

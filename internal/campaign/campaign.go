@@ -361,7 +361,7 @@ func run(ctx context.Context, cfg *Config, p payload) (Report, error) {
 			return Report{}, terr
 		}
 		defer tl.Close()
-		cfg.Observer.attach(h, shardTotal(cfg), cfg.timelinePath())
+		cfg.Observer.attach(h, h.ShardTotal(), cfg.timelinePath())
 	}
 
 	slice := func(p payload) (payload, bool, error) {
@@ -456,24 +456,6 @@ func progress(p payload) (runs int64, frontier int) {
 		return p.Crash.Completed, 0
 	}
 	return 0, 0
-}
-
-// shardTotal is the shard-local run budget of the seeded modes (the
-// SampleRuns/CrashRuns indices owned by cfg's shard) — the ETA
-// denominator. 0 for the enumerating family, whose total is unknowable up
-// front (no ETA).
-func shardTotal(cfg *Config) int64 {
-	total := 0
-	switch ModeOf(cfg.Opts).family() {
-	case "sample":
-		total = cfg.Opts.SampleRuns
-	case "crash":
-		total = cfg.Opts.CrashRuns
-	}
-	if total <= cfg.Shard {
-		return 0
-	}
-	return int64((total-cfg.Shard-1)/cfg.Of + 1)
 }
 
 // provisionalReport renders a paused or single-shard-incomplete state.

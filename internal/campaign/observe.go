@@ -211,7 +211,7 @@ func (o *Observer) status() StatusRecord {
 	if elapsed > 0 {
 		rec.RunsPerSec = float64(rec.Runs-o.base) / elapsed
 	}
-	rec.ETASec = etaSec(o.total, rec.Runs, rec.RunsPerSec, rec.Done)
+	rec.ETASec = ETASec(o.total, rec.Runs, rec.RunsPerSec, rec.Done)
 	if !o.lastCkpt.IsZero() {
 		age := now.Sub(o.lastCkpt).Seconds()
 		rec.LastCheckpointAgeSec = &age
@@ -219,13 +219,15 @@ func (o *Observer) status() StatusRecord {
 	return rec
 }
 
-// etaSec is the remaining-time estimate behind the eta_sec field, and
-// returns 0 — which omits the field — whenever no honest estimate
-// exists: an unknown total (the enumerating family, whose run count is
-// unknowable up front), no measurable rate yet, a finished campaign, or
-// cumulative runs already at/past the budget (probe runs can overshoot
-// it). Anything else would serialize a bogus ETA.
-func etaSec(total, runs int64, rate float64, done bool) float64 {
+// ETASec is the remaining-time estimate in seconds behind every eta_sec
+// field (a shard's /status, the fleet's campaign status) and the ETA of
+// `gsbcampaign status -watch`. It returns 0 — which omits the field —
+// whenever no honest estimate exists: an unknown total (the enumerating
+// family, whose run count is unknowable up front), no measurable rate
+// yet, a finished campaign, or cumulative runs already at/past the
+// budget (probe runs can overshoot it). Anything else would serialize a
+// bogus ETA.
+func ETASec(total, runs int64, rate float64, done bool) float64 {
 	if total <= 0 || rate <= 0 || done {
 		return 0
 	}

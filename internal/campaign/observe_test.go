@@ -330,8 +330,8 @@ func TestEtaSec(t *testing.T) {
 		{"mid-flight", 300, 100, 100, false, 2},
 	}
 	for _, c := range cases {
-		if got := etaSec(c.total, c.runs, c.rate, c.done); got != c.want {
-			t.Errorf("%s: etaSec(%d, %d, %g, %v) = %g, want %g",
+		if got := ETASec(c.total, c.runs, c.rate, c.done); got != c.want {
+			t.Errorf("%s: ETASec(%d, %d, %g, %v) = %g, want %g",
 				c.name, c.total, c.runs, c.rate, c.done, got, c.want)
 		}
 	}

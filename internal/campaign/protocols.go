@@ -1,4 +1,4 @@
-package harness
+package campaign
 
 import (
 	"fmt"
@@ -10,10 +10,10 @@ import (
 )
 
 // SelectProtocol maps a protocol name — the vocabulary shared by
-// cmd/gsbrun and cmd/gsbcampaign — to the task specification it solves
-// and a per-run solver constructor. seed seeds the oracle-box assignment
-// draws of the protocols that use one, so a protocol selection is fully
-// reproducible from (name, n, seed).
+// cmd/gsbrun and every campaign Request — to the task specification it
+// solves and a per-run solver constructor. seed seeds the oracle-box
+// assignment draws of the protocols that use one, so a protocol
+// selection is fully reproducible from (name, n, seed).
 //
 // Names:
 //
@@ -50,6 +50,9 @@ func SelectProtocol(protocol string, n int, seed int64) (gsb.Spec, func(n int) t
 			return tasks.NewElectionFromPerfectRenaming(tasks.NewTASRenaming("TAS", n))
 		}, nil
 	case "universal":
+		if n < 3 {
+			return gsb.Spec{}, nil, fmt.Errorf("protocol universal solves <n,3,1,n>-GSB and needs n >= 3, got n=%d", n)
+		}
 		spec := gsb.KSlot(n, 3)
 		return spec, func(n int) tasks.Solver {
 			return universal.New(spec, tasks.NewTASRenaming("TAS", n))

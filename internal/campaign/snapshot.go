@@ -165,6 +165,25 @@ func (h Header) ExploreOptions() sched.ExploreOptions {
 	}
 }
 
+// ShardTotal is the number of runs this shard owns in the seeded modes
+// (walk, pct, crash: shard i of m owns run indices i, i+m, ...), the
+// denominator of every ETA. It is 0 for the enumerating family, whose
+// run count is unknowable up front. Summed over the shards of one
+// campaign it is the campaign's run budget.
+func (h Header) ShardTotal() int64 {
+	total := 0
+	switch h.Mode.family() {
+	case "sample":
+		total = h.Options.SampleRuns
+	case "crash":
+		total = h.Options.CrashRuns
+	}
+	if h.Of < 1 || total <= h.Shard {
+		return 0
+	}
+	return int64((total-h.Shard-1)/h.Of + 1)
+}
+
 // payload is the engine-state part of a snapshot: exactly one engine
 // field is set, matching the header's mode family. Stats rides along with
 // whichever engine state is set: the observability registry's cumulative

@@ -33,8 +33,6 @@ import (
 	"fmt"
 
 	"repro/internal/campaign"
-	"repro/internal/harness"
-	"repro/internal/sched"
 )
 
 // Schema tags every gsbfleet/v1 API request and response body.
@@ -42,16 +40,15 @@ const Schema = "gsbfleet/v1"
 
 // Submission is the body of POST /v1/campaigns: a whole campaign —
 // protocol, instance size, verification mode and its options, and how
-// many shards to deal it as. It is the fleet-level mirror of the
-// gsbcampaign start flags; Validate resolves it against the same
-// registries, so a typo is rejected at submission time, before any
-// worker sees a task.
+// many shards to deal it as. Its campaign fields are those of
+// campaign.Request, which the gsbcampaign start flags also fill;
+// Validate resolves them against the same registries, so a typo is
+// rejected at submission time, before any worker sees a task.
 type Submission struct {
 	Schema   string `json:"schema"`
 	Protocol string `json:"protocol"`
 	N        int    `json:"n"`
-	// Mode is the verification mode: exhaustive | por | por-memo |
-	// walk | pct | crash.
+	// Mode is the request mode (docs/checkpoint-format.md lists them).
 	Mode string `json:"mode"`
 	// Runs is the sampled/swept run budget (walk, pct, crash modes).
 	Runs      int     `json:"runs,omitempty"`
@@ -71,15 +68,13 @@ type Submission struct {
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 }
 
-// Validate resolves the submission against the protocol, mode, model and
-// adversary registries and normalizes defaults (Shards 0 -> 1). It is
-// the single gate both the CLI and the coordinator use.
+// Validate checks the submission's fleet fields, normalizes defaults
+// (Shards 0 -> 1) and validates its campaign fields as a
+// campaign.Request. It is the single gate both the CLI and the
+// coordinator use.
 func (s *Submission) Validate() error {
 	if s.Schema != "" && s.Schema != Schema {
 		return fmt.Errorf("fleet: submission schema %q, want %q", s.Schema, Schema)
-	}
-	if s.N < 2 {
-		return fmt.Errorf("fleet: need n >= 2, got %d", s.N)
 	}
 	if s.Shards == 0 {
 		s.Shards = 1
@@ -87,60 +82,17 @@ func (s *Submission) Validate() error {
 	if s.Shards < 1 {
 		return fmt.Errorf("fleet: need shards >= 1, got %d", s.Shards)
 	}
-	if s.CheckpointEvery < 0 {
-		return fmt.Errorf("fleet: need checkpoint_every >= 0, got %d", s.CheckpointEvery)
-	}
-	if _, _, err := harness.SelectProtocol(s.Protocol, s.N, s.Seed); err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
-	opts, err := s.options()
-	if err != nil {
-		return err
-	}
-	if err := opts.Validate(); err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
-	return nil
+	return s.request().Validate()
 }
 
-// options maps the submission's mode fields to engine options — the same
-// mapping gsbcampaign start applies, kept here so the coordinator and
-// every worker derive the identical campaign identity.
-func (s *Submission) options() (sched.ExploreOptions, error) {
-	opts := sched.ExploreOptions{Seed: s.Seed, MaxRuns: s.MaxRuns, MaxSteps: s.MaxSteps}
-	if _, err := sched.MemModelByName(s.Model); err != nil {
-		return opts, fmt.Errorf("fleet: %w", err)
+// request is the submission's campaign, in campaign.Request form.
+func (s *Submission) request() campaign.Request {
+	return campaign.Request{
+		Protocol: s.Protocol, N: s.N, Mode: s.Mode, Runs: s.Runs,
+		PCTDepth: s.PCTDepth, CrashProb: s.CrashProb, Model: s.Model,
+		Adversary: s.Adversary, Seed: s.Seed, MaxRuns: s.MaxRuns,
+		MaxSteps: s.MaxSteps, CheckpointEvery: s.CheckpointEvery,
 	}
-	if _, err := sched.AdversaryByName(s.Adversary); err != nil {
-		return opts, fmt.Errorf("fleet: %w", err)
-	}
-	if s.Adversary != "" && s.Mode != "crash" {
-		return opts, fmt.Errorf("fleet: adversary %q needs mode crash, got mode %s", s.Adversary, s.Mode)
-	}
-	opts.Model = s.Model
-	opts.Adversary = s.Adversary
-	switch s.Mode {
-	case "exhaustive":
-	case "por":
-		opts.Reduction = sched.ReductionSleepSets
-	case "por-memo":
-		opts.Reduction = sched.ReductionSleepMemo
-	case "walk":
-		opts.SampleRuns = s.Runs
-	case "pct":
-		opts.SampleRuns = s.Runs
-		opts.SampleMode = sched.SamplePCT
-		opts.Depth = s.PCTDepth
-	case "crash":
-		opts.CrashRuns = s.Runs
-		opts.CrashProb = s.CrashProb
-	default:
-		return opts, fmt.Errorf("fleet: unknown mode %q (want exhaustive, por, por-memo, walk, pct or crash)", s.Mode)
-	}
-	if (s.Mode == "walk" || s.Mode == "pct" || s.Mode == "crash") && s.Runs <= 0 {
-		return opts, fmt.Errorf("fleet: mode %s needs runs > 0", s.Mode)
-	}
-	return opts, nil
 }
 
 // config builds the campaign config of one shard of the submission.
@@ -149,19 +101,7 @@ func (s *Submission) options() (sched.ExploreOptions, error) {
 // resulting campaign identity (options hash) is identical on both sides
 // — the fence every snapshot upload is checked against.
 func (s *Submission) config(shard int, path string) (campaign.Config, error) {
-	spec, build, err := harness.SelectProtocol(s.Protocol, s.N, s.Seed)
-	if err != nil {
-		return campaign.Config{}, fmt.Errorf("fleet: %w", err)
-	}
-	opts, err := s.options()
-	if err != nil {
-		return campaign.Config{}, err
-	}
-	return campaign.Config{
-		Protocol: s.Protocol, Spec: spec, Opts: opts, Build: build,
-		Shard: shard, Of: s.Shards, CheckpointEvery: s.CheckpointEvery,
-		Path: path,
-	}, nil
+	return s.request().Config(shard, s.Shards, path)
 }
 
 // SubmitResponse answers POST /v1/campaigns.

@@ -735,16 +735,12 @@ func (c *Coordinator) campaignStatusLocked(cs *campaignState, now time.Time) Cam
 	st.Runs = aggregateRunsLocked(cs) // header progress, also the rate anchor's input
 	st.Schedules = agg.Counter(sched.MetricSchedules)
 	st.Classes = agg.Counter(sample.MetricClasses)
-	switch cs.sub.Mode {
-	case "walk", "pct", "crash":
-		st.TotalRuns = int64(cs.sub.Runs)
-	}
+	// The campaign-wide budget is the whole campaign read as one shard.
+	whole := cs.want
+	whole.Shard, whole.Of = 0, 1
+	st.TotalRuns = whole.ShardTotal()
 	st.RunsPerSec = cs.runsPerSec
-	if st.TotalRuns > 0 && st.RunsPerSec > 0 && !cs.done {
-		if left := st.TotalRuns - st.Runs; left > 0 {
-			st.ETASec = float64(left) / st.RunsPerSec
-		}
-	}
+	st.ETASec = campaign.ETASec(st.TotalRuns, st.Runs, st.RunsPerSec, cs.done)
 	switch {
 	case cs.done:
 		st.State = "done"

@@ -553,14 +553,16 @@ func TestSubmissionValidate(t *testing.T) {
 	}{
 		{"wrong schema", func(s *Submission) { s.Schema = "gsbfleet/v0" }},
 		{"n too small", func(s *Submission) { s.N = 1 }},
+		{"n too large", func(s *Submission) { s.N = 1 << 20 }},
 		{"negative shards", func(s *Submission) { s.Shards = -1 }},
 		{"negative checkpoint interval", func(s *Submission) { s.CheckpointEvery = -5 }},
 		{"unknown protocol", func(s *Submission) { s.Protocol = "nope" }},
 		{"unknown mode", func(s *Submission) { s.Mode = "bogus" }},
 		{"unknown model", func(s *Submission) { s.Model = "nope" }},
-		{"unknown adversary", func(s *Submission) { s.Adversary = "nope"; s.Mode = "crash"; s.Runs = 10 }},
+		{"unknown adversary", func(s *Submission) { s.Adversary = "nope"; s.Mode = "crash"; s.Runs = 10; s.CrashProb = 0.05 }},
 		{"adversary outside crash mode", func(s *Submission) { s.Adversary = "uniform-crash" }},
 		{"sampling without runs", func(s *Submission) { s.Mode = "walk" }},
+		{"crash sweep that never crashes", func(s *Submission) { s.Mode = "crash"; s.Runs = 100 }},
 	}
 	for _, tc := range bad {
 		s := valid()

@@ -1,0 +1,54 @@
+package fleet
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"repro/internal/campaign"
+)
+
+// FuzzSubmission drives the POST /v1/campaigns decoder and validation
+// gate with arbitrary bodies: decode as the handler does, Validate, and
+// for a body that validates, derive the first and last shard's config
+// and campaign identity, as Submit and the workers do. A malformed body
+// must come back as an error, never a panic; a validated one must
+// resolve. CI runs it briefly via `make fuzz-smoke`:
+//
+//	go test ./internal/fleet -run '^$' -fuzz FuzzSubmission -fuzztime 60s
+func FuzzSubmission(f *testing.F) {
+	for _, seed := range []string{
+		`{"schema":"gsbfleet/v1","protocol":"wsb","n":4,"mode":"por","shards":3}`,
+		`{"protocol":"slot-renaming","n":6,"mode":"walk","runs":60000,"shards":3,"checkpoint_every":1000}`,
+		`{"protocol":"grid","n":3,"mode":"pct","runs":500,"pct_depth":3,"seed":-7}`,
+		`{"protocol":"renaming","n":3,"mode":"crash","runs":200,"crash_prob":0.1,"model":"regular","adversary":"t-resilient","shards":2}`,
+		`{"protocol":"universal","n":5,"mode":"por-memo","max_runs":30000000,"max_steps":-1}`,
+		`{"protocol":"wsb","n":4,"mode":"crash","runs":100}`,
+		`{"protocol":"wsb","n":4,"mode":"crash","runs":100,"crash_prob":1.5}`,
+		`{"protocol":"election","n":1024,"mode":"walk","runs":1,"shards":4096}`,
+		`{"protocol":"universal","n":2,"0000":0}`,
+		`{"schema":"gsbfleet/v0","n":-5,"shards":-1}`,
+		`{"mode":"por","n":1e300}`,
+		`null`, `[]`, `{`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var sub Submission
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&sub); err != nil {
+			return
+		}
+		if err := sub.Validate(); err != nil {
+			return
+		}
+		for _, shard := range []int{0, sub.Shards - 1} {
+			cfg, err := sub.config(shard, "fuzz.ckpt")
+			if err != nil {
+				t.Fatalf("validated submission %s: shard %d config: %v", body, shard, err)
+			}
+			if _, err := campaign.Identity(cfg); err != nil {
+				t.Fatalf("validated submission %s: shard %d identity: %v", body, shard, err)
+			}
+		}
+	})
+}

@@ -58,7 +58,7 @@ func CampaignExperiment(n, workers, sampleRuns int, model, adversary string) ([]
 	}
 	defer os.RemoveAll(dir)
 
-	spec, build, err := SelectProtocol("slot-renaming", n, 1)
+	spec, build, err := campaign.SelectProtocol("slot-renaming", n, 1)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
