@@ -24,13 +24,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -217,20 +214,15 @@ func cmdSubmit(args []string) int {
 		fmt.Fprintf(os.Stderr, "gsbfleet submit: %v\n", err)
 		return exitUsage
 	}
-	base := strings.TrimRight(*coord, "/")
-	var resp struct {
-		ID     string `json:"id"`
-		Shards int    `json:"shards"`
-	}
-	if err := postJSON(base+"/v1/campaigns", sub, &resp); err != nil {
+	cl := client(*coord)
+	resp, err := cl.Submit(sub)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "gsbfleet submit: %v\n", err)
 		return exitFailed
 	}
 	if !*wait {
 		if *jsonOut {
-			_ = json.NewEncoder(os.Stdout).Encode(map[string]any{
-				"schema": repro.FleetSchema, "id": resp.ID, "shards": resp.Shards,
-			})
+			_ = json.NewEncoder(os.Stdout).Encode(resp)
 		} else {
 			fmt.Printf("submitted %s (%d shards)\n", resp.ID, resp.Shards)
 		}
@@ -238,8 +230,8 @@ func cmdSubmit(args []string) int {
 	}
 	fmt.Fprintf(os.Stderr, "gsbfleet: submitted %s (%d shards), waiting\n", resp.ID, resp.Shards)
 	for {
-		var st repro.FleetCampaignStatus
-		if err := getJSON(base+"/v1/campaigns/"+resp.ID, &st); err != nil {
+		st, err := cl.Campaign(resp.ID)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "gsbfleet submit: %v\n", err)
 			return exitFailed
 		}
@@ -281,10 +273,10 @@ func cmdStatus(args []string) int {
 		fmt.Fprintln(os.Stderr, "gsbfleet status: -coordinator is required")
 		return exitUsage
 	}
-	base := strings.TrimRight(*coord, "/")
+	cl := client(*coord)
 	show := func() int {
-		var st repro.FleetStatus
-		if err := getJSON(base+"/status", &st); err != nil {
+		st, err := cl.Status()
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "gsbfleet status: %v\n", err)
 			return exitFailed
 		}
@@ -323,11 +315,7 @@ func renderFleet(st repro.FleetStatus) string {
 		if shard == "" {
 			shard = "idle"
 		}
-		drain := ""
-		if w.Draining {
-			drain = " draining"
-		}
-		fmt.Fprintf(&b, "  worker %-16s %-12s beat %.1fs ago%s\n", w.Name, shard, w.HeartbeatAgeSec, drain)
+		fmt.Fprintf(&b, "  worker %-16s %-12s beat %.1fs ago\n", w.Name, shard, w.HeartbeatAgeSec)
 	}
 	for _, c := range st.Campaigns {
 		fmt.Fprintf(&b, "  campaign %s %-8s %s mode=%s shards=%d runs=%d",
@@ -372,8 +360,8 @@ func cmdResult(args []string) int {
 		fmt.Fprintln(os.Stderr, "gsbfleet result: -coordinator and -id are required")
 		return exitUsage
 	}
-	var st repro.FleetCampaignStatus
-	if err := getJSON(strings.TrimRight(*coord, "/")+"/v1/campaigns/"+*id+"/result", &st); err != nil {
+	st, err := client(*coord).Result(*id)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "gsbfleet result: %v\n", err)
 		return exitFailed
 	}
@@ -390,27 +378,8 @@ func cmdUpload(args []string) int {
 		fmt.Fprintln(os.Stderr, "gsbfleet upload: need -coordinator, -id, -shard and one snapshot file")
 		return exitUsage
 	}
-	path := fs.Arg(0)
-	snap, err := os.ReadFile(path)
+	resp, err := client(*coord).Upload(*id, *shard, "", fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gsbfleet upload: %v\n", err)
-		return exitFailed
-	}
-	side, err := os.ReadFile(repro.TimelineSidecarPath(path))
-	if err != nil && !os.IsNotExist(err) {
-		fmt.Fprintf(os.Stderr, "gsbfleet upload: %v\n", err)
-		return exitFailed
-	}
-	req := map[string]any{"schema": repro.FleetSchema, "snapshot": snap}
-	if len(side) > 0 {
-		req["timeline"] = side
-	}
-	var resp struct {
-		Done bool  `json:"done"`
-		Runs int64 `json:"runs"`
-	}
-	url := fmt.Sprintf("%s/v1/campaigns/%s/shards/%d/snapshot", strings.TrimRight(*coord, "/"), *id, *shard)
-	if err := postJSON(url, req, &resp); err != nil {
 		fmt.Fprintf(os.Stderr, "gsbfleet upload: %v\n", err)
 		return exitFailed
 	}
@@ -418,42 +387,7 @@ func cmdUpload(args []string) int {
 	return exitOK
 }
 
-var httpClient = &http.Client{Timeout: 30 * time.Second}
-
-func postJSON(url string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	resp, err := httpClient.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	return decodeResponse(resp, out)
-}
-
-func getJSON(url string, out any) error {
-	resp, err := httpClient.Get(url)
-	if err != nil {
-		return err
-	}
-	return decodeResponse(resp, out)
-}
-
-func decodeResponse(resp *http.Response, out any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		var ae struct {
-			Error string `json:"error"`
-		}
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if json.Unmarshal(data, &ae) == nil && ae.Error != "" {
-			return errors.New(ae.Error)
-		}
-		return fmt.Errorf("coordinator returned %s", resp.Status)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+// client is the gsbfleet/v1 client of the coordinator at base URL coord.
+func client(coord string) *repro.FleetClient {
+	return &repro.FleetClient{Base: strings.TrimRight(coord, "/")}
 }

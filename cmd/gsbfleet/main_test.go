@@ -69,6 +69,7 @@ func TestGsbfleetInvalidUsage(t *testing.T) {
 		{"submit-walk-no-runs", []string{"submit", "-coordinator", dummy, "-mode", "walk"}, 2, "needs runs"},
 		{"submit-adversary-without-crash", []string{"submit", "-coordinator", dummy, "-adversary", "uniform-crash"}, 2, "needs mode crash"},
 		{"submit-negative-shards", []string{"submit", "-coordinator", dummy, "-shards", "-3"}, 2, "shards >= 1"},
+		{"submit-too-many-shards", []string{"submit", "-coordinator", dummy, "-shards", "1025"}, 2, "shards <= 1024"},
 		{"submit-undefined-flag", []string{"submit", "-bogus"}, 2, "flag provided but not defined"},
 		{"submit-unreachable", []string{"submit", "-coordinator", dummy, "-protocol", "wsb", "-n", "4"}, 1, "refused"},
 		{"status-no-coordinator", []string{"status"}, 2, "-coordinator is required"},

@@ -268,6 +268,8 @@ type (
 	FleetWorkerConfig      = fleet.WorkerConfig
 	// FleetCoordinator is the control plane (an http.Handler).
 	FleetCoordinator = fleet.Coordinator
+	// FleetClient is the gsbfleet/v1 client: one method per route.
+	FleetClient = fleet.Client
 	// FleetCampaignStatus / FleetStatus are the live status views.
 	FleetCampaignStatus = fleet.CampaignStatus
 	FleetStatus         = fleet.FleetStatus

@@ -105,18 +105,12 @@ type Config struct {
 	// When nil and Opts.Stats is also nil, the campaign still keeps a
 	// private registry so checkpoints carry cumulative counters.
 	Observer *Observer
-	// TimelinePath overrides where the gsbtimeline/v1 sidecar is written
-	// when an Observer is set (default: Path + ".timeline", see
-	// timeline.SidecarPath). The timeline is only kept for observed
-	// campaigns — its timestamps belong to the observer layer.
-	TimelinePath string
 }
 
-// timelinePath resolves the timeline sidecar file of this campaign.
+// timelinePath is the campaign's gsbtimeline/v1 sidecar file
+// (timeline.SidecarPath of Path). The timeline is only kept for observed
+// campaigns: its timestamps belong to the observer layer.
 func (c *Config) timelinePath() string {
-	if c.TimelinePath != "" {
-		return c.TimelinePath
-	}
 	return timeline.SidecarPath(c.Path)
 }
 

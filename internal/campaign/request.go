@@ -41,6 +41,14 @@ type Request struct {
 // resolves requests straight off the network.
 const maxRequestN = 1 << 10
 
+// MaxShards bounds how many shards a fleet submission may deal a
+// campaign as (fleet's Submission.Validate enforces it). A coordinator
+// allocates a shard state and a queue entry per shard when it accepts a
+// submission, before any work runs, and every shard of an enumerating
+// mode seeds its frontier with a multiple of the shard count, so an
+// unbounded count from the network could exhaust it.
+const MaxShards = 1 << 10
+
 // requestModes maps each request mode name to the header mode it
 // selects.
 var requestModes = map[string]Mode{

@@ -16,12 +16,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/sample"
 	"repro/internal/sched"
 	"repro/internal/stats"
+	"repro/internal/timeline"
 )
 
 // Snapshot format: a campaign checkpoint file is one JSON header object
@@ -239,25 +239,8 @@ func writeSnapshot(path string, h Header, p payload) (int, error) {
 		return 0, fmt.Errorf("campaign: encode payload: %w", err)
 	}
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
+	if err := timeline.AtomicWrite(path, buf.Bytes()); err != nil {
 		return 0, fmt.Errorf("campaign: checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("campaign: checkpoint write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("campaign: checkpoint sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("campaign: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, fmt.Errorf("campaign: checkpoint rename: %w", err)
 	}
 	return buf.Len(), nil
 }

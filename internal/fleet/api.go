@@ -59,7 +59,8 @@ type Submission struct {
 	Adversary string  `json:"adversary,omitempty"`
 	MaxRuns   int     `json:"max_runs,omitempty"`
 	MaxSteps  int     `json:"max_steps,omitempty"`
-	// Shards is the number of shards the campaign is dealt as (>= 1).
+	// Shards is the number of shards the campaign is dealt as (1 to
+	// campaign.MaxShards).
 	Shards int `json:"shards"`
 	// CheckpointEvery is the per-shard checkpoint interval in runs
 	// (0: the campaign default). Each checkpoint write is also a
@@ -79,8 +80,8 @@ func (s *Submission) Validate() error {
 	if s.Shards == 0 {
 		s.Shards = 1
 	}
-	if s.Shards < 1 {
-		return fmt.Errorf("fleet: need shards >= 1, got %d", s.Shards)
+	if s.Shards < 1 || s.Shards > campaign.MaxShards {
+		return fmt.Errorf("fleet: need shards >= 1 and shards <= %d, got %d", campaign.MaxShards, s.Shards)
 	}
 	return s.request().Validate()
 }
@@ -136,12 +137,14 @@ type RegisterResponse struct {
 	HeartbeatSec float64 `json:"heartbeat_sec"`
 }
 
+// none is the request type of the routes whose request carries nothing:
+// the GETs, the DELETE, and the heartbeat and lease POSTs, whose body
+// the client sends as {} and the coordinator does not read.
+type none = struct{}
+
 // HeartbeatResponse answers POST /v1/workers/{id}/heartbeat.
 type HeartbeatResponse struct {
 	Schema string `json:"schema"`
-	// Drain asks the worker to finish (or pause and upload) its current
-	// shard and exit — the coordinator-initiated graceful shutdown.
-	Drain bool `json:"drain,omitempty"`
 }
 
 // Task is one shard assignment, the payload of a successful lease.
@@ -196,6 +199,22 @@ type ReleaseRequest struct {
 	Schema     string `json:"schema"`
 	CampaignID string `json:"campaign_id"`
 	Shard      int    `json:"shard"`
+}
+
+// FailRequest is the body of POST
+// /v1/campaigns/{id}/shards/{shard}/fail: the shard's owner reports a
+// terminal engine error (an exhausted budget, an invalid config), which
+// fails the campaign instead of re-dealing the shard forever.
+type FailRequest struct {
+	Schema   string `json:"schema"`
+	WorkerID string `json:"worker_id"`
+	Error    string `json:"error"`
+}
+
+// Ack answers the routes that return nothing but success: a fail
+// report, a release and a deregistration.
+type Ack struct {
+	Schema string `json:"schema"`
 }
 
 // ShardStatus is the per-shard slice of a campaign status.
@@ -261,7 +280,6 @@ type WorkerStatus struct {
 	Shard string `json:"shard,omitempty"`
 	// HeartbeatAgeSec is the age of the last heartbeat.
 	HeartbeatAgeSec float64 `json:"heartbeat_age_sec"`
-	Draining        bool    `json:"draining,omitempty"`
 }
 
 // FleetStatusSchema tags the fleet-level /status response.

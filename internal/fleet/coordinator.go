@@ -7,8 +7,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -130,7 +131,6 @@ type workerState struct {
 	name     string
 	lastBeat time.Time
 	owns     *shardRef
-	draining bool
 }
 
 // Coordinator is the fleet control plane: an http.Handler serving the
@@ -318,23 +318,33 @@ func aggregateRunsLocked(cs *campaignState) int64 {
 }
 
 func (c *Coordinator) refreshGaugesLocked() {
-	var queued, running, done int64
+	var n shardCounts
 	for _, cs := range c.campaigns {
-		for _, sh := range cs.shards {
-			switch sh.state {
-			case "queued":
-				queued++
-			case "running":
-				running++
-			case "done":
-				done++
-			}
+		n.add(cs.shards)
+	}
+	c.queuedGauge.Set(int64(n.queued))
+	c.runningGauge.Set(int64(n.running))
+	c.doneGauge.Set(int64(n.done))
+	c.workersGauge.Set(int64(len(c.workers)))
+}
+
+// shardCounts tallies shards by state: the shard gauges, each campaign's
+// state and the fleet /status all read it.
+type shardCounts struct{ queued, running, done, failed int }
+
+func (n *shardCounts) add(shards []*shardState) {
+	for _, sh := range shards {
+		switch sh.state {
+		case "queued":
+			n.queued++
+		case "running":
+			n.running++
+		case "done":
+			n.done++
+		case "failed":
+			n.failed++
 		}
 	}
-	c.queuedGauge.Set(queued)
-	c.runningGauge.Set(running)
-	c.doneGauge.Set(done)
-	c.workersGauge.Set(int64(len(c.workers)))
 }
 
 // collectMergesLocked flags campaigns whose whole shard set is done and
@@ -400,45 +410,27 @@ func (c *Coordinator) shardPath(cs *campaignState, shard int) string {
 }
 
 // persistShard writes a shard's uploaded snapshot (and sidecar) to the
-// data dir with the checkpoint layer's atomic rename discipline.
+// data dir. The write is durable before the upload is acknowledged: this
+// copy is the authoritative one that re-deals and the merge read.
 func (c *Coordinator) persistShard(cs *campaignState, shard int, snapshot, sidecar []byte) error {
 	path := c.shardPath(cs, shard)
-	if err := atomicWrite(path, snapshot); err != nil {
-		return err
+	if err := timeline.AtomicWrite(path, snapshot); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	if len(sidecar) > 0 {
-		if err := atomicWrite(timeline.SidecarPath(path), sidecar); err != nil {
-			return err
+		if err := timeline.AtomicWrite(timeline.SidecarPath(path), sidecar); err != nil {
+			return fmt.Errorf("fleet: %w", err)
 		}
 	}
 	return nil
 }
 
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fleet: %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("fleet: %s: %w", path, err)
-	}
-	return nil
-}
-
 // Submit registers a new campaign and queues its shards. It is the
-// programmatic form of POST /v1/campaigns.
+// programmatic form of POST /v1/campaigns, which answers each of its
+// errors with 400.
 func (c *Coordinator) Submit(sub Submission) (SubmitResponse, error) {
 	if err := sub.Validate(); err != nil {
-		return SubmitResponse{}, err
+		return SubmitResponse{}, badRequest(err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -446,15 +438,15 @@ func (c *Coordinator) Submit(sub Submission) (SubmitResponse, error) {
 	id := fmt.Sprintf("c%04d", c.campSeq)
 	dir := filepath.Join(c.cfg.DataDir, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return SubmitResponse{}, fmt.Errorf("fleet: %w", err)
+		return SubmitResponse{}, badRequest(fmt.Errorf("fleet: %w", err))
 	}
 	cfg, err := sub.config(0, filepath.Join(dir, "shard0.ckpt"))
 	if err != nil {
-		return SubmitResponse{}, err
+		return SubmitResponse{}, badRequest(err)
 	}
 	want, err := campaign.Identity(cfg)
 	if err != nil {
-		return SubmitResponse{}, fmt.Errorf("fleet: %w", err)
+		return SubmitResponse{}, badRequest(fmt.Errorf("fleet: %w", err))
 	}
 	cs := &campaignState{id: id, sub: sub, task: cfg.Spec.String(), want: want, dir: dir}
 	now := time.Now()
@@ -493,18 +485,22 @@ func (c *Coordinator) register(req RegisterRequest) RegisterResponse {
 	}
 }
 
-// lease hands the queue head to a worker; ok is false when the queue is
-// empty or the worker is draining.
-func (c *Coordinator) lease(workerID string) (Task, bool, error) {
+// errQueueEmpty answers a lease when there is nothing to deal (or the
+// worker still owns a shard): the route's bodiless 204.
+var errQueueEmpty = &httpError{http.StatusNoContent, "fleet: no shard to lease"}
+
+// lease hands the queue head to a worker (errQueueEmpty when there is
+// none).
+func (c *Coordinator) lease(workerID string) (LeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w, ok := c.workers[workerID]
 	if !ok {
-		return Task{}, false, fmt.Errorf("fleet: unknown worker %q (register first)", workerID)
+		return LeaseResponse{}, errorf(http.StatusNotFound, "fleet: unknown worker %q (register first)", workerID)
 	}
 	w.lastBeat = time.Now()
-	if w.draining || w.owns != nil {
-		return Task{}, false, nil
+	if w.owns != nil {
+		return LeaseResponse{}, errQueueEmpty
 	}
 	for len(c.queue) > 0 {
 		ref := c.queue[0]
@@ -522,12 +518,12 @@ func (c *Coordinator) lease(workerID string) (Task, bool, error) {
 		sh.touchedAt = time.Now()
 		w.owns = &shardRef{ref.id, ref.shard}
 		c.logf("fleet: campaign %s shard %d dealt to %s (resume from %d runs)", ref.id, ref.shard, w.name, sh.header.Runs)
-		return Task{
+		return LeaseResponse{Schema: Schema, Task: Task{
 			CampaignID: ref.id, Shard: ref.shard, Submission: cs.sub,
 			Snapshot: sh.snapshot, Timeline: sh.timeline,
-		}, true, nil
+		}}, nil
 	}
-	return Task{}, false, nil
+	return LeaseResponse{}, errQueueEmpty
 }
 
 // heartbeat refreshes a worker's liveness.
@@ -536,72 +532,74 @@ func (c *Coordinator) heartbeat(workerID string) (HeartbeatResponse, error) {
 	defer c.mu.Unlock()
 	w, ok := c.workers[workerID]
 	if !ok {
-		return HeartbeatResponse{}, fmt.Errorf("fleet: unknown worker %q (lease lost; re-register)", workerID)
+		return HeartbeatResponse{}, errorf(http.StatusNotFound, "fleet: unknown worker %q (lease lost; re-register)", workerID)
 	}
 	w.lastBeat = time.Now()
-	return HeartbeatResponse{Schema: Schema, Drain: w.draining}, nil
+	return HeartbeatResponse{Schema: Schema}, nil
 }
 
-// release returns a draining worker's shard to the queue.
-func (c *Coordinator) release(workerID string, req ReleaseRequest) error {
+// release returns a draining worker's shard to the queue; every error
+// is a 404.
+func (c *Coordinator) release(workerID string, req ReleaseRequest) (Ack, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w, ok := c.workers[workerID]
 	if !ok {
-		return fmt.Errorf("fleet: unknown worker %q", workerID)
+		return Ack{}, errorf(http.StatusNotFound, "fleet: unknown worker %q", workerID)
 	}
 	cs, ok := c.campaigns[req.CampaignID]
 	if !ok {
-		return fmt.Errorf("fleet: unknown campaign %q", req.CampaignID)
+		return Ack{}, errorf(http.StatusNotFound, "fleet: unknown campaign %q", req.CampaignID)
 	}
 	if req.Shard < 0 || req.Shard >= len(cs.shards) {
-		return fmt.Errorf("fleet: campaign %s has no shard %d", req.CampaignID, req.Shard)
+		return Ack{}, errorf(http.StatusNotFound, "fleet: campaign %s has no shard %d", req.CampaignID, req.Shard)
 	}
 	sh := cs.shards[req.Shard]
-	if sh.worker != workerID {
-		return nil // already re-dealt; nothing to release
+	if sh.worker == workerID { // else already re-dealt; nothing to release
+		c.requeueShardLocked(cs, req.Shard, "released by "+w.name)
 	}
-	c.requeueShardLocked(cs, req.Shard, "released by "+w.name)
-	return nil
+	return Ack{Schema: Schema}, nil
 }
 
 // deregister removes a worker session (the drain handshake's last step).
-func (c *Coordinator) deregister(workerID string) {
+func (c *Coordinator) deregister(workerID string) Ack {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if w, ok := c.workers[workerID]; ok {
 		c.dropWorkerLocked(w, "deregistered")
 		c.workersGauge.Set(int64(len(c.workers)))
 	}
+	return Ack{Schema: Schema}
 }
 
 // failShard records a terminal engine error on a shard (invalid or
 // exhausted budget — errors a resume cannot fix), failing the campaign.
-func (c *Coordinator) failShard(workerID, campaignID string, shard int, msg string) error {
+// Every refusal is a 409, an unknown campaign or shard included.
+func (c *Coordinator) failShard(campaignID string, shard int, req FailRequest) (Ack, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cs, ok := c.campaigns[campaignID]
 	if !ok {
-		return fmt.Errorf("fleet: unknown campaign %q", campaignID)
+		return Ack{}, errorf(http.StatusConflict, "fleet: unknown campaign %q", campaignID)
 	}
 	if shard < 0 || shard >= len(cs.shards) {
-		return fmt.Errorf("fleet: campaign %s has no shard %d", campaignID, shard)
+		return Ack{}, errorf(http.StatusConflict, "fleet: campaign %s has no shard %d", campaignID, shard)
 	}
 	sh := cs.shards[shard]
-	if workerID != "" && sh.worker != workerID {
-		return fmt.Errorf("fleet: worker %s no longer owns campaign %s shard %d", workerID, campaignID, shard)
+	if req.WorkerID != "" && sh.worker != req.WorkerID {
+		return Ack{}, errorf(http.StatusConflict, "fleet: worker %s no longer owns campaign %s shard %d", req.WorkerID, campaignID, shard)
 	}
 	if w, ok := c.workers[sh.worker]; ok {
 		w.owns = nil
 	}
 	sh.state = "failed"
 	sh.worker = ""
-	sh.errMsg = msg
+	sh.errMsg = req.Error
 	if cs.errMsg == "" {
-		cs.errMsg = fmt.Sprintf("shard %d failed: %s", shard, msg)
+		cs.errMsg = fmt.Sprintf("shard %d failed: %s", shard, req.Error)
 	}
-	c.logf("fleet: campaign %s shard %d failed: %s", campaignID, shard, msg)
-	return nil
+	c.logf("fleet: campaign %s shard %d failed: %s", campaignID, shard, req.Error)
+	return Ack{Schema: Schema}, nil
 }
 
 // upload validates and accepts a shard snapshot. The fences, in order:
@@ -612,61 +610,50 @@ func (c *Coordinator) failShard(workerID, campaignID string, shard int, msg stri
 // must not regress the latest accepted snapshot. Every rejection is
 // loud, counted, and changes nothing.
 func (c *Coordinator) upload(campaignID string, shard int, req UploadRequest) (UploadResponse, error) {
+	reject := func(code int, format string, args ...any) (UploadResponse, error) {
+		c.uploadsRejected.Inc()
+		return UploadResponse{}, errorf(code, format, args...)
+	}
 	h, snapStats, err := campaign.DecodeUploaded(req.Snapshot, fmt.Sprintf("upload for %s shard %d", campaignID, shard))
 	if err != nil {
-		c.uploadsRejected.Inc()
-		return UploadResponse{}, &httpError{http.StatusBadRequest, err.Error()}
+		return reject(http.StatusBadRequest, "%v", err)
 	}
 	if len(req.Timeline) > 0 {
 		if _, terr := timeline.Decode(req.Timeline, "uploaded sidecar"); terr != nil {
-			c.uploadsRejected.Inc()
-			return UploadResponse{}, &httpError{http.StatusBadRequest, terr.Error()}
+			return reject(http.StatusBadRequest, "%v", terr)
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cs, ok := c.campaigns[campaignID]
 	if !ok {
-		c.uploadsRejected.Inc()
-		return UploadResponse{}, &httpError{http.StatusNotFound, fmt.Sprintf("fleet: unknown campaign %q", campaignID)}
+		return reject(http.StatusNotFound, "fleet: unknown campaign %q", campaignID)
 	}
 	if shard < 0 || shard >= len(cs.shards) {
-		c.uploadsRejected.Inc()
-		return UploadResponse{}, &httpError{http.StatusNotFound, fmt.Sprintf("fleet: campaign %s has no shard %d", campaignID, shard)}
+		return reject(http.StatusNotFound, "fleet: campaign %s has no shard %d", campaignID, shard)
 	}
 	sh := cs.shards[shard]
 	if sh.state == "done" {
-		c.uploadsRejected.Inc()
-		return UploadResponse{}, &httpError{http.StatusConflict, fmt.Sprintf("fleet: campaign %s shard %d is already done", campaignID, shard)}
+		return reject(http.StatusConflict, "fleet: campaign %s shard %d is already done", campaignID, shard)
 	}
 	if req.WorkerID != "" {
 		if sh.worker != req.WorkerID {
 			// The fencing that makes re-deals safe: a zombie worker whose
 			// shard moved on gets a conflict, abandons the run, and its
 			// stale bytes never land.
-			c.uploadsRejected.Inc()
-			return UploadResponse{}, &httpError{http.StatusConflict,
-				fmt.Sprintf("fleet: worker %s no longer owns campaign %s shard %d", req.WorkerID, campaignID, shard)}
+			return reject(http.StatusConflict, "fleet: worker %s no longer owns campaign %s shard %d", req.WorkerID, campaignID, shard)
 		}
 	} else if sh.state == "running" {
-		c.uploadsRejected.Inc()
-		return UploadResponse{}, &httpError{http.StatusConflict,
-			fmt.Sprintf("fleet: campaign %s shard %d is leased to a worker; imports need an idle shard", campaignID, shard)}
+		return reject(http.StatusConflict, "fleet: campaign %s shard %d is leased to a worker; imports need an idle shard", campaignID, shard)
 	}
 	if h.OptionsHash != cs.want.OptionsHash {
-		c.uploadsRejected.Inc()
-		return UploadResponse{}, &httpError{http.StatusBadRequest,
-			fmt.Sprintf("fleet: snapshot hash %s does not match campaign %s (%s): wrong campaign or tampered header", h.OptionsHash, campaignID, cs.want.OptionsHash)}
+		return reject(http.StatusBadRequest, "fleet: snapshot hash %s does not match campaign %s (%s): wrong campaign or tampered header", h.OptionsHash, campaignID, cs.want.OptionsHash)
 	}
 	if h.Shard != shard || h.Of != cs.sub.Shards {
-		c.uploadsRejected.Inc()
-		return UploadResponse{}, &httpError{http.StatusBadRequest,
-			fmt.Sprintf("fleet: snapshot is shard %d/%d, endpoint is shard %d/%d", h.Shard, h.Of, shard, cs.sub.Shards)}
+		return reject(http.StatusBadRequest, "fleet: snapshot is shard %d/%d, endpoint is shard %d/%d", h.Shard, h.Of, shard, cs.sub.Shards)
 	}
 	if sh.haveCkpt && h.Runs < sh.header.Runs {
-		c.uploadsRejected.Inc()
-		return UploadResponse{}, &httpError{http.StatusConflict,
-			fmt.Sprintf("fleet: snapshot regresses shard %d from %d to %d runs", shard, sh.header.Runs, h.Runs)}
+		return reject(http.StatusConflict, "fleet: snapshot regresses shard %d from %d to %d runs", shard, sh.header.Runs, h.Runs)
 	}
 	if err := c.persistShard(cs, shard, req.Snapshot, req.Timeline); err != nil {
 		return UploadResponse{}, err
@@ -703,7 +690,6 @@ func (c *Coordinator) campaignStatusLocked(cs *campaignState, now time.Time) Cam
 		st.Violation = cs.report.Violation
 	}
 	snaps := make([]stats.Snapshot, 0, len(cs.shards))
-	running, done, failed := 0, 0, 0
 	for i, sh := range cs.shards {
 		row := ShardStatus{
 			Shard: i, State: sh.state, Runs: sh.header.Runs,
@@ -718,14 +704,6 @@ func (c *Coordinator) campaignStatusLocked(cs *campaignState, now time.Time) Cam
 		}
 		st.Shards = append(st.Shards, row)
 		st.Redeals += sh.redeals
-		switch sh.state {
-		case "running":
-			running++
-		case "done":
-			done++
-		case "failed":
-			failed++
-		}
 	}
 	// Aggregate = sum of the LATEST snapshot per shard. Each shard's
 	// snapshot is already cumulative across its own process lives, so
@@ -741,6 +719,8 @@ func (c *Coordinator) campaignStatusLocked(cs *campaignState, now time.Time) Cam
 	st.TotalRuns = whole.ShardTotal()
 	st.RunsPerSec = cs.runsPerSec
 	st.ETASec = campaign.ETASec(st.TotalRuns, st.Runs, st.RunsPerSec, cs.done)
+	var n shardCounts
+	n.add(cs.shards)
 	switch {
 	case cs.done:
 		st.State = "done"
@@ -748,9 +728,9 @@ func (c *Coordinator) campaignStatusLocked(cs *campaignState, now time.Time) Cam
 		st.State = "failed"
 	case cs.merging:
 		st.State = "merging"
-	case running > 0:
+	case n.running > 0:
 		st.State = "running"
-	case done+failed == len(cs.shards):
+	case n.done+n.failed == len(cs.shards):
 		st.State = "merging"
 	default:
 		st.State = "queued"
@@ -771,49 +751,43 @@ func (c *Coordinator) status() FleetStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := FleetStatus{Schema: FleetStatusSchema, Workers: []WorkerStatus{}, Campaigns: []CampaignStatus{}}
-	names := make([]string, 0, len(c.workers))
-	byName := map[string]*workerState{}
 	for _, w := range c.workers {
-		names = append(names, w.name)
-		byName[w.name] = w
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		w := byName[name]
-		row := WorkerStatus{Name: name, HeartbeatAgeSec: now.Sub(w.lastBeat).Seconds(), Draining: w.draining}
+		row := WorkerStatus{Name: w.name, HeartbeatAgeSec: now.Sub(w.lastBeat).Seconds()}
 		if w.owns != nil {
 			row.Shard = fmt.Sprintf("%s/%d", w.owns.id, w.owns.shard)
 		}
 		st.Workers = append(st.Workers, row)
 	}
+	// Registration keeps names unique.
+	slices.SortFunc(st.Workers, func(a, b WorkerStatus) int { return strings.Compare(a.Name, b.Name) })
+	var n shardCounts
 	for _, id := range c.order {
-		cst := c.campaignStatusLocked(c.campaigns[id], now)
+		cs := c.campaigns[id]
+		cst := c.campaignStatusLocked(cs, now)
 		st.Campaigns = append(st.Campaigns, cst)
 		st.Redeals += cst.Redeals
 		st.Runs += cst.Runs
-		for _, sh := range cst.Shards {
-			switch sh.State {
-			case "queued":
-				st.Queued++
-			case "running":
-				st.Running++
-			case "done":
-				st.Done++
-			case "failed":
-				st.Failed++
-			}
-		}
+		n.add(cs.shards)
 	}
+	st.Queued, st.Running, st.Done, st.Failed = n.queued, n.running, n.done, n.failed
 	return st
 }
 
-// httpError carries a status code through the handler plumbing.
+// httpError carries a status code from a coordinator method to the
+// route adapter, and from a response to the Client's caller.
 type httpError struct {
 	code int
 	msg  string
 }
 
 func (e *httpError) Error() string { return e.msg }
+
+// errorf is an *httpError answered with code.
+func errorf(code int, format string, args ...any) error {
+	return &httpError{code, fmt.Sprintf(format, args...)}
+}
+
+func badRequest(err error) error { return errorf(http.StatusBadRequest, "%v", err) }
 
 // Handler serves the gsbfleet/v1 API and the fleet observability
 // endpoints (GET /status, /metrics, /timeline and the campaign and
@@ -822,155 +796,63 @@ func (c *Coordinator) Handler() http.Handler { return c.mux }
 
 func (c *Coordinator) buildMux() {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
-		var sub Submission
-		if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
-			writeErr(w, &httpError{http.StatusBadRequest, "fleet: submission is not JSON: " + err.Error()})
-			return
-		}
-		resp, err := c.Submit(sub)
-		if err != nil {
-			writeErr(w, &httpError{http.StatusBadRequest, err.Error()})
-			return
-		}
-		writeJSON(w, resp)
+	handle(mux, "POST /v1/campaigns", func(_ *http.Request, sub Submission) (SubmitResponse, error) {
+		return c.Submit(sub)
 	})
-	mux.HandleFunc("GET /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
+	handle(mux, "GET /v1/campaigns", func(*http.Request, none) ([]CampaignStatus, error) {
 		now := time.Now()
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		out := make([]CampaignStatus, 0, len(c.order))
 		for _, id := range c.order {
 			out = append(out, c.campaignStatusLocked(c.campaigns[id], now))
 		}
-		c.mu.Unlock()
-		writeJSON(w, out)
+		return out, nil
 	})
-	mux.HandleFunc("GET /v1/campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
-		c.mu.Lock()
-		cs, ok := c.campaigns[r.PathValue("id")]
-		var st CampaignStatus
-		if ok {
-			st = c.campaignStatusLocked(cs, time.Now())
-		}
-		c.mu.Unlock()
-		if !ok {
-			writeErr(w, &httpError{http.StatusNotFound, fmt.Sprintf("fleet: unknown campaign %q", r.PathValue("id"))})
-			return
-		}
-		writeJSON(w, st)
+	handle(mux, "GET /v1/campaigns/{id}", func(r *http.Request, _ none) (CampaignStatus, error) {
+		return c.campaignStatus(r.PathValue("id"))
 	})
-	mux.HandleFunc("GET /v1/campaigns/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		c.mu.Lock()
-		cs, ok := c.campaigns[r.PathValue("id")]
-		var st CampaignStatus
-		if ok {
-			st = c.campaignStatusLocked(cs, time.Now())
+	handle(mux, "GET /v1/campaigns/{id}/result", func(r *http.Request, _ none) (CampaignStatus, error) {
+		st, err := c.campaignStatus(r.PathValue("id"))
+		if err == nil && !st.Done && st.State != "failed" {
+			err = errorf(http.StatusConflict, "fleet: campaign %s is not done (%s)", st.ID, st.State)
 		}
-		c.mu.Unlock()
-		switch {
-		case !ok:
-			writeErr(w, &httpError{http.StatusNotFound, fmt.Sprintf("fleet: unknown campaign %q", r.PathValue("id"))})
-		case st.State == "failed":
-			writeJSON(w, st)
-		case !st.Done:
-			writeErr(w, &httpError{http.StatusConflict, fmt.Sprintf("fleet: campaign %s is not done (%s)", st.ID, st.State)})
-		default:
-			writeJSON(w, st)
-		}
+		return st, err
 	})
-	mux.HandleFunc("GET /v1/campaigns/{id}/timeline", func(w http.ResponseWriter, r *http.Request) {
-		recs, err := c.campaignTimeline(r.PathValue("id"))
+	handle(mux, "GET /v1/campaigns/{id}/timeline", func(r *http.Request, _ none) ([]timeline.Record, error) {
+		return c.campaignTimeline(r.PathValue("id"))
+	})
+	handle(mux, "POST /v1/campaigns/{id}/shards/{shard}/snapshot", func(r *http.Request, req UploadRequest) (UploadResponse, error) {
+		shard, err := shardParam(r)
 		if err != nil {
-			writeErr(w, err)
-			return
+			return UploadResponse{}, err
 		}
-		writeJSON(w, recs)
+		return c.upload(r.PathValue("id"), shard, req)
 	})
-	mux.HandleFunc("POST /v1/campaigns/{id}/shards/{shard}/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		shard, err := strconv.Atoi(r.PathValue("shard"))
+	handle(mux, "POST /v1/campaigns/{id}/shards/{shard}/fail", func(r *http.Request, req FailRequest) (Ack, error) {
+		shard, err := shardParam(r)
 		if err != nil {
-			writeErr(w, &httpError{http.StatusBadRequest, "fleet: shard index is not an integer"})
-			return
+			return Ack{}, err
 		}
-		var req UploadRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, &httpError{http.StatusBadRequest, "fleet: upload is not JSON: " + err.Error()})
-			return
-		}
-		resp, uerr := c.upload(r.PathValue("id"), shard, req)
-		if uerr != nil {
-			writeErr(w, uerr)
-			return
-		}
-		writeJSON(w, resp)
+		return c.failShard(r.PathValue("id"), shard, req)
 	})
-	mux.HandleFunc("POST /v1/campaigns/{id}/shards/{shard}/fail", func(w http.ResponseWriter, r *http.Request) {
-		shard, err := strconv.Atoi(r.PathValue("shard"))
-		if err != nil {
-			writeErr(w, &httpError{http.StatusBadRequest, "fleet: shard index is not an integer"})
-			return
-		}
-		var req struct {
-			Schema   string `json:"schema"`
-			WorkerID string `json:"worker_id"`
-			Error    string `json:"error"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, &httpError{http.StatusBadRequest, "fleet: fail report is not JSON: " + err.Error()})
-			return
-		}
-		if err := c.failShard(req.WorkerID, r.PathValue("id"), shard, req.Error); err != nil {
-			writeErr(w, &httpError{http.StatusConflict, err.Error()})
-			return
-		}
-		writeJSON(w, map[string]string{"schema": Schema})
+	handle(mux, "POST /v1/workers", func(_ *http.Request, req RegisterRequest) (RegisterResponse, error) {
+		return c.register(req), nil
 	})
-	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		var req RegisterRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, &httpError{http.StatusBadRequest, "fleet: registration is not JSON: " + err.Error()})
-			return
-		}
-		writeJSON(w, c.register(req))
+	handle(mux, "POST /v1/workers/{id}/heartbeat", func(r *http.Request, _ none) (HeartbeatResponse, error) {
+		return c.heartbeat(r.PathValue("id"))
 	})
-	mux.HandleFunc("POST /v1/workers/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		resp, err := c.heartbeat(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, &httpError{http.StatusNotFound, err.Error()})
-			return
-		}
-		writeJSON(w, resp)
+	handle(mux, "POST /v1/workers/{id}/lease", func(r *http.Request, _ none) (LeaseResponse, error) {
+		return c.lease(r.PathValue("id"))
 	})
-	mux.HandleFunc("POST /v1/workers/{id}/lease", func(w http.ResponseWriter, r *http.Request) {
-		task, ok, err := c.lease(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, &httpError{http.StatusNotFound, err.Error()})
-			return
-		}
-		if !ok {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		writeJSON(w, LeaseResponse{Schema: Schema, Task: task})
+	handle(mux, "POST /v1/workers/{id}/release", func(r *http.Request, req ReleaseRequest) (Ack, error) {
+		return c.release(r.PathValue("id"), req)
 	})
-	mux.HandleFunc("POST /v1/workers/{id}/release", func(w http.ResponseWriter, r *http.Request) {
-		var req ReleaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, &httpError{http.StatusBadRequest, "fleet: release is not JSON: " + err.Error()})
-			return
-		}
-		if err := c.release(r.PathValue("id"), req); err != nil {
-			writeErr(w, &httpError{http.StatusNotFound, err.Error()})
-			return
-		}
-		writeJSON(w, map[string]string{"schema": Schema})
+	handle(mux, "DELETE /v1/workers/{id}", func(r *http.Request, _ none) (Ack, error) {
+		return c.deregister(r.PathValue("id")), nil
 	})
-	mux.HandleFunc("DELETE /v1/workers/{id}", func(w http.ResponseWriter, r *http.Request) {
-		c.deregister(r.PathValue("id"))
-		writeJSON(w, map[string]string{"schema": Schema})
-	})
-	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.status())
+	handle(mux, "GET /status", func(*http.Request, none) (FleetStatus, error) {
+		return c.status(), nil
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -993,7 +875,7 @@ func (c *Coordinator) buildMux() {
 		scratch.Restore(stats.Sum(snaps...))
 		_ = scratch.WritePrometheus(w)
 	})
-	mux.HandleFunc("GET /timeline", func(w http.ResponseWriter, r *http.Request) {
+	handle(mux, "GET /timeline", func(r *http.Request, _ none) ([]timeline.Record, error) {
 		id := r.URL.Query().Get("campaign")
 		if id == "" {
 			c.mu.Lock()
@@ -1003,19 +885,55 @@ func (c *Coordinator) buildMux() {
 			n := len(c.order)
 			c.mu.Unlock()
 			if id == "" {
-				writeErr(w, &httpError{http.StatusBadRequest,
-					fmt.Sprintf("fleet: /timeline needs ?campaign=ID (%d campaigns submitted)", n)})
+				return nil, errorf(http.StatusBadRequest, "fleet: /timeline needs ?campaign=ID (%d campaigns submitted)", n)
+			}
+		}
+		return c.campaignTimeline(id)
+	})
+	c.mux = mux
+}
+
+// handle registers one JSON route: it decodes the request body into Req
+// (a route whose Req is none reads no body), calls h, and answers with
+// h's Resp, or with h's error as an apiError under the *httpError's
+// status code (500 for any other error). A body that is not JSON is a
+// 400.
+func handle[Req, Resp any](mux *http.ServeMux, pattern string, h func(*http.Request, Req) (Resp, error)) {
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if _, bodiless := any(req).(none); !bodiless {
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				writeErr(w, errorf(http.StatusBadRequest, "fleet: %s: body is not JSON: %v", pattern, err))
 				return
 			}
 		}
-		recs, err := c.campaignTimeline(id)
+		resp, err := h(r, req)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, recs)
+		writeJSON(w, resp)
 	})
-	c.mux = mux
+}
+
+// shardParam parses the {shard} path segment.
+func shardParam(r *http.Request) (int, error) {
+	shard, err := strconv.Atoi(r.PathValue("shard"))
+	if err != nil {
+		return 0, errorf(http.StatusBadRequest, "fleet: shard index is not an integer")
+	}
+	return shard, nil
+}
+
+// campaignStatus renders one campaign's live view (404 when unknown).
+func (c *Coordinator) campaignStatus(id string) (CampaignStatus, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cs, ok := c.campaigns[id]
+	if !ok {
+		return CampaignStatus{}, errorf(http.StatusNotFound, "fleet: unknown campaign %q", id)
+	}
+	return c.campaignStatusLocked(cs, time.Now()), nil
 }
 
 // campaignTimeline merges the latest uploaded sidecar of every shard of
@@ -1033,18 +951,18 @@ func (c *Coordinator) campaignTimeline(id string) ([]timeline.Record, error) {
 			recs, err := timeline.Decode(sh.timeline, fmt.Sprintf("campaign %s shard %d sidecar", id, i))
 			if err != nil {
 				c.mu.Unlock()
-				return nil, &httpError{http.StatusInternalServerError, err.Error()}
+				return nil, errorf(http.StatusInternalServerError, "%v", err)
 			}
 			series = append(series, recs)
 		}
 	}
 	c.mu.Unlock()
 	if !ok {
-		return nil, &httpError{http.StatusNotFound, fmt.Sprintf("fleet: unknown campaign %q", id)}
+		return nil, errorf(http.StatusNotFound, "fleet: unknown campaign %q", id)
 	}
 	merged, err := timeline.Merge(series...)
 	if err != nil {
-		return nil, &httpError{http.StatusInternalServerError, err.Error()}
+		return nil, errorf(http.StatusInternalServerError, "%v", err)
 	}
 	if merged == nil {
 		merged = []timeline.Record{}
@@ -1057,10 +975,16 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeErr answers err as an apiError. A 2xx code (the lease route's
+// 204 on an empty queue) is written without a body.
 func writeErr(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	if he, ok := err.(*httpError); ok {
 		code = he.code
+	}
+	if code/100 == 2 {
+		w.WriteHeader(code)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -300,7 +300,7 @@ func TestFleetDrain(t *testing.T) {
 // captureUploads runs one shard locally and keeps the snapshot bytes of
 // every checkpoint write — the exact sequence of uploads a worker would
 // send.
-func captureUploads(t *testing.T, sub Submission, shard int) ([][]byte, []campaign.Header) {
+func captureUploads(t testing.TB, sub Submission, shard int) ([][]byte, []campaign.Header) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cap.ckpt")
 	cfg, err := sub.config(shard, path)
@@ -326,6 +326,153 @@ func captureUploads(t *testing.T, sub Submission, shard int) ([][]byte, []campai
 		t.Fatalf("capture produced only %d checkpoints; need >= 3", len(blobs))
 	}
 	return blobs, heads
+}
+
+// TestFleetWorkerRejoinsAfterDeclaredDead: a worker the coordinator
+// declared dead while it was alive (a stall longer than the heartbeat
+// timeout, scripted here by running reconcile at a future instant) finds
+// its session refused, registers again under the same name, abandons
+// the shard that was re-dealt away from it, and keeps working: the
+// interrupted campaign and one submitted afterwards both finish, the
+// first with the same verdict as an uninterrupted run.
+func TestFleetWorkerRejoinsAfterDeclaredDead(t *testing.T) {
+	c, srv := testCoordinator(t)
+	sub := Submission{
+		Schema: Schema, Protocol: "wsb", N: 4, Mode: "exhaustive",
+		Seed: 1, Shards: 1, CheckpointEvery: 50,
+	}
+	if _, err := c.Submit(sub); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, done := testWorker(t, ctx, srv, "sleeper")
+	waitFleet(t, c, "first upload", func(st FleetStatus) bool {
+		sh := st.Campaigns[0].Shards[0]
+		return sh.State == "running" && sh.Runs > 0
+	})
+
+	c.reconcile(time.Now().Add(2 * c.cfg.HeartbeatTimeout))
+	st := c.status()
+	if len(st.Workers) != 0 {
+		t.Fatalf("worker still registered after its heartbeat window passed: %+v", st.Workers)
+	}
+	if sh := st.Campaigns[0].Shards[0]; sh.State != "queued" || sh.Redeals != 1 {
+		t.Fatalf("shard of the worker declared dead: state %q, %d redeals; want queued, 1", sh.State, sh.Redeals)
+	}
+
+	if _, err := c.Submit(sub); err != nil {
+		t.Fatal(err)
+	}
+	final := waitFleet(t, c, "both campaigns done", func(st FleetStatus) bool {
+		return st.Done == 2
+	})
+	if len(final.Workers) != 1 || final.Workers[0].Name != "sleeper" {
+		t.Errorf("workers after the rejoin: %+v, want sleeper alone", final.Workers)
+	}
+	if got, want := reportJSON(t, *final.Campaigns[0].Report), reportJSON(t, unshardedReference(t, sub)); got != want {
+		t.Errorf("interrupted campaign's report != uninterrupted reference\nfleet: %s\n  ref: %s", got, want)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Errorf("worker Run: %v", err)
+	}
+}
+
+// TestClientRoutes drives every Client method against a coordinator and
+// pins each route's answer: the typed result on success, and the status
+// code of each refusal.
+func TestClientRoutes(t *testing.T) {
+	c, srv := testCoordinator(t)
+	c.Close() // no reconcile: nothing moves but these requests
+	cl := &Client{Base: srv.URL}
+	code := func(err error) int {
+		var he *httpError
+		if errors.As(err, &he) {
+			return he.code
+		}
+		return 0
+	}
+
+	sub := Submission{
+		Schema: Schema, Protocol: "wsb", N: 4, Mode: "exhaustive",
+		Seed: 1, Shards: 1, CheckpointEvery: 50,
+	}
+	resp, err := cl.Submit(sub)
+	if err != nil || resp.Schema != Schema || resp.ID == "" || resp.Shards != 1 {
+		t.Fatalf("Submit = %+v, %v", resp, err)
+	}
+	bad := sub
+	bad.Shards = campaign.MaxShards + 1
+	if _, err := cl.Submit(bad); code(err) != 400 {
+		t.Errorf("Submit of %d shards: %v, want 400", bad.Shards, err)
+	}
+	if all, err := cl.Campaigns(); err != nil || len(all) != 1 || all[0].ID != resp.ID {
+		t.Errorf("Campaigns = %+v, %v", all, err)
+	}
+	if st, err := cl.Campaign(resp.ID); err != nil || st.State != "queued" {
+		t.Errorf("Campaign = %+v, %v", st, err)
+	}
+	if _, err := cl.Campaign("c9999"); code(err) != 404 {
+		t.Errorf("Campaign of an unknown id: %v, want 404", err)
+	}
+	if _, err := cl.Result(resp.ID); code(err) != 409 {
+		t.Errorf("Result before the merge: %v, want 409", err)
+	}
+	if recs, err := cl.Timeline(resp.ID); err != nil || len(recs) != 0 {
+		t.Errorf("Timeline before any upload = %+v, %v", recs, err)
+	}
+
+	reg, err := cl.Register("probe")
+	if err != nil || reg.Name != "probe" || reg.WorkerID == "" || reg.HeartbeatSec <= 0 {
+		t.Fatalf("Register = %+v, %v", reg, err)
+	}
+	if err := cl.Heartbeat(reg.WorkerID); err != nil {
+		t.Errorf("Heartbeat: %v", err)
+	}
+	if err := cl.Heartbeat("w9999"); code(err) != 404 {
+		t.Errorf("Heartbeat of an unknown worker: %v, want 404", err)
+	}
+	task, ok, err := cl.Lease(reg.WorkerID)
+	if err != nil || !ok || task.CampaignID != resp.ID || task.Shard != 0 || task.Submission.Protocol != "wsb" {
+		t.Fatalf("Lease = %+v, %v, %v", task, ok, err)
+	}
+	if _, ok, err := cl.Lease(reg.WorkerID); err != nil || ok {
+		t.Errorf("second Lease while owning a shard = %v, %v; want the empty 204", ok, err)
+	}
+	if _, _, err := cl.Lease("w9999"); code(err) != 404 {
+		t.Errorf("Lease of an unknown worker: %v, want 404", err)
+	}
+	if err := cl.Release("w9999", resp.ID, 0); code(err) != 404 {
+		t.Errorf("Release by an unknown worker: %v, want 404", err)
+	}
+	if err := cl.Release(reg.WorkerID, "c9999", 0); code(err) != 404 {
+		t.Errorf("Release of an unknown campaign: %v, want 404", err)
+	}
+	if err := cl.Release(reg.WorkerID, resp.ID, 0); err != nil {
+		t.Errorf("Release: %v", err)
+	}
+	if _, err := cl.Upload(resp.ID, 0, reg.WorkerID, filepath.Join(t.TempDir(), "missing.ckpt")); err == nil {
+		t.Errorf("Upload of a missing file succeeded")
+	}
+	if err := cl.Fail("c9999", 0, reg.WorkerID, "boom"); code(err) != 409 {
+		t.Errorf("Fail of an unknown campaign: %v, want 409", err)
+	}
+	if err := cl.Fail(resp.ID, 0, "w9999", "boom"); code(err) != 409 {
+		t.Errorf("Fail by a worker that does not own the shard: %v, want 409", err)
+	}
+	if err := cl.Fail(resp.ID, 0, "", "boom"); err != nil {
+		t.Errorf("Fail: %v", err)
+	}
+	if st, err := cl.Result(resp.ID); err != nil || st.State != "failed" || st.Error == "" {
+		t.Errorf("Result of a failed campaign = %+v, %v", st, err)
+	}
+	if err := cl.Deregister(reg.WorkerID); err != nil {
+		t.Errorf("Deregister: %v", err)
+	}
+	if st, err := cl.Status(); err != nil || st.Schema != FleetStatusSchema || len(st.Workers) != 0 || st.Failed != 1 {
+		t.Errorf("Status = %+v, %v", st, err)
+	}
 }
 
 // TestFleetNoDoubleCountOnRedeal pins the latest-snapshot-per-shard
@@ -547,6 +694,11 @@ func TestSubmissionValidate(t *testing.T) {
 	if err := s.Validate(); err != nil || s.Shards != 1 {
 		t.Errorf("shards=0 should normalize to 1, got shards=%d err=%v", s.Shards, err)
 	}
+	s = valid()
+	s.Shards = campaign.MaxShards
+	if err := s.Validate(); err != nil {
+		t.Errorf("shards=%d (the bound) rejected: %v", campaign.MaxShards, err)
+	}
 	bad := []struct {
 		name string
 		mut  func(*Submission)
@@ -555,6 +707,7 @@ func TestSubmissionValidate(t *testing.T) {
 		{"n too small", func(s *Submission) { s.N = 1 }},
 		{"n too large", func(s *Submission) { s.N = 1 << 20 }},
 		{"negative shards", func(s *Submission) { s.Shards = -1 }},
+		{"too many shards", func(s *Submission) { s.Shards = campaign.MaxShards + 1 }},
 		{"negative checkpoint interval", func(s *Submission) { s.CheckpointEvery = -5 }},
 		{"unknown protocol", func(s *Submission) { s.Protocol = "nope" }},
 		{"unknown mode", func(s *Submission) { s.Mode = "bogus" }},

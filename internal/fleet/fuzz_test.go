@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/campaign"
@@ -49,6 +50,66 @@ func FuzzSubmission(f *testing.F) {
 			if _, err := campaign.Identity(cfg); err != nil {
 				t.Fatalf("validated submission %s: shard %d identity: %v", body, shard, err)
 			}
+		}
+	})
+}
+
+// FuzzUpload drives the snapshot upload route,
+// POST /v1/campaigns/{id}/shards/{shard}/snapshot, through the
+// coordinator's handler with arbitrary bodies, against a coordinator
+// holding one submitted campaign. No body may panic it, and no body may
+// be accepted (a 2xx answer) unless its snapshot passes
+// campaign.DecodeUploaded. CI runs it briefly via `make fuzz-smoke`:
+//
+//	go test ./internal/fleet -run '^$' -fuzz FuzzUpload -fuzztime 60s
+func FuzzUpload(f *testing.F) {
+	sub := Submission{
+		Schema: Schema, Protocol: "wsb", N: 4, Mode: "exhaustive",
+		Seed: 1, Shards: 1, CheckpointEvery: 500,
+	}
+	blobs, _ := captureUploads(f, sub, 0)
+	body := func(req UploadRequest) []byte {
+		data, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	first, last := blobs[0], blobs[len(blobs)-1]
+	for _, seed := range [][]byte{
+		body(UploadRequest{Schema: Schema, Snapshot: first}),
+		body(UploadRequest{Schema: Schema, Snapshot: last}),
+		body(UploadRequest{Schema: Schema, Snapshot: first, Timeline: []byte(`{"schema":"gsbtimeline/v1","index":0}` + "\n")}),
+		body(UploadRequest{Schema: Schema, WorkerID: "w0001", Snapshot: first}),
+		body(UploadRequest{Schema: Schema, Snapshot: first[:len(first)/2]}),
+		body(UploadRequest{Schema: Schema, Snapshot: bytes.Replace(first, []byte(`"seed":1`), []byte(`"seed":2`), 1)}),
+		[]byte(`{"schema":"gsbfleet/v1","snapshot":"!!"}`),
+		[]byte(`{"snapshot":null,"timeline":"AAAA"}`),
+		[]byte(`null`), []byte(`[]`), []byte(`{`), []byte(``),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c, err := NewCoordinator(CoordinatorConfig{DataDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close() // no reconcile loop: the upload route alone
+		resp, err := c.Submit(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rr, httptest.NewRequest("POST", uploadRoute(resp.ID, 0), bytes.NewReader(body)))
+		if rr.Code/100 != 2 {
+			return
+		}
+		var req UploadRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("answered %d to a body that does not decode: %v", rr.Code, err)
+		}
+		if _, _, err := campaign.DecodeUploaded(req.Snapshot, "fuzz upload"); err != nil {
+			t.Fatalf("answered %d to a snapshot DecodeUploaded rejects: %v", rr.Code, err)
 		}
 	})
 }

@@ -1,12 +1,9 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -73,10 +70,8 @@ var errAbandoned = errors.New("fleet: shard re-dealt to another worker; abandoni
 // next checkpoint, the final snapshot is uploaded, the shard is released
 // for immediate re-deal, and Run returns.
 type Worker struct {
-	cfg WorkerConfig
-
-	id           string
-	heartbeatSec float64
+	cfg    WorkerConfig
+	client *Client
 
 	// killed simulates a SIGKILL for tests: every outbound request is
 	// suppressed from the instant it is set, so the coordinator can
@@ -85,9 +80,10 @@ type Worker struct {
 	hardStop context.CancelFunc
 	hardCtx  context.Context
 
-	// abandon cancels the in-flight run when an upload is fenced (409).
-	mu      sync.Mutex
-	abandon context.CancelFunc
+	// mu guards the session id, which re-registration replaces while the
+	// heartbeat loop and the running shard read it.
+	mu sync.Mutex
+	id string
 }
 
 // NewWorker creates a worker; Run does the registering.
@@ -98,7 +94,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err := os.MkdirAll(cfg.WorkDir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: work dir: %w", err)
 	}
-	return &Worker{cfg: cfg}, nil
+	w := &Worker{cfg: cfg}
+	w.client = &Client{Base: cfg.Coordinator, HTTP: cfg.Client, off: &w.killed}
+	return w, nil
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -127,13 +125,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.hardCtx, w.hardStop = context.WithCancel(ctx)
 	defer w.hardStop()
 
-	var reg RegisterResponse
-	if err := w.post("/v1/workers", RegisterRequest{Schema: Schema, Name: w.cfg.Name}, &reg); err != nil {
+	beat, err := w.register("")
+	if err != nil {
 		return err
 	}
-	w.id = reg.WorkerID
-	w.heartbeatSec = reg.HeartbeatSec
-	w.logf("fleet: worker %s registered as %s (heartbeat every %.1fs)", reg.Name, reg.WorkerID, reg.HeartbeatSec)
 
 	// The heartbeat loop outlives ctx on purpose: a graceful drain
 	// cancels ctx but the in-flight campaign still needs to reach its
@@ -142,7 +137,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	// (or a kill, which suppresses all sends anyway) stops the beats.
 	hbStop := make(chan struct{})
 	hbDone := make(chan struct{})
-	go w.heartbeatLoop(hbStop, hbDone)
+	go w.heartbeatLoop(beat, hbStop, hbDone)
 	defer func() { close(hbStop); <-hbDone }()
 
 	for {
@@ -153,15 +148,18 @@ func (w *Worker) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			// Drain complete: the last task (if any) already paused,
 			// uploaded and released below before the loop came back here.
-			w.deregister()
+			_ = w.client.Deregister(w.session())
 			return nil
 		default:
 		}
-		task, ok, err := w.lease()
+		id := w.session()
+		task, ok, err := w.client.Lease(id)
 		if err != nil {
 			if !w.killed.Load() && ctx.Err() == nil {
 				w.logf("fleet: lease failed: %v", err)
-				sleepCtx(ctx, w.cfg.PollEvery)
+				if !w.reregister(id, err) {
+					sleepCtx(ctx, w.cfg.PollEvery)
+				}
 			}
 			continue
 		}
@@ -173,10 +171,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// heartbeatLoop beats until Run returns or the worker is killed.
-func (w *Worker) heartbeatLoop(stop <-chan struct{}, done chan<- struct{}) {
+// heartbeatLoop beats every interval until Run returns or the worker is
+// killed.
+func (w *Worker) heartbeatLoop(interval time.Duration, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	interval := time.Duration(w.heartbeatSec * float64(time.Second))
 	if interval <= 0 {
 		interval = 3 * time.Second
 	}
@@ -190,32 +188,57 @@ func (w *Worker) heartbeatLoop(stop <-chan struct{}, done chan<- struct{}) {
 			if w.killed.Load() {
 				return
 			}
-			var resp HeartbeatResponse
-			if err := w.post("/v1/workers/"+w.id+"/heartbeat", struct{}{}, &resp); err != nil {
+			id := w.session()
+			if err := w.client.Heartbeat(id); err != nil {
 				w.logf("fleet: heartbeat failed: %v", err)
+				w.reregister(id, err)
 			}
 		}
 	}
 }
 
-// lease asks for a task; ok is false on an empty queue (204).
-func (w *Worker) lease() (Task, bool, error) {
-	resp, err := w.do("POST", "/v1/workers/"+w.id+"/lease", struct{}{})
+// register opens a coordinator session under the configured name and
+// returns the heartbeat interval the coordinator asks for. It does
+// nothing unless the session id is still stale: the first of the
+// heartbeat loop and the lease loop to find the session gone
+// re-registers, and the other then finds the fresh id.
+func (w *Worker) register(stale string) (time.Duration, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.id != stale {
+		return 0, nil
+	}
+	reg, err := w.client.Register(w.cfg.Name)
 	if err != nil {
-		return Task{}, false, err
+		return 0, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		return Task{}, false, nil
+	w.id = reg.WorkerID
+	w.logf("fleet: worker %s registered as %s (heartbeat every %.1fs)", reg.Name, reg.WorkerID, reg.HeartbeatSec)
+	return time.Duration(reg.HeartbeatSec * float64(time.Second)), nil
+}
+
+// reregister handles a request of session id that failed with err: when
+// the coordinator no longer knows the session (it declared this worker
+// dead after missed heartbeats and re-dealt its shard), the worker
+// registers again, and reports that it did. A shard still running under
+// the old session is fenced off by its next upload and abandoned.
+func (w *Worker) reregister(id string, err error) bool {
+	var he *httpError
+	if !errors.As(err, &he) || he.code != http.StatusNotFound {
+		return false
 	}
-	if resp.StatusCode != http.StatusOK {
-		return Task{}, false, decodeAPIError(resp)
+	if _, rerr := w.register(id); rerr != nil {
+		w.logf("fleet: re-register failed: %v", rerr)
+		return false
 	}
-	var lr LeaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		return Task{}, false, fmt.Errorf("fleet: lease response: %w", err)
-	}
-	return lr.Task, true, nil
+	return true
+}
+
+// session is the current coordinator session id.
+func (w *Worker) session() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.id
 }
 
 // runTask runs one dealt shard to completion, pause, or death.
@@ -230,13 +253,13 @@ func (w *Worker) runTask(ctx context.Context, task Task) {
 	if resume {
 		// Re-seed the local disk from the coordinator's authoritative
 		// copy: the previous owner's scratch files died with it.
-		if err := atomicWrite(path, task.Snapshot); err != nil {
+		if err := timeline.AtomicWrite(path, task.Snapshot); err != nil {
 			w.failTask(task, err.Error())
 			return
 		}
 		side := timeline.SidecarPath(path)
 		if len(task.Timeline) > 0 {
-			if err := atomicWrite(side, task.Timeline); err != nil {
+			if err := timeline.AtomicWrite(side, task.Timeline); err != nil {
 				w.failTask(task, err.Error())
 				return
 			}
@@ -252,14 +275,6 @@ func (w *Worker) runTask(ctx context.Context, task Task) {
 
 	runCtx, cancelRun := context.WithCancel(w.hardCtx)
 	defer cancelRun()
-	w.mu.Lock()
-	w.abandon = cancelRun
-	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		w.abandon = nil
-		w.mu.Unlock()
-	}()
 
 	abandoned := false
 	// The campaign calls OnCheckpoint after EVERY snapshot write — the
@@ -272,7 +287,7 @@ func (w *Worker) runTask(ctx context.Context, task Task) {
 		if w.killed.Load() || abandoned {
 			return
 		}
-		if err := w.uploadSnapshot(task, path); err != nil {
+		if _, err := w.client.Upload(task.CampaignID, task.Shard, w.session(), path); err != nil {
 			var fence *httpError
 			if errors.As(err, &fence) && fence.code == http.StatusConflict {
 				w.logf("fleet: campaign %s shard %d: %v", task.CampaignID, task.Shard, errAbandoned)
@@ -314,109 +329,16 @@ func (w *Worker) runTask(ctx context.Context, task Task) {
 	}
 }
 
-// uploadSnapshot posts the shard's current snapshot file (and sidecar).
-func (w *Worker) uploadSnapshot(task Task, path string) error {
-	snap, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
-	side, err := os.ReadFile(timeline.SidecarPath(path))
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("fleet: %w", err)
-	}
-	var resp UploadResponse
-	return w.post(
-		fmt.Sprintf("/v1/campaigns/%s/shards/%d/snapshot", task.CampaignID, task.Shard),
-		UploadRequest{Schema: Schema, WorkerID: w.id, Snapshot: snap, Timeline: side},
-		&resp,
-	)
-}
-
 func (w *Worker) release(task Task) {
-	err := w.post("/v1/workers/"+w.id+"/release",
-		ReleaseRequest{Schema: Schema, CampaignID: task.CampaignID, Shard: task.Shard}, &struct {
-			Schema string `json:"schema"`
-		}{})
-	if err != nil {
+	if err := w.client.Release(w.session(), task.CampaignID, task.Shard); err != nil {
 		w.logf("fleet: release failed (coordinator will re-deal on heartbeat timeout): %v", err)
 	}
 }
 
 func (w *Worker) failTask(task Task, msg string) {
-	err := w.post(
-		fmt.Sprintf("/v1/campaigns/%s/shards/%d/fail", task.CampaignID, task.Shard),
-		struct {
-			Schema   string `json:"schema"`
-			WorkerID string `json:"worker_id"`
-			Error    string `json:"error"`
-		}{Schema, w.id, msg},
-		&struct {
-			Schema string `json:"schema"`
-		}{})
-	if err != nil {
+	if err := w.client.Fail(task.CampaignID, task.Shard, w.session(), msg); err != nil {
 		w.logf("fleet: fail report rejected: %v", err)
 	}
-}
-
-func (w *Worker) deregister() {
-	req, err := http.NewRequest("DELETE", w.cfg.Coordinator+"/v1/workers/"+w.id, nil)
-	if err != nil {
-		return
-	}
-	if resp, err := w.cfg.Client.Do(req); err == nil {
-		resp.Body.Close()
-	}
-}
-
-// post sends a JSON request and decodes a 2xx JSON response into out.
-func (w *Worker) post(path string, in, out any) error {
-	resp, err := w.do("POST", path, in)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return decodeAPIError(resp)
-	}
-	if out == nil || resp.StatusCode == http.StatusNoContent {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("fleet: response from %s: %w", path, err)
-	}
-	return nil
-}
-
-func (w *Worker) do(method, path string, in any) (*http.Response, error) {
-	if w.killed.Load() {
-		return nil, fmt.Errorf("fleet: worker killed")
-	}
-	body, err := json.Marshal(in)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	req, err := http.NewRequest(method, w.cfg.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.cfg.Client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	return resp, nil
-}
-
-// decodeAPIError turns a non-2xx response into an *httpError carrying
-// the body's error message (so callers can switch on the status code —
-// the 409 fence in particular).
-func decodeAPIError(resp *http.Response) error {
-	var ae apiError
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if json.Unmarshal(data, &ae) == nil && ae.Error != "" {
-		return &httpError{resp.StatusCode, ae.Error}
-	}
-	return &httpError{resp.StatusCode, fmt.Sprintf("fleet: coordinator returned %s", resp.Status)}
 }
 
 // sleepCtx sleeps d or until ctx is done; reports whether it slept the

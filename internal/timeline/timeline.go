@@ -295,8 +295,7 @@ func Merge(series ...[]Record) ([]Record, error) {
 }
 
 // WriteFile atomically writes a series (a merged campaign timeline) as
-// NDJSON to path, via the same temp-and-rename discipline as campaign
-// snapshots.
+// NDJSON to path.
 func WriteFile(path string, recs []Record) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -305,20 +304,35 @@ func WriteFile(path string, recs []Record) error {
 			return fmt.Errorf("timeline: encode: %w", err)
 		}
 	}
+	return AtomicWrite(path, buf.Bytes())
+}
+
+// AtomicWrite replaces path with data so that a crash at any instant
+// leaves either the old file or the new one, never a torn one: it writes
+// a temp file in path's directory, fsyncs it, and renames it over path.
+// It is the one durable-write helper of the repository — campaign
+// snapshots, timeline files and the fleet's shard copies all go through
+// it — and lives here because this stdlib-only package is the lowest one
+// all of those writers import.
+func AtomicWrite(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("timeline: %w", err)
+		return fmt.Errorf("atomic write: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return fmt.Errorf("timeline: write: %w", err)
+		return fmt.Errorf("atomic write %s: %w", path, err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("atomic write %s: sync: %w", path, err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("timeline: close: %w", err)
+		return fmt.Errorf("atomic write %s: %w", path, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("timeline: rename: %w", err)
+		return fmt.Errorf("atomic write %s: %w", path, err)
 	}
 	return nil
 }
