@@ -13,7 +13,9 @@ import (
 // cmd/gsbrun and every campaign Request — to the task specification it
 // solves and a per-run solver constructor. seed seeds the oracle-box
 // assignment draws of the protocols that use one, so a protocol
-// selection is fully reproducible from (name, n, seed).
+// selection is fully reproducible from (name, n, seed). Call the
+// constructor with the selected n: the oracle boxes' task specs are built
+// once per selection, not once per run.
 //
 // Names:
 //
@@ -33,17 +35,19 @@ func SelectProtocol(protocol string, n int, seed int64) (gsb.Spec, func(n int) t
 		return gsb.Renaming(n, n*(n+1)/2),
 			func(n int) tasks.Solver { return tasks.NewGridRenaming("G", n) }, nil
 	case "slot-renaming":
-		return gsb.Renaming(n, n+1), func(n int) tasks.Solver {
-			return tasks.NewSlotRenaming("F2", n, mem.SlotBox("KS", n, n-1, seed))
+		slots := gsb.KSlot(n, n-1)
+		return gsb.Renaming(n, n+1), func(int) tasks.Solver {
+			return tasks.NewSlotRenaming("F2", n, mem.NewTaskBox("KS", slots, seed))
 		}, nil
 	case "wsb":
-		return gsb.WSB(n), func(n int) tasks.Solver {
-			box := mem.NewTaskBox("R", gsb.Renaming(n, 2*n-2), seed)
-			return tasks.NewWSBFromRenaming(n, tasks.NewBoxSolver(box))
+		renaming := gsb.Renaming(n, 2*n-2)
+		return gsb.WSB(n), func(int) tasks.Solver {
+			return tasks.NewWSBFromRenaming(n, tasks.NewBoxSolver(mem.NewTaskBox("R", renaming, seed)))
 		}, nil
 	case "renaming-wsb":
-		return gsb.Renaming(n, 2*n-2), func(n int) tasks.Solver {
-			return tasks.NewRenamingFromWSB("RW", n, mem.WSBBox("WSB", n, seed))
+		wsb := gsb.WSB(n)
+		return gsb.Renaming(n, 2*n-2), func(int) tasks.Solver {
+			return tasks.NewRenamingFromWSB("RW", n, mem.NewTaskBox("WSB", wsb, seed))
 		}, nil
 	case "election":
 		return gsb.Election(n), func(n int) tasks.Solver {

@@ -156,7 +156,7 @@ func Figure2Experiment(ns []int, runs int) ([]Figure2Row, error) {
 // reusable runner: each seed re-arms it with a fresh policy instead of
 // respawning n process coroutines and reallocating the run state per run.
 func figure2Sweep(n, runs int) (Figure2Row, error) {
-	spec := gsb.Renaming(n, n+1)
+	spec, slots := gsb.Renaming(n, n+1), gsb.KSlot(n, n-1)
 	row := Figure2Row{N: n, Runs: runs, AllValid: true}
 	totalSteps := 0
 	runner := sched.NewRunner(n, sched.DefaultIDs(n), nil, sched.WithMaxSteps(tasks.DefaultRunMaxSteps), sched.WithReuse())
@@ -164,7 +164,7 @@ func figure2Sweep(n, runs int) (Figure2Row, error) {
 	for seed := int64(0); seed < int64(runs); seed++ {
 		res, err := tasks.RunVerifiedOn(spec, runner, sched.NewRandom(seed),
 			func(n int) tasks.Solver {
-				return tasks.NewSlotRenaming("F2", n, mem.SlotBox("KS", n, n-1, seed))
+				return tasks.NewSlotRenaming("F2", n, mem.NewTaskBox("KS", slots, seed))
 			})
 		if err != nil {
 			return row, fmt.Errorf("harness: n=%d seed=%d: %w", n, seed, err)
@@ -218,9 +218,9 @@ func ExploreExperiment(ns []int, workers, crashRuns int, reduction sched.Reducti
 	}
 	var rows []ExploreRow
 	for _, n := range ns {
-		spec := gsb.Renaming(n, n+1)
+		spec, slots := gsb.Renaming(n, n+1), gsb.KSlot(n, n-1)
 		build := func(n int) tasks.Solver {
-			return tasks.NewSlotRenaming("F2", n, mem.SlotBox("KS", n, n-1, 1))
+			return tasks.NewSlotRenaming("F2", n, mem.NewTaskBox("KS", slots, 1))
 		}
 		opts := sched.ExploreOptions{Workers: workers, Reduction: reduction}
 		schedules, err := tasks.ExploreVerified(context.Background(), spec, sched.DefaultIDs(n), opts, build)
@@ -287,9 +287,9 @@ func SampleExperiment(ns []int, workers, runs int, mode sched.SampleMode, depth 
 	}
 	var rows []SampleRow
 	for _, n := range ns {
-		spec := gsb.Renaming(n, n+1)
+		spec, slots := gsb.Renaming(n, n+1), gsb.KSlot(n, n-1)
 		build := func(n int) tasks.Solver {
-			return tasks.NewSlotRenaming("F2", n, mem.SlotBox("KS", n, n-1, 1))
+			return tasks.NewSlotRenaming("F2", n, mem.NewTaskBox("KS", slots, 1))
 		}
 		opts := sched.ExploreOptions{Workers: workers, SampleRuns: runs, SampleMode: mode, Depth: depth, Seed: 1}
 		rep, err := tasks.SampleVerified(context.Background(), spec, sched.DefaultIDs(n), opts, build)

@@ -20,7 +20,7 @@ import (
 // classic test&set, whose winner is always a participant — the property
 // election GSB does not guarantee.
 type KTAS struct {
-	name    string
+	lb      *labels
 	k       int
 	winners int
 }
@@ -30,13 +30,13 @@ func NewKTAS(name string, k int) *KTAS {
 	if k < 1 {
 		panic(fmt.Sprintf("mem: k-test&set needs k >= 1, got %d", k))
 	}
-	return &KTAS{name: name, k: k}
+	return &KTAS{lb: labelsFor(name), k: k}
 }
 
 // Invoke returns 1 for up to the first k invokers and 0 afterwards. The
 // "at least one" bound holds because the first invoker always wins.
 func (t *KTAS) Invoke(p *sched.Proc) int {
-	return p.Exec(t.name+".ktas", func() any {
+	return p.Exec(t.lb.ktas, func() any {
 		if t.winners < t.k {
 			t.winners++
 			return 1
@@ -52,7 +52,7 @@ func (t *KTAS) Invoke(p *sched.Proc) int {
 // invoker's identity (k=1 semantics) and, for k > 1, rotates among the
 // first k invokers' identities.
 type KLeaderElection struct {
-	name    string
+	lb      *labels
 	k       int
 	leaders []int
 	calls   int
@@ -63,13 +63,13 @@ func NewKLeaderElection(name string, k int) *KLeaderElection {
 	if k < 1 {
 		panic(fmt.Sprintf("mem: k-leader election needs k >= 1, got %d", k))
 	}
-	return &KLeaderElection{name: name, k: k}
+	return &KLeaderElection{lb: labelsFor(name), k: k}
 }
 
 // Invoke records the caller as a potential leader while fewer than k are
 // known, and returns one of the recorded participant identities.
 func (e *KLeaderElection) Invoke(p *sched.Proc, id int) int {
-	return p.Exec(e.name+".kleader", func() any {
+	return p.Exec(e.lb.kleader, func() any {
 		if len(e.leaders) < e.k {
 			e.leaders = append(e.leaders, id)
 		}

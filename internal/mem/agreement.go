@@ -18,17 +18,17 @@ import (
 // proposal the object receives — the strongest adversary cannot do
 // otherwise for validity).
 type Consensus struct {
-	name    string
+	lb      *labels
 	decided bool
 	value   int
 }
 
 // NewConsensus allocates a consensus object.
-func NewConsensus(name string) *Consensus { return &Consensus{name: name} }
+func NewConsensus(name string) *Consensus { return &Consensus{lb: labelsFor(name)} }
 
 // Propose submits v and returns the decided value (one step).
 func (c *Consensus) Propose(p *sched.Proc, v int) int {
-	return p.Exec(c.name+".propose", func() any {
+	return p.Exec(c.lb.propose, func() any {
 		if !c.decided {
 			c.decided = true
 			c.value = v
@@ -42,7 +42,7 @@ func (c *Consensus) Propose(p *sched.Proc, v int) int {
 // keeps the first k distinct proposals as the decidable set and routes
 // every caller to one of them (its own proposal when possible).
 type KSetAgreement struct {
-	name   string
+	lb     *labels
 	k      int
 	chosen []int
 }
@@ -52,12 +52,12 @@ func NewKSetAgreement(name string, k int) *KSetAgreement {
 	if k < 1 {
 		panic(fmt.Sprintf("mem: k-set agreement needs k >= 1, got %d", k))
 	}
-	return &KSetAgreement{name: name, k: k}
+	return &KSetAgreement{lb: labelsFor(name), k: k}
 }
 
 // Propose submits v and returns a decided value (one step).
 func (s *KSetAgreement) Propose(p *sched.Proc, v int) int {
-	return p.Exec(s.name+".propose", func() any {
+	return p.Exec(s.lb.propose, func() any {
 		for _, c := range s.chosen {
 			if c == v {
 				return v

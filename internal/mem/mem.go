@@ -43,7 +43,7 @@ import (
 // Array is an array of n single-writer/multi-reader atomic registers.
 // Entry i may be written only by the process with index i.
 type Array[T any] struct {
-	name    string
+	lb      *labels
 	vals    []T
 	written []bool
 	// open counts open write windows per register under the two-phase
@@ -54,7 +54,7 @@ type Array[T any] struct {
 
 // NewArray allocates an array of n 1WnR registers holding zero values.
 func NewArray[T any](name string, n int) *Array[T] {
-	return &Array[T]{name: name, vals: make([]T, n), written: make([]bool, n)}
+	return &Array[T]{lb: labelsFor(name), vals: make([]T, n), written: make([]bool, n)}
 }
 
 // Len returns the number of registers.
@@ -65,14 +65,14 @@ func (a *Array[T]) Len() int { return len(a.vals) }
 func (a *Array[T]) Write(p *sched.Proc, v T) {
 	if p.Model().TwoPhaseWrites() {
 		i := p.Index()
-		p.Exec(a.name+".write-start", func() any {
+		p.Exec(a.lb.writeStart, func() any {
 			if a.open == nil {
 				a.open = make([]int, len(a.vals))
 			}
 			a.open[i]++
 			return nil
 		})
-		p.Exec(a.name+".write-commit", func() any {
+		p.Exec(a.lb.writeCommit, func() any {
 			a.vals[i] = v
 			a.written[i] = true
 			a.open[i]--
@@ -80,7 +80,7 @@ func (a *Array[T]) Write(p *sched.Proc, v T) {
 		})
 		return
 	}
-	p.Exec(a.name+".write", func() any {
+	p.Exec(a.lb.write, func() any {
 		a.vals[p.Index()] = v
 		a.written[p.Index()] = true
 		return nil
@@ -92,7 +92,7 @@ func (a *Array[T]) Write(p *sched.Proc, v T) {
 // window returns the unwritten zero value.
 func (a *Array[T]) Read(p *sched.Proc, j int) (T, bool) {
 	if p.Model().SafeReads() {
-		res := p.Exec(a.name+".read", func() any {
+		res := p.Exec(a.lb.read, func() any {
 			if a.open != nil && a.open[j] > 0 {
 				return readResult[T]{}
 			}
@@ -100,7 +100,7 @@ func (a *Array[T]) Read(p *sched.Proc, j int) (T, bool) {
 		}).(readResult[T])
 		return res.val, res.ok
 	}
-	res := p.Exec(a.name+".read", func() any {
+	res := p.Exec(a.lb.read, func() any {
 		return readResult[T]{val: a.vals[j], ok: a.written[j]}
 	}).(readResult[T])
 	return res.val, res.ok
@@ -135,7 +135,7 @@ func (a *Array[T]) Snapshot(p *sched.Proc) ([]T, []bool) {
 		// mutually consistent.
 		return a.Collect(p)
 	}
-	res := p.Exec(a.name+".snapshot", func() any {
+	res := p.Exec(a.lb.snapshot, func() any {
 		vals := make([]T, len(a.vals))
 		oks := make([]bool, len(a.vals))
 		copy(vals, a.vals)
@@ -155,7 +155,7 @@ type snapResult[T any] struct {
 // the standard hardware register used by auxiliary constructions such as
 // splitters, and ConstructedMWMR shows how to build it from 1WnR.
 type Reg[T any] struct {
-	name    string
+	lb      *labels
 	val     T
 	written bool
 	// open counts open write windows under the two-phase models.
@@ -163,17 +163,17 @@ type Reg[T any] struct {
 }
 
 // NewReg allocates a multi-writer register holding the zero value.
-func NewReg[T any](name string) *Reg[T] { return &Reg[T]{name: name} }
+func NewReg[T any](name string) *Reg[T] { return &Reg[T]{lb: labelsFor(name)} }
 
 // Write stores v: one step under the atomic model, a write-start/
 // write-commit step pair under the two-phase models.
 func (r *Reg[T]) Write(p *sched.Proc, v T) {
 	if p.Model().TwoPhaseWrites() {
-		p.Exec(r.name+".write-start", func() any {
+		p.Exec(r.lb.writeStart, func() any {
 			r.open++
 			return nil
 		})
-		p.Exec(r.name+".write-commit", func() any {
+		p.Exec(r.lb.writeCommit, func() any {
 			r.val = v
 			r.written = true
 			r.open--
@@ -181,7 +181,7 @@ func (r *Reg[T]) Write(p *sched.Proc, v T) {
 		})
 		return
 	}
-	p.Exec(r.name+".write", func() any {
+	p.Exec(r.lb.write, func() any {
 		r.val = v
 		r.written = true
 		return nil
@@ -191,7 +191,7 @@ func (r *Reg[T]) Write(p *sched.Proc, v T) {
 // Read returns the current value (one step). Under the safe model a read
 // overlapping an open write window returns the unwritten zero value.
 func (r *Reg[T]) Read(p *sched.Proc) (T, bool) {
-	res := p.Exec(r.name+".read", func() any {
+	res := p.Exec(r.lb.read, func() any {
 		if r.open > 0 && p.Model().SafeReads() {
 			return readResult[T]{}
 		}
@@ -204,16 +204,16 @@ func (r *Reg[T]) Read(p *sched.Proc) (T, bool) {
 // oracle object (not wait-free implementable from registers); the paper
 // uses such objects to define enriched models ASM_{n,t}[T].
 type TAS struct {
-	name string
-	set  bool
+	lb  *labels
+	set bool
 }
 
 // NewTAS allocates a test-and-set object.
-func NewTAS(name string) *TAS { return &TAS{name: name} }
+func NewTAS(name string) *TAS { return &TAS{lb: labelsFor(name)} }
 
 // TestAndSet returns true iff the caller is the first invoker (one step).
 func (t *TAS) TestAndSet(p *sched.Proc) bool {
-	return p.Exec(t.name+".tas", func() any {
+	return p.Exec(t.lb.tas, func() any {
 		if t.set {
 			return false
 		}
@@ -224,16 +224,16 @@ func (t *TAS) TestAndSet(p *sched.Proc) bool {
 
 // FetchInc is a fetch&increment counter oracle object.
 type FetchInc struct {
-	name string
+	lb   *labels
 	next int
 }
 
 // NewFetchInc allocates a counter whose first FetchInc returns 0.
-func NewFetchInc(name string) *FetchInc { return &FetchInc{name: name} }
+func NewFetchInc(name string) *FetchInc { return &FetchInc{lb: labelsFor(name)} }
 
 // FetchInc atomically returns the current count and increments it.
 func (f *FetchInc) FetchInc(p *sched.Proc) int {
-	return p.Exec(f.name+".fetchinc", func() any {
+	return p.Exec(f.lb.fetchinc, func() any {
 		v := f.next
 		f.next++
 		return v

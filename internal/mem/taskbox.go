@@ -3,8 +3,6 @@ package mem
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/gsb"
 	"repro/internal/sched"
@@ -19,7 +17,7 @@ import (
 // set, and any prefix of a legal assignment extends to a legal vector,
 // this is a correct implementation of "any object solving T".
 type TaskBox struct {
-	name       string
+	lb         *labels
 	spec       gsb.Spec
 	assignment []int
 	next       int
@@ -27,31 +25,35 @@ type TaskBox struct {
 }
 
 // boxDraws memoizes drawn assignments. The draw is a pure function of
-// (spec, seed) — Spec.String renders n and the full bound vectors, so it
-// is a faithful key — and the exploration engines construct the same box
-// once per re-executed run, millions of times: without the memo the
-// math/rand seeding alone dominated the whole exploration hot path. A
-// sync.Map fits the read-mostly pattern (millions of lock-free hits from
-// concurrent workers, a handful of inserts); the cached slice is shared
-// read-only between box instances (Invoke only reads it) and the cache is
-// capped as a safety valve for callers that sweep unboundedly many seeds.
-var (
-	boxDraws     sync.Map // boxDrawKey -> []int
-	boxDrawCount atomic.Int64
-)
+// (spec, seed), and the exploration engines construct the same box once
+// per re-executed run, millions of times: without the memo the math/rand
+// seeding alone dominated the whole exploration hot path. The cached
+// slice is shared read-only between box instances (Invoke only reads
+// it).
+var boxDraws = cappedMap{max: 1 << 14}
 
+// boxDrawKey identifies a draw without formatting the spec on every run:
+// a symmetric spec is fully described by (n, m, l, u), and the rare
+// asymmetric one by its rendering, which lists every bound.
 type boxDrawKey struct {
-	spec string
-	seed int64
+	n, m, l, u int
+	asym       string // Spec.String of an asymmetric spec, "" otherwise
+	seed       int64
 }
 
-const boxDrawCacheMax = 1 << 14
+func drawKey(spec gsb.Spec, seed int64) boxDrawKey {
+	if !spec.Symmetric() {
+		return boxDrawKey{asym: spec.String(), seed: seed}
+	}
+	l, u := spec.SymBounds()
+	return boxDrawKey{n: spec.N(), m: spec.M(), l: l, u: u, seed: seed}
+}
 
 // drawAssignment picks the box's legal output multiset and hand-out order:
 // uniformly over the task's counting vectors, then a seeded shuffle.
 func drawAssignment(spec gsb.Spec, seed int64) []int {
-	key := boxDrawKey{spec: spec.String(), seed: seed}
-	if v, ok := boxDraws.Load(key); ok {
+	key := drawKey(spec, seed)
+	if v, ok := boxDraws.m.Load(key); ok {
 		return v.([]int)
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -66,28 +68,7 @@ func drawAssignment(spec gsb.Spec, seed int64) []int {
 	rng.Shuffle(len(assignment), func(i, j int) {
 		assignment[i], assignment[j] = assignment[j], assignment[i]
 	})
-	if v, loaded := boxDraws.LoadOrStore(key, assignment); loaded {
-		return v.([]int) // another worker drew it first; share one slice
-	}
-	if boxDrawCount.Add(1) > boxDrawCacheMax {
-		// Over capacity: evict an arbitrary other entry rather than
-		// refusing inserts — a refused hot key (one box constructed per
-		// re-executed run) would re-seed and re-draw forever, while an
-		// evicted hot key is simply re-inserted on its next run.
-		boxDraws.Range(func(k, _ any) bool {
-			if k == key {
-				return true
-			}
-			// Only the goroutine that actually removed the entry may
-			// decrement, or racing evictors of one victim would
-			// undercount the map and erode the cap.
-			if _, removed := boxDraws.LoadAndDelete(k); removed {
-				boxDrawCount.Add(-1)
-			}
-			return false
-		})
-	}
-	return assignment
+	return boxDraws.store(key, assignment).([]int)
 }
 
 // NewTaskBox allocates an oracle for spec. The seed selects the legal
@@ -97,7 +78,7 @@ func NewTaskBox(name string, spec gsb.Spec, seed int64) *TaskBox {
 		panic(fmt.Sprintf("mem: task box for infeasible spec %v", spec))
 	}
 	return &TaskBox{
-		name:       name,
+		lb:         labelsFor(name),
 		spec:       spec,
 		assignment: drawAssignment(spec, seed),
 		invoked:    make([]bool, spec.N()),
@@ -111,10 +92,10 @@ func (b *TaskBox) Spec() gsb.Spec { return b.spec }
 // process may invoke at most once; a second invocation panics, as the
 // boxed tasks are one-shot.
 func (b *TaskBox) Invoke(p *sched.Proc) int {
-	return p.Exec(b.name+".invoke", func() any {
+	return p.Exec(b.lb.invoke, func() any {
 		validateIndex(p.Index(), len(b.invoked), "task box")
 		if b.invoked[p.Index()] {
-			panic(fmt.Sprintf("mem: process %d invoked task box %q twice", p.Index(), b.name))
+			panic(fmt.Sprintf("mem: process %d invoked task box %q twice", p.Index(), b.lb.name))
 		}
 		b.invoked[p.Index()] = true
 		v := b.assignment[b.next]

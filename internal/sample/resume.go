@@ -159,6 +159,10 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 		classes = r.Opts.Stats.Counter(MetricClasses, "Distinct Mazurkiewicz trace classes discovered by sampling (per-shard first sightings).")
 	}
 
+	// Class hashing reuses level buckets: each worker goroutine takes a
+	// hasher from the pool for the duration of one visit.
+	hashers := sync.Pool{New: func() any { return new(sched.TraceHasher) }}
+
 	visit := func(i int, res *sched.Result, err error) error {
 		seed := sched.DeriveRunSeed(r.Opts.Seed, i)
 		record := func(violates bool, inner error) *RunError {
@@ -176,7 +180,9 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 		// Record coverage before checking, so the failing run's own
 		// class is part of the reported coverage. Keep the smallest run
 		// index per class: the minimum is interleaving-independent.
-		h := sched.CanonicalTraceHash(res.Schedule, sched.OpIndependent)
+		hasher := hashers.Get().(*sched.TraceHasher)
+		h := hasher.Hash(res.Schedule, sched.OpIndependent)
+		hashers.Put(hasher)
 		mu.Lock()
 		first, ok := state.Classes[h]
 		if !ok || i < first {

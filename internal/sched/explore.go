@@ -33,68 +33,77 @@ var ErrExplorationBudget = errors.New("sched: exploration budget exhausted")
 var ErrScheduleDiverged = errors.New("sched: schedule replay diverged (non-deterministic protocol?)")
 
 // explorePolicy replays a fixed prefix of choices, then always picks the
-// smallest pending process, recording every decision point's pending set.
+// smallest pending process, recording every post-prefix decision point's
+// pending set. Like porPolicy, one per exploration worker is re-armed by
+// reset for every frontier item and records into reused arenas.
 type explorePolicy struct {
 	prefix  []int
-	choices []int   // process chosen at each decision
-	pending [][]int // pending set observed at each decision
+	choices []int // process chosen at each decision
+	// Decision j past the prefix saw pending set pend[lo:at[j]], with
+	// lo = at[j-1] (0 for j = 0).
+	at   []int
+	pend []int
+
+	slab  prefixSlab
+	items []frontierItem // branchItems' reused result
+}
+
+// reset re-arms the policy for a run scripted by prefix (exhaustive mode
+// has no sleep sets, so sleep0 is ignored).
+//
+//gsb:hotpath
+func (e *explorePolicy) reset(prefix, _ []int) {
+	e.prefix = prefix
+	e.choices, e.at, e.pend = e.choices[:0], e.at[:0], e.pend[:0]
 }
 
 // Next implements Policy.
+//
+//gsb:hotpath
 func (e *explorePolicy) Next(pending []int, _ int) Decision {
 	step := len(e.choices)
-	var pick int
 	if step < len(e.prefix) {
-		pick = e.prefix[step]
-		found := false
-		for _, p := range pending {
-			if p == pick {
-				found = true
-				break
-			}
-		}
-		if !found {
+		pick := e.prefix[step]
+		if !containsSorted(pending, pick) {
 			return Decision{Abort: true, Err: fmt.Errorf("%w: exploration prefix chose %d but pending is %v", ErrScheduleDiverged, pick, pending)}
 		}
-	} else {
-		pick = pending[0]
+		e.choices = append(e.choices, pick) //gsb:alloc-ok reused e.choices, reset to [:0] per run
+		return Decision{Proc: pick}
 	}
-	e.choices = append(e.choices, pick)
-	e.pending = append(e.pending, append([]int(nil), pending...))
-	return Decision{Proc: pick}
+	e.choices = append(e.choices, pending[0]) //gsb:alloc-ok reused e.choices, reset to [:0] per run
+	e.pend = append(e.pend, pending...)       //gsb:alloc-ok reused e.pend arena, reset to [:0] per run
+	e.at = append(e.at, len(e.pend))          //gsb:alloc-ok reused e.at arena, reset to [:0] per run
+	return Decision{Proc: pending[0]}
 }
 
 // runChoices implements explorerPolicy.
+//
+//gsb:hotpath
 func (e *explorePolicy) runChoices() []int { return e.choices }
 
-// branchItems implements explorerPolicy (exhaustive mode: no sleep sets).
+// branchItems implements explorerPolicy: the unexplored sibling prefixes
+// of a completed (or aborted) run — for every decision point past the
+// replayed prefix, one new prefix per pending process larger than the one
+// chosen (the chosen process is always the smallest pending). Exhaustive
+// mode has no sleep sets. The returned slice is reused by the next call;
+// the prefixes are carved from the policy's slab and are immutable.
+//
+//gsb:hotpath
 func (e *explorePolicy) branchItems() []frontierItem {
-	bs := e.branches()
-	out := make([]frontierItem, len(bs))
-	for i, b := range bs {
-		out[i] = frontierItem{choices: b}
-	}
-	return out
-}
-
-// branches returns the unexplored sibling prefixes of a completed (or
-// aborted) run: for every decision point at or past the replayed prefix,
-// one new prefix per pending process larger than the one chosen (the
-// chosen process is always the smallest pending).
-func (e *explorePolicy) branches() [][]int {
-	var out [][]int
-	for i := len(e.prefix); i < len(e.choices); i++ {
-		chosen := e.choices[i]
-		for _, alt := range e.pending[i] {
-			if alt <= chosen {
-				continue
-			}
-			branch := make([]int, i+1)
+	out := e.items[:0]
+	lo := 0
+	for j, hi := range e.at {
+		i := len(e.prefix) + j
+		pending := e.pend[lo:hi]
+		lo = hi
+		for _, alt := range pending[1:] {
+			branch := e.slab.carve(i + 1)
 			copy(branch, e.choices[:i])
 			branch[i] = alt
-			out = append(out, branch)
+			out = append(out, frontierItem{choices: branch}) //gsb:alloc-ok reused e.items, steady state after the widest run
 		}
 	}
+	e.items = out
 	return out
 }
 
@@ -123,7 +132,8 @@ func ExploreSequential(n int, ids []int, maxRuns, maxSteps int, build func() Bod
 		prefix := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
-		policy := &explorePolicy{prefix: prefix}
+		policy := &explorePolicy{}
+		policy.reset(prefix, nil)
 		runner := NewRunner(n, ids, policy, WithMaxSteps(maxSteps))
 		res, err := runner.Run(build())
 		if err != nil {
@@ -133,7 +143,9 @@ func ExploreSequential(n int, ids []int, maxRuns, maxSteps int, build func() Bod
 		if err := check(res); err != nil {
 			return runs, fmt.Errorf("sched: schedule %v violates property: %w", policy.choices, err)
 		}
-		stack = append(stack, policy.branches()...)
+		for _, b := range policy.branchItems() {
+			stack = append(stack, b.choices)
+		}
 	}
 	return runs, nil
 }

@@ -262,12 +262,39 @@ type frontierItem struct {
 }
 
 // explorerPolicy is what the engine needs from a prefix-replay policy:
-// schedule the run, then report the choice sequence it took and the
-// sibling prefixes left to explore.
+// re-arm it for a frontier item, schedule the run, then report the choice
+// sequence it took and the sibling prefixes left to explore. Each worker
+// owns one and reuses it for every item it processes.
 type explorerPolicy interface {
 	Policy
+	reset(prefix, sleep0 []int)
 	runChoices() []int
 	branchItems() []frontierItem
+}
+
+// exploreWorker is one worker's reusable state. Nothing in it is shared
+// with other workers, so the hot path re-arms it without locks or
+// allocation: the runner via Reset, the policy via reset (its buffers are
+// valid until the next reset), and the hasher's level buckets per call.
+type exploreWorker struct {
+	w      int
+	runner *Runner
+	policy explorerPolicy
+	hasher TraceHasher // canonical-trace memo hashing
+}
+
+// newWorker builds worker w's reusable state; close its runner when done.
+func (e *explorer) newWorker(w int) *exploreWorker {
+	wk := &exploreWorker{
+		w:      w,
+		runner: NewRunner(e.n, e.ids, nil, WithMaxSteps(e.opts.MaxSteps), WithReuse(), WithModel(e.model)),
+	}
+	if e.opts.Reduction != ReductionNone {
+		wk.policy = &porPolicy{indep: e.indep}
+	} else {
+		wk.policy = &explorePolicy{}
+	}
+	return wk
 }
 
 // exploreShard is one lane of the frontier. Its owner pushes and pops at
@@ -385,11 +412,11 @@ func (e *explorer) worker(w int) {
 	// The rng only picks steal victims; exploration results never depend
 	// on it (see the determinism contract above).
 	rng := rand.New(rand.NewSource(int64(uint64(e.opts.Seed) ^ 0x9e3779b97f4a7c15*uint64(w+1))))
-	// One reusable runner per worker: Reset re-arms it for every prefix
-	// re-execution, so the steady-state hot path allocates nothing but
-	// the per-run policy and protocol instance.
-	runner := NewRunner(e.n, e.ids, nil, WithMaxSteps(e.opts.MaxSteps), WithReuse(), WithModel(e.model))
-	defer runner.Close()
+	// One reusable runner and policy per worker, re-armed for every
+	// prefix re-execution: the steady-state hot path allocates nothing
+	// but the protocol instance (and a prefix slab chunk now and then).
+	wk := e.newWorker(w)
+	defer wk.runner.Close()
 	idle := 0
 	for {
 		// A pause point fired: return without popping further frontier
@@ -419,7 +446,7 @@ func (e *explorer) worker(w int) {
 			continue
 		}
 		idle = 0
-		if !e.process(w, item, runner) {
+		if !e.process(item, wk) {
 			e.returnTicket()
 		}
 		e.pending.Add(-1)
@@ -501,9 +528,9 @@ func (e *explorer) recordFailure(choices []int, err error) {
 }
 
 // process executes the run scripted by item's prefix on the worker's
-// reused runner and pushes its unexplored sibling prefixes. It reports
-// whether the item claimed a run-budget slot (false when pruned).
-func (e *explorer) process(w int, item frontierItem, runner *Runner) bool {
+// reused runner and policy and pushes its unexplored sibling prefixes. It
+// reports whether the item claimed a run-budget slot (false when pruned).
+func (e *explorer) process(item frontierItem, wk *exploreWorker) bool {
 	if b := e.pruneBound(); b != nil && !prefixViable(item.choices, b) {
 		e.met.incPrunes()
 		return false
@@ -515,14 +542,10 @@ func (e *explorer) process(w int, item frontierItem, runner *Runner) bool {
 	}
 	e.met.incRuns()
 
-	var policy explorerPolicy
-	if e.opts.Reduction != ReductionNone {
-		policy = &porPolicy{indep: e.indep, prefix: item.choices, sleep0: item.sleep}
-	} else {
-		policy = &explorePolicy{prefix: item.choices}
-	}
-	runner.Reset(policy)
-	res, err := runner.Run(e.build())
+	policy := wk.policy
+	policy.reset(item.choices, item.sleep)
+	wk.runner.Reset(policy)
+	res, err := wk.runner.Run(e.build())
 	switch {
 	case errors.Is(err, ErrRunAborted):
 		// A sleep-set probe: every continuation of this run is
@@ -535,11 +558,11 @@ func (e *explorer) process(w int, item frontierItem, runner *Runner) bool {
 			e.recordFailure(policy.runChoices(), fmt.Errorf("sched: exploration run with prefix %v: %w", item.choices, err))
 		}
 	case e.bound != nil:
-		if lexLess(policy.runChoices(), e.bound) && e.admit(res) {
+		if lexLess(policy.runChoices(), e.bound) && e.admit(res, wk) {
 			e.countBelow.Add(1)
 		}
 	default:
-		if e.admit(res) {
+		if e.admit(res, wk) {
 			e.completed.Add(1)
 			e.met.incSchedules()
 		}
@@ -559,18 +582,18 @@ func (e *explorer) process(w int, item frontierItem, runner *Runner) bool {
 			e.met.incPrunes()
 			continue
 		}
-		e.pushTo(w, branch)
+		e.pushTo(wk.w, branch)
 	}
 	return true
 }
 
 // admit reports whether the completed run should be counted: always,
 // unless the canonical-trace memo has already counted an equivalent run.
-func (e *explorer) admit(res *Result) bool {
+func (e *explorer) admit(res *Result, wk *exploreWorker) bool {
 	if e.memo == nil {
 		return true
 	}
-	return e.memo.admit(CanonicalTraceHash(res.Schedule, e.indep))
+	return e.memo.admit(wk.hasher.Hash(res.Schedule, e.indep))
 }
 
 // lexLess reports whether choice sequence a precedes b lexicographically

@@ -1,10 +1,7 @@
 package sched
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -106,40 +103,85 @@ func dependentStep(a, b Step, indep Independence) bool {
 // deterministic protocols this engine executes, the final register
 // contents, which are a function of the class). The memo layer of the
 // reduction uses it to avoid double-counting a class.
+//
+// The value is persisted in checkpoints (memo and sampler class sets), so
+// it must never change; TestCanonicalTraceHashGolden pins it. Hot loops
+// hash through a reused TraceHasher instead, which allocates nothing.
 func CanonicalTraceHash(schedule []Step, indep Independence) uint64 {
+	var h TraceHasher
+	return h.Hash(schedule, indep)
+}
+
+// TraceHasher computes CanonicalTraceHash with reusable level buckets: in
+// steady state a Hash call allocates nothing. The zero value is ready to
+// use; a TraceHasher is not safe for concurrent use, so each worker keeps
+// its own.
+type TraceHasher struct {
+	levels [][]Step // level buckets; only the first n are live in a call
+}
+
+// FNV-1a, 64-bit (the parameters of hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// Hash returns CanonicalTraceHash(schedule, indep).
+//
+//gsb:hotpath
+func (h *TraceHasher) Hash(schedule []Step, indep Independence) uint64 {
 	// Foata normal form: place each step in the level just below the
 	// deepest level holding a step it depends on. Steps within a level
 	// are pairwise independent, hence from distinct processes, and are
-	// canonically ordered by process index.
-	var levels [][]Step
+	// canonically ordered by process index (insertion keeps each bucket
+	// sorted).
+	levels := h.levels
+	n := 0
 	for _, s := range schedule {
 		d := 0
-		for l := len(levels); l >= 1; l-- {
+		for l := n; l >= 1; l-- {
 			if levelDepends(levels[l-1], s, indep) {
 				d = l
 				break
 			}
 		}
-		if d == len(levels) {
-			levels = append(levels, nil)
+		if d == n {
+			if n == len(levels) {
+				levels = append(levels, nil) //gsb:alloc-ok grows h.levels, reused across calls: steady state after the deepest schedule
+			}
+			levels[n] = levels[n][:0]
+			n++
 		}
-		levels[d] = append(levels[d], s)
+		level := append(levels[d], s) //gsb:alloc-ok appends into a reused bucket of h.levels: steady state after the widest level
+		i := len(level) - 1
+		for ; i > 0 && level[i-1].Proc > s.Proc; i-- {
+			level[i] = level[i-1]
+		}
+		level[i] = s
+		levels[d] = level
 	}
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, level := range levels {
-		sort.Slice(level, func(i, j int) bool { return level[i].Proc < level[j].Proc })
+	h.levels = levels
+
+	// The bytes hashed per step are the process index (4 bytes, little
+	// endian), the op label and a 0 terminator; each level ends in 0xff.
+	x := uint64(fnvOffset64)
+	for _, level := range levels[:n] {
 		for _, s := range level {
-			binary.LittleEndian.PutUint32(buf[:], uint32(s.Proc))
-			h.Write(buf[:])
-			h.Write([]byte(s.Op))
-			h.Write([]byte{0})
+			p := uint32(s.Proc)
+			for k := 0; k < 4; k++ {
+				x = (x ^ uint64(byte(p>>(8*k)))) * fnvPrime64
+			}
+			for k := 0; k < len(s.Op); k++ {
+				x = (x ^ uint64(s.Op[k])) * fnvPrime64
+			}
+			x *= fnvPrime64 // ^ 0
 		}
-		h.Write([]byte{0xff})
+		x = (x ^ 0xff) * fnvPrime64
 	}
-	return h.Sum64()
+	return x
 }
 
+//gsb:hotpath
 func levelDepends(level []Step, s Step, indep Independence) bool {
 	for _, u := range level {
 		if dependentStep(u, s, indep) {

@@ -74,33 +74,65 @@ var ErrRunAborted = errors.New("sched: run aborted by the scheduling policy")
 // OpAwarePolicy to learn the label of every pending operation; without
 // labels (plain Next) all steps are treated as conflicting and the walk
 // degrades to the exhaustive one.
+//
+// Each exploration worker owns one porPolicy and re-arms it with reset
+// for every frontier item, so its buffers reach a steady size and a run
+// records its decisions without allocating. The recorded sets and
+// runChoices are valid until the next reset; the branch items it returns
+// are carved from the worker's prefix slab and never written again.
 type porPolicy struct {
 	indep  Independence
 	prefix []int
 	sleep0 []int // sleep set at the node reached after prefix
 
 	choices []int
-	// Recorded per post-prefix decision, aligned with
-	// choices[len(prefix):]:
-	pendings [][]int    // pending process set (sorted)
-	opss     [][]string // pending op labels, aligned with pendings
-	sleeps   [][]int    // sleep set at the node (sorted)
+	// Recorded per post-prefix decision j (aligned with
+	// choices[len(prefix):]) into flat arenas: decision j's pending set
+	// (sorted) is pend[lo:at[j]] with lo = at[j-1] (0 for j = 0), its op
+	// labels are ops[lo:at[j]], and its sleep set (sorted) is
+	// sleeps[sleepAt[j-1]:sleepAt[j]] likewise.
+	at      []int
+	pend    []int
+	ops     []string
+	sleepAt []int
+	sleeps  []int
 
 	cur     []int // current sleep set during the descent
 	started bool
-	aborted bool
+
+	slab  prefixSlab
+	items []frontierItem // branchItems' reused result
+}
+
+// reset re-arms the policy for a run scripted by prefix, whose node has
+// sleep set sleep0. Both are only read, never retained past the next
+// reset.
+//
+//gsb:hotpath
+func (e *porPolicy) reset(prefix, sleep0 []int) {
+	e.prefix, e.sleep0 = prefix, sleep0
+	e.choices = e.choices[:0]
+	e.at, e.pend, e.ops = e.at[:0], e.pend[:0], e.ops[:0]
+	e.sleepAt, e.sleeps = e.sleepAt[:0], e.sleeps[:0]
+	e.cur = e.cur[:0]
+	e.started = false
 }
 
 // Next implements Policy (no op labels: conservative, no reduction).
+//
+//gsb:hotpath
 func (e *porPolicy) Next(pending []int, stepNo int) Decision {
 	return e.decide(pending, nil, stepNo)
 }
 
 // NextOps implements OpAwarePolicy.
+//
+//gsb:hotpath
 func (e *porPolicy) NextOps(pending []int, ops []string, stepNo int) Decision {
 	return e.decide(pending, ops, stepNo)
 }
 
+//gsb:hotpath
 func (e *porPolicy) decide(pending []int, ops []string, _ int) Decision {
 	step := len(e.choices)
 	if step < len(e.prefix) {
@@ -108,41 +140,51 @@ func (e *porPolicy) decide(pending []int, ops []string, _ int) Decision {
 		if !containsSorted(pending, pick) {
 			return Decision{Abort: true, Err: fmt.Errorf("%w: exploration prefix chose %d but pending is %v", ErrScheduleDiverged, pick, pending)}
 		}
-		e.choices = append(e.choices, pick)
+		e.choices = append(e.choices, pick) //gsb:alloc-ok reused e.choices, reset to [:0] per run
 		return Decision{Proc: pick}
 	}
 	if !e.started {
 		e.started = true
-		e.cur = append([]int(nil), e.sleep0...)
-	}
-	if ops == nil {
-		ops = make([]string, len(pending)) // unlabeled: conflicts with everything
+		e.cur = append(e.cur, e.sleep0...) //gsb:alloc-ok reused e.cur, reset to [:0] per run
 	}
 	// A sleeping process is blocked on its pending request, so it cannot
 	// leave the pending set; the intersection guards the invariant
 	// cur ⊆ pending rather than doing real work.
 	e.cur = intersectSorted(e.cur, pending)
-	allowed := subtractSorted(pending, e.cur)
-	if len(allowed) == 0 {
+	pick := -1
+	for _, p := range pending {
+		if !containsSorted(e.cur, p) {
+			pick = p
+			break
+		}
+	}
+	if pick < 0 {
 		// Every pending step is covered by a subtree explored under a
 		// smaller choice sequence: discard the rest of the run.
-		e.aborted = true
 		return Decision{Abort: true}
 	}
-	pick := allowed[0]
 
-	e.pendings = append(e.pendings, append([]int(nil), pending...))
-	e.opss = append(e.opss, append([]string(nil), ops...))
-	e.sleeps = append(e.sleeps, append([]int(nil), e.cur...))
-	e.choices = append(e.choices, pick)
+	e.pend = append(e.pend, pending...) //gsb:alloc-ok reused e.pend arena, reset to [:0] per run
+	if ops == nil {
+		for range pending {
+			e.ops = append(e.ops, "") //gsb:alloc-ok reused e.ops arena; unlabeled steps conflict with everything
+		}
+	} else {
+		e.ops = append(e.ops, ops...) //gsb:alloc-ok reused e.ops arena, reset to [:0] per run
+	}
+	e.at = append(e.at, len(e.pend))             //gsb:alloc-ok reused e.at arena, reset to [:0] per run
+	e.sleeps = append(e.sleeps, e.cur...)        //gsb:alloc-ok reused e.sleeps arena, reset to [:0] per run
+	e.sleepAt = append(e.sleepAt, len(e.sleeps)) //gsb:alloc-ok reused e.sleepAt arena, reset to [:0] per run
+	e.choices = append(e.choices, pick)          //gsb:alloc-ok reused e.choices, reset to [:0] per run
 
 	// Descend into the followed child: a process stays asleep only while
 	// it commutes with every step executed since it was put to sleep.
+	ops = e.ops[len(e.ops)-len(pending):]
 	pickOp := ops[indexSorted(pending, pick)]
-	kept := e.cur[:0] // sleeps holds its own copy; reuse the backing array
+	kept := e.cur[:0] // the sleeps arena holds the node's copy
 	for _, u := range e.cur {
 		if e.indep(u, ops[indexSorted(pending, u)], pick, pickOp) {
-			kept = append(kept, u)
+			kept = append(kept, u) //gsb:alloc-ok filters e.cur in place
 		}
 	}
 	e.cur = kept
@@ -156,18 +198,30 @@ func (e *porPolicy) decide(pending []int, ops []string, _ int) Decision {
 // allowed transition ordered before alt (they are explored in their own
 // subtrees first), filtered down to the transitions that commute with
 // alt — the ones whose pending step survives alt unchanged.
+//
+// The returned slice is reused by the next call; the items' choices and
+// sleep sets are carved from the policy's prefix slab and are immutable.
+//
+//gsb:hotpath
 func (e *porPolicy) branchItems() []frontierItem {
-	var out []frontierItem
-	for j := range e.pendings {
+	out := e.items[:0]
+	lo, slo := 0, 0
+	for j, hi := range e.at {
 		i := len(e.prefix) + j
-		pending, ops, sleep := e.pendings[j], e.opss[j], e.sleeps[j]
+		pending, ops := e.pend[lo:hi], e.ops[lo:hi]
+		sleep := e.sleeps[slo:e.sleepAt[j]]
+		lo, slo = hi, e.sleepAt[j]
 		chosen := e.choices[i]
 		for ai, alt := range pending {
 			if alt <= chosen || containsSorted(sleep, alt) {
 				continue
 			}
 			altOp := ops[ai]
-			var childSleep []int
+			e.slab.reserve(i + 1 + len(pending))
+			branch := e.slab.carve(i + 1)
+			copy(branch, e.choices[:i])
+			branch[i] = alt
+			childSleep := e.slab.open()
 			for ui, u := range pending {
 				if u == alt {
 					continue
@@ -176,22 +230,79 @@ func (e *porPolicy) branchItems() []frontierItem {
 					continue // explored after alt, not yet covered
 				}
 				if e.indep(u, ops[ui], alt, altOp) {
-					childSleep = append(childSleep, u)
+					childSleep = append(childSleep, u) //gsb:alloc-ok fills the reserved slab tail (reserve above)
 				}
 			}
-			branch := make([]int, i+1)
-			copy(branch, e.choices[:i])
-			branch[i] = alt
-			out = append(out, frontierItem{choices: branch, sleep: childSleep})
+			out = append(out, frontierItem{choices: branch, sleep: e.slab.seal(childSleep)}) //gsb:alloc-ok reused e.items, steady state after the widest run
 		}
 	}
+	e.items = out
 	return out
 }
 
 // runChoices implements explorerPolicy.
+//
+//gsb:hotpath
 func (e *porPolicy) runChoices() []int { return e.choices }
 
+// slabChunk is the size, in ints, of a prefix slab chunk. A chunk holds
+// the choices and sleep sets of many frontier items (prefixes are a few
+// dozen ints) and stays reachable while any of them is queued, so a
+// chunk's worth of memory is the most one long-lived item can pin.
+const slabChunk = 512
+
+// prefixSlab hands out the immutable int slices of frontier items —
+// branch prefixes and sleep sets — from append-only chunks, replacing one
+// allocation per slice with one per chunk. A carved slice is never
+// written again and is capped at its length, so an append by a later
+// holder copies instead of overwriting a neighbour. The slab keeps only
+// its current chunk; filled chunks live exactly as long as the items
+// carved from them.
+type prefixSlab struct {
+	chunk []int
+}
+
+// reserve makes room for n more ints in the current chunk, starting a
+// new chunk when they do not fit.
+//
+//gsb:hotpath
+func (s *prefixSlab) reserve(n int) {
+	if cap(s.chunk)-len(s.chunk) < n {
+		s.chunk = make([]int, 0, max(slabChunk, n)) //gsb:alloc-ok one chunk per slabChunk ints carved, amortized over the items it holds
+	}
+}
+
+// carve returns the next n ints of the slab (reserve them first).
+//
+//gsb:hotpath
+func (s *prefixSlab) carve(n int) []int {
+	s.reserve(n)
+	l := len(s.chunk)
+	s.chunk = s.chunk[:l+n]
+	return s.chunk[l : l+n : l+n]
+}
+
+// open returns an empty slice at the slab's tail for the caller to append
+// into — within capacity reserved beforehand — and hand to seal.
+func (s *prefixSlab) open() []int {
+	return s.chunk[len(s.chunk):len(s.chunk)]
+}
+
+// seal claims the ints appended to an open slice: the slab advances past
+// them, and the capped slice (nil when empty) is immutable from here on.
+//
+//gsb:hotpath
+func (s *prefixSlab) seal(v []int) []int {
+	if len(v) == 0 {
+		return nil
+	}
+	s.chunk = s.chunk[:len(s.chunk)+len(v)]
+	return v[:len(v):len(v)]
+}
+
 // containsSorted reports whether sorted slice s contains x.
+//
+//gsb:hotpath
 func containsSorted(s []int, x int) bool {
 	return indexSorted(s, x) >= 0
 }
@@ -199,6 +310,8 @@ func containsSorted(s []int, x int) bool {
 // indexSorted returns the index of x in sorted slice s, or -1. The
 // slices here are pending sets (a handful of process indexes), so a
 // linear scan beats binary search.
+//
+//gsb:hotpath
 func indexSorted(s []int, x int) int {
 	for i, v := range s {
 		if v == x {
@@ -213,22 +326,13 @@ func indexSorted(s []int, x int) int {
 
 // intersectSorted returns the elements of sorted a also in sorted b,
 // reusing a's backing array.
+//
+//gsb:hotpath
 func intersectSorted(a, b []int) []int {
 	out := a[:0]
 	for _, v := range a {
 		if containsSorted(b, v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// subtractSorted returns the elements of sorted a not in sorted b.
-func subtractSorted(a, b []int) []int {
-	out := make([]int, 0, len(a))
-	for _, v := range a {
-		if !containsSorted(b, v) {
-			out = append(out, v)
+			out = append(out, v) //gsb:alloc-ok filters a in place
 		}
 	}
 	return out

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"context"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -422,4 +424,55 @@ func TestExploreWorkersReuseDifferential(t *testing.T) {
 func ExploreAllWorkers(t *testing.T, n, workers int, build func() Body, check func(*Result) error) (int, error) {
 	t.Helper()
 	return Explore(nil, n, DefaultIDs(n), ExploreOptions{Workers: workers, MaxRuns: 1 << 20, MaxSteps: 1 << 16}, build, check)
+}
+
+// TestProcessSteadyStateAllocs pins the exploration worker's per-item
+// cost: once its runner, policy, hasher and frontier lane are warm,
+// processing a frontier item — replaying the prefix, recording every
+// decision, carving the branch items and queueing them — allocates
+// nothing of its own. The body's op closures are bound once, so the only
+// allocations left are the prefix slab's chunks, one per slabChunk ints
+// carved; AllocsPerRun reports the integer mean, which they keep at 0.
+func TestProcessSteadyStateAllocs(t *testing.T) {
+	const n = 3
+	shared, private := 0, make([]int, n)
+	privLabels := []string{"r0.write", "r1.write", "r2.write"}
+	readOp := func() any { return shared }
+	writeOp := func() any { shared ^= 1; return nil } // small ints box without allocating
+	privOps := make([]func() any, n)
+	for i := range privOps {
+		privOps[i] = func() any { private[i]++; return nil }
+	}
+	body := Body(func(p *Proc) {
+		p.Exec(privLabels[p.Index()], privOps[p.Index()])
+		p.Exec("X.read", readOp)
+		p.Exec("X.write", writeOp)
+		p.Decide(1)
+	})
+	build := func() Body { return body }
+	for _, red := range []Reduction{ReductionNone, ReductionSleepSets, ReductionSleepMemo} {
+		opts := ExploreOptions{Workers: 1, MaxRuns: math.MaxInt, Reduction: red}.withDefaults(n)
+		e := newExplorer(context.Background(), n, DefaultIDs(n), opts, build, nil, nil)
+		wk := e.newWorker(0)
+		lane := e.shards[0]
+		// The root run's first sibling: under sleep sets it sleeps on
+		// process 0, whose private write commutes with process 1's.
+		e.process(frontierItem{choices: []int{}}, wk)
+		item := lane.items[0]
+		if red != ReductionNone && len(item.sleep) == 0 {
+			t.Fatalf("%v: item %v has no sleep set; the test is vacuous", red, item.choices)
+		}
+		once := func() {
+			lane.items = lane.items[:0]
+			e.pending.Store(0)
+			if !e.process(item, wk) {
+				t.Fatalf("%v: item %v was pruned", red, item.choices)
+			}
+		}
+		once() // warm-up: buffers and the frontier lane reach steady size
+		if allocs := testing.AllocsPerRun(200, once); allocs != 0 {
+			t.Errorf("%v: processing a frontier item allocates %.0f times, want 0", red, allocs)
+		}
+		wk.runner.Close()
+	}
 }
