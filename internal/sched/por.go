@@ -100,12 +100,13 @@ type porPolicy struct {
 	cur     []int // current sleep set during the descent
 	started bool
 
-	slab  prefixSlab
-	items []frontierItem // branchItems' reused result
+	slab    prefixSlab
+	items   []frontierItem // branchItems' reused result
+	scratch []int          // a child's sleep set before it is carved
 }
 
 // reset re-arms the policy for a run scripted by prefix, whose node has
-// sleep set sleep0. Both are only read, never retained past the next
+// sleep set sleep0. Both are only read, and held only until the next
 // reset.
 //
 //gsb:hotpath
@@ -217,11 +218,7 @@ func (e *porPolicy) branchItems() []frontierItem {
 				continue
 			}
 			altOp := ops[ai]
-			e.slab.reserve(i + 1 + len(pending))
-			branch := e.slab.carve(i + 1)
-			copy(branch, e.choices[:i])
-			branch[i] = alt
-			childSleep := e.slab.open()
+			childSleep := e.scratch[:0]
 			for ui, u := range pending {
 				if u == alt {
 					continue
@@ -230,10 +227,18 @@ func (e *porPolicy) branchItems() []frontierItem {
 					continue // explored after alt, not yet covered
 				}
 				if e.indep(u, ops[ui], alt, altOp) {
-					childSleep = append(childSleep, u) //gsb:alloc-ok fills the reserved slab tail (reserve above)
+					childSleep = append(childSleep, u) //gsb:alloc-ok reused e.scratch, steady state after the widest pending set
 				}
 			}
-			out = append(out, frontierItem{choices: branch, sleep: e.slab.seal(childSleep)}) //gsb:alloc-ok reused e.items, steady state after the widest run
+			e.scratch = childSleep
+			item := frontierItem{choices: e.slab.carve(i + 1)}
+			copy(item.choices, e.choices[:i])
+			item.choices[i] = alt
+			if len(childSleep) > 0 {
+				item.sleep = e.slab.carve(len(childSleep))
+				copy(item.sleep, childSleep)
+			}
+			out = append(out, item) //gsb:alloc-ok reused e.items, steady state after the widest run
 		}
 	}
 	e.items = out
@@ -262,42 +267,17 @@ type prefixSlab struct {
 	chunk []int
 }
 
-// reserve makes room for n more ints in the current chunk, starting a
-// new chunk when they do not fit.
-//
-//gsb:hotpath
-func (s *prefixSlab) reserve(n int) {
-	if cap(s.chunk)-len(s.chunk) < n {
-		s.chunk = make([]int, 0, max(slabChunk, n)) //gsb:alloc-ok one chunk per slabChunk ints carved, amortized over the items it holds
-	}
-}
-
-// carve returns the next n ints of the slab (reserve them first).
+// carve returns the next n ints of the slab, starting a new chunk when
+// they do not fit in the current one.
 //
 //gsb:hotpath
 func (s *prefixSlab) carve(n int) []int {
-	s.reserve(n)
+	if cap(s.chunk)-len(s.chunk) < n {
+		s.chunk = make([]int, 0, max(slabChunk, n)) //gsb:alloc-ok one chunk per slabChunk ints carved, amortized over the items it holds
+	}
 	l := len(s.chunk)
 	s.chunk = s.chunk[:l+n]
 	return s.chunk[l : l+n : l+n]
-}
-
-// open returns an empty slice at the slab's tail for the caller to append
-// into — within capacity reserved beforehand — and hand to seal.
-func (s *prefixSlab) open() []int {
-	return s.chunk[len(s.chunk):len(s.chunk)]
-}
-
-// seal claims the ints appended to an open slice: the slab advances past
-// them, and the capped slice (nil when empty) is immutable from here on.
-//
-//gsb:hotpath
-func (s *prefixSlab) seal(v []int) []int {
-	if len(v) == 0 {
-		return nil
-	}
-	s.chunk = s.chunk[:len(s.chunk)+len(v)]
-	return v[:len(v):len(v)]
 }
 
 // containsSorted reports whether sorted slice s contains x.

@@ -39,6 +39,9 @@ func TestCanonicalTraceHashGolden(t *testing.T) {
 		// campaign-walk's instance: the sampler persists these as classes.
 		{"slot-renaming-6", 6, "", selected("slot-renaming", 6), [3]uint64{0xa577702347bc18b2, 0x744783b003480c2b, 0xe09b12e12ca92e3f}},
 	}
+	// One hasher across every schedule, as a worker reuses it: stale
+	// level buckets from a longer or wider schedule must not leak in.
+	var hasher sched.TraceHasher
 	for _, tc := range cases {
 		for i, want := range tc.want {
 			seed := int64(i + 1)
@@ -48,6 +51,12 @@ func TestCanonicalTraceHashGolden(t *testing.T) {
 			}
 			if got := sched.CanonicalTraceHash(res.Schedule, sched.OpIndependent); got != want {
 				t.Errorf("%s seed %d (%d steps): hash %#x, want %#x", tc.name, seed, len(res.Schedule), got, want)
+			}
+			if got := hasher.Hash(res.Schedule, sched.OpIndependent); got != want {
+				t.Errorf("%s seed %d: reused hasher gave %#x, want %#x", tc.name, seed, got, want)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { hasher.Hash(res.Schedule, sched.OpIndependent) }); allocs != 0 {
+				t.Errorf("%s seed %d: a warm hasher allocates %.0f times, want 0", tc.name, seed, allocs)
 			}
 		}
 	}
