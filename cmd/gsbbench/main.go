@@ -37,11 +37,14 @@
 // -baseline-profiles (default: the committed profiles/) and the current
 // -profiles directory, it prints the top -explain-top per-function
 // flat-time deltas between the two profiles, naming the suspect hot
-// path. `gsbbench -explain BASE.pprof,CUR.pprof` prints the same table
+// path. The table is `go tool pprof`'s (see pprofDiff), so explaining
+// needs the Go toolchain on PATH; gsbbench runs under `go run` anyway.
+// `gsbbench -explain BASE.pprof,CUR.pprof` prints the same table
 // standalone for any two profiles.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -49,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -551,6 +555,33 @@ func compareReports(cur, base Report, maxDrop, maxAllocsGrowth float64) (failure
 	return failures, notes, regressed
 }
 
+// pprofDiff returns `go tool pprof`'s table of the top per-function
+// flat-time shifts from the base CPU profile to the current one. The
+// current profile is first scaled to the base profile's total
+// (-normalize), so a row is a change in share, not in run length:
+// "300ns 30.00% ... hotStep" reads "hotStep's flat time grew by 30% of
+// the base total". Symbolization is off because the profiles already
+// carry function names.
+func pprofDiff(basePath, curPath string, top int) (string, error) {
+	// pprof fetches an argument that is not an existing file as a URL;
+	// a missing profile must fail here instead.
+	for _, path := range []string{basePath, curPath} {
+		if _, err := os.Stat(path); err != nil {
+			return "", err
+		}
+	}
+	out, err := exec.Command("go", "tool", "pprof", "-symbolize=none", "-top", "-normalize",
+		fmt.Sprintf("-nodecount=%d", top), "-diff_base", basePath, curPath).Output()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) && len(exit.Stderr) > 0 {
+		return "", fmt.Errorf("go tool pprof: %s", bytes.TrimSpace(exit.Stderr))
+	}
+	if err != nil {
+		return "", fmt.Errorf("go tool pprof: %w", err)
+	}
+	return string(out), nil
+}
+
 // explainRegressions prints a per-function flat-time delta table for
 // each performance regression whose baseline and current CPU profiles
 // both exist on disk — the part of the gate that names the suspect hot
@@ -564,13 +595,29 @@ func explainRegressions(w io.Writer, regressed [][2]Entry, baselineDir, curDir s
 			fmt.Fprintf(w, "gsbbench: %s: no profile pair to explain the regression with (run with -profiles against committed baselines)\n", key)
 			continue
 		}
-		table, err := repro.ExplainProfileDiff(filepath.Join(baselineDir, b.Profile), filepath.Join(curDir, c.Profile), top)
+		table, err := pprofDiff(filepath.Join(baselineDir, b.Profile), filepath.Join(curDir, c.Profile), top)
 		if err != nil {
 			fmt.Fprintf(w, "gsbbench: %s: cannot explain the regression: %v\n", key, err)
 			continue
 		}
 		fmt.Fprintf(w, "gsbbench: %s: top-%d flat-time shifts, baseline profile vs current:\n%s", key, top, table)
 	}
+}
+
+// explainPair is the standalone -explain mode: pair is
+// "BASE.pprof,CUR.pprof", and the pprofDiff table goes to w under a
+// heading naming both profiles.
+func explainPair(w io.Writer, pair string, top int) error {
+	basePath, curPath, ok := strings.Cut(pair, ",")
+	if !ok {
+		return fmt.Errorf("want BASE.pprof,CUR.pprof, got %q", pair)
+	}
+	table, err := pprofDiff(basePath, curPath, top)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "top-%d flat-time shifts, %s vs %s:\n%s", top, basePath, curPath, table)
+	return nil
 }
 
 // readBaseline loads a -compare baseline report, refusing one written
@@ -616,21 +663,10 @@ func main() {
 	flag.Parse()
 
 	if *explain != "" {
-		basePath, curPath, ok := strings.Cut(*explain, ",")
-		if !ok {
-			fmt.Fprintf(os.Stderr, "gsbbench: -explain wants BASE.pprof,CUR.pprof, got %q\n", *explain)
-			os.Exit(1)
-		}
-		table, err := repro.ExplainProfileDiff(basePath, curPath, *explainTop)
-		if err != nil {
+		if err := explainPair(os.Stdout, *explain, *explainTop); err != nil {
 			fmt.Fprintf(os.Stderr, "gsbbench: -explain: %v\n", err)
 			os.Exit(1)
 		}
-		if table == "" {
-			fmt.Println("no per-function flat-time shifts between the two profiles")
-			return
-		}
-		fmt.Printf("top-%d flat-time shifts, %s vs %s:\n%s", *explainTop, basePath, curPath, table)
 		return
 	}
 

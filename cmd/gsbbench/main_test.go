@@ -2,7 +2,9 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -88,6 +90,110 @@ func TestCompareReportsPairsRegressions(t *testing.T) {
 	}
 }
 
+// The committed fixture pair is a tiny synthetic CPU profile and the
+// same profile with hotStep inflated (`go tool pprof -top` shows each):
+// per 1000ns of cpu time, base spends hotStep 400, decideSlot 300,
+// TaskBox.Read 200 and frontier.pop 100; regressed spends 700, 100, 125
+// and 75. The diff carries both signs.
+const (
+	baseFixture      = "testdata/base.pprof"
+	regressedFixture = "testdata/regressed.pprof"
+)
+
+// Rows of the fixture diff in pprof's -top format: flat delta, its
+// share of the base total, then the function.
+var (
+	hotStepRow    = regexp.MustCompile(`^ +300ns +30\.00% .*hotStep$`)
+	decideSlotRow = regexp.MustCompile(`^ +-200ns +20\.00% .*decideSlot$`)
+)
+
+// tableRows returns the function rows of a pprof -top table: the lines
+// after its column header.
+func tableRows(t *testing.T, table string) []string {
+	t.Helper()
+	lines := strings.Split(strings.TrimRight(table, "\n"), "\n")
+	for i, line := range lines {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "flat" {
+			return lines[i+1:]
+		}
+	}
+	t.Fatalf("no column header in:\n%s", table)
+	return nil
+}
+
+// TestPprofDiffGolden pins the explanation of the fixture pair: hotStep
+// ranks first at +30 points of share, decideSlot follows at -20, and
+// -explain-top truncates to the largest shifts.
+func TestPprofDiffGolden(t *testing.T) {
+	table, err := pprofDiff(baseFixture, regressedFixture, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tableRows(t, table)
+	if len(rows) != 4 || !hotStepRow.MatchString(rows[0]) || !decideSlotRow.MatchString(rows[1]) {
+		t.Errorf("want hotStep +300ns/30.00%% then decideSlot -200ns/20.00%% of 4 rows:\n%s", table)
+	}
+	top1, err := pprofDiff(baseFixture, regressedFixture, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := tableRows(t, top1); len(rows) != 1 || !hotStepRow.MatchString(rows[0]) {
+		t.Errorf("top-1 explanation wrong:\n%s", top1)
+	}
+}
+
+// TestPprofDiffIdentical: a profile diffed against itself lists no
+// function.
+func TestPprofDiffIdentical(t *testing.T) {
+	table, err := pprofDiff(baseFixture, baseFixture, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := tableRows(t, table); len(rows) != 0 {
+		t.Errorf("self-diff lists %d functions:\n%s", len(rows), table)
+	}
+}
+
+// TestCommittedProfilesRead: every profile the committed baseline report
+// names exists under profiles/ and pprof reads it, so a failed -compare
+// gate can always explain against it.
+func TestCommittedProfilesRead(t *testing.T) {
+	base, err := readBaseline("../../BENCH_sched.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range base.Entries {
+		if e.Profile == "" {
+			t.Errorf("%s: baseline entry names no profile", entryKey(e))
+			continue
+		}
+		path := filepath.Join("../../profiles", e.Profile)
+		if out, err := exec.Command("go", "tool", "pprof", "-symbolize=none", "-top", path).CombinedOutput(); err != nil {
+			t.Errorf("%s: %v\n%s", path, err, out)
+		}
+	}
+}
+
+// TestExplainRejectsBadInput: -explain fails on a file that is not a
+// profile, on a missing file and on a malformed pair.
+func TestExplainRejectsBadInput(t *testing.T) {
+	garbage := filepath.Join(t.TempDir(), "garbage.pprof")
+	if err := os.WriteFile(garbage, []byte{0xff, 0xff, 0xff}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range []string{
+		garbage + "," + regressedFixture,
+		baseFixture + "," + garbage,
+		baseFixture + ",testdata/missing.pprof",
+		baseFixture,
+	} {
+		var buf strings.Builder
+		if err := explainPair(&buf, pair, 10); err == nil {
+			t.Errorf("-explain %s: no error, printed:\n%s", pair, buf.String())
+		}
+	}
+}
+
 // TestExplainRegressions exercises the profile-diff explanation against
 // the committed induced-regression fixture pair, plus the degraded
 // no-profile path.
@@ -97,16 +203,13 @@ func TestExplainRegressions(t *testing.T) {
 	c.RunsPerSec = 500
 	b.Profile, c.Profile = "base.pprof", "regressed.pprof"
 	var buf strings.Builder
-	explainRegressions(&buf, [][2]Entry{{b, c}}, "../../internal/profdiff/testdata", "../../internal/profdiff/testdata", 10)
+	explainRegressions(&buf, [][2]Entry{{b, c}}, "testdata", "testdata", 10)
 	out := buf.String()
-	for _, want := range []string{
-		"box-6-3||sleep-sets|0: top-10 flat-time shifts",
-		"repro/internal/sched.(*runner).hotStep",
-		"+30.00%",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("explanation missing %q:\n%s", want, out)
-		}
+	if !strings.Contains(out, "box-6-3||sleep-sets|0: top-10 flat-time shifts") {
+		t.Errorf("explanation heading missing:\n%s", out)
+	}
+	if rows := tableRows(t, out); len(rows) == 0 || !hotStepRow.MatchString(rows[0]) {
+		t.Errorf("explanation does not lead with hotStep's +300ns/30.00%% row:\n%s", out)
 	}
 
 	buf.Reset()
@@ -118,7 +221,7 @@ func TestExplainRegressions(t *testing.T) {
 
 	buf.Reset()
 	c.Profile = "nonexistent.pprof"
-	explainRegressions(&buf, [][2]Entry{{b, c}}, "../../internal/profdiff/testdata", "../../internal/profdiff/testdata", 10)
+	explainRegressions(&buf, [][2]Entry{{b, c}}, "testdata", "testdata", 10)
 	if !strings.Contains(buf.String(), "cannot explain") {
 		t.Errorf("unreadable-profile note absent:\n%s", buf.String())
 	}

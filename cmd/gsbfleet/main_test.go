@@ -92,10 +92,11 @@ func TestGsbfleetInvalidUsage(t *testing.T) {
 }
 
 // daemon is a coordinator or worker subprocess whose stderr is captured
-// while it runs.
+// while it runs. drained closes once the capture has read stderr to EOF.
 type daemon struct {
-	cmd    *exec.Cmd
-	stderr *lockedBuffer
+	cmd     *exec.Cmd
+	stderr  *lockedBuffer
+	drained chan struct{}
 }
 
 type lockedBuffer struct {
@@ -122,7 +123,7 @@ func startDaemon(t *testing.T, announce string, args ...string) (*daemon, string
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{cmd: cmd, stderr: &lockedBuffer{}}
+	d := &daemon{cmd: cmd, stderr: &lockedBuffer{}, drained: make(chan struct{})}
 	t.Cleanup(func() {
 		cmd.Process.Kill()
 		cmd.Wait()
@@ -130,6 +131,7 @@ func startDaemon(t *testing.T, announce string, args ...string) (*daemon, string
 	re := regexp.MustCompile(announce)
 	found := make(chan string, 1)
 	go func() {
+		defer close(d.drained)
 		sc := bufio.NewScanner(pipe)
 		for sc.Scan() {
 			line := sc.Text()
@@ -159,6 +161,9 @@ func (d *daemon) sigterm(t *testing.T, label string) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("%s: signal: %v", label, err)
 	}
+	// Wait closes the stderr pipe, so read it to EOF first: the daemon's
+	// last lines would otherwise be lost.
+	<-d.drained
 	err := d.cmd.Wait()
 	var ee *exec.ExitError
 	if err != nil && (!errors.As(err, &ee) || ee.ExitCode() != 0) {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/msgnet"
 	"repro/internal/nocomm"
-	"repro/internal/profdiff"
 	"repro/internal/sample"
 	"repro/internal/sched"
 	"repro/internal/solvability"
@@ -286,12 +285,6 @@ const (
 	FleetSchema       = fleet.Schema
 	FleetStatusSchema = fleet.FleetStatusSchema
 )
-
-// ExplainProfileDiff explains a regression (internal/profdiff): it reads
-// two pprof CPU profiles with a minimal stdlib-only profile.proto reader
-// and renders the top-n per-function flat-time shifts as the aligned
-// table gsbbench prints under a failed -compare gate.
-var ExplainProfileDiff = profdiff.Explain
 
 // Shared-memory objects (internal/mem).
 var (

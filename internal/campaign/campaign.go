@@ -362,17 +362,17 @@ func run(ctx context.Context, cfg *Config, p payload) (Report, error) {
 		switch {
 		case p.Explore != nil:
 			r := &sched.ResumableExplorer{N: n, IDs: cfg.IDs, Opts: cfg.Opts, Build: cfg.body(), Check: cfg.check()}
-			st, done, err := r.Slice(ctx, p.Explore, cfg.CheckpointEvery, nil)
+			st, done, err := r.Slice(ctx, p.Explore, cfg.CheckpointEvery)
 			return payload{Explore: st}, done, err
 		case p.Sample != nil:
 			r := &sample.ResumableBatch{N: n, IDs: cfg.IDs, Opts: cfg.Opts, Build: cfg.body(), Check: cfg.check()}
-			st, done, err := r.Slice(ctx, p.Sample, cfg.CheckpointEvery, nil)
+			st, done, err := r.Slice(ctx, p.Sample, cfg.CheckpointEvery)
 			return payload{Sample: st}, done, err
 		default:
 			st, done, err := sched.SeededSlice(ctx, n, cfg.IDs, cfg.Opts, cfg.Opts.CrashRuns,
 				sched.CrashSweepPolicies(n, cfg.Opts), cfg.body(),
 				sched.CrashSweepCheck(n, cfg.Opts, cfg.check()),
-				p.Crash, cfg.CheckpointEvery, nil)
+				p.Crash, cfg.CheckpointEvery)
 			return payload{Crash: st}, done, err
 		}
 	}

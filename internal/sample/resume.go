@@ -136,7 +136,7 @@ func (r *ResumableBatch) policyFor(st *BatchState) (func(int) sched.Policy, erro
 // semantics are those of sched.SeededSlice: runs already claimed finish,
 // and the returned state is an exact resume point. The input state's
 // coverage map is reused (not copied) by the returned state.
-func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns int, pause func() bool) (*BatchState, bool, error) {
+func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns int) (*BatchState, bool, error) {
 	if err := r.validate(); err != nil {
 		return state, false, err
 	}
@@ -201,7 +201,7 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 	}
 
 	pool, done, err := sched.SeededSlice(ctx, r.N, r.IDs, r.Opts, r.Opts.SampleRuns,
-		policyFor, r.Build, visit, &state.Pool, sliceRuns, pause)
+		policyFor, r.Build, visit, &state.Pool, sliceRuns)
 	if err != nil {
 		return state, false, err
 	}

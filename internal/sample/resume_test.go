@@ -103,7 +103,7 @@ func TestBatchSliceResumeMatchesExplore(t *testing.T) {
 					t.Fatalf("%s %v workers=%d: init: %v", tc.name, mode, workers, err)
 				}
 				for {
-					next, done, serr := r.Slice(context.Background(), st, 17, nil)
+					next, done, serr := r.Slice(context.Background(), st, 17)
 					if serr != nil {
 						t.Fatalf("%s %v workers=%d: slice: %v", tc.name, mode, workers, serr)
 					}
@@ -149,7 +149,7 @@ func TestBatchShardMergeMatchesExplore(t *testing.T) {
 						t.Fatalf("init shard %d: %v", shard, err)
 					}
 					for {
-						next, done, serr := r.Slice(context.Background(), st, 13, nil)
+						next, done, serr := r.Slice(context.Background(), st, 13)
 						if serr != nil {
 							t.Fatalf("shard %d: %v", shard, serr)
 						}
@@ -183,7 +183,7 @@ func TestBatchFinalizeRejectsIncompleteShardSets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, _, err = r.Slice(context.Background(), st, 0, nil)
+		st, _, err = r.Slice(context.Background(), st, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

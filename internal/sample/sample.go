@@ -104,7 +104,7 @@ func Explore(ctx context.Context, n int, ids []int, opts sched.ExploreOptions, b
 	r := &ResumableBatch{N: n, IDs: ids, Opts: opts, Build: build, Check: check}
 	st, err := r.Init(0, 1)
 	if err == nil {
-		st, _, err = r.Slice(ctx, st, 0, nil)
+		st, _, err = r.Slice(ctx, st, 0)
 	}
 	if err != nil {
 		return Report{Mode: opts.SampleMode, FailedRun: -1}, err

@@ -125,16 +125,15 @@ func (r *ResumableExplorer) validate() (ExploreOptions, error) {
 // whether discovery is complete. A nil state means RootExploreState().
 //
 // Slice returns early — with the state of the work done so far, complete
-// and resumable — when pause returns true or ctx is canceled: frontier
-// items already popped by a worker are processed to completion (their
-// results counted, their branches pushed), un-popped items are collected
-// back into the state, so nothing is lost or double-counted. A slice of
-// sliceRuns runs claims exactly that many run-budget slots unless
-// discovery drains first. The only error conditions are invalid options
+// and resumable — when ctx is canceled: frontier items already popped by
+// a worker are processed to completion (their results counted, their
+// branches pushed), un-popped items are collected back into the state,
+// so nothing is lost or double-counted. A slice of sliceRuns runs claims
+// exactly that many run-budget slots unless discovery drains first. The only error conditions are invalid options
 // and an exhausted MaxRuns budget. The budget is terminal rather than
 // resumable: the error comes with the collected state, whose Claimed then
 // exceeds MaxRuns, and Finalize settles it into the budget verdict.
-func (r *ResumableExplorer) Slice(ctx context.Context, state *ExploreState, sliceRuns int, pause func() bool) (*ExploreState, bool, error) {
+func (r *ResumableExplorer) Slice(ctx context.Context, state *ExploreState, sliceRuns int) (*ExploreState, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -170,7 +169,6 @@ func (r *ResumableExplorer) Slice(ctx context.Context, state *ExploreState, slic
 		})
 	}
 	e.sliceRuns = int64(sliceRuns)
-	e.pause = pause
 	e.runWorkers()
 
 	next := e.collectState()
@@ -341,7 +339,7 @@ func (r *ResumableExplorer) SeedShards(ctx context.Context, m int) ([]*ExploreSt
 	seed := *r
 	seed.Opts.Workers = 1 // single-threaded: the expansion order is the DFS order
 	seedRuns := 16 * m
-	st, _, err := seed.Slice(ctx, nil, seedRuns, nil)
+	st, _, err := seed.Slice(ctx, nil, seedRuns)
 	if err != nil {
 		return nil, fmt.Errorf("sched: shard seeding: %w", err)
 	}

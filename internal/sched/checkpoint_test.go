@@ -16,7 +16,7 @@ func sliceToCompletion(t *testing.T, r *ResumableExplorer, state *ExploreState, 
 		if slices > 1<<20 {
 			t.Fatal("sliced exploration failed to make progress")
 		}
-		next, done, err := r.Slice(context.Background(), state, sliceRuns, nil)
+		next, done, err := r.Slice(context.Background(), state, sliceRuns)
 		if err != nil {
 			t.Fatalf("slice %d: %v", slices, err)
 		}
@@ -128,9 +128,9 @@ func TestSeedShardsMergeMatchesExplore(t *testing.T) {
 	}
 }
 
-// TestExploreSlicePause asserts a pause returns a resumable mid-flight
-// state: pausing immediately leaves work pending, and resuming completes
-// to the one-shot outcome.
+// TestExploreSlicePause asserts a pause (a canceled context) returns a
+// resumable state: pausing at the start leaves work pending, and resuming
+// completes to the one-shot outcome.
 func TestExploreSlicePause(t *testing.T) {
 	const n = 3
 	build, check := stepsBody2(n, 2), func(*Result) error { return nil }
@@ -138,9 +138,11 @@ func TestExploreSlicePause(t *testing.T) {
 	want, _ := Explore(context.Background(), n, DefaultIDs(n), opts, build, check)
 
 	r := &ResumableExplorer{N: n, IDs: DefaultIDs(n), Opts: opts, Build: build, Check: check}
-	// A pause that fires after the first few claims: the slice must stop
+	// A context canceled before the slice starts: the slice must stop
 	// early with a non-empty frontier (the tree has 1680 schedules).
-	st, done, err := r.Slice(context.Background(), nil, 0, func() bool { return true })
+	paused, cancel := context.WithCancel(context.Background())
+	cancel()
+	st, done, err := r.Slice(paused, nil, 0)
 	if err != nil {
 		t.Fatalf("paused slice: %v", err)
 	}
@@ -180,7 +182,7 @@ func TestSeededSliceResumeMatchesExploreSeeded(t *testing.T) {
 		// Sliced single shard with JSON round-trips between slices.
 		var st *SeededState
 		for {
-			next, done, err := SeededSlice(context.Background(), n, DefaultIDs(n), opts, total, policyFor, build, visit, st, 13, nil)
+			next, done, err := SeededSlice(context.Background(), n, DefaultIDs(n), opts, total, policyFor, build, visit, st, 13)
 			if err != nil {
 				t.Fatalf("workers=%d: slice: %v", workers, err)
 			}
@@ -204,7 +206,7 @@ func TestSeededSliceResumeMatchesExploreSeeded(t *testing.T) {
 		for shard := range shards {
 			st := &SeededState{Shard: shard, Of: 3}
 			for {
-				next, done, err := SeededSlice(context.Background(), n, DefaultIDs(n), opts, total, policyFor, build, visit, st, 9, nil)
+				next, done, err := SeededSlice(context.Background(), n, DefaultIDs(n), opts, total, policyFor, build, visit, st, 9)
 				if err != nil {
 					t.Fatalf("workers=%d shard=%d: %v", workers, shard, err)
 				}
@@ -280,7 +282,7 @@ func TestExploreSliceRandomKill(t *testing.T) {
 		r := &ResumableExplorer{N: n, IDs: DefaultIDs(n), Opts: opts, Build: build, Check: check}
 		var state *ExploreState
 		for {
-			next, done, err := r.Slice(context.Background(), state, 1+rng.Intn(9), nil)
+			next, done, err := r.Slice(context.Background(), state, 1+rng.Intn(9))
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}

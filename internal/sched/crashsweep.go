@@ -29,7 +29,7 @@ func ExploreCrashes(ctx context.Context, n int, ids []int, opts ExploreOptions, 
 		return 0, fmt.Errorf("sched: crash sweep needs CrashRuns > 0 (got %d)", opts.CrashRuns)
 	}
 	st, _, err := SeededSlice(ctx, n, ids, opts, opts.CrashRuns,
-		CrashSweepPolicies(n, opts), build, CrashSweepCheck(n, opts, check), nil, 0, nil)
+		CrashSweepPolicies(n, opts), build, CrashSweepCheck(n, opts, check), nil, 0)
 	if err != nil {
 		return 0, err
 	}

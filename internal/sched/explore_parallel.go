@@ -236,7 +236,7 @@ func Explore(ctx context.Context, n int, ids []int, opts ExploreOptions, build f
 		return ExploreCrashes(ctx, n, ids, opts, build, check)
 	}
 	r := &ResumableExplorer{N: n, IDs: ids, Opts: opts, Build: build, Check: check}
-	st, _, err := r.Slice(ctx, nil, 0, nil)
+	st, _, err := r.Slice(ctx, nil, 0)
 	if err != nil && !errors.Is(err, ErrExplorationBudget) {
 		return 0, err
 	}
@@ -327,13 +327,12 @@ type explorer struct {
 
 	// Checkpoint pause points (checkpoint.go). Workers stop claiming new
 	// frontier items — leaving the remaining frontier collectable — when
-	// pause returns true or the slice's sliceRuns run slots are taken;
+	// ctx is canceled or the slice's sliceRuns run slots are taken;
 	// items already popped are always processed to completion, so a
 	// paused frontier plus the counters is an exact resume point. A worker
 	// takes a slot (tickets) before it pops and returns it when the pop
 	// yields no run, so a slice claims exactly sliceRuns runs unless the
 	// tree drains first. 0 means no slice bound.
-	pause     func() bool
 	sliceRuns int64
 	tickets   atomic.Int64
 
@@ -422,7 +421,7 @@ func (e *explorer) worker(w int) {
 		// A pause point fired: return without popping further frontier
 		// items (but after finishing the item in hand), so the frontier
 		// left behind is a complete description of the remaining work.
-		if e.ctx.Err() != nil || (e.pause != nil && e.pause()) {
+		if e.ctx.Err() != nil {
 			return
 		}
 		if e.sliceRuns > 0 && !e.takeTicket() {

@@ -67,7 +67,7 @@ func TestSeededSliceStats(t *testing.T) {
 	var state *SeededState
 	for {
 		next, done, err := SeededSlice(context.Background(), 3, DefaultIDs(3), opts, 50,
-			policy, build, visit, state, 20, nil)
+			policy, build, visit, state, 20)
 		if err != nil {
 			t.Fatal(err)
 		}

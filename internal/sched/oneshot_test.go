@@ -170,7 +170,7 @@ func TestExploreSliceClaimsExactly(t *testing.T) {
 	}
 	var state *ExploreState
 	for slice := 0; ; slice++ {
-		next, done, err := r.Slice(context.Background(), state, k, nil)
+		next, done, err := r.Slice(context.Background(), state, k)
 		if err != nil {
 			t.Fatalf("slice %d: %v", slice, err)
 		}

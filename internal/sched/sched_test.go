@@ -299,14 +299,37 @@ func constBody(p *Proc) {
 	p.Decide(1)
 }
 
+// stateless adapts a body that keeps no state across runs to the
+// checkers' build function.
+func stateless(b Body) func() Body { return func() Body { return b } }
+
+// firstArrival builds a protocol instance with its own shared flag: the
+// first process to step decides 1, the rest 2. It is index-independent
+// and comparison-based, but only when every run gets a fresh instance.
+func firstArrival() Body {
+	taken := false
+	return func(p *Proc) {
+		first := p.Exec("flag", func() any {
+			was := taken
+			taken = true
+			return !was
+		}).(bool)
+		if first {
+			p.Decide(1)
+		} else {
+			p.Decide(2)
+		}
+	}
+}
+
 func TestCheckIndexIndependence(t *testing.T) {
-	if err := CheckIndexIndependence(3, []int{4, 1, 7}, NewRoundRobin(), constBody, nil); err != nil {
+	if err := CheckIndexIndependence(3, []int{4, 1, 7}, NewRoundRobin(), stateless(constBody), nil); err != nil {
 		t.Errorf("constBody flagged index-dependent: %v", err)
 	}
-	if err := CheckIndexIndependence(3, []int{4, 1, 7}, NewRoundRobin(), idParityBody, nil); err != nil {
+	if err := CheckIndexIndependence(3, []int{4, 1, 7}, NewRoundRobin(), stateless(idParityBody), nil); err != nil {
 		t.Errorf("idParityBody flagged index-dependent: %v", err)
 	}
-	if err := CheckIndexIndependence(3, []int{4, 1, 7}, NewRoundRobin(), indexBody, nil); err == nil {
+	if err := CheckIndexIndependence(3, []int{4, 1, 7}, NewRoundRobin(), stateless(indexBody), nil); err == nil {
 		t.Error("indexBody not flagged index-dependent")
 	}
 }
@@ -314,17 +337,31 @@ func TestCheckIndexIndependence(t *testing.T) {
 func TestCheckComparisonBased(t *testing.T) {
 	ids := []int{4, 1, 7}
 	alts := [][]int{OrderIsomorphicIDs(ids, 100), OrderIsomorphicIDs(ids, 7)}
-	if err := CheckComparisonBased(3, ids, NewRoundRobin(), constBody, alts); err != nil {
+	if err := CheckComparisonBased(3, ids, NewRoundRobin(), stateless(constBody), alts); err != nil {
 		t.Errorf("constBody flagged non-comparison-based: %v", err)
 	}
-	if err := CheckComparisonBased(3, ids, NewRoundRobin(), idParityBody, alts); err == nil {
+	if err := CheckComparisonBased(3, ids, NewRoundRobin(), stateless(idParityBody), alts); err == nil {
 		t.Error("idParityBody not flagged non-comparison-based")
+	}
+}
+
+// TestCheckersBuildFreshInstances: both checkers give every run its own
+// protocol instance, so a protocol with per-instance shared memory
+// passes; replaying one instance would find its flag already taken.
+func TestCheckersBuildFreshInstances(t *testing.T) {
+	ids := []int{4, 1, 7}
+	if err := CheckIndexIndependence(3, ids, NewRandom(3), firstArrival, nil); err != nil {
+		t.Errorf("index independence: %v", err)
+	}
+	alts := [][]int{OrderIsomorphicIDs(ids, 100)}
+	if err := CheckComparisonBased(3, ids, NewRandom(3), firstArrival, alts); err != nil {
+		t.Errorf("comparison-based: %v", err)
 	}
 }
 
 func TestCheckComparisonBasedRejectsBadAlt(t *testing.T) {
 	ids := []int{4, 1, 7}
-	err := CheckComparisonBased(3, ids, NewRoundRobin(), constBody, [][]int{{1, 2, 3}})
+	err := CheckComparisonBased(3, ids, NewRoundRobin(), stateless(constBody), [][]int{{1, 2, 3}})
 	if err == nil || !strings.Contains(err.Error(), "order-isomorphic") {
 		t.Fatalf("err = %v, want order-isomorphism complaint", err)
 	}

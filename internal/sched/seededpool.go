@@ -158,14 +158,14 @@ func (s *SeededState) SeededDone(total int) bool {
 // claimed in order and later runs cannot precede an already-recorded
 // smaller failure.
 //
-// Like ResumableExplorer.Slice, a pause (pause() true or ctx canceled)
-// returns early with an exact resume point: runs already claimed finish,
-// no new ones start. The returned error reports only invalid arguments;
+// Like ResumableExplorer.Slice, a pause (ctx canceled) returns early
+// with an exact resume point: runs already claimed finish, no new ones
+// start. The returned error reports only invalid arguments;
 // per-run failures live in the state's Failure field, which settles the
 // batch (SeededDone) without being an error of the pool itself.
 func SeededSlice(ctx context.Context, n int, ids []int, opts ExploreOptions, total int,
 	policyFor func(run int) Policy, build func() Body, visit func(run int, res *Result, err error) error,
-	state *SeededState, sliceRuns int, pause func() bool) (*SeededState, bool, error) {
+	state *SeededState, sliceRuns int) (*SeededState, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -231,9 +231,6 @@ func SeededSlice(ctx context.Context, n int, ids []int, opts ExploreOptions, tot
 				if ctx.Err() != nil {
 					return
 				}
-				if pause != nil && pause() {
-					return
-				}
 				k := next.Add(1) - 1
 				if k >= sliceEnd {
 					return
@@ -267,7 +264,7 @@ func SeededSlice(ctx context.Context, n int, ids []int, opts ExploreOptions, tot
 	// The executed local indices are contiguous from state.Next: a worker
 	// that claims an index always runs it unless a stop condition that is
 	// a pure function of the index fired (end of batch, slice bound, an
-	// earlier failure) — ctx/pause are checked before claiming, never
+	// earlier failure) — ctx is checked before claiming, never
 	// after. The watermark therefore never overshoots an unexecuted run.
 	claimed := next.Load()
 	if claimed > sliceEnd {

@@ -52,7 +52,7 @@ func scheduleKey(schedule []Step) string {
 // settles it: the path ExploreCrashes and the samplers take.
 func seededOneShot(n int, opts ExploreOptions, total int, policyFor func(int) Policy,
 	build func() Body, visit func(int, *Result, error) error) (int, error) {
-	st, _, err := SeededSlice(context.Background(), n, DefaultIDs(n), opts, total, policyFor, build, visit, nil, 0, nil)
+	st, _, err := SeededSlice(context.Background(), n, DefaultIDs(n), opts, total, policyFor, build, visit, nil, 0)
 	if err != nil {
 		return 0, err
 	}

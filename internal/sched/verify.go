@@ -9,16 +9,19 @@ import (
 // index-independence and comparison-basedness. Both are semantic
 // properties of an algorithm; we verify them on concrete runs by replaying
 // transformed schedules and comparing outputs, which catches protocols
-// that misuse indexes or identity arithmetic.
+// that misuse indexes or identity arithmetic. Like Explore, each check
+// takes a build function and runs a fresh protocol instance per run, so
+// protocols that allocate their shared memory per instance replay from a
+// clean state.
 
-// CheckIndexIndependence runs body once under policy, then replays the run
-// under every index permutation pi (inputs and schedule permuted as in the
-// paper's definition) and verifies that output_{pi(i)} in the permuted run
-// equals output_i in the original. perms is a list of permutations of
+// CheckIndexIndependence runs build() once under policy, then replays the
+// run under every index permutation pi (inputs and schedule permuted as in
+// the paper's definition) and verifies that output_{pi(i)} in the permuted
+// run equals output_i in the original. perms is a list of permutations of
 // [0..n-1]; pass nil to check a default set (identity, reversal, rotation).
-func CheckIndexIndependence(n int, ids []int, policy Policy, body Body, perms [][]int) error {
+func CheckIndexIndependence(n int, ids []int, policy Policy, build func() Body, perms [][]int) error {
 	base := NewRunner(n, ids, policy)
-	res, err := base.Run(body)
+	res, err := base.Run(build())
 	if err != nil {
 		return fmt.Errorf("base run failed: %w", err)
 	}
@@ -26,23 +29,22 @@ func CheckIndexIndependence(n int, ids []int, policy Policy, body Body, perms []
 		perms = defaultPerms(n)
 	}
 	for _, perm := range perms {
-		if err := checkPerm(n, ids, body, res, perm); err != nil {
+		if err := checkPerm(n, ids, build, res, perm); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func checkPerm(n int, ids []int, body Body, res *Result, perm []int) error {
+func checkPerm(n int, ids []int, build func() Body, res *Result, perm []int) error {
 	// Permuted run: the process at index perm[i] receives input ids[i] and
 	// steps whenever index i stepped in the base run.
 	permIDs := make([]int, n)
 	for i := 0; i < n; i++ {
 		permIDs[perm[i]] = ids[i]
 	}
-	script := NewScript(decisionsFromSchedule(PermutedSchedule(res.Schedule, perm)))
-	runner := NewRunner(n, permIDs, script)
-	permRes, err := runner.Run(body)
+	runner := NewRunner(n, permIDs, ScriptFromSchedule(PermutedSchedule(res.Schedule, perm)))
+	permRes, err := runner.Run(build())
 	if err != nil {
 		return fmt.Errorf("permuted run failed: %w", err)
 	}
@@ -57,13 +59,13 @@ func checkPerm(n int, ids []int, body Body, res *Result, perm []int) error {
 	return nil
 }
 
-// CheckComparisonBased runs body once under policy with identities ids,
-// then re-runs the same schedule with every provided order-isomorphic
+// CheckComparisonBased runs build() once under policy with identities
+// ids, then re-runs the same schedule with every provided order-isomorphic
 // identity assignment (same relative order, different values) and verifies
 // each process decides the same value at the same schedule position.
-func CheckComparisonBased(n int, ids []int, policy Policy, body Body, altIDs [][]int) error {
+func CheckComparisonBased(n int, ids []int, policy Policy, build func() Body, altIDs [][]int) error {
 	base := NewRunner(n, ids, policy)
-	res, err := base.Run(body)
+	res, err := base.Run(build())
 	if err != nil {
 		return fmt.Errorf("base run failed: %w", err)
 	}
@@ -74,9 +76,8 @@ func CheckComparisonBased(n int, ids []int, policy Policy, body Body, altIDs [][
 		if !orderIsomorphic(ids, alt) {
 			return fmt.Errorf("identity vectors %v and %v are not order-isomorphic", ids, alt)
 		}
-		script := NewScript(decisionsFromSchedule(res.Schedule))
-		runner := NewRunner(n, alt, script)
-		altRes, err := runner.Run(body)
+		runner := NewRunner(n, alt, ScriptFromSchedule(res.Schedule))
+		altRes, err := runner.Run(build())
 		if err != nil {
 			return fmt.Errorf("replay with ids %v failed: %w", alt, err)
 		}
@@ -104,14 +105,6 @@ func orderIsomorphic(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-func decisionsFromSchedule(schedule []Step) []Decision {
-	out := make([]Decision, 0, len(schedule))
-	for _, s := range schedule {
-		out = append(out, Decision{Proc: s.Proc, Crash: s.Crash})
-	}
-	return out
 }
 
 func defaultPerms(n int) [][]int {

@@ -67,25 +67,12 @@ func TestIDReducerPreservesComparisonOrder(t *testing.T) {
 	// order-isomorphic identities yields identical outputs.
 	n := 4
 	ids := []int{40, 11, 93, 27}
-	base, err := Run(n, ids, sched.NewRandom(9), func(n int) Solver {
+	build := func() sched.Body {
 		inner := NewSlotRenaming("F2", n, mem.SlotBox("KS", n, n-1, 9))
-		return NewIDReducer("T2", n, inner)
-	})
-	if err != nil {
-		t.Fatalf("base run: %v", err)
+		return Body(NewIDReducer("T2", n, inner))
 	}
-	alt := sched.OrderIsomorphicIDs(ids, 1000)
-	replay, err := Run(n, alt, sched.ScriptFromSchedule(base.Schedule), func(n int) Solver {
-		inner := NewSlotRenaming("F2", n, mem.SlotBox("KS", n, n-1, 9))
-		return NewIDReducer("T2", n, inner)
-	})
-	if err != nil {
-		t.Fatalf("replay run: %v", err)
-	}
-	for i := range base.Outputs {
-		if base.Outputs[i] != replay.Outputs[i] {
-			t.Fatalf("outputs differ under order-isomorphic ids: %v vs %v",
-				base.Outputs, replay.Outputs)
-		}
+	alts := [][]int{sched.OrderIsomorphicIDs(ids, 1000)}
+	if err := sched.CheckComparisonBased(n, ids, sched.NewRandom(9), build, alts); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -71,55 +71,16 @@ func TestSnapshotRenamingAdaptive(t *testing.T) {
 }
 
 func TestSnapshotRenamingComparisonBasedAndIndexIndependent(t *testing.T) {
-	// The sched package checkers re-run a single Body, which would share
-	// one shared-memory instance across runs; instead perform the checks
-	// manually, allocating a fresh protocol instance per run.
 	ids := []int{9, 2, 14}
-	base, err := Run(3, ids, sched.NewRandom(4),
-		func(n int) Solver { return NewSnapshotRenaming("R", n) })
-	if err != nil {
-		t.Fatalf("base run: %v", err)
+	build := func() sched.Body { return Body(NewSnapshotRenaming("R", 3)) }
+	alts := [][]int{sched.OrderIsomorphicIDs(ids, 50), sched.OrderIsomorphicIDs(ids, 1)}
+	if err := sched.CheckComparisonBased(3, ids, sched.NewRandom(4), build, alts); err != nil {
+		t.Fatal(err)
 	}
-	// Comparison-based: replay same schedule with order-isomorphic ids.
-	for _, alt := range [][]int{sched.OrderIsomorphicIDs(ids, 50), sched.OrderIsomorphicIDs(ids, 1)} {
-		replay, err := Run(3, alt, sched.ScriptFromSchedule(base.Schedule),
-			func(n int) Solver { return NewSnapshotRenaming("R", n) })
-		if err != nil {
-			t.Fatalf("replay run: %v", err)
-		}
-		for i := range base.Outputs {
-			if base.Outputs[i] != replay.Outputs[i] {
-				t.Fatalf("not comparison-based: outputs %v vs %v with ids %v",
-					base.Outputs, replay.Outputs, alt)
-			}
-		}
+	perms := [][]int{{2, 0, 1}}
+	if err := sched.CheckIndexIndependence(3, ids, sched.NewRandom(4), build, perms); err != nil {
+		t.Fatal(err)
 	}
-	// Index-independence: permute indexes, permute the schedule, compare.
-	perm := []int{2, 0, 1}
-	permIDs := make([]int, 3)
-	for i, pi := range perm {
-		permIDs[pi] = ids[i]
-	}
-	permuted, err := Run(3, permIDs,
-		sched.NewScript(decisionsOf(sched.PermutedSchedule(base.Schedule, perm))),
-		func(n int) Solver { return NewSnapshotRenaming("R", n) })
-	if err != nil {
-		t.Fatalf("permuted run: %v", err)
-	}
-	for i := range base.Outputs {
-		if base.Outputs[i] != permuted.Outputs[perm[i]] {
-			t.Fatalf("index dependence: %v vs %v under perm %v",
-				base.Outputs, permuted.Outputs, perm)
-		}
-	}
-}
-
-func decisionsOf(steps []sched.Step) []sched.Decision {
-	out := make([]sched.Decision, len(steps))
-	for i, s := range steps {
-		out[i] = sched.Decision{Proc: s.Proc, Crash: s.Crash}
-	}
-	return out
 }
 
 func TestGridRenamingUniqueInRange(t *testing.T) {
