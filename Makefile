@@ -53,11 +53,17 @@ bench-compare:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) run ./cmd/gsbbench -out BENCH_ci.json -compare BENCH_sched.json -profiles profiles-ci
 
+# lint also keeps the test-only oracle package (internal/sched/schedtest)
+# out of every shipped binary.
 lint:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt required for:"; echo "$$unformatted"; exit 1; \
+	fi
+	@deps=$$($(GO) list -deps ./cmd/... ./examples/...) || exit 1; \
+	if echo "$$deps" | grep -q 'internal/sched/schedtest'; then \
+		echo "internal/sched/schedtest is test-only, but a binary under cmd/ or examples/ links it"; exit 1; \
 	fi
 
 # gsbvet: the project's own analyzer suite (internal/lint,

@@ -20,6 +20,7 @@ import (
 	"repro/internal/msgnet"
 	"repro/internal/nocomm"
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 	"repro/internal/solvability"
 	"repro/internal/tasks"
 	"repro/internal/topology"
@@ -108,7 +109,7 @@ func BenchmarkExploreSchedules(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			count, err := sched.ExploreSequential(n, sched.DefaultIDs(n), budget, 1<<20, build, check)
+			count, err := schedtest.ExploreSequential(n, sched.DefaultIDs(n), budget, 1<<20, build, check)
 			exhaust(b, count, err)
 		}
 	})

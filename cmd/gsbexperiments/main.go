@@ -1,6 +1,7 @@
 // Command gsbexperiments runs the full reproduction suite — every table,
-// figure and theorem validation recorded in EXPERIMENTS.md — and prints a
-// consolidated report. It is the one-shot regeneration entry point:
+// figure and theorem validation (README.md, "Paper versus measured",
+// lists where they depart from the paper) — and prints a consolidated
+// report. It is the one-shot regeneration entry point:
 //
 //	go run ./cmd/gsbexperiments            # quick profile
 //	go run ./cmd/gsbexperiments -full      # larger sweeps (slower)

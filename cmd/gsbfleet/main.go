@@ -202,6 +202,11 @@ func cmdSubmit(args []string) int {
 		fmt.Fprintln(os.Stderr, "gsbfleet submit: -coordinator is required")
 		return exitUsage
 	}
+	// A non-positive poll interval would hammer the coordinator.
+	if *interval <= 0 {
+		fmt.Fprintf(os.Stderr, "gsbfleet submit: -interval must be positive (got %v)\n", *interval)
+		return exitUsage
+	}
 	sub := repro.FleetSubmission{
 		Schema: repro.FleetSchema, Protocol: *protocol, N: *n, Mode: *mode,
 		Runs: *runs, PCTDepth: *pctDepth, CrashProb: *crashProb, Seed: *seed,
@@ -271,6 +276,11 @@ func cmdStatus(args []string) int {
 	fs.Parse(args)
 	if *coord == "" {
 		fmt.Fprintln(os.Stderr, "gsbfleet status: -coordinator is required")
+		return exitUsage
+	}
+	// A non-positive refresh interval would redraw without pause.
+	if *interval <= 0 {
+		fmt.Fprintf(os.Stderr, "gsbfleet status: -interval must be positive (got %v)\n", *interval)
 		return exitUsage
 	}
 	cl := client(*coord)

@@ -72,7 +72,9 @@ func TestGsbfleetInvalidUsage(t *testing.T) {
 		{"submit-too-many-shards", []string{"submit", "-coordinator", dummy, "-shards", "1025"}, 2, "shards <= 1024"},
 		{"submit-undefined-flag", []string{"submit", "-bogus"}, 2, "flag provided but not defined"},
 		{"submit-unreachable", []string{"submit", "-coordinator", dummy, "-protocol", "wsb", "-n", "4"}, 1, "refused"},
+		{"submit-wait-zero-interval", []string{"submit", "-coordinator", dummy, "-wait", "-interval", "0"}, 2, "-interval must be positive"},
 		{"status-no-coordinator", []string{"status"}, 2, "-coordinator is required"},
+		{"status-watch-negative-interval", []string{"status", "-coordinator", dummy, "-watch", "-interval", "-1s"}, 2, "-interval must be positive"},
 		{"result-no-id", []string{"result", "-coordinator", dummy}, 2, "-id are required"},
 		{"upload-no-flags", []string{"upload"}, 2, "need -coordinator"},
 		{"upload-no-file", []string{"upload", "-coordinator", dummy, "-id", "c1", "-shard", "0"}, 2, "one snapshot file"},

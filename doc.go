@@ -26,7 +26,7 @@
 //	count, err := repro.ExploreVerified(ctx, spec, repro.DefaultIDs(n),
 //	    repro.ExploreOptions{Workers: 8, MaxRuns: 1 << 20}, build)
 //
-// See README.md for the architecture overview and the exploration-engine
-// tuning guide, and EXPERIMENTS.md for the paper-versus-measured record
-// of every table, figure and theorem.
+// See README.md for the architecture overview, the exploration-engine
+// tuning guide, and (section "Paper versus measured") where the
+// reproduction departs from the paper.
 package repro

@@ -44,8 +44,8 @@ func (s Spec) LAnchoredFormula() bool {
 // symmetric task: u-anchored iff l <= n - u(m-1). The paper's statement
 // implicitly assumes l >= 1; tasks with l = 0 are trivially u-anchored
 // (Section 4.2), and for u(m-1) > n the l=0 case would otherwise be
-// misclassified (found by the exhaustive test against Definition 5; see
-// EXPERIMENTS.md).
+// misclassified (found by TestAnchoringFormulaMatchesDefinition, the
+// exhaustive test against Definition 5).
 func (s Spec) UAnchoredFormula() bool {
 	l, u := s.SymBounds()
 	return l == 0 || l <= s.n-u*(s.M()-1)

@@ -8,7 +8,7 @@ import (
 func TestFamilyTable1Rows(t *testing.T) {
 	// Family(6,3) must produce all 15 feasible <6,3,l,u> specs with u <= 6
 	// in Table 1 order (the paper's table lists 14, omitting the feasible
-	// <6,3,2,6>; see EXPERIMENTS.md).
+	// <6,3,2,6>; see README.md, "Paper versus measured").
 	want := []string{
 		"<6,3,0,6>-GSB", "<6,3,1,6>-GSB", "<6,3,2,6>-GSB",
 		"<6,3,0,5>-GSB", "<6,3,1,5>-GSB", "<6,3,2,5>-GSB",

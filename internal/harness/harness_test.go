@@ -10,7 +10,8 @@ import (
 func TestTable1Golden(t *testing.T) {
 	// Pin the regenerated Table 1 exactly. The paper's table shows the
 	// same kernel sets and canonical flags; our table additionally lists
-	// the feasible <6,3,2,6> row that the paper omits (see EXPERIMENTS.md).
+	// the feasible <6,3,2,6> row that the paper omits (see README.md,
+	// "Paper versus measured").
 	got := Table1(6, 3)
 	want := strings.Join([]string{
 		"Kernels of <6,3,l,u>-GSB tasks",

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -359,28 +358,4 @@ func (r *ResumableExplorer) SeedShards(ctx context.Context, m int) ([]*ExploreSt
 		s.Frontier = append(s.Frontier, it)
 	}
 	return states, nil
-}
-
-// EqualExploreStates reports whether two states describe the same point
-// of the same exploration (used by tests and snapshot verification).
-func EqualExploreStates(a, b *ExploreState) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.Claimed != b.Claimed || a.Completed != b.Completed || len(a.Frontier) != len(b.Frontier) {
-		return false
-	}
-	for i := range a.Frontier {
-		if !slices.Equal(a.Frontier[i].Choices, b.Frontier[i].Choices) ||
-			!slices.Equal(a.Frontier[i].Sleep, b.Frontier[i].Sleep) {
-			return false
-		}
-	}
-	if (a.Failure == nil) != (b.Failure == nil) {
-		return false
-	}
-	if a.Failure != nil && (a.Failure.Message != b.Failure.Message || !slices.Equal(a.Failure.Choices, b.Failure.Choices)) {
-		return false
-	}
-	return slices.Equal(a.MemoHashes, b.MemoHashes)
 }

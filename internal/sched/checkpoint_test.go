@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -28,7 +29,7 @@ func sliceToCompletion(t *testing.T, r *ResumableExplorer, state *ExploreState, 
 		if jerr := json.Unmarshal(b, restored); jerr != nil {
 			t.Fatalf("slice %d: unmarshal: %v", slices, jerr)
 		}
-		if !EqualExploreStates(next, restored) {
+		if !equalExploreStates(next, restored) {
 			t.Fatalf("slice %d: state did not survive the JSON round-trip", slices)
 		}
 		state = restored
@@ -263,7 +264,7 @@ func TestSeedShardsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a {
-		if !EqualExploreStates(a[i], b[i]) {
+		if !equalExploreStates(a[i], b[i]) {
 			t.Errorf("shard %d differs between two deterministic seedings", i)
 		}
 	}
@@ -300,4 +301,28 @@ func TestExploreSliceRandomKill(t *testing.T) {
 			t.Errorf("trial %d: (%d, %q), want (%d, %q)", trial, gotCount, errText(gotErr), wantCount, errText(wantErr))
 		}
 	}
+}
+
+// equalExploreStates reports whether two states describe the same point
+// of the same exploration.
+func equalExploreStates(a, b *ExploreState) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Claimed != b.Claimed || a.Completed != b.Completed || len(a.Frontier) != len(b.Frontier) {
+		return false
+	}
+	for i := range a.Frontier {
+		if !slices.Equal(a.Frontier[i].Choices, b.Frontier[i].Choices) ||
+			!slices.Equal(a.Frontier[i].Sleep, b.Frontier[i].Sleep) {
+			return false
+		}
+	}
+	if (a.Failure == nil) != (b.Failure == nil) {
+		return false
+	}
+	if a.Failure != nil && (a.Failure.Message != b.Failure.Message || !slices.Equal(a.Failure.Choices, b.Failure.Choices)) {
+		return false
+	}
+	return slices.Equal(a.MemoHashes, b.MemoHashes)
 }

@@ -134,8 +134,8 @@ func TestExplicitDefaultNamesIdentical(t *testing.T) {
 		base := ExploreOptions{Workers: workers, Seed: 5, CrashRuns: 400, CrashProb: 0.1, MaxSteps: 1000}
 		named := base
 		named.Model, named.Adversary = ModelAtomic, AdversaryUniformCrash
-		wantCount, wantErr := ExploreCrashes(context.Background(), n, DefaultIDs(n), base, raceBody(n), check)
-		gotCount, gotErr := ExploreCrashes(context.Background(), n, DefaultIDs(n), named, raceBody(n), check)
+		wantCount, wantErr := Explore(context.Background(), n, DefaultIDs(n), base, raceBody(n), check)
+		gotCount, gotErr := Explore(context.Background(), n, DefaultIDs(n), named, raceBody(n), check)
 		if gotCount != wantCount || errText(gotErr) != errText(wantErr) {
 			t.Errorf("crash sweep workers=%d: named defaults (%d, %q), zero defaults (%d, %q)",
 				workers, gotCount, errText(gotErr), wantCount, errText(wantErr))
@@ -154,7 +154,7 @@ func TestAdversarySweepsDeterministicAcrossWorkers(t *testing.T) {
 		var wantErr string
 		for i, workers := range []int{1, 2, 8} {
 			opts := ExploreOptions{Workers: workers, Seed: 7, CrashRuns: 300, CrashProb: 0.15, MaxSteps: 1000, Adversary: adv}
-			count, err := ExploreCrashes(context.Background(), n, DefaultIDs(n), opts, raceBody(n), distinctOutputs)
+			count, err := Explore(context.Background(), n, DefaultIDs(n), opts, raceBody(n), distinctOutputs)
 			if i == 0 {
 				wantCount, wantErr = count, errText(err)
 				continue
@@ -241,7 +241,7 @@ func TestAdversaryEventsMetric(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			reg := stats.New()
 			opts := ExploreOptions{Workers: workers, Seed: 11, CrashRuns: 300, CrashProb: 0.2, MaxSteps: 1000, Adversary: adv, Stats: reg}
-			if _, err := ExploreCrashes(context.Background(), n, DefaultIDs(n), opts, stepsBodyBuild(2), func(*Result) error { return nil }); err != nil {
+			if _, err := Explore(context.Background(), n, DefaultIDs(n), opts, stepsBodyBuild(2), func(*Result) error { return nil }); err != nil {
 				t.Fatalf("adversary=%s workers=%d: %v", adv, workers, err)
 			}
 			events := reg.Snapshot().Counter(MetricAdversaryEvents)

@@ -139,7 +139,7 @@ type ExploreOptions struct {
 }
 
 // ErrInvalidOptions reports semantically unusable ExploreOptions; Explore
-// and ExploreCrashes return it (wrapped) instead of executing anything,
+// returns it (wrapped) instead of executing anything,
 // so a bad CrashProb surfaces as an error rather than a panic inside a
 // worker goroutine.
 var ErrInvalidOptions = errors.New("sched: invalid exploration options")
@@ -216,9 +216,20 @@ func (o ExploreOptions) withDefaults(n int) ExploreOptions {
 // exhausted first, the count is MaxRuns (the verified schedules under
 // reduction) and the error wraps ErrExplorationBudget.
 //
-// Explore is one unbounded ResumableExplorer slice followed by its
-// Finalize: the one-shot run and a checkpointed campaign share a single
-// engine path.
+// In crash sweep mode (opts.CrashRuns > 0) the runs are opts.CrashRuns
+// randomized schedules, run i scheduled by the registered adversary's
+// crash policy (opts.Adversary, uniform-crash by default) seeded with
+// DeriveRunSeed(opts.Seed, i), and check sees every completed run,
+// including runs with crashed processes (Result.Crashed reports which).
+// On success the count is exactly opts.CrashRuns; on failure the
+// reported run is the one with the smallest index whose check (or
+// execution) failed, and the count is its 1-based index; on cancellation
+// the count is the number of runs that actually executed.
+//
+// Explore is one unbounded slice followed by its settle step — a
+// ResumableExplorer Slice plus Finalize, or in crash sweep mode a
+// SeededSlice plus FinalizeSeeded — so the one-shot run and a
+// checkpointed campaign share a single engine path.
 //
 // ctx cancellation aborts the exploration early; a nil ctx means
 // context.Background().
@@ -233,7 +244,13 @@ func Explore(ctx context.Context, n int, ids []int, opts ExploreOptions, build f
 		return 0, fmt.Errorf("sched: SampleRuns > 0 selects statistical sampling, which is implemented by internal/sample (call sample.Explore, or tasks.ExploreVerified which dispatches)")
 	}
 	if opts.CrashRuns > 0 {
-		return ExploreCrashes(ctx, n, ids, opts, build, check)
+		st, _, err := SeededSlice(ctx, n, ids, opts, opts.CrashRuns,
+			CrashSweepPolicies(n, opts), build, CrashSweepCheck(n, opts, check), nil, 0)
+		if err != nil {
+			return 0, err
+		}
+		count, _, err := FinalizeSeeded(ctx, opts.CrashRuns, st)
+		return count, err
 	}
 	r := &ResumableExplorer{N: n, IDs: ids, Opts: opts, Build: build, Check: check}
 	st, _, err := r.Slice(ctx, nil, 0)
@@ -261,17 +278,6 @@ type frontierItem struct {
 	sleep   []int
 }
 
-// explorerPolicy is what the engine needs from a prefix-replay policy:
-// re-arm it for a frontier item, schedule the run, then report the choice
-// sequence it took and the sibling prefixes left to explore. Each worker
-// owns one and reuses it for every item it processes.
-type explorerPolicy interface {
-	Policy
-	reset(prefix, sleep0 []int)
-	runChoices() []int
-	branchItems() []frontierItem
-}
-
 // exploreWorker is one worker's reusable state. Nothing in it is shared
 // with other workers, so the hot path re-arms it without locks or
 // allocation: the runner via Reset, the policy via reset (its buffers are
@@ -279,22 +285,17 @@ type explorerPolicy interface {
 type exploreWorker struct {
 	w      int
 	runner *Runner
-	policy explorerPolicy
+	policy *porPolicy
 	hasher TraceHasher // canonical-trace memo hashing
 }
 
 // newWorker builds worker w's reusable state; close its runner when done.
 func (e *explorer) newWorker(w int) *exploreWorker {
-	wk := &exploreWorker{
+	return &exploreWorker{
 		w:      w,
 		runner: NewRunner(e.n, e.ids, nil, WithMaxSteps(e.opts.MaxSteps), WithReuse(), WithModel(e.model)),
+		policy: &porPolicy{indep: e.indep},
 	}
-	if e.opts.Reduction != ReductionNone {
-		wk.policy = &porPolicy{indep: e.indep}
-	} else {
-		wk.policy = &explorePolicy{}
-	}
-	return wk
 }
 
 // exploreShard is one lane of the frontier. Its owner pushes and pops at
@@ -336,7 +337,7 @@ type explorer struct {
 	sliceRuns int64
 	tickets   atomic.Int64
 
-	indep Independence   // commutation oracle; nil without reduction
+	indep Independence   // commutation oracle; nil without reduction (no step commutes)
 	memo  *traceMemo     // canonical-trace dedupe; nil unless ReductionSleepMemo
 	met   *engineMetrics // resolved stats handles; nil when opts.Stats is nil
 	model MemModel       // resolved opts.Model, applied to every worker runner
@@ -554,10 +555,10 @@ func (e *explorer) process(item frontierItem, wk *exploreWorker) bool {
 		e.met.incAborts()
 	case err != nil:
 		if e.bound == nil {
-			e.recordFailure(policy.runChoices(), fmt.Errorf("sched: exploration run with prefix %v: %w", item.choices, err))
+			e.recordFailure(policy.choices, fmt.Errorf("sched: exploration run with prefix %v: %w", item.choices, err))
 		}
 	case e.bound != nil:
-		if lexLess(policy.runChoices(), e.bound) && e.admit(res, wk) {
+		if lexLess(policy.choices, e.bound) && e.admit(res, wk) {
 			e.countBelow.Add(1)
 		}
 	default:
@@ -570,7 +571,7 @@ func (e *explorer) process(item frontierItem, wk *exploreWorker) bool {
 			// a hash collision can merge counts but never hide a
 			// violation.
 			if cerr := e.check(res); cerr != nil {
-				e.recordFailure(policy.runChoices(), fmt.Errorf("sched: schedule %v violates property: %w", policy.runChoices(), cerr))
+				e.recordFailure(policy.choices, fmt.Errorf("sched: schedule %v violates property: %w", policy.choices, cerr))
 			}
 		}
 	}

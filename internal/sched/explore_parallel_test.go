@@ -36,34 +36,6 @@ func distinctOutputs(res *Result) error {
 	return nil
 }
 
-func TestExploreMatchesSequentialCount(t *testing.T) {
-	cases := []struct {
-		n, k int // n processes, k noop steps each (plus one decide)
-	}{
-		{2, 4}, // C(10,5) = 252 schedules
-		{3, 2}, // multinomial(9;3,3,3) = 1680
-		{4, 1}, // multinomial(8;2,2,2,2) = 2520
-	}
-	for _, tc := range cases {
-		build := func() Body { return stepsBody(tc.k) }
-		ok := func(*Result) error { return nil }
-		want, err := ExploreSequential(tc.n, DefaultIDs(tc.n), 1<<20, 1000, build, ok)
-		if err != nil {
-			t.Fatalf("n=%d k=%d sequential: %v", tc.n, tc.k, err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			got, err := Explore(context.Background(), tc.n, DefaultIDs(tc.n),
-				ExploreOptions{Workers: workers, MaxSteps: 1000}, build, ok)
-			if err != nil {
-				t.Fatalf("n=%d k=%d workers=%d: %v", tc.n, tc.k, workers, err)
-			}
-			if got != want {
-				t.Errorf("n=%d k=%d workers=%d: %d schedules, sequential found %d", tc.n, tc.k, workers, got, want)
-			}
-		}
-	}
-}
-
 func TestExploreDeterministicViolation(t *testing.T) {
 	// Many schedules of the racy protocol violate output distinctness. The
 	// engine must report the lexicographically smallest violating schedule
@@ -87,23 +59,6 @@ func TestExploreDeterministicViolation(t *testing.T) {
 				t.Errorf("workers=%d rep=%d: got (%d, %q), want (%d, %q)", workers, rep, count, err.Error(), wantCount, wantErr)
 			}
 		}
-	}
-}
-
-func TestExploreViolationMatchesSequentialTrace(t *testing.T) {
-	// At one worker the engine's reported violation must be the
-	// lexicographic minimum; the sequential baseline's smallest-first DFS
-	// finds violations in stack order, so only cross-check that both see
-	// a violation for the same protocol.
-	const n = 2
-	_, seqErr := ExploreSequential(n, DefaultIDs(n), 1<<20, 1000, raceBody(n), distinctOutputs)
-	if seqErr == nil {
-		t.Fatal("sequential baseline missed the lost-update schedules")
-	}
-	_, parErr := Explore(context.Background(), n, DefaultIDs(n),
-		ExploreOptions{Workers: 1, MaxSteps: 1000}, raceBody(n), distinctOutputs)
-	if parErr == nil {
-		t.Fatal("parallel engine missed the lost-update schedules")
 	}
 }
 

@@ -6,11 +6,19 @@ import (
 	"testing"
 )
 
+// Test protocols shared with the external tests.
+var (
+	StepsBody       = stepsBody
+	CounterBody     = counterBody
+	RaceBody        = raceBody
+	DistinctOutputs = distinctOutputs
+)
+
 // CheckPORPolicyReuse walks the whole sleep-set tree of build (n
 // processes under the named memory model) depth-first, executing every
 // frontier item twice: under one porPolicy re-armed with reset for every
 // item, as an exploration worker does, and under a fresh &porPolicy{}.
-// Both must report the same runChoices and the same branch items
+// Both must report the same run choices and the same branch items
 // (choices and sleep sets), and no queued item may change between its
 // carving and its pop — the slab's immutability contract. It returns the
 // number of items walked. External tests call it with real protocols,
@@ -50,8 +58,8 @@ func CheckPORPolicyReuse(t testing.TB, n int, model string, build func() Body) i
 		if (freshErr == nil) != (reusedErr == nil) {
 			t.Fatalf("prefix %v: fresh run error %v, reused run error %v", q.item.choices, freshErr, reusedErr)
 		}
-		if !slices.Equal(fresh.runChoices(), reused.runChoices()) {
-			t.Fatalf("prefix %v: reused policy chose %v, fresh %v", q.item.choices, reused.runChoices(), fresh.runChoices())
+		if !slices.Equal(fresh.choices, reused.choices) {
+			t.Fatalf("prefix %v: reused policy chose %v, fresh %v", q.item.choices, reused.choices, fresh.choices)
 		}
 		got, want := reused.branchItems(), fresh.branchItems()
 		if len(got) != len(want) {

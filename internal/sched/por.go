@@ -67,21 +67,24 @@ func (r Reduction) valid() bool {
 // runs as pruned probes: they consume run budget but are not schedules.
 var ErrRunAborted = errors.New("sched: run aborted by the scheduling policy")
 
-// porPolicy is the sleep-set variant of explorePolicy: it replays a fixed
-// prefix of choices, then descends picking the smallest pending process
-// that is not asleep, maintaining the sleep set across decisions and
-// recording everything branch generation needs. It implements
-// OpAwarePolicy to learn the label of every pending operation; without
-// labels (plain Next) all steps are treated as conflicting and the walk
-// degrades to the exhaustive one.
+// porPolicy is the exploration engine's prefix-replay policy, for every
+// Reduction: it replays a fixed prefix of choices, then descends picking
+// the smallest pending process that is not asleep, maintaining the sleep
+// set across decisions and recording everything branch generation needs.
+// It implements OpAwarePolicy to learn the label of every pending
+// operation. A nil indep means no pair of steps commutes — the
+// ReductionNone walk: no process is ever put to sleep, no run aborts, and
+// every pending process larger than the chosen one branches, so the walk
+// is the exhaustive one. Without labels (plain Next) all steps are
+// likewise treated as conflicting.
 //
 // Each exploration worker owns one porPolicy and re-arms it with reset
 // for every frontier item, so its buffers reach a steady size and a run
 // records its decisions without allocating. The recorded sets and
-// runChoices are valid until the next reset; the branch items it returns
+// choices are valid until the next reset; the branch items it returns
 // are carved from the worker's prefix slab and never written again.
 type porPolicy struct {
-	indep  Independence
+	indep  Independence // nil: every pair of steps conflicts
 	prefix []int
 	sleep0 []int // sleep set at the node reached after prefix
 
@@ -184,7 +187,7 @@ func (e *porPolicy) decide(pending []int, ops []string, _ int) Decision {
 	pickOp := ops[indexSorted(pending, pick)]
 	kept := e.cur[:0] // the sleeps arena holds the node's copy
 	for _, u := range e.cur {
-		if e.indep(u, ops[indexSorted(pending, u)], pick, pickOp) {
+		if e.indep != nil && e.indep(u, ops[indexSorted(pending, u)], pick, pickOp) {
 			kept = append(kept, u) //gsb:alloc-ok filters e.cur in place
 		}
 	}
@@ -226,7 +229,7 @@ func (e *porPolicy) branchItems() []frontierItem {
 				if u > alt && !containsSorted(sleep, u) {
 					continue // explored after alt, not yet covered
 				}
-				if e.indep(u, ops[ui], alt, altOp) {
+				if e.indep != nil && e.indep(u, ops[ui], alt, altOp) {
 					childSleep = append(childSleep, u) //gsb:alloc-ok reused e.scratch, steady state after the widest pending set
 				}
 			}
@@ -244,11 +247,6 @@ func (e *porPolicy) branchItems() []frontierItem {
 	e.items = out
 	return out
 }
-
-// runChoices implements explorerPolicy.
-//
-//gsb:hotpath
-func (e *porPolicy) runChoices() []int { return e.choices }
 
 // slabChunk is the size, in ints, of a prefix slab chunk. A chunk holds
 // the choices and sleep sets of many frontier items (prefixes are a few

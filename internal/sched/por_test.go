@@ -207,7 +207,7 @@ func TestPORDeterministicViolation(t *testing.T) {
 }
 
 // TestExploreOptionsValidation: bad options must surface as
-// ErrInvalidOptions from both entry points before any run executes —
+// ErrInvalidOptions from Explore, in every mode, before any run executes —
 // notably a CrashProb outside [0,1], which previously panicked inside a
 // worker goroutine via NewRandomCrash.
 func TestExploreOptionsValidation(t *testing.T) {
@@ -232,11 +232,6 @@ func TestExploreOptionsValidation(t *testing.T) {
 			if count != 0 {
 				t.Errorf("Explore count = %d, want 0", count)
 			}
-			if tc.opts.CrashRuns != 0 { // ExploreCrashes is also a public entry point
-				if _, err := ExploreCrashes(context.Background(), 2, DefaultIDs(2), tc.opts, build, nil); !errors.Is(err, ErrInvalidOptions) {
-					t.Fatalf("ExploreCrashes err = %v, want ErrInvalidOptions", err)
-				}
-			}
 		})
 	}
 }
@@ -260,7 +255,7 @@ func TestExploreCrashSweepCanceledCount(t *testing.T) {
 		}
 		return nil
 	}
-	count, err := ExploreCrashes(ctx, n, DefaultIDs(n),
+	count, err := Explore(ctx, n, DefaultIDs(n),
 		ExploreOptions{Workers: 4, CrashRuns: runs, CrashProb: 0.05, Seed: 1}, build, stop)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

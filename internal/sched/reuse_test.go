@@ -390,42 +390,6 @@ type policyFunc func(pending []int, stepNo int) Decision
 
 func (f policyFunc) Next(pending []int, stepNo int) Decision { return f(pending, stepNo) }
 
-// TestExploreWorkersReuseDifferential cross-checks the reused-runner
-// parallel engine against the fresh-runner sequential baseline at workers
-// 1, 2 and 8: same schedule count on a full exploration.
-func TestExploreWorkersReuseDifferential(t *testing.T) {
-	const n = 3
-	build := func() Body {
-		counter := new(int)
-		return counterBody(counter, 2)
-	}
-	check := func(res *Result) error {
-		if _, err := res.DecidedVector(); err != nil {
-			return err
-		}
-		return nil
-	}
-	want, err := ExploreSequential(n, DefaultIDs(n), 1<<20, 1<<16, build, check)
-	if err != nil {
-		t.Fatalf("sequential exploration failed: %v", err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got, err := ExploreAllWorkers(t, n, workers, build, check)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d explored %d schedules, sequential (fresh runners) explored %d", workers, got, want)
-		}
-	}
-}
-
-// ExploreAllWorkers runs a full exploration at the given worker count.
-func ExploreAllWorkers(t *testing.T, n, workers int, build func() Body, check func(*Result) error) (int, error) {
-	t.Helper()
-	return Explore(nil, n, DefaultIDs(n), ExploreOptions{Workers: workers, MaxRuns: 1 << 20, MaxSteps: 1 << 16}, build, check)
-}
-
 // TestProcessSteadyStateAllocs pins the exploration worker's per-item
 // cost: once its runner, policy, hasher and frontier lane are warm,
 // processing a frontier item — replaying the prefix, recording every

@@ -290,8 +290,8 @@ func SeededSlice(ctx context.Context, n int, ids []int, opts ExploreOptions, tot
 // failing global run index across the states, count its 1-based index and
 // err that run's error; when every run verified, count is total,
 // failedRun -1 and err nil. This is the single settle rule of the seeded
-// modes: ExploreCrashes, the sampling batches, and campaign finalize and
-// merge all run through it.
+// modes: Explore's crash sweep, the sampling batches, and campaign
+// finalize and merge all run through it.
 //
 // States must be the complete shard set — one per shard of the same Of,
 // each complete (SeededDone) — or the result is an error. The exception

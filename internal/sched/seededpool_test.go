@@ -49,7 +49,7 @@ func scheduleKey(schedule []Step) string {
 }
 
 // seededOneShot runs a whole seeded batch as one unbounded slice and
-// settles it: the path ExploreCrashes and the samplers take.
+// settles it: the path Explore's crash sweep and the samplers take.
 func seededOneShot(n int, opts ExploreOptions, total int, policyFor func(int) Policy,
 	build func() Body, visit func(int, *Result, error) error) (int, error) {
 	st, _, err := SeededSlice(context.Background(), n, DefaultIDs(n), opts, total, policyFor, build, visit, nil, 0)
@@ -176,16 +176,12 @@ func TestRunnerScheduleDivergedError(t *testing.T) {
 		p.Decide(p.ID())
 	}
 	// Process 0 takes write+decide = 2 steps; a prefix granting it a 3rd
-	// step diverges.
-	policy := &explorePolicy{prefix: []int{0, 0, 0}}
-	_, err := NewRunner(2, DefaultIDs(2), policy).Run(body)
-	if !errors.Is(err, ErrScheduleDiverged) {
-		t.Fatalf("err = %v, want ErrScheduleDiverged", err)
-	}
-	// The POR replay policy takes the same path.
-	por := &porPolicy{indep: OpIndependent, prefix: []int{0, 0, 0}}
-	_, err = NewRunner(2, DefaultIDs(2), por).Run(body)
-	if !errors.Is(err, ErrScheduleDiverged) {
-		t.Fatalf("por: err = %v, want ErrScheduleDiverged", err)
+	// step diverges, with or without a commutation relation.
+	for _, indep := range []Independence{nil, OpIndependent} {
+		policy := &porPolicy{indep: indep, prefix: []int{0, 0, 0}}
+		_, err := NewRunner(2, DefaultIDs(2), policy).Run(body)
+		if !errors.Is(err, ErrScheduleDiverged) {
+			t.Fatalf("indep set %v: err = %v, want ErrScheduleDiverged", indep != nil, err)
+		}
 	}
 }

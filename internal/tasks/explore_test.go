@@ -9,6 +9,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/nocomm"
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 )
 
 // exploreCase is a task plus a solver whose full failure-free schedule
@@ -54,7 +55,7 @@ func TestExploreVerifiedMatchesSequential(t *testing.T) {
 	for _, tc := range exploreCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.spec.N()
-			want, err := sched.ExploreSequential(n, sched.DefaultIDs(n), 1<<20, 4096*n,
+			want, err := schedtest.ExploreSequential(n, sched.DefaultIDs(n), 1<<20, 4096*n,
 				func() sched.Body { return Body(tc.build(n)) },
 				func(res *sched.Result) error { return verifyResult(tc.spec, res) })
 			if err != nil {
@@ -86,7 +87,7 @@ func TestExploreVerifiedPORDifferential(t *testing.T) {
 	for _, tc := range exploreCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.spec.N()
-			want, err := sched.ExploreSequential(n, sched.DefaultIDs(n), 1<<20, 4096*n,
+			want, err := schedtest.ExploreSequential(n, sched.DefaultIDs(n), 1<<20, 4096*n,
 				func() sched.Body { return Body(tc.build(n)) },
 				func(res *sched.Result) error { return verifyResult(tc.spec, res) })
 			if err != nil {

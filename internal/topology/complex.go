@@ -10,9 +10,9 @@
 // that no r-round full-information comparison-based protocol solves the
 // task. Wait-free read/write solvability equals solvability in *some*
 // finite number of IIS rounds, so these are bounded-round impossibility
-// certificates (documented as such in EXPERIMENTS.md); when the search
-// succeeds, the returned map is a concrete protocol, and the tests replay
-// it against the executable iis package.
+// certificates (documented as such in README.md, "Paper versus
+// measured"); when the search succeeds, the returned map is a concrete
+// protocol, and the tests replay it against the executable iis package.
 package topology
 
 import (

@@ -36,7 +36,7 @@ func TestSATSearchAgreesWithBacktracking(t *testing.T) {
 
 func TestSATSearchClosesWSBn3r2(t *testing.T) {
 	// The instance that defeats chronological backtracking (see
-	// EXPERIMENTS.md): WSB at n=3, rounds=2. Clause learning exhausts it,
+	// TestWSBImpossibleForPrimePowerN): WSB at n=3, rounds=2. Clause learning exhausts it,
 	// completing the Theorem 10 bounded-round certificate series.
 	c := BuildIIS(3, 2)
 	if got := c.FindDecisionMapSAT(gsb.WSB(3)); got != nil {

@@ -131,7 +131,7 @@ func TestWSBImpossibleForPrimePowerN(t *testing.T) {
 	// solvable; certify for small round counts. (n=3, r=2 is excluded:
 	// WSB's not-all-equal constraints prune too weakly for the
 	// chronological backtracking search to exhaust that instance in
-	// reasonable time; see EXPERIMENTS.md.)
+	// reasonable time; TestSATSearchClosesWSBn3r2 closes it.)
 	for _, tc := range []struct{ n, rounds int }{
 		{2, 1}, {2, 2}, {2, 3},
 		{3, 1},
