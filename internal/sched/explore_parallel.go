@@ -139,9 +139,8 @@ type ExploreOptions struct {
 }
 
 // ErrInvalidOptions reports semantically unusable ExploreOptions; Explore
-// returns it (wrapped) instead of executing anything,
-// so a bad CrashProb surfaces as an error rather than a panic inside a
-// worker goroutine.
+// returns it (wrapped) instead of executing anything, so a bad CrashProb
+// surfaces as an error rather than a panic inside a worker goroutine.
 var ErrInvalidOptions = errors.New("sched: invalid exploration options")
 
 // Validate checks the option fields whose bad values would otherwise
