@@ -74,7 +74,8 @@ func TestExploreWorkersReuseDifferential(t *testing.T) {
 		t.Fatalf("sequential exploration failed: %v", err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got, err := sched.Explore(context.Background(), n, sched.DefaultIDs(n),
+		// A nil ctx, which Explore documents as context.Background().
+		got, err := sched.Explore(nil, n, sched.DefaultIDs(n),
 			sched.ExploreOptions{Workers: workers, MaxRuns: 1 << 20, MaxSteps: 1 << 16}, build, check)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

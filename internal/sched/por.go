@@ -183,12 +183,15 @@ func (e *porPolicy) decide(pending []int, ops []string, _ int) Decision {
 
 	// Descend into the followed child: a process stays asleep only while
 	// it commutes with every step executed since it was put to sleep.
-	ops = e.ops[len(e.ops)-len(pending):]
-	pickOp := ops[indexSorted(pending, pick)]
+	// A nil relation commutes nothing, so every sleeper wakes.
 	kept := e.cur[:0] // the sleeps arena holds the node's copy
-	for _, u := range e.cur {
-		if e.indep != nil && e.indep(u, ops[indexSorted(pending, u)], pick, pickOp) {
-			kept = append(kept, u) //gsb:alloc-ok filters e.cur in place
+	if e.indep != nil {
+		ops = e.ops[len(e.ops)-len(pending):]
+		pickOp := ops[indexSorted(pending, pick)]
+		for _, u := range e.cur {
+			if e.indep(u, ops[indexSorted(pending, u)], pick, pickOp) {
+				kept = append(kept, u) //gsb:alloc-ok filters e.cur in place
+			}
 		}
 	}
 	e.cur = kept
@@ -220,17 +223,19 @@ func (e *porPolicy) branchItems() []frontierItem {
 			if alt <= chosen || containsSorted(sleep, alt) {
 				continue
 			}
-			altOp := ops[ai]
 			childSleep := e.scratch[:0]
-			for ui, u := range pending {
-				if u == alt {
-					continue
-				}
-				if u > alt && !containsSorted(sleep, u) {
-					continue // explored after alt, not yet covered
-				}
-				if e.indep != nil && e.indep(u, ops[ui], alt, altOp) {
-					childSleep = append(childSleep, u) //gsb:alloc-ok reused e.scratch, steady state after the widest pending set
+			if e.indep != nil { // a nil relation leaves every child awake
+				altOp := ops[ai]
+				for ui, u := range pending {
+					if u == alt {
+						continue
+					}
+					if u > alt && !containsSorted(sleep, u) {
+						continue // explored after alt, not yet covered
+					}
+					if e.indep(u, ops[ui], alt, altOp) {
+						childSleep = append(childSleep, u) //gsb:alloc-ok reused e.scratch, steady state after the widest pending set
+					}
 				}
 			}
 			e.scratch = childSleep
