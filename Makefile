@@ -88,13 +88,15 @@ govulncheck:
 	fi
 
 # Short native-fuzzing smoke over the campaign snapshot decoders, the
-# fleet submission gate and the fleet upload route: each target runs for
+# timeline sidecar reader, the fleet submission gate and the fleet upload
+# route: each target runs for
 # a few seconds (CI's static-analysis job runs the same), catching
 # parser panics early. For a real session:
 #   go test ./internal/campaign -fuzz FuzzDecodeSnapshot -fuzztime 5m
 fuzz-smoke:
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzParseHeader -fuzztime 10s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s
+	$(GO) test ./internal/timeline -run '^$$' -fuzz FuzzDecodeTimeline -fuzztime 10s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzSubmission -fuzztime 10s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzUpload -fuzztime 10s
 

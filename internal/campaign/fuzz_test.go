@@ -3,8 +3,6 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/sample"
@@ -32,13 +30,9 @@ func seedSnapshots(f *testing.F) [][]byte {
 
 	write := func(h Header, p payload) {
 		f.Helper()
-		path := f.TempDir() + "/seed.gsb"
-		if _, err := writeSnapshot(path, h, p); err != nil {
-			f.Fatalf("writing seed snapshot: %v", err)
-		}
-		data, err := os.ReadFile(path)
+		data, err := encodeSnapshot(nil, h, p)
 		if err != nil {
-			f.Fatal(err)
+			f.Fatalf("encoding seed snapshot: %v", err)
 		}
 		seeds = append(seeds, data)
 	}
@@ -78,7 +72,59 @@ func seedSnapshots(f *testing.F) [][]byte {
 		[]byte("{}\n{}\n"),
 		[]byte("gsb-campaign but not json\n"),
 	)
+	// A valid crash snapshot with something other than whitespace after
+	// its payload.
+	seeds = append(seeds, trailingMutants(seeds[2])...)
+
+	// A failed sample state whose class keys are prefixes of each other
+	// and whose message needs escaping.
+	write(Header{
+		Mode: ModeWalk, Protocol: "reg", Task: "wait-free", N: 2,
+		IDs: []int{1, 2}, Of: 1,
+		Options: optionsHeader(sched.ExploreOptions{Seed: 2, SampleRuns: 10}),
+	}, payload{Sample: &sample.BatchState{
+		Pool: sched.SeededState{Of: 1, Next: 4, Completed: 4,
+			Failure: &sched.SeededFailure{Run: 3, Message: "<a> & \"b\""}},
+		Classes:       map[uint64]int{12: 0, 120: 1, 1200: 2, 1e19 - 1: 3, 1e19: 3, 1<<64 - 1: 2},
+		FailedRun:     3,
+		Violation:     true,
+		FailedMessage: "<a> & \"b\" — ✓",
+	}, Stats: &snap})
 	return seeds
+}
+
+// trailingMutants appends non-whitespace after a valid snapshot: a second
+// payload, bare words, unbalanced brackets.
+func trailingMutants(valid []byte) [][]byte {
+	var out [][]byte
+	for _, tail := range []string{`{"crash":{"next":9}}`, "garbage", "]]]"} {
+		out = append(out, append(append([]byte(nil), valid...), tail...))
+	}
+	return out
+}
+
+// TestDecodeSnapshotRejectsTrailingBytes: nothing but whitespace may
+// follow the payload.
+func TestDecodeSnapshotRejectsTrailingBytes(t *testing.T) {
+	valid, err := encodeSnapshot(nil, Header{
+		Mode: ModeCrash, Protocol: "reg", Task: "wait-free", N: 2,
+		IDs: []int{1, 2}, Of: 1,
+		Options: optionsHeader(sched.ExploreOptions{Seed: 5, CrashRuns: 10, CrashProb: 0.1}),
+	}, payload{Crash: &sched.SeededState{Next: 4, Completed: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := decodeSnapshot(valid); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	if _, _, err := decodeSnapshot(append(append([]byte(nil), valid...), " \t\r\n\n"...)); err != nil {
+		t.Errorf("snapshot with trailing whitespace rejected: %v", err)
+	}
+	for _, data := range trailingMutants(valid) {
+		if _, _, err := decodeSnapshot(data); err == nil {
+			t.Errorf("accepted a snapshot with trailing bytes %q", data[len(valid):])
+		}
+	}
 }
 
 func FuzzParseHeader(f *testing.F) {
@@ -126,18 +172,27 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if got, want := p.payloadFamily(), h.Mode.family(); got != want || got == "none" {
 			t.Fatalf("accepted payload family %q under mode %s", got, h.Mode)
 		}
-		// And it must survive a rewrite cycle: what a resume re-writes,
-		// a later resume must accept (strings.Builder keeps this cheap).
-		var b strings.Builder
-		henc := json.NewEncoder(&b)
-		if err := henc.Encode(h); err != nil {
-			t.Fatalf("accepted snapshot header does not re-encode: %v", err)
-		}
-		penc := json.NewEncoder(&b)
-		if err := penc.Encode(p); err != nil {
+		// The writer's payload encoding must write exactly json.Encoder's
+		// bytes for it.
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(p); err != nil {
 			t.Fatalf("accepted snapshot payload does not re-encode: %v", err)
 		}
-		if _, _, err := decodeSnapshot([]byte(b.String())); err != nil {
+		got, err := appendPayload(nil, p)
+		if err != nil {
+			t.Fatalf("writer cannot encode an accepted payload: %v", err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("writer's payload encoding differs from json.Encoder's:\n%s\n%s", got, want.Bytes())
+		}
+		// And it must survive a rewrite cycle: what a resume re-writes,
+		// a later resume must accept.
+		var b bytes.Buffer
+		if err := json.NewEncoder(&b).Encode(h); err != nil {
+			t.Fatalf("accepted snapshot header does not re-encode: %v", err)
+		}
+		b.Write(got)
+		if _, _, err := decodeSnapshot(b.Bytes()); err != nil {
 			t.Fatalf("re-encoded snapshot rejected: %v", err)
 		}
 	})

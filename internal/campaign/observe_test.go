@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/sample"
 	"repro/internal/sched"
+	"repro/internal/stats"
 )
 
 // statsCounters extracts the deterministic engine counters from a report:
@@ -420,5 +421,33 @@ func TestStatusETAPresentForSeededTotal(t *testing.T) {
 	}
 	if !strings.Contains(string(mid), `"eta_sec"`) || st.ETASec <= 0 {
 		t.Errorf("mid-flight walk status carries no positive eta_sec: %s", mid)
+	}
+}
+
+// TestCheckpointEncodeTimedWithinWrite: every snapshot write is also
+// timed as an encode, and the encode is part of the write, in every
+// mode family.
+func TestCheckpointEncodeTimedWithinWrite(t *testing.T) {
+	tc := campCases(t)[0]
+	for _, mode := range []Mode{ModeExhaustive, ModeWalk, ModeCrash} {
+		reg := stats.New()
+		opts := optsFor(mode, 2)
+		opts.Stats = reg
+		rep, err := Start(context.Background(), cfgFor(tc, opts, filepath.Join(t.TempDir(), "c.ckpt")))
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		snap := reg.Snapshot()
+		writes := snap.Counter(MetricCheckpointWrites)
+		enc, wr := snap.Histograms[MetricCheckpointEncodeSeconds], snap.Histograms[MetricCheckpointSeconds]
+		if writes < 2 || writes != int64(rep.Checkpoints) {
+			t.Errorf("%s: %d writes counted, report says %d checkpoints", mode, writes, rep.Checkpoints)
+		}
+		if enc.Count != writes || wr.Count != writes {
+			t.Errorf("%s: %d encodes and %d timed writes for %d writes", mode, enc.Count, wr.Count, writes)
+		}
+		if enc.Sum > wr.Sum {
+			t.Errorf("%s: encode time %gs exceeds write time %gs", mode, enc.Sum, wr.Sum)
+		}
 	}
 }

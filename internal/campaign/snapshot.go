@@ -21,7 +21,6 @@ import (
 	"repro/internal/sample"
 	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/timeline"
 )
 
 // Snapshot format: a campaign checkpoint file is one JSON header object
@@ -222,27 +221,49 @@ func optionsHash(h Header) string {
 	return fmt.Sprintf("%016x", f.Sum64())
 }
 
-// writeSnapshot atomically writes header + payload to path, returning the
-// snapshot size in bytes (the checkpoint-size gauge).
-func writeSnapshot(path string, h Header, p payload) (int, error) {
+// encodeSnapshot appends the snapshot file's bytes, header + payload, to
+// dst. run passes one buffer, emptied, to every checkpoint of a campaign.
+func encodeSnapshot(dst []byte, h Header, p payload) ([]byte, error) {
 	h.Magic, h.Version = Magic, Version
 	h.OptionsHash = optionsHash(h)
 	h.Updated = time.Now().UTC().Format(time.RFC3339) //gsb:nondeterminism-ok Updated is a freshness timestamp, excluded from optionsHash
 
-	var buf bytes.Buffer
-	henc := json.NewEncoder(&buf)
-	if err := henc.Encode(h); err != nil {
-		return 0, fmt.Errorf("campaign: encode header: %w", err)
+	buf := bytes.NewBuffer(dst)
+	if err := json.NewEncoder(buf).Encode(h); err != nil {
+		return dst, fmt.Errorf("campaign: encode header: %w", err)
 	}
-	penc := json.NewEncoder(&buf)
-	if err := penc.Encode(p); err != nil {
-		return 0, fmt.Errorf("campaign: encode payload: %w", err)
+	out, err := appendPayload(buf.Bytes(), p)
+	if err != nil {
+		return dst, fmt.Errorf("campaign: encode payload: %w", err)
 	}
+	return out, nil
+}
 
-	if err := timeline.AtomicWrite(path, buf.Bytes()); err != nil {
-		return 0, fmt.Errorf("campaign: checkpoint: %w", err)
+// appendPayload appends p and a newline to dst: exactly the bytes
+// json.Encoder writes for p. A sample payload's engine state goes through
+// sample.BatchState's own encoder, which keeps its class keys sorted from
+// one checkpoint to the next instead of sorting the whole map each time;
+// every other payload goes through json.Encoder.
+func appendPayload(dst []byte, p payload) ([]byte, error) {
+	if p.Sample == nil || p.Explore != nil || p.Crash != nil {
+		buf := bytes.NewBuffer(dst)
+		err := json.NewEncoder(buf).Encode(p)
+		return buf.Bytes(), err
 	}
-	return buf.Len(), nil
+	dst = append(dst, `{"sample":`...)
+	dst, err := p.Sample.AppendJSON(dst)
+	if err != nil {
+		return dst, err
+	}
+	if p.Stats != nil {
+		st, err := json.Marshal(p.Stats)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, `,"stats":`...)
+		dst = append(dst, st...)
+	}
+	return append(dst, '}', '\n'), nil
 }
 
 // decodeHeader parses and validates a snapshot's header line from the
@@ -284,8 +305,9 @@ func decodeSnapshot(data []byte) (Header, payload, error) {
 	if err != nil {
 		return h, p, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(rest))
-	if err := dec.Decode(&p); err != nil {
+	// Unmarshal, unlike a json.Decoder, rejects anything but whitespace
+	// after the payload value.
+	if err := json.Unmarshal(rest, &p); err != nil {
 		return h, p, fmt.Errorf("snapshot payload: %w", err)
 	}
 	set := 0

@@ -1,0 +1,198 @@
+package sample
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/sched"
+)
+
+// checkEncoding fails unless AppendJSON writes exactly json.Marshal's
+// bytes for st, appended after an existing prefix.
+func checkEncoding(t *testing.T, label string, st *BatchState) {
+	t.Helper()
+	want, err := json.Marshal(st)
+	if err != nil {
+		t.Fatalf("%s: marshal: %v", label, err)
+	}
+	got, err := st.AppendJSON([]byte("prefix"))
+	if err != nil {
+		t.Fatalf("%s: AppendJSON: %v", label, err)
+	}
+	if !bytes.Equal(got[len("prefix"):], want) || string(got[:len("prefix")]) != "prefix" {
+		t.Fatalf("%s: AppendJSON wrote\n%s\njson.Marshal wrote\n%s", label, got, want)
+	}
+}
+
+// edgeKeys are class keys whose decimal renderings are prefixes of each
+// other or sit at a digit-count boundary.
+var edgeKeys = []uint64{
+	0, 1, 9, 10, 11, 12, 120, 1200, 1201, 119, 121,
+	1e18, 1e18 - 1, 1e19 - 1, 1e19, 1e19 + 1, math.MaxUint64, math.MaxUint64 - 1,
+	18446744073709551, 1844674407370955161,
+}
+
+// randomKey draws a key whose decimal rendering has exactly digits
+// digits (1 to 20).
+func randomKey(rng *rand.Rand, digits int) uint64 {
+	if digits == 20 {
+		return pow10[19] + rng.Uint64()%(math.MaxUint64-pow10[19]+1)
+	}
+	lo := uint64(0)
+	if digits > 1 {
+		lo = pow10[digits-1]
+	}
+	return lo + rng.Uint64()%(pow10[digits]-lo)
+}
+
+// addClass records class h at run i the way Slice does: the map keeps the
+// smallest run, and a first sighting is recorded as a fresh key.
+func addClass(st *BatchState, h uint64, i int) {
+	if st.keys == nil {
+		st.keys = new(classKeys)
+	}
+	first, ok := st.Classes[h]
+	if !ok || i < first {
+		st.Classes[h] = i
+	}
+	if !ok {
+		st.keys.fresh = append(st.keys.fresh, h)
+	}
+}
+
+func TestCompareDecimalMatchesStringOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := append([]uint64(nil), edgeKeys...)
+	for d := 1; d <= 20; d++ {
+		for range 20 {
+			keys = append(keys, randomKey(rng, d))
+		}
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			want := strings.Compare(strconv.FormatUint(a, 10), strconv.FormatUint(b, 10))
+			if got := compareDecimal(a, b); got != want {
+				t.Fatalf("compareDecimal(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+	for d := 1; d <= 20; d++ {
+		for _, x := range []uint64{randomKey(rng, d), pow10[d-1], pow10[d-1] - 1} {
+			if got, want := decimalDigits(x), len(strconv.FormatUint(x, 10)); got != want {
+				t.Fatalf("decimalDigits(%d) = %d, want %d", x, got, want)
+			}
+		}
+	}
+}
+
+// TestAppendJSONMatchesMarshal is the encoder's differential: on random
+// and edge-case states, fresh, grown incrementally and decoded, its
+// bytes equal json.Marshal's.
+func TestAppendJSONMatchesMarshal(t *testing.T) {
+	checkEncoding(t, "nil classes", &BatchState{FailedRun: -1})
+	checkEncoding(t, "empty classes", &BatchState{Classes: map[uint64]int{}, FailedRun: -1})
+	checkEncoding(t, "zero state", &BatchState{})
+	checkEncoding(t, "edge keys and escaping", &BatchState{
+		Depth: 3, Horizon: 41,
+		Pool: sched.SeededState{Shard: 1, Of: 3, Next: 9, Completed: 8,
+			Failure: &sched.SeededFailure{Run: 25, Message: `pool <fail> & "quote"`}},
+		Classes:       map[uint64]int{12: 4, 120: 1, 1200: 7, 1e19 - 1: 2, 1e19: 3, math.MaxUint64: 0},
+		FailedRun:     25,
+		Violation:     true,
+		FailedMessage: "processes <0> & \"1\" both decided 2 — naïve ✓ \u2028\u2029 \xff\x01",
+	})
+
+	rng := rand.New(rand.NewSource(7))
+	for trial := range 40 {
+		st := &BatchState{Classes: map[uint64]int{}, FailedRun: -1}
+		if trial%2 == 1 {
+			st.Depth, st.Horizon = 1+rng.Intn(5), rng.Intn(1000)
+		}
+		if trial%3 == 0 {
+			st.FailedRun, st.Violation = rng.Intn(1000), trial%4 == 0
+			st.FailedMessage = "run <" + strconv.Itoa(st.FailedRun) + "> & \"ß\""
+		}
+		// Several slices' worth of classes, checkpointed after each, with
+		// keys of every decimal length and edge keys mixed in.
+		for slice := range 5 {
+			for range rng.Intn(200) {
+				addClass(st, randomKey(rng, 1+rng.Intn(20)), rng.Intn(1e6))
+			}
+			addClass(st, edgeKeys[rng.Intn(len(edgeKeys))], rng.Intn(1e6))
+			checkEncoding(t, "trial "+strconv.Itoa(trial)+" slice "+strconv.Itoa(slice), st)
+		}
+		// A decoded state keeps no order: the encoder rebuilds it, then
+		// continues incrementally.
+		decoded := roundTrip(t, st)
+		checkEncoding(t, "decoded trial "+strconv.Itoa(trial), decoded)
+		for range 50 {
+			addClass(decoded, randomKey(rng, 1+rng.Intn(20)), rng.Intn(1e6))
+		}
+		checkEncoding(t, "decoded and grown trial "+strconv.Itoa(trial), decoded)
+	}
+}
+
+// TestAppendJSONStaleOrder: a class map changed without Slice — keys
+// added, removed or replaced behind the state's back, or the map swapped
+// for another of the same size — is still encoded exactly.
+func TestAppendJSONStaleOrder(t *testing.T) {
+	st := &BatchState{Classes: map[uint64]int{5: 1, 50: 2, 6: 3}, FailedRun: -1}
+	checkEncoding(t, "hand-built", st)
+	st.Classes[51] = 4
+	checkEncoding(t, "key added behind the state's back", st)
+	delete(st.Classes, 50)
+	checkEncoding(t, "key removed", st)
+	delete(st.Classes, 5)
+	st.Classes[7] = 9
+	checkEncoding(t, "key replaced", st)
+	st.Classes = map[uint64]int{1: 1, 2: 2, 3: 3}
+	checkEncoding(t, "map swapped for one of the same size", st)
+	addClass(st, 3, 0)
+	st.keys.fresh = append(st.keys.fresh, 2, 2) // duplicates no Slice records
+	checkEncoding(t, "duplicate fresh keys", st)
+	st.Classes[4] = 0
+	st.keys.fresh = append(st.keys.fresh, 1)
+	checkEncoding(t, "fresh key already kept", st)
+}
+
+// TestAppendJSONAcrossSlices encodes real batch states after every slice,
+// walk and PCT, before and after a decode: a passing batch whose class set
+// grows, and a failing one.
+func TestAppendJSONAcrossSlices(t *testing.T) {
+	for _, mode := range []sched.SampleMode{sched.SampleWalk, sched.SamplePCT} {
+		for _, check := range []func(*sched.Result) error{nil, distinctOutputs} {
+			r := &ResumableBatch{N: 3, IDs: []int{1, 2, 3}, Build: racyBuild, Check: check,
+				Opts: sched.ExploreOptions{Workers: 2, Seed: 5, SampleRuns: 400, SampleMode: mode, Depth: 2}}
+			label := "mode " + strconv.Itoa(int(mode)) + " check " + strconv.FormatBool(check != nil)
+			st, err := r.Init(0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for slice := 0; ; slice++ {
+				checkEncoding(t, label+" slice "+strconv.Itoa(slice), st)
+				if slice == 3 {
+					st = roundTrip(t, st)
+					checkEncoding(t, label+" decoded", st)
+				}
+				var done bool
+				st, done, err = r.Slice(context.Background(), st, 37)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done {
+					break
+				}
+			}
+			checkEncoding(t, label+" done", st)
+			if check == nil && len(st.Classes) < 4 || check != nil && st.FailedMessage == "" {
+				t.Fatalf("%s: %d classes, failure %q: the batch does not exercise the encoder", label, len(st.Classes), st.FailedMessage)
+			}
+		}
+	}
+}

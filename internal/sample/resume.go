@@ -56,6 +56,9 @@ type BatchState struct {
 	Violation     bool   `json:"violation,omitempty"`
 	FailedMessage string `json:"failed_message,omitempty"`
 	failedErr     error  // live inner error when recorded in this process
+	// keys keeps Classes' keys in checkpoint encoding order (AppendJSON);
+	// Slice records each class it sees for the first time into it.
+	keys *classKeys
 }
 
 // ResumableBatch drives a sampling batch in bounded slices with
@@ -135,7 +138,8 @@ func (r *ResumableBatch) policyFor(st *BatchState) (func(int) sched.Policy, erro
 // state, and reports whether the shard's batch is complete. Pause
 // semantics are those of sched.SeededSlice: runs already claimed finish,
 // and the returned state is an exact resume point. The input state's
-// coverage map is reused (not copied) by the returned state.
+// coverage map, and the encoding order of its keys, are reused (not
+// copied) by the returned state.
 func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns int) (*BatchState, bool, error) {
 	if err := r.validate(); err != nil {
 		return state, false, err
@@ -150,6 +154,10 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 	if state.Classes == nil {
 		state.Classes = map[uint64]int{}
 	}
+	if state.keys == nil {
+		state.keys = new(classKeys)
+	}
+	keys := state.keys
 
 	var mu sync.Mutex // guards Classes and the failure-detail fields below
 	failedRun, violation := state.FailedRun, state.Violation
@@ -188,6 +196,9 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 		if !ok || i < first {
 			state.Classes[h] = i
 		}
+		if !ok {
+			keys.fresh = append(keys.fresh, h)
+		}
 		mu.Unlock()
 		if !ok && classes != nil {
 			classes.Inc()
@@ -214,6 +225,7 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 		Violation:     violation,
 		FailedMessage: failedMsg,
 		failedErr:     failedErr,
+		keys:          keys,
 	}
 	return next, done, nil
 }
