@@ -174,18 +174,15 @@ func (s *BatchState) appendClasses(dst []byte) []byte {
 	if s.keys == nil {
 		s.keys = new(classKeys)
 	}
-	start := len(dst)
-	for {
-		out, ok := appendObject(dst[:start], s.keys.sorted(s.Classes), s.Classes)
-		if ok {
-			return out
-		}
-		// A kept key is missing from the map: the map was changed behind
-		// the state's back. Every key is fresh on the next pass, which
-		// then draws the keys from the map itself.
-		s.keys.reset(s.Classes)
-		dst = out
+	if out, ok := appendObject(dst, s.keys.sorted(s.Classes), s.Classes); ok {
+		return out
 	}
+	// A kept key is missing from the map: the map was changed behind the
+	// state's back. Treat every key as fresh, so the keys come from the
+	// map itself.
+	s.keys.reset(s.Classes)
+	out, _ := appendObject(dst, s.keys.sorted(s.Classes), s.Classes)
+	return out
 }
 
 // appendObject appends {"key":value,...} for keys in the given order. It
