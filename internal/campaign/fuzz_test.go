@@ -2,7 +2,13 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sample"
@@ -53,8 +59,9 @@ func seedSnapshots(f *testing.F) [][]byte {
 		Options: optionsHeader(sched.ExploreOptions{Seed: 9, SampleRuns: 10, Depth: 3}),
 	}, payload{Sample: &sample.BatchState{
 		Depth: 3, Horizon: 12,
-		Pool:    sched.SeededState{Shard: 1, Of: 2, Next: 5, Completed: 5},
-		Classes: map[uint64]int{0xdeadbeef: 2},
+		Pool:      sched.SeededState{Shard: 1, Of: 2, Next: 5, Completed: 5},
+		Classes:   map[uint64]int{0xdeadbeef: 2},
+		FailedRun: -1,
 	}})
 
 	write(Header{
@@ -77,20 +84,133 @@ func seedSnapshots(f *testing.F) [][]byte {
 	seeds = append(seeds, trailingMutants(seeds[2])...)
 
 	// A failed sample state whose class keys are prefixes of each other
-	// and whose message needs escaping.
-	write(Header{
+	// and whose message needs escaping, then the same state with its two
+	// failure records made to disagree.
+	walk := Header{
 		Mode: ModeWalk, Protocol: "reg", Task: "wait-free", N: 2,
 		IDs: []int{1, 2}, Of: 1,
 		Options: optionsHeader(sched.ExploreOptions{Seed: 2, SampleRuns: 10}),
-	}, payload{Sample: &sample.BatchState{
+	}
+	failed := sample.BatchState{
 		Pool: sched.SeededState{Of: 1, Next: 4, Completed: 4,
 			Failure: &sched.SeededFailure{Run: 3, Message: "<a> & \"b\""}},
 		Classes:       map[uint64]int{12: 0, 120: 1, 1200: 2, 1e19 - 1: 3, 1e19: 3, 1<<64 - 1: 2},
 		FailedRun:     3,
 		Violation:     true,
 		FailedMessage: "<a> & \"b\" — ✓",
-	}, Stats: &snap})
+	}
+	write(walk, payload{Sample: &failed, Stats: &snap})
+	for _, st := range disagreeingFailures(failed) {
+		write(walk, payload{Sample: st})
+	}
 	return seeds
+}
+
+// TestHeaderWithCrashCapFailsHashCheck: options no longer carry a crash
+// cap, and the hash renders it as the literal cmax=0. A header hashed
+// over a non-zero max_crashes, as a build that still had the option would
+// have written it, fails the hash check instead of resuming under a
+// different cap.
+func TestHeaderWithCrashCapFailsHashCheck(t *testing.T) {
+	h := Header{
+		Magic: Magic, Version: Version, Mode: ModeCrash, Protocol: "reg", Task: "wait-free",
+		N: 2, IDs: []int{1, 2}, Of: 1,
+		Options: optionsHeader(sched.ExploreOptions{Seed: 5, CrashRuns: 10, CrashProb: 0.1}),
+	}
+	hashWithCap := func(cmax int) string {
+		f := fnv.New64a()
+		fmt.Fprintf(f, "v%d|mode=%s|task=wait-free|protocol=reg|n=2|ids=[1 2]|of=1|", Version, ModeCrash)
+		fmt.Fprintf(f, "seed=5|maxruns=0|maxsteps=0|red=0|sruns=0|smode=0|depth=0|cruns=10|cprob=0.1|cmax=%d", cmax)
+		return fmt.Sprintf("%016x", f.Sum64())
+	}
+	if got, want := optionsHash(h), hashWithCap(0); got != want {
+		t.Fatalf("options hash %s, want %s (the cmax=0 rendering)", got, want)
+	}
+	h.OptionsHash = hashWithCap(2)
+	line, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line = bytes.Replace(line, []byte(`"options":{`), []byte(`"options":{"max_crashes":2,`), 1)
+	if _, _, err := decodeHeader(append(line, '\n')); err == nil || !strings.Contains(err.Error(), "hash") {
+		t.Errorf("header with max_crashes 2 decoded with error %v, want a hash mismatch", err)
+	}
+}
+
+// disagreeingFailures returns copies of a failed sample state whose two
+// records of the failing run disagree: the pool's failure alone,
+// failed_run alone, and the two naming different runs.
+func disagreeingFailures(st sample.BatchState) []*sample.BatchState {
+	poolOnly, failedOnly, differ := st, st, st
+	poolOnly.FailedRun = -1
+	failedOnly.Pool.Failure = nil
+	differ.FailedRun = st.Pool.Failure.Run + 1
+	return []*sample.BatchState{&poolOnly, &failedOnly, &differ}
+}
+
+// TestSampleFailureRecordsMustAgree: a sample snapshot whose pool failure
+// and failed_run disagree is rejected when decoded, so Merge and Resume
+// (single-shard and one shard of two) return an error instead of
+// settling it into a panic. The consistent state settles to its failure.
+func TestSampleFailureRecordsMustAgree(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	for _, of := range []int{1, 2} {
+		cfg := cfgFor(racyCase(), optsFor(ModeWalk, 1), filepath.Join(dir, "unused.ckpt"))
+		cfg.Of = of
+		if err := cfg.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		h := cfg.header()
+		h.Done = true
+		failed := sample.BatchState{
+			Pool: sched.SeededState{Of: of, Next: 2, Completed: 2,
+				Failure: &sched.SeededFailure{Run: 2, Message: "duplicate names"}},
+			Classes:       map[uint64]int{7: 0},
+			FailedRun:     2,
+			Violation:     true,
+			FailedMessage: "duplicate names",
+		}
+		writeState := func(name string, st *sample.BatchState) string {
+			t.Helper()
+			data, err := encodeSnapshot(nil, h, payload{Sample: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("%s-of%d.ckpt", name, of))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}
+		resume := func(path string) (Report, error) {
+			c := cfg
+			c.Path = path
+			return Resume(ctx, c)
+		}
+
+		if rep, err := resume(writeState("consistent", &failed)); rep.FailedRun != 2 || !strings.Contains(errText(err), "duplicate names") {
+			t.Errorf("of %d: consistent state resumed to (failed run %d, %v), want run 2's failure", of, rep.FailedRun, err)
+		}
+		for i, st := range disagreeingFailures(failed) {
+			path := writeState(fmt.Sprintf("mutant%d", i), st)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := decodeSnapshot(data); err == nil {
+				t.Errorf("of %d, mutant %d: decoded failed_run %d with pool failure %+v", of, i, st.FailedRun, st.Pool.Failure)
+			}
+			if _, err := resume(path); err == nil {
+				t.Errorf("of %d, mutant %d: Resume succeeded", of, i)
+			}
+			if of == 1 {
+				if _, err := Merge(ctx, cfg, []string{path}); err == nil {
+					t.Errorf("mutant %d: Merge succeeded", i)
+				}
+			}
+		}
+	}
 }
 
 // trailingMutants appends non-whitespace after a valid snapshot: a second
@@ -194,6 +314,14 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		b.Write(got)
 		if _, _, err := decodeSnapshot(b.Bytes()); err != nil {
 			t.Fatalf("re-encoded snapshot rejected: %v", err)
+		}
+		// Settling an accepted seeded state may fail, but never panic.
+		switch {
+		case p.Sample != nil:
+			batch := &sample.ResumableBatch{N: h.N, IDs: h.IDs, Opts: h.ExploreOptions()}
+			_, _ = batch.Finalize(context.Background(), p.Sample)
+		case p.Crash != nil:
+			_, _, _ = sched.FinalizeSeeded(context.Background(), h.Options.CrashRuns, p.Crash)
 		}
 	})
 }

@@ -97,7 +97,6 @@ type OptionsHeader struct {
 	Depth      int     `json:"depth,omitempty"`
 	CrashRuns  int     `json:"crash_runs,omitempty"`
 	CrashProb  float64 `json:"crash_prob,omitempty"`
-	MaxCrashes int     `json:"max_crashes,omitempty"`
 	// Model and Adversary are normalized to "" when they name the
 	// defaults (atomic, uniform-crash), so a campaign started with the
 	// explicit default has the identity — and the options hash — of one
@@ -138,7 +137,6 @@ func optionsHeader(o sched.ExploreOptions) OptionsHeader {
 		Depth:      o.Depth,
 		CrashRuns:  o.CrashRuns,
 		CrashProb:  o.CrashProb,
-		MaxCrashes: o.MaxCrashes,
 		Model:      nonDefaultName(o.Model, sched.ModelAtomic),
 		Adversary:  nonDefaultName(o.Adversary, sched.AdversaryUniformCrash),
 	}
@@ -158,7 +156,6 @@ func (h Header) ExploreOptions() sched.ExploreOptions {
 		Depth:      o.Depth,
 		CrashRuns:  o.CrashRuns,
 		CrashProb:  o.CrashProb,
-		MaxCrashes: o.MaxCrashes,
 		Model:      o.Model,
 		Adversary:  o.Adversary,
 	}
@@ -205,10 +202,14 @@ type payload struct {
 func optionsHash(h Header) string {
 	f := fnv.New64a()
 	fmt.Fprintf(f, "v%d|mode=%s|task=%s|protocol=%s|n=%d|ids=%v|of=%d|", h.Version, h.Mode, h.Task, h.Protocol, h.N, h.IDs, h.Of)
-	fmt.Fprintf(f, "seed=%d|maxruns=%d|maxsteps=%d|red=%d|sruns=%d|smode=%d|depth=%d|cruns=%d|cprob=%g|cmax=%d",
+	// cmax=0 keeps the hash text of headers written while options still
+	// carried a crash cap (max_crashes, unset everywhere: every sweep
+	// caps crashes at n-1). A header whose hash covers a non-zero cap
+	// fails the hash check.
+	fmt.Fprintf(f, "seed=%d|maxruns=%d|maxsteps=%d|red=%d|sruns=%d|smode=%d|depth=%d|cruns=%d|cprob=%g|cmax=0",
 		h.Options.Seed, h.Options.MaxRuns, h.Options.MaxSteps, h.Options.Reduction,
 		h.Options.SampleRuns, h.Options.SampleMode, h.Options.Depth,
-		h.Options.CrashRuns, h.Options.CrashProb, h.Options.MaxCrashes)
+		h.Options.CrashRuns, h.Options.CrashProb)
 	// Non-default memory model / adversary choices join the identity;
 	// defaults contribute nothing, so hashes of snapshots from before the
 	// registries existed are unchanged and keep resuming.
@@ -321,6 +322,18 @@ func decodeSnapshot(data []byte) (Header, payload, error) {
 	}
 	if got, want := p.payloadFamily(), h.Mode.family(); got != want {
 		return h, p, fmt.Errorf("payload family %q does not match mode %s", got, h.Mode)
+	}
+	// A sample state records its smallest failing run twice: as the
+	// pool's failure and as failed_run (-1 for none). Settling trusts
+	// both, so they must agree.
+	if s := p.Sample; s != nil {
+		poolRun := -1
+		if s.Pool.Failure != nil {
+			poolRun = s.Pool.Failure.Run
+		}
+		if s.FailedRun != poolRun {
+			return h, p, fmt.Errorf("sample payload: failed_run %d does not match the pool's failing run %d (-1: none)", s.FailedRun, poolRun)
+		}
 	}
 	return h, p, nil
 }

@@ -20,7 +20,7 @@ import (
 // that usually allocate:
 //
 //   - append(...) — growth allocates; appends into pre-grown reusable
-//     scratch (r.result.Schedule, r.opsBuf) are the idiom and carry
+//     scratch (r.result.Schedule, r.pendingIdx) are the idiom and carry
 //     //gsb:alloc-ok annotations citing the reuse;
 //   - make(...) and new(...);
 //   - slice and map composite literals ([]T{...}, map[K]V{...}), which
@@ -34,7 +34,7 @@ import (
 // so stack-proven allocations still need an //gsb:alloc-ok with the
 // argument (the benchmark gate keeps the annotation honest). Marking is
 // manual; a function reachable from a marked one is not automatically
-// checked, so mark the whole call chain (Exec → pull → nextDecision).
+// checked, so mark the whole call chain (Exec → schedule → pull).
 var HotPathAnalyzer = &Analyzer{
 	Name:       "hotpath",
 	Doc:        "flags allocating expressions inside //gsb:hotpath-marked functions",

@@ -21,10 +21,10 @@ import (
 const (
 	// AdversaryUniformCrash is the pre-registry sweep and the default:
 	// every decision picks a uniform pending process and crashes it with
-	// probability CrashProb, up to MaxCrashes crashes (RandomCrash).
+	// probability CrashProb, up to n-1 crashes (RandomCrash).
 	AdversaryUniformCrash = "uniform-crash"
 	// AdversaryTResilient models a t-resilient environment: each run
-	// pre-draws a victim set of at most MaxCrashes processes, and only
+	// pre-draws a victim set of at most n-1 processes, and only
 	// victims may crash — the other n-t processes are reliable.
 	AdversaryTResilient = "t-resilient"
 	// AdversaryAdaptive crashes adaptively: with probability CrashProb
@@ -54,17 +54,17 @@ func (a Adversary) String() string { return a.name }
 var adversaryRegistry = []Adversary{
 	{name: AdversaryUniformCrash, policies: func(n int, opts ExploreOptions) func(run int) Policy {
 		return func(i int) Policy {
-			return NewRandomCrash(DeriveRunSeed(opts.Seed, i), opts.CrashProb, opts.MaxCrashes)
+			return NewRandomCrash(DeriveRunSeed(opts.Seed, i), opts.CrashProb, n-1)
 		}
 	}},
 	{name: AdversaryTResilient, policies: func(n int, opts ExploreOptions) func(run int) Policy {
 		return func(i int) Policy {
-			return NewTResilientCrash(DeriveRunSeed(opts.Seed, i), opts.CrashProb, opts.MaxCrashes, n)
+			return NewTResilientCrash(DeriveRunSeed(opts.Seed, i), opts.CrashProb, n-1, n)
 		}
 	}},
 	{name: AdversaryAdaptive, policies: func(n int, opts ExploreOptions) func(run int) Policy {
 		return func(i int) Policy {
-			return NewAdaptiveCrash(DeriveRunSeed(opts.Seed, i), opts.CrashProb, opts.MaxCrashes, n)
+			return NewAdaptiveCrash(DeriveRunSeed(opts.Seed, i), opts.CrashProb, n-1, n)
 		}
 	}},
 }

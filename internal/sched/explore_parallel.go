@@ -92,9 +92,6 @@ type ExploreOptions struct {
 	// CrashProb is the per-decision crash probability in sweep mode;
 	// it must lie in [0, 1] (Validate).
 	CrashProb float64
-	// MaxCrashes caps injected crashes per run; <= 0 means n-1 (the
-	// wait-free maximum).
-	MaxCrashes int
 
 	// Model names the registered memory model runs execute under (see
 	// MemModels, docs/models.md). "" or "atomic" is the default atomic
@@ -109,7 +106,7 @@ type ExploreOptions struct {
 	// Adversary names the registered crash adversary that drives sweep
 	// mode (CrashRuns > 0; see Adversaries, docs/models.md). "" or
 	// "uniform-crash" is the default uniform sweep; "t-resilient"
-	// restricts crashes to a pre-drawn victim set of at most MaxCrashes
+	// restricts crashes to a pre-drawn victim set of at most n-1
 	// processes; "adaptive" targets the most-advanced pending process.
 	// Unknown names are rejected by Validate with the registered list.
 	// Ignored outside sweep mode; part of campaign identity like Model.
@@ -195,9 +192,6 @@ func (o ExploreOptions) withDefaults(n int) ExploreOptions {
 	if o.MaxSteps <= 0 {
 		o.MaxSteps = 4096 * n
 	}
-	if o.MaxCrashes <= 0 || o.MaxCrashes > n-1 {
-		o.MaxCrashes = n - 1
-	}
 	return o
 }
 
@@ -279,7 +273,8 @@ type frontierItem struct {
 
 // exploreWorker is one worker's reusable state. Nothing in it is shared
 // with other workers, so the hot path re-arms it without locks or
-// allocation: the runner via Reset, the policy via reset (its buffers are
+// allocation: the runner resets its own run state at every Run (newWorker
+// binds it to the policy once), the policy via reset (its buffers are
 // valid until the next reset), and the hasher's level buckets per call.
 type exploreWorker struct {
 	w      int
@@ -290,11 +285,10 @@ type exploreWorker struct {
 
 // newWorker builds worker w's reusable state; close its runner when done.
 func (e *explorer) newWorker(w int) *exploreWorker {
-	return &exploreWorker{
-		w:      w,
-		runner: NewRunner(e.n, e.ids, nil, WithMaxSteps(e.opts.MaxSteps), WithReuse(), WithModel(e.model)),
-		policy: &porPolicy{indep: e.indep},
-	}
+	runner := NewRunner(e.n, e.ids, nil, WithMaxSteps(e.opts.MaxSteps), WithReuse(), WithModel(e.model))
+	policy := &porPolicy{indep: e.indep, runner: runner}
+	runner.Reset(policy)
+	return &exploreWorker{w: w, runner: runner, policy: policy}
 }
 
 // exploreShard is one lane of the frontier. Its owner pushes and pops at
@@ -543,7 +537,6 @@ func (e *explorer) process(item frontierItem, wk *exploreWorker) bool {
 
 	policy := wk.policy
 	policy.reset(item.choices, item.sleep)
-	wk.runner.Reset(policy)
 	res, err := wk.runner.Run(e.build())
 	switch {
 	case errors.Is(err, ErrRunAborted):

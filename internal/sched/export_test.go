@@ -14,10 +14,19 @@ var (
 	DistinctOutputs = distinctOutputs
 )
 
+// newPORPair returns a runner for n processes and a porPolicy under
+// indep, bound to each other as newWorker binds an exploration worker's.
+func newPORPair(n int, indep Independence, opts ...Option) (*Runner, *porPolicy) {
+	runner := NewRunner(n, DefaultIDs(n), nil, opts...)
+	policy := &porPolicy{indep: indep, runner: runner}
+	runner.Reset(policy)
+	return runner, policy
+}
+
 // CheckPORPolicyReuse walks the whole sleep-set tree of build (n
 // processes under the named memory model) depth-first, executing every
 // frontier item twice: under one porPolicy re-armed with reset for every
-// item, as an exploration worker does, and under a fresh &porPolicy{}.
+// item, as an exploration worker does, and under a fresh policy and runner.
 // Both must report the same run choices and the same branch items
 // (choices and sleep sets), and no queued item may change between its
 // carving and its pop — the slab's immutability contract. It returns the
@@ -36,8 +45,7 @@ func CheckPORPolicyReuse(t testing.TB, n int, model string, build func() Body) i
 	clone := func(it frontierItem) frontierItem {
 		return frontierItem{choices: slices.Clone(it.choices), sleep: slices.Clone(it.sleep)}
 	}
-	reused := &porPolicy{indep: OpIndependent}
-	runner := NewRunner(n, DefaultIDs(n), nil, WithReuse(), WithModel(m))
+	runner, reused := newPORPair(n, OpIndependent, WithReuse(), WithModel(m))
 	defer runner.Close()
 	stack := []queued{{item: frontierItem{choices: []int{}}, want: frontierItem{choices: []int{}}}}
 	walked := 0
@@ -49,11 +57,10 @@ func CheckPORPolicyReuse(t testing.TB, n int, model string, build func() Body) i
 		}
 		walked++
 
-		fresh := &porPolicy{indep: OpIndependent}
+		freshRunner, fresh := newPORPair(n, OpIndependent, WithModel(m))
 		fresh.reset(q.item.choices, q.item.sleep)
-		_, freshErr := NewRunner(n, DefaultIDs(n), fresh, WithModel(m)).Run(build())
+		_, freshErr := freshRunner.Run(build())
 		reused.reset(q.item.choices, q.item.sleep)
-		runner.Reset(reused)
 		_, reusedErr := runner.Run(build())
 		if (freshErr == nil) != (reusedErr == nil) {
 			t.Fatalf("prefix %v: fresh run error %v, reused run error %v", q.item.choices, freshErr, reusedErr)

@@ -31,25 +31,12 @@ type Decision struct {
 // operation steps granted so far. Policies must be deterministic functions
 // of their own state so that runs are reproducible.
 //
-// The pending slice (and the ops slice of OpAwarePolicy) is the runner's
-// reusable scratch buffer: it is valid only for the duration of the call
-// and is overwritten by the next decision. Policies that keep it must
-// copy it (every recording policy in this repository does).
+// The pending slice is the runner's reusable scratch buffer: it is valid
+// only for the duration of the call and is overwritten by the next
+// decision. Policies that keep it must copy it (every recording policy in
+// this repository does).
 type Policy interface {
 	Next(pending []int, stepNo int) Decision
-}
-
-// OpAwarePolicy is an optional Policy extension. When a policy implements
-// it, the runner calls NextOps instead of Next, additionally passing the
-// label of each pending operation: ops[i] names the operation process
-// pending[i] is blocked on (the name given to Proc.Exec, e.g. "A.read").
-// A process's requested operation cannot change while it is pending, so
-// the labels are exactly the steps the adversary is choosing among.
-// Partial-order reduction uses them to decide which pending steps
-// commute.
-type OpAwarePolicy interface {
-	Policy
-	NextOps(pending []int, ops []string, stepNo int) Decision
 }
 
 // RoundRobin grants steps to pending processes in cyclic index order.

@@ -71,20 +71,24 @@ var ErrRunAborted = errors.New("sched: run aborted by the scheduling policy")
 // Reduction: it replays a fixed prefix of choices, then descends picking
 // the smallest pending process that is not asleep, maintaining the sleep
 // set across decisions and recording everything branch generation needs.
-// It implements OpAwarePolicy to learn the label of every pending
-// operation. A nil indep means no pair of steps commutes — the
-// ReductionNone walk: no process is ever put to sleep, no run aborts, and
-// every pending process larger than the chosen one branches, so the walk
-// is the exhaustive one. Without labels (plain Next) all steps are
-// likewise treated as conflicting.
+// It reads the label of every pending operation (the name given to
+// Proc.Exec, e.g. "A.read") from the runner it schedules; a process's
+// requested operation cannot change while it is pending, so the labels
+// are exactly the steps the adversary is choosing among. A nil indep
+// means no pair of steps commutes — the ReductionNone walk: no label is
+// read, no process is ever put to sleep, no run aborts, and every pending
+// process larger than the chosen one branches, so the walk is the
+// exhaustive one.
 //
-// Each exploration worker owns one porPolicy and re-arms it with reset
-// for every frontier item, so its buffers reach a steady size and a run
-// records its decisions without allocating. The recorded sets and
-// choices are valid until the next reset; the branch items it returns
-// are carved from the worker's prefix slab and never written again.
+// Each exploration worker owns one runner and one porPolicy, and re-arms
+// the policy with reset for every frontier item, so its buffers reach a
+// steady size and a run records its decisions without allocating. The
+// recorded sets and choices are valid until the next reset; the branch
+// items it returns are carved from the worker's prefix slab and never
+// written again.
 type porPolicy struct {
 	indep  Independence // nil: every pair of steps conflicts
+	runner *Runner      // the runner this policy schedules; read only when indep is set
 	prefix []int
 	sleep0 []int // sleep set at the node reached after prefix
 
@@ -92,8 +96,8 @@ type porPolicy struct {
 	// Recorded per post-prefix decision j (aligned with
 	// choices[len(prefix):]) into flat arenas: decision j's pending set
 	// (sorted) is pend[lo:at[j]] with lo = at[j-1] (0 for j = 0), its op
-	// labels are ops[lo:at[j]], and its sleep set (sorted) is
-	// sleeps[sleepAt[j-1]:sleepAt[j]] likewise.
+	// labels (only when indep is set) are ops[lo:at[j]], and its sleep
+	// set (sorted) is sleeps[sleepAt[j-1]:sleepAt[j]] likewise.
 	at      []int
 	pend    []int
 	ops     []string
@@ -122,22 +126,10 @@ func (e *porPolicy) reset(prefix, sleep0 []int) {
 	e.started = false
 }
 
-// Next implements Policy (no op labels: conservative, no reduction).
+// Next implements Policy.
 //
 //gsb:hotpath
-func (e *porPolicy) Next(pending []int, stepNo int) Decision {
-	return e.decide(pending, nil, stepNo)
-}
-
-// NextOps implements OpAwarePolicy.
-//
-//gsb:hotpath
-func (e *porPolicy) NextOps(pending []int, ops []string, stepNo int) Decision {
-	return e.decide(pending, ops, stepNo)
-}
-
-//gsb:hotpath
-func (e *porPolicy) decide(pending []int, ops []string, _ int) Decision {
+func (e *porPolicy) Next(pending []int, _ int) Decision {
 	step := len(e.choices)
 	if step < len(e.prefix) {
 		pick := e.prefix[step]
@@ -168,14 +160,7 @@ func (e *porPolicy) decide(pending []int, ops []string, _ int) Decision {
 		return Decision{Abort: true}
 	}
 
-	e.pend = append(e.pend, pending...) //gsb:alloc-ok reused e.pend arena, reset to [:0] per run
-	if ops == nil {
-		for range pending {
-			e.ops = append(e.ops, "") //gsb:alloc-ok reused e.ops arena; unlabeled steps conflict with everything
-		}
-	} else {
-		e.ops = append(e.ops, ops...) //gsb:alloc-ok reused e.ops arena, reset to [:0] per run
-	}
+	e.pend = append(e.pend, pending...)          //gsb:alloc-ok reused e.pend arena, reset to [:0] per run
 	e.at = append(e.at, len(e.pend))             //gsb:alloc-ok reused e.at arena, reset to [:0] per run
 	e.sleeps = append(e.sleeps, e.cur...)        //gsb:alloc-ok reused e.sleeps arena, reset to [:0] per run
 	e.sleepAt = append(e.sleepAt, len(e.sleeps)) //gsb:alloc-ok reused e.sleepAt arena, reset to [:0] per run
@@ -186,10 +171,12 @@ func (e *porPolicy) decide(pending []int, ops []string, _ int) Decision {
 	// A nil relation commutes nothing, so every sleeper wakes.
 	kept := e.cur[:0] // the sleeps arena holds the node's copy
 	if e.indep != nil {
-		ops = e.ops[len(e.ops)-len(pending):]
-		pickOp := ops[indexSorted(pending, pick)]
+		req := e.runner.pendingReq
+		for _, p := range pending {
+			e.ops = append(e.ops, req[p].name) //gsb:alloc-ok reused e.ops arena, reset to [:0] per run
+		}
 		for _, u := range e.cur {
-			if e.indep(u, ops[indexSorted(pending, u)], pick, pickOp) {
+			if e.indep(u, req[u].name, pick, req[pick].name) {
 				kept = append(kept, u) //gsb:alloc-ok filters e.cur in place
 			}
 		}
@@ -215,7 +202,11 @@ func (e *porPolicy) branchItems() []frontierItem {
 	lo, slo := 0, 0
 	for j, hi := range e.at {
 		i := len(e.prefix) + j
-		pending, ops := e.pend[lo:hi], e.ops[lo:hi]
+		pending := e.pend[lo:hi]
+		var ops []string // recorded only under a relation
+		if e.indep != nil {
+			ops = e.ops[lo:hi]
+		}
 		sleep := e.sleeps[slo:e.sleepAt[j]]
 		lo, slo = hi, e.sleepAt[j]
 		chosen := e.choices[i]

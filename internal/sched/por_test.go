@@ -42,6 +42,56 @@ func mixedBody() func() Body {
 	}
 }
 
+// TestExhaustiveWalkReadsNoLabels: a worker-style runner and policy walk
+// the whole tree of mixedBody depth-first, once per relation. Under a nil
+// relation (the ReductionNone walk) the policy's label arena stays empty
+// after every run; under OpIndependent it holds one label per recorded
+// pending process, and the chosen process's label is the op the run
+// executed at that step.
+func TestExhaustiveWalkReadsNoLabels(t *testing.T) {
+	const n = 2
+	for _, indep := range []Independence{nil, OpIndependent} {
+		runner, policy := newPORPair(n, indep, WithReuse())
+		stack := []frontierItem{{}}
+		runs, labels := 0, 0
+		for len(stack) > 0 {
+			item := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			policy.reset(item.choices, item.sleep)
+			res, err := runner.Run(mixedBody()())
+			if err != nil && !errors.Is(err, ErrRunAborted) {
+				t.Fatal(err)
+			}
+			runs++
+			if indep == nil {
+				if len(policy.ops) != 0 {
+					t.Fatalf("nil relation, prefix %v: policy recorded labels %q", item.choices, policy.ops)
+				}
+			} else {
+				if len(policy.ops) != len(policy.pend) {
+					t.Fatalf("prefix %v: %d labels for %d recorded pending processes", item.choices, len(policy.ops), len(policy.pend))
+				}
+				lo := 0
+				for j, hi := range policy.at {
+					i := len(item.choices) + j
+					got := policy.ops[lo+indexSorted(policy.pend[lo:hi], policy.choices[i])]
+					if want := res.Schedule[i].Op; got != want {
+						t.Fatalf("prefix %v, step %d: recorded label %q, run executed %q", item.choices, i, got, want)
+					}
+					lo = hi
+				}
+				labels += len(policy.ops)
+			}
+			stack = append(stack, policy.branchItems()...)
+		}
+		runner.Close()
+		if indep != nil && labels == 0 {
+			t.Errorf("sleep-set walk recorded no labels over %d runs; the check is vacuous", runs)
+		}
+		t.Logf("relation set %v: %d runs, %d labels", indep != nil, runs, labels)
+	}
+}
+
 func TestOpIndependent(t *testing.T) {
 	cases := []struct {
 		pa   int

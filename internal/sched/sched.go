@@ -250,10 +250,9 @@ type Runner struct {
 	pendingReq []stepReq // pending request of process i (valid iff pendingOn[i])
 	pendingOn  []bool
 	// Reusable scratch handed to the policy each decision. Policies must
-	// treat the pending and ops slices as valid only for the duration of
-	// the call (every policy in this repository copies what it keeps).
+	// treat it as valid only for the duration of the call (every policy
+	// in this repository copies what it keeps).
 	pendingIdx []int
-	opsBuf     []string
 
 	// Live loop state (fields so the panic-unwind path can see them).
 	exited       int // processes whose body finished, crashed or panicked
@@ -328,7 +327,6 @@ func NewRunner(n int, ids []int, policy Policy, opts ...Option) *Runner {
 		pendingReq: make([]stepReq, n),
 		pendingOn:  make([]bool, n),
 		pendingIdx: make([]int, 0, n),
-		opsBuf:     make([]string, 0, n),
 		granting:   -1,
 	}
 	for i := 0; i < n; i++ {
@@ -546,7 +544,7 @@ func (r *Runner) schedule() (budgetErr error) {
 			}
 			dec = Decision{Proc: idx[0], Crash: true}
 		} else {
-			dec = r.nextDecision(idx)
+			dec = r.policy.Next(idx, r.result.Steps)
 			if dec.Abort {
 				// The policy discards the rest of the run (e.g. a
 				// partial-order-reduction probe whose continuations are
@@ -612,21 +610,4 @@ func (r *Runner) unwind() {
 			r.crashPull(r.procs[i])
 		}
 	}
-}
-
-// nextDecision consults the policy for the next scheduling decision,
-// passing the pending operations' labels when the policy asks for them
-// (OpAwarePolicy). The slices are the runner's reusable scratch buffers.
-//
-//gsb:hotpath
-func (r *Runner) nextDecision(pendingIdx []int) Decision {
-	if oap, ok := r.policy.(OpAwarePolicy); ok {
-		ops := r.opsBuf[:0]
-		for _, i := range pendingIdx {
-			ops = append(ops, r.pendingReq[i].name) //gsb:alloc-ok appends into r.opsBuf[:0], pre-grown to n at NewRunner
-		}
-		r.opsBuf = ops
-		return oap.NextOps(pendingIdx, ops, r.result.Steps)
-	}
-	return r.policy.Next(pendingIdx, r.result.Steps)
 }

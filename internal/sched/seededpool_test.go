@@ -178,8 +178,9 @@ func TestRunnerScheduleDivergedError(t *testing.T) {
 	// Process 0 takes write+decide = 2 steps; a prefix granting it a 3rd
 	// step diverges, with or without a commutation relation.
 	for _, indep := range []Independence{nil, OpIndependent} {
-		policy := &porPolicy{indep: indep, prefix: []int{0, 0, 0}}
-		_, err := NewRunner(2, DefaultIDs(2), policy).Run(body)
+		runner, policy := newPORPair(2, indep)
+		policy.reset([]int{0, 0, 0}, nil)
+		_, err := runner.Run(body)
 		if !errors.Is(err, ErrScheduleDiverged) {
 			t.Fatalf("indep set %v: err = %v, want ErrScheduleDiverged", indep != nil, err)
 		}
