@@ -108,7 +108,7 @@ var (
 	MemModelByName  = sched.MemModelByName
 	AdversaryByName = sched.AdversaryByName
 	// WithModel runs a runner's shared objects under a resolved memory
-	// model; RunVerifiedUnder is the name-resolving one-shot form.
+	// model; pass it to NewRunner, or to RunVerified for one run.
 	WithModel = sched.WithModel
 )
 
@@ -300,7 +300,6 @@ type (
 
 var (
 	RunVerified              = tasks.RunVerified
-	RunVerifiedUnder         = tasks.RunVerifiedUnder
 	ExploreVerified          = tasks.ExploreVerified
 	SampleVerified           = tasks.SampleVerified
 	SolverBody               = tasks.Body

@@ -5,13 +5,12 @@ import (
 	"fmt"
 
 	"repro/internal/sample"
-	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
 // mergeStats sums the shard snapshots' observability totals: the merged
-// counters equal an uninterrupted unsharded run's (the exact-count
-// counters are recomputed by Merge, see there). Nil when no shard carried
+// counters equal an uninterrupted unsharded run's (the sampler's class
+// counter is recomputed by Merge, see there). Nil when no shard carried
 // stats — snapshots written by a build predating the stats payload field.
 func mergeStats(payloads []payload) *stats.Snapshot {
 	var sum stats.Snapshot
@@ -85,19 +84,12 @@ func Merge(ctx context.Context, cfg Config, paths []string) (Report, error) {
 	}
 	rep.Stats = mergeStats(payloads)
 	rep, err := settle(ctx, &cfg, rep, payloads)
-	// The exact-count counters are recomputed from the merged report:
-	// per-shard first sightings over-count classes shared between shards,
-	// and under the memo reduction per-shard schedule counts over-count
-	// classes the same way. On a violation the counters keep the raw
-	// summed work figures — the report's counts then describe the lex-min
-	// violation, not the work done.
-	if rep.Stats != nil && rep.Stats.Counters != nil && rep.Violation == "" {
-		switch ModeOf(cfg.Opts).family() {
-		case "explore":
-			rep.Stats.Counters[sched.MetricSchedules] = int64(rep.Schedules)
-		case "sample":
-			rep.Stats.Counters[sample.MetricClasses] = int64(rep.Classes)
-		}
+	// The sampler's class counter is recomputed from the merged report:
+	// per-shard first sightings over-count classes shared between shards.
+	// On a violation it keeps the raw summed figure — the report's counts
+	// then describe the lex-min violation, not the work done.
+	if rep.Stats != nil && rep.Stats.Counters != nil && rep.Violation == "" && ModeOf(cfg.Opts).family() == "sample" {
+		rep.Stats.Counters[sample.MetricClasses] = int64(rep.Classes)
 	}
 	return rep, err
 }

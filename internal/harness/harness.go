@@ -162,10 +162,11 @@ func figure2Sweep(n, runs int) (Figure2Row, error) {
 	runner := sched.NewRunner(n, sched.DefaultIDs(n), nil, sched.WithMaxSteps(tasks.DefaultRunMaxSteps), sched.WithReuse())
 	defer runner.Close()
 	for seed := int64(0); seed < int64(runs); seed++ {
-		res, err := tasks.RunVerifiedOn(spec, runner, sched.NewRandom(seed),
-			func(n int) tasks.Solver {
-				return tasks.NewSlotRenaming("F2", n, mem.NewTaskBox("KS", slots, seed))
-			})
+		runner.Reset(sched.NewRandom(seed))
+		res, err := runner.Run(tasks.Body(tasks.NewSlotRenaming("F2", n, mem.NewTaskBox("KS", slots, seed))))
+		if err == nil {
+			err = tasks.VerifyResult(spec, res)
+		}
 		if err != nil {
 			return row, fmt.Errorf("harness: n=%d seed=%d: %w", n, seed, err)
 		}

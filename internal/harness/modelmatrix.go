@@ -129,7 +129,7 @@ func ModelMatrixExperiment(workers, sampleRuns, crashRuns int, models, adversari
 		for _, model := range res.Models {
 			opts := sched.ExploreOptions{
 				Workers:   workers,
-				Reduction: sched.ReductionSleepMemo,
+				Reduction: sched.ReductionSleepSets,
 				Model:     model,
 			}
 			classes, err := tasks.ExploreVerified(context.Background(), proto.spec(2), sched.DefaultIDs(2), opts, proto.build)

@@ -110,7 +110,11 @@ func (r *ResumableBatch) Init(shard, of int) (*BatchState, error) {
 		if st.Depth <= 0 {
 			st.Depth = DefaultDepth
 		}
-		st.Horizon = ProbeHorizon(r.N, r.IDs, r.maxSteps(), r.Build)
+		model, err := sched.MemModelByName(r.Opts.Model)
+		if err != nil {
+			return nil, err
+		}
+		st.Horizon = ProbeHorizon(r.N, r.IDs, r.maxSteps(), model, r.Build)
 	}
 	return st, nil
 }

@@ -9,17 +9,17 @@ import (
 
 // This file is the checkpoint layer of the exhaustive/POR engine: the
 // discovery pass runs in bounded slices, and between slices its entire
-// state — the unexplored frontier (with sleep sets), the run counters,
-// the best failure, and the canonical-trace memo — is a plain serializable
-// value. The key invariant making this exact rather than approximate:
-// the sleep-set walk keeps no cross-subtree state outside the frontier
-// items themselves (each item carries its own sleep set), so the set of
-// runs executed from a frontier F is a pure function of F, never of how
-// the engine arrived at F. Processing any subset of F and collecting the
-// remainder therefore commutes with worker interleaving, process death
-// and machine boundaries alike — which is what lets a campaign resume
-// after a kill, and lets disjoint partitions of F run as shards on
-// different machines and be merged.
+// state — the unexplored frontier (with sleep sets), the run counters and
+// the best failure — is a plain serializable value. The key invariant
+// making this exact rather than approximate: the sleep-set walk keeps no
+// cross-subtree state outside the frontier items themselves (each item
+// carries its own sleep set), so the set of runs executed from a frontier
+// F is a pure function of F, never of how the engine arrived at F.
+// Processing any subset of F and collecting the remainder therefore
+// commutes with worker interleaving, process death and machine boundaries
+// alike — which is what lets a campaign resume after a kill, and lets
+// disjoint partitions of F run as shards on different machines and be
+// merged.
 //
 // This is the engine's only execution path: the one-shot Explore is one
 // unbounded Slice plus Finalize, a campaign is a sequence of bounded
@@ -51,9 +51,6 @@ type ExploreState struct {
 	// Failure is the lexicographically smallest failed run seen so far,
 	// nil while every run has verified.
 	Failure *FailureState `json:"failure,omitempty"`
-	// MemoHashes is the canonical-trace memo (ReductionSleepMemo only):
-	// the sorted class hashes already counted.
-	MemoHashes []uint64 `json:"memo_hashes,omitempty"`
 }
 
 // FrontierState is one serialized frontier item: a schedule prefix and,
@@ -156,11 +153,6 @@ func (r *ResumableExplorer) Slice(ctx context.Context, state *ExploreState, slic
 			err:     state.Failure.Err(),
 		}
 	}
-	if e.memo != nil {
-		for _, h := range state.MemoHashes {
-			e.memo.insert(h)
-		}
-	}
 	for i, it := range state.Frontier {
 		e.pushTo(i%len(e.shards), frontierItem{
 			choices: append([]int(nil), it.Choices...),
@@ -207,19 +199,16 @@ func (e *explorer) collectState() *ExploreState {
 		}
 	}
 	e.mu.Unlock()
-	if e.memo != nil {
-		st.MemoHashes = e.memo.hashes()
-	}
 	return st
 }
 
 // Finalize turns one or more completed discovery states — the one state
 // of a one-shot Explore or a single campaign, or the per-shard states of a
 // sharded one — into the (count, err) verdict: the number of verified
-// schedules (distinct trace classes when the memo reduction merged
-// counts), and on failure the lexicographically smallest violation with
-// the count of schedules up to and including it, recomputed by a counting
-// pass against the settled global bound. This is the engine's only
+// schedules (trace classes under reduction), and on failure the
+// lexicographically smallest violation with the count of schedules up to
+// and including it, recomputed by a counting pass against the settled
+// global bound. This is the engine's only
 // counting pass.
 //
 // It is an error to finalize a state whose frontier has not drained,
@@ -241,14 +230,9 @@ func (r *ResumableExplorer) Finalize(ctx context.Context, states ...*ExploreStat
 	var (
 		completed int64
 		best      *FailureState
-		union     map[uint64]struct{}
 		budgetHit bool
 		canceled  bool
 	)
-	if opts.Reduction == ReductionSleepMemo && len(states) > 1 {
-		// A single state's memo already deduplicated its own count.
-		union = make(map[uint64]struct{})
-	}
 	for i, st := range states {
 		if st == nil {
 			return 0, fmt.Errorf("sched: finalize of shard %d: nil exploration state", i)
@@ -266,16 +250,6 @@ func (r *ResumableExplorer) Finalize(ctx context.Context, states ...*ExploreStat
 		if st.Failure != nil && (best == nil || lexLess(st.Failure.Choices, best.Choices)) {
 			best = st.Failure
 		}
-		if union != nil {
-			for _, h := range st.MemoHashes {
-				union[h] = struct{}{}
-			}
-		}
-	}
-	if union != nil {
-		// Memo mode counts distinct trace classes; shards deduplicate
-		// only within themselves, so the merged figure is the union.
-		completed = int64(len(union))
 	}
 	if best == nil {
 		switch {
@@ -315,16 +289,15 @@ func (r *ResumableExplorer) Finalize(ctx context.Context, states ...*ExploreStat
 }
 
 // SeedShards deterministically splits a fresh exploration into m shard
-// states whose independent walks union to exactly the single-process
-// walk: it expands the tree single-threaded in depth-first order for a
-// fixed number of runs (a pure function of m), then deals the resulting
-// frontier round-robin — in lexicographic order — across the shards.
-// The expansion's own results (counted schedules, any failure, memo
-// hashes) are attributed to shard 0 — and so is its stats output: every
-// shard re-runs the same deterministic expansion, so shards other than 0
-// expand with Opts.Stats stripped and the summed shard totals equal an
-// unsharded run's. Shards beyond the frontier size receive empty
-// (immediately complete) states.
+// states whose independent walks union to exactly the single-process walk:
+// it expands the tree single-threaded in depth-first order for a fixed
+// number of runs (a pure function of m), then deals the resulting frontier
+// round-robin — in lexicographic order — across the shards. The
+// expansion's own results (counted schedules, any failure) are attributed
+// to shard 0 — and so is its stats output: every shard re-runs the same
+// deterministic expansion, so shards other than 0 expand with Opts.Stats
+// stripped and the summed shard totals equal an unsharded run's. Shards
+// beyond the frontier size receive empty (immediately complete) states.
 //
 // Each shard of a campaign calls SeedShards itself and keeps only its
 // partition: the expansion is deterministic, so coordination-free.
@@ -352,7 +325,6 @@ func (r *ResumableExplorer) SeedShards(ctx context.Context, m int) ([]*ExploreSt
 	states[0].Claimed = st.Claimed
 	states[0].Completed = st.Completed
 	states[0].Failure = st.Failure
-	states[0].MemoHashes = st.MemoHashes
 	for j, it := range st.Frontier {
 		s := states[j%m]
 		s.Frontier = append(s.Frontier, it)

@@ -324,5 +324,5 @@ func equalExploreStates(a, b *ExploreState) bool {
 	if a.Failure != nil && (a.Failure.Message != b.Failure.Message || !slices.Equal(a.Failure.Choices, b.Failure.Choices)) {
 		return false
 	}
-	return slices.Equal(a.MemoHashes, b.MemoHashes)
+	return true
 }

@@ -274,13 +274,12 @@ type frontierItem struct {
 // exploreWorker is one worker's reusable state. Nothing in it is shared
 // with other workers, so the hot path re-arms it without locks or
 // allocation: the runner resets its own run state at every Run (newWorker
-// binds it to the policy once), the policy via reset (its buffers are
-// valid until the next reset), and the hasher's level buckets per call.
+// binds it to the policy once), and the policy via reset (its buffers are
+// valid until the next reset).
 type exploreWorker struct {
 	w      int
 	runner *Runner
 	policy *porPolicy
-	hasher TraceHasher // canonical-trace memo hashing
 }
 
 // newWorker builds worker w's reusable state; close its runner when done.
@@ -331,7 +330,6 @@ type explorer struct {
 	tickets   atomic.Int64
 
 	indep Independence   // commutation oracle; nil without reduction (no step commutes)
-	memo  *traceMemo     // canonical-trace dedupe; nil unless ReductionSleepMemo
 	met   *engineMetrics // resolved stats handles; nil when opts.Stats is nil
 	model MemModel       // resolved opts.Model, applied to every worker runner
 
@@ -350,9 +348,6 @@ func newExplorer(ctx context.Context, n int, ids []int, opts ExploreOptions, bui
 	}
 	if opts.Reduction != ReductionNone {
 		e.indep = OpIndependent
-	}
-	if opts.Reduction == ReductionSleepMemo {
-		e.memo = newTraceMemo()
 	}
 	e.met = newEngineMetrics(opts.Stats)
 	e.model = memModelFor(opts)
@@ -550,18 +545,13 @@ func (e *explorer) process(item frontierItem, wk *exploreWorker) bool {
 			e.recordFailure(policy.choices, fmt.Errorf("sched: exploration run with prefix %v: %w", item.choices, err))
 		}
 	case e.bound != nil:
-		if lexLess(policy.choices, e.bound) && e.admit(res, wk) {
+		if lexLess(policy.choices, e.bound) {
 			e.countBelow.Add(1)
 		}
 	default:
-		if e.admit(res, wk) {
-			e.completed.Add(1)
-			e.met.incSchedules()
-		}
+		e.completed.Add(1)
+		e.met.incSchedules()
 		if e.check != nil {
-			// Checked even when the memo already saw the trace class, so
-			// a hash collision can merge counts but never hide a
-			// violation.
 			if cerr := e.check(res); cerr != nil {
 				e.recordFailure(policy.choices, fmt.Errorf("sched: schedule %v violates property: %w", policy.choices, cerr))
 			}
@@ -577,15 +567,6 @@ func (e *explorer) process(item frontierItem, wk *exploreWorker) bool {
 		e.pushTo(wk.w, branch)
 	}
 	return true
-}
-
-// admit reports whether the completed run should be counted: always,
-// unless the canonical-trace memo has already counted an equivalent run.
-func (e *explorer) admit(res *Result, wk *exploreWorker) bool {
-	if e.memo == nil {
-		return true
-	}
-	return e.memo.admit(wk.hasher.Hash(res.Schedule, e.indep))
 }
 
 // lexLess reports whether choice sequence a precedes b lexicographically

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"slices"
-	"strings"
-	"sync"
-)
+import "strings"
 
 // This file derives the independence (commutation) relation that drives
 // partial-order reduction from the op-naming contract of package mem:
@@ -101,11 +97,10 @@ func dependentStep(a, b Step, indep Independence) bool {
 // by swaps of adjacent independent steps — have identical normal forms,
 // so the hash identifies the run's Mazurkiewicz trace class (and, for the
 // deterministic protocols this engine executes, the final register
-// contents, which are a function of the class). The memo layer of the
-// reduction uses it to avoid double-counting a class.
+// contents, which are a function of the class).
 //
-// The value is persisted in checkpoints (memo and sampler class sets), so
-// it must never change; TestCanonicalTraceHashGolden pins it. Hot loops
+// The value is persisted in the sampler's checkpointed class sets, so it
+// must never change; TestCanonicalTraceHashGolden pins it. Hot loops
 // hash through a reused TraceHasher instead, which allocates nothing.
 func CanonicalTraceHash(schedule []Step, indep Independence) uint64 {
 	var h TraceHasher
@@ -189,47 +184,4 @@ func levelDepends(level []Step, s Step, indep Independence) bool {
 		}
 	}
 	return false
-}
-
-// traceMemo is the optional second reduction layer: a concurrent set of
-// canonical trace hashes. The count it yields — the number of distinct
-// classes — is independent of which worker inserts a class first.
-type traceMemo struct {
-	mu   sync.Mutex
-	seen map[uint64]struct{}
-}
-
-func newTraceMemo() *traceMemo {
-	return &traceMemo{seen: make(map[uint64]struct{})}
-}
-
-// admit records h and reports whether it was new.
-func (m *traceMemo) admit(h uint64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, dup := m.seen[h]; dup {
-		return false
-	}
-	m.seen[h] = struct{}{}
-	return true
-}
-
-// insert records h without reporting novelty (checkpoint restore).
-func (m *traceMemo) insert(h uint64) {
-	m.mu.Lock()
-	m.seen[h] = struct{}{}
-	m.mu.Unlock()
-}
-
-// hashes returns the recorded class hashes in ascending order, so a
-// serialized memo is a deterministic function of its contents.
-func (m *traceMemo) hashes() []uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]uint64, 0, len(m.seen))
-	for h := range m.seen {
-		out = append(out, h) //gsb:nondeterminism-ok canonicalized by the slices.Sort below before anything observes the order
-	}
-	slices.Sort(out)
-	return out
 }

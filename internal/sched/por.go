@@ -7,8 +7,7 @@ import (
 
 // This file is the partial-order-reduction layer of the exploration
 // engine: a sleep-set walk of the schedule tree (Godefroid-style, adapted
-// to stateless prefix re-execution) plus an optional canonical-trace memo
-// (independence.go).
+// to stateless prefix re-execution).
 //
 // The exhaustive tree branches at every decision point on every pending
 // process, so k mutually commuting steps are re-explored under all k!
@@ -38,9 +37,10 @@ const (
 	// OpIndependent commutation relation: one run per Mazurkiewicz
 	// trace class, the class's lexicographically smallest member.
 	ReductionSleepSets
-	// ReductionSleepMemo is ReductionSleepSets plus a canonical-trace
-	// memo that refuses to count a trace class twice (a cross-check
-	// layer; with sound sleep sets it changes no counts).
+	// ReductionSleepMemo runs exactly the ReductionSleepSets walk. It
+	// is kept as a name because snapshots, options hashes and requests
+	// (mode por-memo) already record it; new code selects
+	// ReductionSleepSets.
 	ReductionSleepMemo
 )
 

@@ -11,10 +11,9 @@ import (
 )
 
 // TestCanonicalTraceHashGolden pins CanonicalTraceHash on recorded
-// schedules of the por-census instances. The hash is persisted — in
-// checkpointed memo sets (ExploreState.MemoHashes) and the sampler's
-// class sets — so a change to its value would silently break resuming and
-// merging every existing checkpoint. Each schedule is a seeded random run
+// schedules of the por-census instances. The hash is persisted in the
+// sampler's checkpointed class sets, so a change to its value would
+// silently break resuming and merging every existing sample checkpoint. Each schedule is a seeded random run
 // with seed-1 oracle boxes.
 func TestCanonicalTraceHashGolden(t *testing.T) {
 	box := func(int) tasks.Solver { return tasks.NewBoxSolver(mem.NewTaskBox("B", gsb.Hardest(6, 3), 1)) }
@@ -43,9 +42,13 @@ func TestCanonicalTraceHashGolden(t *testing.T) {
 	// level buckets from a longer or wider schedule must not leak in.
 	var hasher sched.TraceHasher
 	for _, tc := range cases {
+		model, err := sched.MemModelByName(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, want := range tc.want {
 			seed := int64(i + 1)
-			res, err := tasks.RunUnder(tc.model, tc.n, sched.DefaultIDs(tc.n), sched.NewRandom(seed), tc.build)
+			res, err := tasks.Run(tc.n, sched.DefaultIDs(tc.n), sched.NewRandom(seed), tc.build, sched.WithModel(model))
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
 			}

@@ -44,61 +44,20 @@ func Body(s Solver) sched.Body {
 const DefaultRunMaxSteps = 1 << 21
 
 // Run executes build(n) once under the given identities and policy with a
-// generous step budget, and returns the recorded result.
-func Run(n int, ids []int, policy sched.Policy, build func(n int) Solver) (*sched.Result, error) {
-	runner := sched.NewRunner(n, ids, policy, sched.WithMaxSteps(DefaultRunMaxSteps))
+// generous step budget, and returns the recorded result. opts apply after
+// the default budget, so sched.WithMaxSteps overrides it and
+// sched.WithModel selects the memory model the shared objects execute
+// under.
+func Run(n int, ids []int, policy sched.Policy, build func(n int) Solver, opts ...sched.Option) (*sched.Result, error) {
+	runner := sched.NewRunner(n, ids, policy, append([]sched.Option{sched.WithMaxSteps(DefaultRunMaxSteps)}, opts...)...)
 	return runner.Run(Body(build(n)))
 }
 
-// RunOn executes build(n) on a caller-owned runner after re-arming it
-// with policy (sched.Runner.Reset). With a reusable runner (NewRunner
-// with sched.WithReuse) this is the zero-allocation form of Run for loops
-// that execute many runs: the runner's buffers, Result and process
-// goroutines are reused across calls, so the returned Result is only
-// valid until the runner's next run.
-func RunOn(runner *sched.Runner, policy sched.Policy, build func(n int) Solver) (*sched.Result, error) {
-	runner.Reset(policy)
-	return runner.Run(Body(build(runner.N())))
-}
-
-// RunUnder is Run under a named memory model (sched.MemModels): the
-// shared objects execute with that model's register/snapshot semantics.
-// An empty name is the default atomic model; unknown names error.
-func RunUnder(model string, n int, ids []int, policy sched.Policy, build func(n int) Solver) (*sched.Result, error) {
-	m, err := sched.MemModelByName(model)
-	if err != nil {
-		return nil, err
-	}
-	runner := sched.NewRunner(n, ids, policy, sched.WithMaxSteps(DefaultRunMaxSteps), sched.WithModel(m))
-	return runner.Run(Body(build(n)))
-}
-
-// RunVerified runs the protocol and checks its outputs against spec:
-// complete runs must produce a legal output vector; runs with crashes must
-// produce a legal completable prefix.
-func RunVerified(spec gsb.Spec, ids []int, policy sched.Policy, build func(n int) Solver) (*sched.Result, error) {
-	res, err := Run(spec.N(), ids, policy, build)
-	if err != nil {
-		return res, err
-	}
-	return res, verifyResult(spec, res)
-}
-
-// RunVerifiedUnder is RunVerified under a named memory model: run via
-// RunUnder, then check the outputs against spec.
-func RunVerifiedUnder(model string, spec gsb.Spec, ids []int, policy sched.Policy, build func(n int) Solver) (*sched.Result, error) {
-	res, err := RunUnder(model, spec.N(), ids, policy, build)
-	if err != nil {
-		return res, err
-	}
-	return res, verifyResult(spec, res)
-}
-
-// RunVerifiedOn is RunVerified on a caller-owned (typically reusable)
-// runner: run the protocol via RunOn, then check the outputs against
-// spec. The Result-lifetime caveat of RunOn applies.
-func RunVerifiedOn(spec gsb.Spec, runner *sched.Runner, policy sched.Policy, build func(n int) Solver) (*sched.Result, error) {
-	res, err := RunOn(runner, policy, build)
+// RunVerified runs the protocol via Run and checks its outputs against
+// spec: complete runs must produce a legal output vector; runs with
+// crashes must produce a legal completable prefix.
+func RunVerified(spec gsb.Spec, ids []int, policy sched.Policy, build func(n int) Solver, opts ...sched.Option) (*sched.Result, error) {
+	res, err := Run(spec.N(), ids, policy, build, opts...)
 	if err != nil {
 		return res, err
 	}
