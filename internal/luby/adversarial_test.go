@@ -67,28 +67,31 @@ func TestColoringUnderAdversary(t *testing.T) {
 // TestRingThreeColorUnderMatchesFaultFree: Cole-Vishkin is deterministic,
 // so the synchronizer-wrapped adversarial run must produce exactly the
 // fault-free coloring — the adversary can delay the answer, not change it.
+// The 4,096-vertex ring keeps the adversarial round engine honest at a
+// size where per-round overhead shows.
 func TestRingThreeColorUnderMatchesFaultFree(t *testing.T) {
-	const n = 32
-	ref, err := RingThreeColor(n, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv := testAdv(17)
-	reg := stats.New()
-	adv.Stats = reg
-	res, err := RingThreeColorUnder(n, 20000, adv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range ref.Colors {
-		if res.Colors[v] != ref.Colors[v] {
-			t.Fatalf("vertex %d: color %d under faults, %d fault-free", v, res.Colors[v], ref.Colors[v])
+	for _, n := range []int{32, 4096} {
+		ref, err := RingThreeColor(n, 1000)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if events := reg.Snapshot().Counter(msgnet.MetricAdversaryEvents); events == 0 {
-		t.Error("adversary injected no faults (the test is vacuous)")
-	}
-	if res.Rounds <= ref.Rounds {
-		t.Errorf("adversarial run took %d rounds, fault-free %d", res.Rounds, ref.Rounds)
+		adv := testAdv(17)
+		reg := stats.New()
+		adv.Stats = reg
+		res, err := RingThreeColorUnder(n, 20000, adv)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for v := range ref.Colors {
+			if res.Colors[v] != ref.Colors[v] {
+				t.Fatalf("n=%d vertex %d: color %d under faults, %d fault-free", n, v, res.Colors[v], ref.Colors[v])
+			}
+		}
+		if events := reg.Snapshot().Counter(msgnet.MetricAdversaryEvents); events == 0 {
+			t.Errorf("n=%d: adversary injected no faults (the test is vacuous)", n)
+		}
+		if res.Rounds <= ref.Rounds {
+			t.Errorf("n=%d: adversarial run took %d rounds, fault-free %d", n, res.Rounds, ref.Rounds)
+		}
 	}
 }
