@@ -62,18 +62,20 @@ func (a *NetAdversary) Validate() error {
 // netFaults is the per-execution adversary state: one queue per directed
 // edge and one seeded generator, applied single-threaded between rounds.
 type netFaults struct {
-	queues [][][]any // queues[to][from]
+	nbrs   [][]int   // nbrs[to]: sorted neighbor lists of the graph
+	queues [][][]any // queues[to][i]: messages from nbrs[to][i] to to
 	rng    *rand.Rand
 	adv    *NetAdversary
 	events *stats.Counter
 }
 
-func newNetFaults(n int, adv *NetAdversary) *netFaults {
-	queues := make([][][]any, n)
+func newNetFaults(nbrs [][]int, adv *NetAdversary) *netFaults {
+	queues := make([][][]any, len(nbrs))
 	for to := range queues {
-		queues[to] = make([][]any, n)
+		queues[to] = make([][]any, len(nbrs[to]))
 	}
 	f := &netFaults{
+		nbrs:   nbrs,
 		queues: queues,
 		rng:    rand.New(rand.NewSource(adv.Seed)),
 		adv:    adv,
@@ -93,40 +95,38 @@ func (f *netFaults) event() {
 }
 
 // deliver moves this round's sends through the fault queues into the
-// mailboxes for the next round. sent[to] maps sender to message; the
-// result has the same shape. Iteration is by ascending (to, from) index —
-// never map order — so the generator's draw sequence is deterministic.
-func (f *netFaults) deliver(sent []map[int]any) []map[int]any {
-	n := len(sent)
-	out := make([]map[int]any, n)
-	for to := 0; to < n; to++ {
-		out[to] = map[int]any{}
-		for from := 0; from < n; from++ {
+// mailboxes for the next round. sent[to] and out[to] map sender to
+// message; out is cleared first. Iteration is by ascending (to, from)
+// over the graph's edges — never map order — so the generator's draw
+// sequence is deterministic.
+func (f *netFaults) deliver(sent, out []map[int]any) {
+	for to, froms := range f.nbrs {
+		clear(out[to])
+		for i, from := range froms {
+			q := f.queues[to][i]
 			if msg, ok := sent[to][from]; ok {
-				f.queues[to][from] = append(f.queues[to][from], msg)
+				q = append(q, msg)
 			}
-			q := f.queues[to][from]
 			if len(q) == 0 {
 				continue
 			}
 			switch {
 			case f.rng.Float64() < f.adv.LossProb:
-				f.queues[to][from] = q[1:] // destroy the oldest
+				q = q[1:] // destroy the oldest
 				f.event()
 			case f.rng.Float64() < f.adv.DelayProb:
 				f.event() // deliver nothing this round
+			case len(q) > 1 && f.rng.Float64() < f.adv.ReorderProb:
+				out[to][from] = q[len(q)-1] // newest overtakes
+				q = q[:len(q)-1]
+				f.event()
 			default:
-				i := 0
-				if len(q) > 1 && f.rng.Float64() < f.adv.ReorderProb {
-					i = len(q) - 1 // newest overtakes
-					f.event()
-				}
-				out[to][from] = q[i]
-				f.queues[to][from] = append(q[:i:i], q[i+1:]...)
+				out[to][from] = q[0]
+				q = q[1:]
 			}
+			f.queues[to][i] = q
 		}
 	}
-	return out
 }
 
 // RunAdversarial executes the protocol like Run, with adv injecting
@@ -138,5 +138,5 @@ func RunAdversarial(g *Graph, protos []Proto, maxRounds int, adv *NetAdversary) 
 	if err := adv.Validate(); err != nil {
 		return nil, err
 	}
-	return run(g, protos, maxRounds, newNetFaults(g.N, adv))
+	return run(g, protos, maxRounds, adv)
 }

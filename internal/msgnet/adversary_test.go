@@ -42,22 +42,30 @@ func TestNetAdversaryValidate(t *testing.T) {
 	}
 }
 
-// oneEdgeSent builds a sent matrix for a 2-vertex graph with one message
-// from vertex 1 to vertex 0.
+// oneEdgeSent builds a sent matrix for Ring(2) with one message from
+// vertex 1 to vertex 0.
 func oneEdgeSent(msg any) []map[int]any {
 	return []map[int]any{{1: msg}, {}}
 }
 
+// deliverRing2 runs one round of f (built over Ring(2)) and returns the
+// mailboxes it fills.
+func deliverRing2(f *netFaults, sent []map[int]any) []map[int]any {
+	out := []map[int]any{{}, {}}
+	f.deliver(sent, out)
+	return out
+}
+
 func TestNetFaultsLoss(t *testing.T) {
 	reg := stats.New()
-	f := newNetFaults(2, &NetAdversary{Seed: 1, LossProb: 1, Stats: reg})
-	out := f.deliver(oneEdgeSent("m"))
+	f := newNetFaults(Ring(2).neighborLists(), &NetAdversary{Seed: 1, LossProb: 1, Stats: reg})
+	out := deliverRing2(f, oneEdgeSent("m"))
 	if len(out[0]) != 0 {
 		t.Fatalf("loss=1 delivered %v", out[0])
 	}
 	// The message was destroyed, not queued: a later fault-free round has
 	// nothing to deliver and draws no fault.
-	out = f.deliver([]map[int]any{{}, {}})
+	out = deliverRing2(f, []map[int]any{{}, {}})
 	if len(out[0]) != 0 {
 		t.Fatalf("destroyed message re-delivered: %v", out[0])
 	}
@@ -68,7 +76,7 @@ func TestNetFaultsLoss(t *testing.T) {
 
 func TestNetFaultsDelayPreservesMessages(t *testing.T) {
 	reg := stats.New()
-	f := newNetFaults(2, &NetAdversary{Seed: 1, DelayProb: 1, Stats: reg})
+	f := newNetFaults(Ring(2).neighborLists(), &NetAdversary{Seed: 1, DelayProb: 1, Stats: reg})
 	for round := 0; round < 3; round++ {
 		var sent []map[int]any
 		if round == 0 {
@@ -76,11 +84,11 @@ func TestNetFaultsDelayPreservesMessages(t *testing.T) {
 		} else {
 			sent = []map[int]any{{}, {}}
 		}
-		if out := f.deliver(sent); len(out[0]) != 0 {
+		if out := deliverRing2(f, sent); len(out[0]) != 0 {
 			t.Fatalf("round %d: delay=1 delivered %v", round, out[0])
 		}
 	}
-	if got := len(f.queues[0][1]); got != 1 {
+	if got := len(f.queues[0][0]); got != 1 {
 		t.Fatalf("delayed queue holds %d messages, want 1 (delay never destroys)", got)
 	}
 	if got := reg.Snapshot().Counter(MetricAdversaryEvents); got != 3 {
@@ -89,17 +97,17 @@ func TestNetFaultsDelayPreservesMessages(t *testing.T) {
 }
 
 func TestNetFaultsReorderDeliversNewest(t *testing.T) {
-	f := newNetFaults(2, &NetAdversary{Seed: 1, ReorderProb: 1})
-	f.queues[0][1] = []any{"old", "new"}
-	out := f.deliver([]map[int]any{{}, {}})
+	f := newNetFaults(Ring(2).neighborLists(), &NetAdversary{Seed: 1, ReorderProb: 1})
+	f.queues[0][0] = []any{"old", "new"}
+	out := deliverRing2(f, []map[int]any{{}, {}})
 	if out[0][1] != "new" {
 		t.Fatalf("reorder=1 delivered %v, want the newest", out[0][1])
 	}
-	if len(f.queues[0][1]) != 1 || f.queues[0][1][0] != "old" {
-		t.Fatalf("queue after reorder = %v, want [old]", f.queues[0][1])
+	if len(f.queues[0][0]) != 1 || f.queues[0][0][0] != "old" {
+		t.Fatalf("queue after reorder = %v, want [old]", f.queues[0][0])
 	}
 	// A single-message queue has nothing to overtake: delivered in order.
-	out = f.deliver([]map[int]any{{}, {}})
+	out = deliverRing2(f, []map[int]any{{}, {}})
 	if out[0][1] != "old" {
 		t.Fatalf("singleton queue delivered %v, want old", out[0][1])
 	}
@@ -110,7 +118,7 @@ func TestNetFaultsReorderDeliversNewest(t *testing.T) {
 // sequences identically.
 func TestNetFaultsDeterministic(t *testing.T) {
 	mk := func() *netFaults {
-		return newNetFaults(3, &NetAdversary{Seed: 42, LossProb: 0.3, DelayProb: 0.3, ReorderProb: 0.3})
+		return newNetFaults(Complete(3).neighborLists(), &NetAdversary{Seed: 42, LossProb: 0.3, DelayProb: 0.3, ReorderProb: 0.3})
 	}
 	a, b := mk(), mk()
 	for round := 0; round < 50; round++ {
@@ -123,7 +131,10 @@ func TestNetFaultsDeterministic(t *testing.T) {
 				}
 			}
 		}
-		outA, outB := a.deliver(sent), b.deliver(sent)
+		outA := []map[int]any{{}, {}, {}}
+		outB := []map[int]any{{}, {}, {}}
+		a.deliver(sent, outA)
+		b.deliver(sent, outB)
 		if !reflect.DeepEqual(outA, outB) {
 			t.Fatalf("round %d: same seed diverged:\n%v\n%v", round, outA, outB)
 		}

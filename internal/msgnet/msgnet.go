@@ -1,8 +1,9 @@
 // Package msgnet provides a synchronous message-passing substrate: n
 // processes on the vertices of an undirected graph proceed in lockstep
 // rounds, each round sending one message per incident edge and receiving
-// the messages of its neighbors. Goroutines map one-to-one onto processes
-// and a barrier separates rounds.
+// the messages of its neighbors. Each round is one sequential pass over
+// the active processes in ascending vertex order; the messages sent in a
+// round are delivered at the start of the next.
 //
 // The paper situates GSB tasks against the classic distributed
 // symmetry-breaking literature (leader election, renaming); this substrate
@@ -14,7 +15,6 @@ package msgnet
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Graph is an undirected graph on vertices 0..N-1.
@@ -54,6 +54,15 @@ func (g *Graph) Neighbors(v int) []int {
 	out := append([]int(nil), g.adj[v]...)
 	sort.Ints(out)
 	return out
+}
+
+// neighborLists returns every vertex's sorted neighbor list.
+func (g *Graph) neighborLists() [][]int {
+	nbrs := make([][]int, g.N)
+	for v := range nbrs {
+		nbrs[v] = g.Neighbors(v)
+	}
+	return nbrs
 }
 
 // Degree returns the degree of v.
@@ -111,7 +120,7 @@ func GNP(n int, p float64, coin func() float64) *Graph {
 // Node is the per-process handle available during a round.
 type Node struct {
 	ID        int   // vertex id (also the process identity here)
-	Neighbors []int // sorted neighbor ids
+	Neighbors []int // sorted neighbor ids, shared across rounds: read-only
 	Round     int   // current round number, starting at 0
 }
 
@@ -119,12 +128,14 @@ type Node struct {
 // process computes the messages to send (one per neighbor, keyed by
 // neighbor id) from its state and the messages received in the previous
 // round (nil in round 0); it returns done=true when it has halted.
-// Messages must be treated as immutable after sending.
+// Messages must be treated as immutable after sending. A process may send
+// only to its neighbors.
 type Proto interface {
 	// Step runs one round. recv maps neighbor id to its message from the
-	// previous round (only neighbors that sent are present). It returns
-	// the messages to send this round and whether the process halts after
-	// sending them.
+	// previous round (only neighbors that sent are present); the map
+	// belongs to the substrate and is valid only during the call. It
+	// returns the messages to send this round and whether the process
+	// halts after sending them.
 	Step(node Node, recv map[int]any) (send map[int]any, done bool)
 }
 
@@ -134,90 +145,71 @@ type Result struct {
 }
 
 // Run executes the protocol on the graph until every process has halted
-// or maxRounds is reached (returning an error in the latter case).
-// Each process runs in its own goroutine; rounds are separated by a
-// barrier, and message delivery is synchronous and reliable (see
-// RunAdversarial for execution under message faults).
+// or maxRounds is reached (returning an error in the latter case). Each
+// round steps the active processes one after another in ascending vertex
+// order, on the caller's goroutine, and message delivery is synchronous
+// and reliable (see RunAdversarial for execution under message faults).
+// A send to a vertex that is not a neighbor is an error, and a panic in
+// a process's Step propagates to the caller.
 func Run(g *Graph, protos []Proto, maxRounds int) (*Result, error) {
 	return run(g, protos, maxRounds, nil)
 }
 
-// run is the shared round loop: faults == nil is the reliable substrate,
+// run is the shared round loop: adv == nil is the reliable substrate,
 // otherwise every round's sends pass through the adversary's queues.
-func run(g *Graph, protos []Proto, maxRounds int, faults *netFaults) (*Result, error) {
+func run(g *Graph, protos []Proto, maxRounds int, adv *NetAdversary) (*Result, error) {
 	if len(protos) != g.N {
 		return nil, fmt.Errorf("msgnet: %d protocols for %d vertices", len(protos), g.N)
 	}
-	type mailbox struct {
-		mu   sync.Mutex
-		msgs map[int]any
+	nbrs := g.neighborLists()
+	var faults *netFaults
+	if adv != nil {
+		faults = newNetFaults(nbrs, adv)
 	}
-	curr := make([]mailbox, g.N) // messages delivered this round
-	next := make([]mailbox, g.N) // messages being sent for next round
-	for v := range curr {
-		curr[v].msgs = map[int]any{}
-		next[v].msgs = map[int]any{}
-	}
-
+	curr := make([]map[int]any, g.N) // curr[to][from]: delivered this round
+	next := make([]map[int]any, g.N) // next[to][from]: sent this round
 	active := make([]bool, g.N)
 	for v := range active {
+		curr[v] = make(map[int]any, len(nbrs[v]))
+		next[v] = make(map[int]any, len(nbrs[v]))
 		active[v] = true
 	}
 
 	round := 0
 	for ; round < maxRounds; round++ {
 		anyActive := false
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		halted := make([]bool, g.N)
-		for v := 0; v < g.N; v++ {
-			if !active[v] {
+		for v, on := range active {
+			if !on {
 				continue
 			}
 			anyActive = true
-			wg.Add(1)
-			go func(v int) {
-				defer wg.Done()
-				node := Node{ID: v, Neighbors: g.Neighbors(v), Round: round}
-				send, done := protos[v].Step(node, curr[v].msgs)
-				for to, msg := range send {
-					next[to].mu.Lock()
-					next[to].msgs[v] = msg
-					next[to].mu.Unlock()
+			send, done := protos[v].Step(Node{ID: v, Neighbors: nbrs[v], Round: round}, curr[v])
+			sent := 0
+			for _, to := range nbrs[v] {
+				if msg, ok := send[to]; ok {
+					next[to][v] = msg
+					sent++
 				}
-				if done {
-					mu.Lock()
-					halted[v] = true
-					mu.Unlock()
-				}
-			}(v)
+			}
+			if sent != len(send) {
+				return nil, fmt.Errorf("msgnet: process %d sent to non-neighbor %d", v, nonNeighbor(send, nbrs[v]))
+			}
+			if done {
+				active[v] = false
+			}
 		}
 		if !anyActive {
 			break
 		}
-		wg.Wait()
-		for v := range halted {
-			if halted[v] {
-				active[v] = false
-			}
-		}
 		// Rotate mailboxes, routing this round's sends through the
 		// adversary's fault queues when one is attached.
 		if faults != nil {
-			sent := make([]map[int]any, g.N)
-			for v := range next {
-				sent[v] = next[v].msgs
-			}
-			delivered := faults.deliver(sent)
-			for v := range curr {
-				curr[v].msgs = delivered[v]
-				next[v].msgs = map[int]any{}
-			}
+			faults.deliver(next, curr)
 		} else {
-			for v := range curr {
-				curr[v].msgs = next[v].msgs
-				next[v].msgs = map[int]any{}
-			}
+			curr, next = next, curr
+		}
+		for _, m := range next {
+			clear(m)
 		}
 	}
 	for v := range active {
@@ -226,4 +218,19 @@ func run(g *Graph, protos []Proto, maxRounds int, faults *netFaults) (*Result, e
 		}
 	}
 	return &Result{Rounds: round}, nil
+}
+
+// nonNeighbor returns the smallest destination in send that is not in the
+// sorted neighbor list nbrs (send must hold one).
+func nonNeighbor(send map[int]any, nbrs []int) int {
+	bad, found := 0, false
+	for to := range send {
+		if i := sort.SearchInts(nbrs, to); i < len(nbrs) && nbrs[i] == to {
+			continue
+		}
+		if !found || to < bad {
+			bad, found = to, true //gsb:nondeterminism-ok a minimum does not depend on iteration order
+		}
+	}
+	return bad
 }

@@ -194,3 +194,54 @@ func TestRunStaggeredHalting(t *testing.T) {
 		t.Errorf("Rounds = %d, want 5", res.Rounds)
 	}
 }
+
+// strayProto has vertex 0 send to vertex 2 in round 0, then everyone
+// halts; on Ring(5) vertex 2 is not a neighbor of 0.
+type strayProto struct{ heard *bool }
+
+func (s *strayProto) Step(node Node, recv map[int]any) (map[int]any, bool) {
+	if _, ok := recv[0]; ok && node.ID == 2 {
+		*s.heard = true
+	}
+	if node.ID == 0 && node.Round == 0 {
+		return map[int]any{1: "ok", 2: "stray"}, false
+	}
+	return nil, node.Round >= 1
+}
+
+// TestRunRejectsSendToNonNeighbor: a send along an edge the graph does
+// not have is an error in both substrates, never a delivery.
+func TestRunRejectsSendToNonNeighbor(t *testing.T) {
+	for _, adv := range []*NetAdversary{nil, {Seed: 1}} {
+		g := Ring(5)
+		heard := false
+		protos := make([]Proto, g.N)
+		for v := range protos {
+			protos[v] = &strayProto{heard: &heard}
+		}
+		_, err := RunAdversarial(g, protos, 10, adv)
+		if err == nil || !strings.Contains(err.Error(), "process 0 sent to non-neighbor 2") {
+			t.Errorf("adversary %v: err = %v, want a non-neighbor error", adv, err)
+		}
+		if heard {
+			t.Errorf("adversary %v: vertex 2 received a message over a non-edge", adv)
+		}
+	}
+}
+
+type panicProto struct{}
+
+func (panicProto) Step(node Node, recv map[int]any) (map[int]any, bool) {
+	panic("panicProto: boom")
+}
+
+// TestRunStepPanicReachesCaller: a panic in Step propagates to Run's
+// caller, who can recover it.
+func TestRunStepPanicReachesCaller(t *testing.T) {
+	defer func() {
+		if rec := recover(); rec != "panicProto: boom" {
+			t.Fatalf("recover = %v, want the Step panic", rec)
+		}
+	}()
+	_, _ = Run(Ring(3), []Proto{panicProto{}, panicProto{}, panicProto{}}, 5)
+}
