@@ -48,6 +48,8 @@ var determinismPackages = []string{
 	"internal/sched",
 	"internal/sample",
 	"internal/campaign",
+	"internal/msgnet",
+	"internal/luby",
 }
 
 // globalRandExempt are the package-level math/rand functions that do not

@@ -61,7 +61,7 @@ func (m *misProto) Step(node msgnet.Node, recv map[int]any) (map[int]any, bool) 
 			continue
 		}
 		if msg.val < m.myRand || (msg.val == m.myRand && msg.id < node.ID) {
-			local = false
+			local = false //gsb:nondeterminism-ok an AND over the neighbors' values does not depend on iteration order
 			break
 		}
 	}
@@ -175,7 +175,7 @@ func (c *colorProto) Step(node msgnet.Node, recv map[int]any) (map[int]any, bool
 	for _, raw := range recv {
 		msg := raw.(colorMsg)
 		if msg.kind == colorCandidate && msg.color == c.candidate && msg.id < node.ID {
-			keep = false
+			keep = false //gsb:nondeterminism-ok an AND over the neighbors' proposals does not depend on iteration order
 			break
 		}
 	}
