@@ -39,10 +39,8 @@ var (
 
 // Family structure (Section 4).
 var (
-	Family          = gsb.Family
-	SynonymClasses  = gsb.SynonymClasses
-	CanonicalFamily = gsb.CanonicalFamily
-	Hasse           = gsb.Hasse
+	Family         = gsb.Family
+	SynonymClasses = gsb.SynonymClasses
 )
 
 // Execution engine (internal/sched): the asynchronous wait-free
@@ -70,10 +68,9 @@ type (
 	// smallest failing run (index + derived seed).
 	SampleReport = sample.Report
 	// ProcessPanics is the panic value a run re-raises when protocol code
-	// panicked: one ProcessPanic per panicking process, in index order,
-	// each carrying the original panic value verbatim.
+	// panicked: one entry per panicking process, in index order, each
+	// carrying the process index and the original panic value verbatim.
 	ProcessPanics = sched.ProcessPanics
-	ProcessPanic  = sched.ProcessPanic
 )
 
 // Partial-order reduction levels (ExploreOptions.Reduction).
@@ -319,19 +316,15 @@ const (
 )
 
 var (
-	Classify            = solvability.Classify
-	FamilyReport        = solvability.FamilyReport
-	BinomialGCD         = solvability.BinomialGCD
-	BinomialsPrime      = solvability.BinomialsPrime
-	NoCommSolvable      = nocomm.Solvable
-	NoCommBuild         = nocomm.Build
-	NoCommVerify        = nocomm.Verify
-	IdentityRenamingMap = nocomm.IdentityRenaming
+	Classify       = solvability.Classify
+	FamilyReport   = solvability.FamilyReport
+	NoCommSolvable = nocomm.Solvable
+	NoCommBuild    = nocomm.Build
+	NoCommVerify   = nocomm.Verify
 )
 
 // Topology certificates (Theorem 11).
 var (
-	BuildIIS           = topology.BuildIIS
 	BoundedRoundsCheck = topology.Solvable
 	// BoundedRoundsCheckSAT is the CDCL-backed variant: it exhausts
 	// instances (e.g. WSB) whose constraints defeat plain backtracking.
