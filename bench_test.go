@@ -437,9 +437,11 @@ func BenchmarkLubyMIS(b *testing.B) {
 	}
 }
 
-// BenchmarkColeVishkin measures deterministic ring 3-coloring.
+// BenchmarkColeVishkin measures deterministic ring 3-coloring, fault-free
+// up to 2^20 vertices and, on 4,096 vertices, under the message adversary
+// through the synchronizer.
 func BenchmarkColeVishkin(b *testing.B) {
-	for _, n := range []int{64, 1024} {
+	for _, n := range []int{64, 1024, 1 << 20} {
 		b.Run(fmt.Sprintf("ring%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := luby.RingThreeColor(n, 1000); err != nil {
@@ -448,6 +450,14 @@ func BenchmarkColeVishkin(b *testing.B) {
 			}
 		})
 	}
+	b.Run("adversarial/ring4096", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			adv := &msgnet.NetAdversary{Seed: 7, LossProb: 0.15, DelayProb: 0.1, ReorderProb: 0.1}
+			if _, err := luby.RingThreeColorUnder(4096, 20000, adv); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkCanonicalization measures Theorem 7's fixed-point computation
