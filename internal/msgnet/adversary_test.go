@@ -48,6 +48,16 @@ func oneEdgeSent(msg any) []map[int]any {
 	return []map[int]any{{1: msg}, {}}
 }
 
+// neighborLists returns g's sorted neighbor lists, as run hands them to
+// the fault layer.
+func neighborLists(g *Graph) [][]int {
+	nbrs := make([][]int, g.N)
+	for v := range nbrs {
+		nbrs[v] = g.Neighbors(v)
+	}
+	return nbrs
+}
+
 // deliverRing2 runs one round of f (built over Ring(2)) and returns the
 // mailboxes it fills.
 func deliverRing2(f *netFaults, sent []map[int]any) []map[int]any {
@@ -58,7 +68,7 @@ func deliverRing2(f *netFaults, sent []map[int]any) []map[int]any {
 
 func TestNetFaultsLoss(t *testing.T) {
 	reg := stats.New()
-	f := newNetFaults(Ring(2).neighborLists(), &NetAdversary{Seed: 1, LossProb: 1, Stats: reg})
+	f := newNetFaults(neighborLists(Ring(2)), &NetAdversary{Seed: 1, LossProb: 1, Stats: reg})
 	out := deliverRing2(f, oneEdgeSent("m"))
 	if len(out[0]) != 0 {
 		t.Fatalf("loss=1 delivered %v", out[0])
@@ -76,7 +86,7 @@ func TestNetFaultsLoss(t *testing.T) {
 
 func TestNetFaultsDelayPreservesMessages(t *testing.T) {
 	reg := stats.New()
-	f := newNetFaults(Ring(2).neighborLists(), &NetAdversary{Seed: 1, DelayProb: 1, Stats: reg})
+	f := newNetFaults(neighborLists(Ring(2)), &NetAdversary{Seed: 1, DelayProb: 1, Stats: reg})
 	for round := 0; round < 3; round++ {
 		var sent []map[int]any
 		if round == 0 {
@@ -97,7 +107,7 @@ func TestNetFaultsDelayPreservesMessages(t *testing.T) {
 }
 
 func TestNetFaultsReorderDeliversNewest(t *testing.T) {
-	f := newNetFaults(Ring(2).neighborLists(), &NetAdversary{Seed: 1, ReorderProb: 1})
+	f := newNetFaults(neighborLists(Ring(2)), &NetAdversary{Seed: 1, ReorderProb: 1})
 	f.queues[0][0] = []any{"old", "new"}
 	out := deliverRing2(f, []map[int]any{{}, {}})
 	if out[0][1] != "new" {
@@ -118,7 +128,7 @@ func TestNetFaultsReorderDeliversNewest(t *testing.T) {
 // sequences identically.
 func TestNetFaultsDeterministic(t *testing.T) {
 	mk := func() *netFaults {
-		return newNetFaults(Complete(3).neighborLists(), &NetAdversary{Seed: 42, LossProb: 0.3, DelayProb: 0.3, ReorderProb: 0.3})
+		return newNetFaults(neighborLists(Complete(3)), &NetAdversary{Seed: 42, LossProb: 0.3, DelayProb: 0.3, ReorderProb: 0.3})
 	}
 	a, b := mk(), mk()
 	for round := 0; round < 50; round++ {

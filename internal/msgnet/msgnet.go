@@ -14,7 +14,8 @@ package msgnet
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Graph is an undirected graph on vertices 0..N-1.
@@ -51,18 +52,7 @@ func (g *Graph) AddEdge(a, b int) {
 
 // Neighbors returns the sorted neighbor list of v.
 func (g *Graph) Neighbors(v int) []int {
-	out := append([]int(nil), g.adj[v]...)
-	sort.Ints(out)
-	return out
-}
-
-// neighborLists returns every vertex's sorted neighbor list.
-func (g *Graph) neighborLists() [][]int {
-	nbrs := make([][]int, g.N)
-	for v := range nbrs {
-		nbrs[v] = g.Neighbors(v)
-	}
-	return nbrs
+	return slices.Sorted(slices.Values(g.adj[v]))
 }
 
 // Degree returns the degree of v.
@@ -161,28 +151,29 @@ func run(g *Graph, protos []Proto, maxRounds int, adv *NetAdversary) (*Result, e
 	if len(protos) != g.N {
 		return nil, fmt.Errorf("msgnet: %d protocols for %d vertices", len(protos), g.N)
 	}
-	nbrs := g.neighborLists()
+	nbrs := make([][]int, g.N)
+	curr := make([]map[int]any, g.N) // curr[to][from]: delivered this round
+	next := make([]map[int]any, g.N) // next[to][from]: sent this round
+	active := make([]bool, g.N)
+	for v := range nbrs {
+		nbrs[v] = g.Neighbors(v)
+		curr[v], next[v] = map[int]any{}, map[int]any{}
+		active[v] = true
+	}
 	var faults *netFaults
 	if adv != nil {
 		faults = newNetFaults(nbrs, adv)
 	}
-	curr := make([]map[int]any, g.N) // curr[to][from]: delivered this round
-	next := make([]map[int]any, g.N) // next[to][from]: sent this round
-	active := make([]bool, g.N)
-	for v := range active {
-		curr[v] = make(map[int]any, len(nbrs[v]))
-		next[v] = make(map[int]any, len(nbrs[v]))
-		active[v] = true
-	}
 
-	round := 0
-	for ; round < maxRounds; round++ {
-		anyActive := false
+	round, live := 0, g.N
+	for ; live > 0; round++ {
+		if round >= maxRounds {
+			return nil, fmt.Errorf("msgnet: process %d still active after %d rounds", slices.Index(active, true), maxRounds)
+		}
 		for v, on := range active {
 			if !on {
 				continue
 			}
-			anyActive = true
 			send, done := protos[v].Step(Node{ID: v, Neighbors: nbrs[v], Round: round}, curr[v])
 			sent := 0
 			for _, to := range nbrs[v] {
@@ -196,10 +187,8 @@ func run(g *Graph, protos []Proto, maxRounds int, adv *NetAdversary) (*Result, e
 			}
 			if done {
 				active[v] = false
+				live--
 			}
-		}
-		if !anyActive {
-			break
 		}
 		// Rotate mailboxes, routing this round's sends through the
 		// adversary's fault queues when one is attached.
@@ -212,24 +201,16 @@ func run(g *Graph, protos []Proto, maxRounds int, adv *NetAdversary) (*Result, e
 			clear(m)
 		}
 	}
-	for v := range active {
-		if active[v] {
-			return nil, fmt.Errorf("msgnet: process %d still active after %d rounds", v, maxRounds)
-		}
-	}
 	return &Result{Rounds: round}, nil
 }
 
 // nonNeighbor returns the smallest destination in send that is not in the
-// sorted neighbor list nbrs (send must hold one).
+// sorted neighbor list nbrs.
 func nonNeighbor(send map[int]any, nbrs []int) int {
-	bad, found := 0, false
+	bad := math.MaxInt
 	for to := range send {
-		if i := sort.SearchInts(nbrs, to); i < len(nbrs) && nbrs[i] == to {
-			continue
-		}
-		if !found || to < bad {
-			bad, found = to, true //gsb:nondeterminism-ok a minimum does not depend on iteration order
+		if _, ok := slices.BinarySearch(nbrs, to); !ok {
+			bad = min(bad, to) //gsb:nondeterminism-ok a minimum does not depend on iteration order
 		}
 	}
 	return bad
