@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 )
 
 // Graph is an undirected graph on vertices 0..N-1.
@@ -52,7 +53,9 @@ func (g *Graph) AddEdge(a, b int) {
 
 // Neighbors returns the sorted neighbor list of v.
 func (g *Graph) Neighbors(v int) []int {
-	return slices.Sorted(slices.Values(g.adj[v]))
+	out := append([]int(nil), g.adj[v]...)
+	sort.Ints(out)
+	return out
 }
 
 // Degree returns the degree of v.
