@@ -243,31 +243,9 @@ func sampleCases(full bool) []benchCase {
 
 func measureSample(c benchCase, workers, runs int, mode repro.SampleMode, depth int) Entry {
 	opts := repro.ExploreOptions{Workers: workers, Seed: 1, SampleRuns: runs, SampleMode: mode, Depth: depth}
-	once := func() (repro.SampleReport, time.Duration, uint64, error) {
-		m0 := mallocs()
-		start := time.Now()
-		rep, err := repro.SampleVerified(context.Background(), c.spec, repro.DefaultIDs(c.n), opts, c.build)
-		elapsed := time.Since(start)
-		m1 := mallocs()
-		return rep, elapsed, m1 - m0, err
-	}
-	rep, elapsed, allocs, err := once()
-	reps := 1
-	for err == nil && elapsed < minMeasure && reps < maxMeasureReps {
-		rep2, elapsed2, allocs2, err2 := once()
-		if err2 != nil {
-			err = err2
-			break
-		}
-		if rep2.Runs != rep.Runs || rep2.Classes != rep.Classes {
-			err = fmt.Errorf("seeded batch drifted across repetitions: %d runs/%d classes then %d/%d",
-				rep.Runs, rep.Classes, rep2.Runs, rep2.Classes)
-			break
-		}
-		elapsed += elapsed2
-		allocs += allocs2
-		reps++
-	}
+	rep, elapsed, allocs, reps, err := repeatMeasure("seeded batch report", func() (repro.SampleReport, error) {
+		return repro.SampleVerified(context.Background(), c.spec, repro.DefaultIDs(c.n), opts, c.build)
+	})
 	e := Entry{
 		Name:       c.name,
 		Task:       c.spec.String(),
@@ -308,6 +286,34 @@ const minMeasure = 250 * time.Millisecond
 // whose elapsed time stays near zero.
 const maxMeasureReps = 1000
 
+// repeatMeasure times once, and repeats it until the repetitions span
+// minMeasure (at most maxMeasureReps of them). Every repetition must
+// return what the first did: the measured counts are deterministic. It
+// returns the first result, the summed wall time and heap allocations,
+// and the number of repetitions.
+func repeatMeasure[T comparable](what string, once func() (T, error)) (first T, elapsed time.Duration, allocs uint64, reps int, err error) {
+	timed := func() (T, time.Duration, uint64, error) {
+		m0 := mallocs()
+		start := time.Now()
+		v, err := once()
+		d := time.Since(start)
+		return v, d, mallocs() - m0, err
+	}
+	first, elapsed, allocs, err = timed()
+	for reps = 1; err == nil && elapsed < minMeasure && reps < maxMeasureReps; reps++ {
+		v, d, a, verr := timed()
+		if verr != nil {
+			return first, elapsed, allocs, reps, verr
+		}
+		if v != first {
+			return first, elapsed, allocs, reps, fmt.Errorf("%s drifted across repetitions: %v then %v", what, first, v)
+		}
+		elapsed += d
+		allocs += a
+	}
+	return first, elapsed, allocs, reps, err
+}
+
 // measureBudgeted measures raw exhaustive engine throughput over a fixed
 // run budget of a tree too large to finish; hitting the budget is the
 // expected outcome, not an error.
@@ -318,33 +324,13 @@ func measureBudgeted(c benchCase, workers int) Entry {
 }
 
 func measureOpts(c benchCase, workers int, opts repro.ExploreOptions, budgeted bool) Entry {
-	once := func() (int, time.Duration, uint64, error) {
-		m0 := mallocs()
-		start := time.Now()
+	count, elapsed, allocs, reps, err := repeatMeasure("schedule count", func() (int, error) {
 		count, err := repro.ExploreVerified(context.Background(), c.spec, repro.DefaultIDs(c.n), opts, c.build)
-		elapsed := time.Since(start)
-		m1 := mallocs()
 		if budgeted && errors.Is(err, repro.ErrExplorationBudget) {
 			err = nil
 		}
-		return count, elapsed, m1 - m0, err
-	}
-	count, elapsed, allocs, err := once()
-	reps := 1
-	for err == nil && elapsed < minMeasure && reps < maxMeasureReps {
-		count2, elapsed2, allocs2, err2 := once()
-		if err2 != nil {
-			err = err2
-			break
-		}
-		if count2 != count {
-			err = fmt.Errorf("schedule count drifted across repetitions: %d then %d", count, count2)
-			break
-		}
-		elapsed += elapsed2
-		allocs += allocs2
-		reps++
-	}
+		return count, err
+	})
 	e := Entry{
 		Name:       c.name,
 		Task:       c.spec.String(),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -146,6 +147,31 @@ func TestGsbcampaignLifecycle(t *testing.T) {
 	// Merging a shard set with a missing member fails loudly.
 	if _, stderr, code := runSelf(t, "merge", paths[0]); code != 1 || !strings.Contains(stderr, "shard") {
 		t.Errorf("merge of an incomplete shard set: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestGsbcampaignStatusWatch: -watch on a finished, verified snapshot
+// prints one progress line and the verdict line and exits 0; on a
+// missing snapshot it exits 1.
+func TestGsbcampaignStatusWatch(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "c.ckpt")
+	if stdout, stderr, code := runSelf(t, "start", "-ckpt", ckpt, "-protocol", "wsb", "-n", "4", "-mode", "por", "-seed", "1"); code != 0 {
+		t.Fatalf("start: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	h, err := repro.CampaignStatus(ckpt)
+	if err != nil || h.Result == nil {
+		t.Fatalf("status of the finished campaign: %+v, %v", h, err)
+	}
+	stdout, stderr, code := runSelf(t, "status", "-ckpt", ckpt, "-watch", "-interval", "10ms")
+	lines := strings.Split(strings.TrimSpace(stdout), "\n")
+	wantVerdict := fmt.Sprintf("verdict: %d schedules verified", h.Result.Schedules)
+	if code != 0 || len(lines) != 2 || !strings.Contains(lines[0], fmt.Sprintf(": %d runs", h.Runs)) || lines[1] != wantVerdict {
+		t.Errorf("watch: exit %d, want 0, a progress line at %d runs and %q\nstdout: %s\nstderr: %s", code, h.Runs, wantVerdict, stdout, stderr)
+	}
+
+	missing := filepath.Join(t.TempDir(), "missing.ckpt")
+	if _, stderr, code := runSelf(t, "status", "-ckpt", missing, "-watch", "-interval", "10ms"); code != 1 || !strings.Contains(stderr, "no such file") {
+		t.Errorf("watch of a missing snapshot: exit %d, want 1; stderr %q", code, stderr)
 	}
 }
 

@@ -486,6 +486,7 @@ func finalize(ctx context.Context, cfg *Config, p payload) (Report, error) {
 	// Provisional shard verdict: raw counts plus this shard's own
 	// failure, loudly labeled by Shard/Of fields.
 	var err error
+	var pool *sched.SeededState
 	switch {
 	case p.Explore != nil:
 		if f := p.Explore.Failure; f != nil {
@@ -494,15 +495,13 @@ func finalize(ctx context.Context, cfg *Config, p payload) (Report, error) {
 	case p.Sample != nil:
 		rep.Depth = p.Sample.Depth
 		rep.Classes = len(p.Sample.Classes)
-		if p.Sample.FailedRun >= 0 {
-			rep.FailedRun = p.Sample.FailedRun
-			err = p.Sample.Pool.Failure.Err()
-		}
+		pool = &p.Sample.Pool
 	case p.Crash != nil:
-		if f := p.Crash.Failure; f != nil {
-			rep.FailedRun = f.Run
-			err = f.Err()
-		}
+		pool = p.Crash
+	}
+	if pool != nil && pool.Failure != nil {
+		rep.FailedRun = pool.Failure.Run
+		err = pool.Failure.Err()
 	}
 	return withVerdict(cfg, rep, err)
 }

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -59,9 +57,8 @@ func seedSnapshots(f *testing.F) [][]byte {
 		Options: optionsHeader(sched.ExploreOptions{Seed: 9, SampleRuns: 10, Depth: 3}),
 	}, payload{Sample: &sample.BatchState{
 		Depth: 3, Horizon: 12,
-		Pool:      sched.SeededState{Shard: 1, Of: 2, Next: 5, Completed: 5},
-		Classes:   map[uint64]int{0xdeadbeef: 2},
-		FailedRun: -1,
+		Pool:    sched.SeededState{Shard: 1, Of: 2, Next: 5, Completed: 5},
+		Classes: map[uint64]int{0xdeadbeef: 2},
 	}})
 
 	write(Header{
@@ -84,26 +81,94 @@ func seedSnapshots(f *testing.F) [][]byte {
 	seeds = append(seeds, trailingMutants(seeds[2])...)
 
 	// A failed sample state whose class keys are prefixes of each other
-	// and whose message needs escaping, then the same state with its two
-	// failure records made to disagree.
-	walk := Header{
-		Mode: ModeWalk, Protocol: "reg", Task: "wait-free", N: 2,
-		IDs: []int{1, 2}, Of: 1,
-		Options: optionsHeader(sched.ExploreOptions{Seed: 2, SampleRuns: 10}),
-	}
+	// and whose message needs escaping, then the same state in the old
+	// payload format: with the retired failure keys agreeing with the
+	// pool, and made to disagree with it.
 	failed := sample.BatchState{
 		Pool: sched.SeededState{Of: 1, Next: 4, Completed: 4,
-			Failure: &sched.SeededFailure{Run: 3, Message: "<a> & \"b\""}},
-		Classes:       map[uint64]int{12: 0, 120: 1, 1200: 2, 1e19 - 1: 3, 1e19: 3, 1<<64 - 1: 2},
-		FailedRun:     3,
-		Violation:     true,
-		FailedMessage: "<a> & \"b\" — ✓",
+			Failure: &sched.SeededFailure{Run: 3, Message: "<a> & \"b\" — ✓"}},
+		Classes: map[uint64]int{12: 0, 120: 1, 1200: 2, 1e19 - 1: 3, 1e19: 3, 1<<64 - 1: 2},
 	}
-	write(walk, payload{Sample: &failed, Stats: &snap})
-	for _, st := range disagreeingFailures(failed) {
-		write(walk, payload{Sample: st})
+	write(walkHeader, payload{Sample: &failed, Stats: &snap})
+	for _, st := range oldFormatFailures(failed) {
+		seeds = append(seeds, oldFormatSnapshot(f, walkHeader, st))
 	}
 	return seeds
+}
+
+var walkHeader = Header{
+	Mode: ModeWalk, Protocol: "reg", Task: "wait-free", N: 2,
+	IDs: []int{1, 2}, Of: 1,
+	Options: optionsHeader(sched.ExploreOptions{Seed: 2, SampleRuns: 10}),
+}
+
+// oldSampleState is a sample state in the payload format that also
+// recorded the smallest failing run under the now retired keys
+// failed_run (-1 for none), violation and failed_message. Embedding
+// puts the keys where that format wrote them, after classes.
+type oldSampleState struct {
+	sample.BatchState
+	FailedRun     int    `json:"failed_run"`
+	Violation     bool   `json:"violation,omitempty"`
+	FailedMessage string `json:"failed_message,omitempty"`
+}
+
+// oldFormatFailures returns a failed sample state in the old format with
+// its retired keys agreeing with the pool's failure, then copies whose
+// keys disagree: no failure, failure but no pool failure, and a
+// different run.
+func oldFormatFailures(st sample.BatchState) []oldSampleState {
+	f := st.Pool.Failure
+	agree := oldSampleState{st, f.Run, true, f.Message}
+	noFailure, noPool, differ := agree, agree, agree
+	noFailure.FailedRun = -1
+	noPool.Pool.Failure = nil
+	differ.FailedRun = f.Run + 1
+	return []oldSampleState{agree, noFailure, noPool, differ}
+}
+
+// oldFormatSnapshot writes a snapshot file whose payload is st.
+func oldFormatSnapshot(tb testing.TB, h Header, st oldSampleState) []byte {
+	tb.Helper()
+	h.Magic, h.Version = Magic, Version
+	h.OptionsHash = optionsHash(h)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if err := enc.Encode(h); err != nil {
+		tb.Fatal(err)
+	}
+	if err := enc.Encode(struct {
+		Sample oldSampleState `json:"sample"`
+	}{st}); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRetiredFailureKeysIgnored: the decoder ignores the retired keys of
+// an old sample payload, so the state settles to its pool's failure
+// whatever they say.
+func TestRetiredFailureKeysIgnored(t *testing.T) {
+	failed := sample.BatchState{
+		Pool: sched.SeededState{Of: 1, Next: 10, Completed: 10,
+			Failure: &sched.SeededFailure{Run: 3, Message: "run 3 failed"}},
+		Classes: map[uint64]int{7: 0},
+	}
+	batch := &sample.ResumableBatch{N: 2, IDs: []int{1, 2}, Opts: walkHeader.ExploreOptions()}
+	for i, st := range oldFormatFailures(failed) {
+		_, p, err := decodeSnapshot(oldFormatSnapshot(t, walkHeader, st))
+		if err != nil {
+			t.Fatalf("old snapshot %d: %v", i, err)
+		}
+		wantRun, wantErr := -1, ""
+		if f := st.Pool.Failure; f != nil {
+			wantRun, wantErr = f.Run, f.Message
+		}
+		rep, err := batch.Finalize(context.Background(), p.Sample)
+		if rep.FailedRun != wantRun || errText(err) != wantErr {
+			t.Errorf("old snapshot %d settled to (run %d, %v), want (run %d, %q)", i, rep.FailedRun, err, wantRun, wantErr)
+		}
+	}
 }
 
 // TestHeaderWithCrashCapFailsHashCheck: options no longer carry a crash
@@ -134,82 +199,6 @@ func TestHeaderWithCrashCapFailsHashCheck(t *testing.T) {
 	line = bytes.Replace(line, []byte(`"options":{`), []byte(`"options":{"max_crashes":2,`), 1)
 	if _, _, err := decodeHeader(append(line, '\n')); err == nil || !strings.Contains(err.Error(), "hash") {
 		t.Errorf("header with max_crashes 2 decoded with error %v, want a hash mismatch", err)
-	}
-}
-
-// disagreeingFailures returns copies of a failed sample state whose two
-// records of the failing run disagree: the pool's failure alone,
-// failed_run alone, and the two naming different runs.
-func disagreeingFailures(st sample.BatchState) []*sample.BatchState {
-	poolOnly, failedOnly, differ := st, st, st
-	poolOnly.FailedRun = -1
-	failedOnly.Pool.Failure = nil
-	differ.FailedRun = st.Pool.Failure.Run + 1
-	return []*sample.BatchState{&poolOnly, &failedOnly, &differ}
-}
-
-// TestSampleFailureRecordsMustAgree: a sample snapshot whose pool failure
-// and failed_run disagree is rejected when decoded, so Merge and Resume
-// (single-shard and one shard of two) return an error instead of
-// settling it into a panic. The consistent state settles to its failure.
-func TestSampleFailureRecordsMustAgree(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	for _, of := range []int{1, 2} {
-		cfg := cfgFor(racyCase(), optsFor(ModeWalk, 1), filepath.Join(dir, "unused.ckpt"))
-		cfg.Of = of
-		if err := cfg.normalize(); err != nil {
-			t.Fatal(err)
-		}
-		h := cfg.header()
-		h.Done = true
-		failed := sample.BatchState{
-			Pool: sched.SeededState{Of: of, Next: 2, Completed: 2,
-				Failure: &sched.SeededFailure{Run: 2, Message: "duplicate names"}},
-			Classes:       map[uint64]int{7: 0},
-			FailedRun:     2,
-			Violation:     true,
-			FailedMessage: "duplicate names",
-		}
-		writeState := func(name string, st *sample.BatchState) string {
-			t.Helper()
-			data, err := encodeSnapshot(nil, h, payload{Sample: st})
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(dir, fmt.Sprintf("%s-of%d.ckpt", name, of))
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return path
-		}
-		resume := func(path string) (Report, error) {
-			c := cfg
-			c.Path = path
-			return Resume(ctx, c)
-		}
-
-		if rep, err := resume(writeState("consistent", &failed)); rep.FailedRun != 2 || !strings.Contains(errText(err), "duplicate names") {
-			t.Errorf("of %d: consistent state resumed to (failed run %d, %v), want run 2's failure", of, rep.FailedRun, err)
-		}
-		for i, st := range disagreeingFailures(failed) {
-			path := writeState(fmt.Sprintf("mutant%d", i), st)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := decodeSnapshot(data); err == nil {
-				t.Errorf("of %d, mutant %d: decoded failed_run %d with pool failure %+v", of, i, st.FailedRun, st.Pool.Failure)
-			}
-			if _, err := resume(path); err == nil {
-				t.Errorf("of %d, mutant %d: Resume succeeded", of, i)
-			}
-			if of == 1 {
-				if _, err := Merge(ctx, cfg, []string{path}); err == nil {
-					t.Errorf("mutant %d: Merge succeeded", i)
-				}
-			}
-		}
 	}
 }
 

@@ -18,12 +18,14 @@ import (
 // `stats` part is left out: it carries timings. A change to how the
 // sampler's state is encoded — field order, class-key order, escaping —
 // changes these hashes; the expected values must never be edited to make
-// an encoder pass.
+// an encoder pass. They changed once, on purpose, when the sample state
+// stopped writing its second failure record: they are the hashes of the
+// earlier bytes with the retired `,"failed_run":-1` cut out.
 func TestSampleCheckpointBytesGolden(t *testing.T) {
 	want := []string{
-		"a79f9007f36fa2c583c1fc0ecc16203de8098810f49f720296c22b71c51b3c66",
-		"77e57f8040f09471e85be53e3602c8afc479c3a829055270686ecdffc4e2b1f1",
-		"1f1f6f2f60e871f84e93e9de434a14a1849c2036b5d51a9962c65a3871103886",
+		"28057f908b94cbd1f920182b44d7c6c5050d24e7f224ca9f4081537e19f3afd6",
+		"86e2ab29dd129ff4280a68427c3063c24aecc7d4ae4956c31b98a212411df3bd",
+		"bd384f7391d11179c4835f02961ac7416b36eb42f23072e4da28a051662d355e",
 	}
 	spec, build, err := SelectProtocol("slot-renaming", 4, 1)
 	if err != nil {

@@ -323,18 +323,6 @@ func decodeSnapshot(data []byte) (Header, payload, error) {
 	if got, want := p.payloadFamily(), h.Mode.family(); got != want {
 		return h, p, fmt.Errorf("payload family %q does not match mode %s", got, h.Mode)
 	}
-	// A sample state records its smallest failing run twice: as the
-	// pool's failure and as failed_run (-1 for none). Settling trusts
-	// both, so they must agree.
-	if s := p.Sample; s != nil {
-		poolRun := -1
-		if s.Pool.Failure != nil {
-			poolRun = s.Pool.Failure.Run
-		}
-		if s.FailedRun != poolRun {
-			return h, p, fmt.Errorf("sample payload: failed_run %d does not match the pool's failing run %d (-1: none)", s.FailedRun, poolRun)
-		}
-	}
 	return h, p, nil
 }
 

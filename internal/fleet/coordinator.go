@@ -618,9 +618,10 @@ func (c *Coordinator) upload(campaignID string, shard int, req UploadRequest) (U
 	if err != nil {
 		return reject(http.StatusBadRequest, "%v", err)
 	}
+	var recs []timeline.Record
 	if len(req.Timeline) > 0 {
-		if _, terr := timeline.Decode(req.Timeline, "uploaded sidecar"); terr != nil {
-			return reject(http.StatusBadRequest, "%v", terr)
+		if recs, err = timeline.Decode(req.Timeline, "uploaded sidecar"); err != nil {
+			return reject(http.StatusBadRequest, "%v", err)
 		}
 	}
 	c.mu.Lock()
@@ -651,6 +652,14 @@ func (c *Coordinator) upload(campaignID string, shard int, req UploadRequest) (U
 	}
 	if h.Shard != shard || h.Of != cs.sub.Shards {
 		return reject(http.StatusBadRequest, "fleet: snapshot is shard %d/%d, endpoint is shard %d/%d", h.Shard, h.Of, shard, cs.sub.Shards)
+	}
+	// Decode enforces strictly increasing (index, shard) pairs, so a
+	// sidecar whose records all carry this shard has strictly increasing
+	// indices: the per-shard series campaignTimeline merges.
+	for _, r := range recs {
+		if r.Shard != shard || r.Of != cs.sub.Shards {
+			return reject(http.StatusBadRequest, "fleet: sidecar record %d is shard %d/%d, endpoint is shard %d/%d", r.Index, r.Shard, r.Of, shard, cs.sub.Shards)
+		}
 	}
 	if sh.haveCkpt && h.Runs < sh.header.Runs {
 		return reject(http.StatusConflict, "fleet: snapshot regresses shard %d from %d to %d runs", shard, sh.header.Runs, h.Runs)

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -297,6 +299,64 @@ func TestFleetDrain(t *testing.T) {
 	<-done2
 }
 
+// TestFleetWorkerFailsTerminalShard: an exhaustive shard whose max_runs
+// budget runs out stops on a terminal engine error, which no resume can
+// fix. The worker reports it, the shard ends failed with the budget
+// error after its one lease, and the coordinator never deals it again.
+func TestFleetWorkerFailsTerminalShard(t *testing.T) {
+	var mu sync.Mutex
+	deals := 0
+	c, err := NewCoordinator(CoordinatorConfig{
+		DataDir:          t.TempDir(),
+		HeartbeatTimeout: 500 * time.Millisecond,
+		StaleCheckpoint:  30 * time.Second,
+		ReconcileEvery:   25 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			msg := fmt.Sprintf(format, args...)
+			mu.Lock()
+			if strings.Contains(msg, " dealt to ") {
+				deals++
+			}
+			mu.Unlock()
+			t.Log(msg)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	t.Cleanup(func() { srv.Close(); c.Close() })
+	sub := Submission{
+		Schema: Schema, Protocol: "wsb", N: 4, Mode: "exhaustive",
+		Seed: 1, Shards: 1, MaxRuns: 10, CheckpointEvery: 50,
+	}
+	if _, err := c.Submit(sub); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	_, done := testWorker(t, ctx, srv, "budget")
+	waitFleet(t, c, "campaign failed", func(st FleetStatus) bool {
+		return st.Campaigns[0].State == "failed"
+	})
+	// The worker keeps polling for work and the coordinator keeps
+	// reconciling: long enough for a heartbeat timeout and many leases.
+	time.Sleep(time.Second)
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("worker Run: %v", err)
+	}
+	cst := c.status().Campaigns[0]
+	sh := cst.Shards[0]
+	if cst.State != "failed" || sh.State != "failed" || !strings.Contains(sh.Error, sched.ErrExplorationBudget.Error()) {
+		t.Errorf("campaign %s, shard %s with error %q; want both failed with the budget error", cst.State, sh.State, sh.Error)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if deals != 1 || sh.Redeals != 0 {
+		t.Errorf("shard dealt %d times with %d re-deals, want 1 and 0", deals, sh.Redeals)
+	}
+}
+
 // captureUploads runs one shard locally and keeps the snapshot bytes of
 // every checkpoint write — the exact sequence of uploads a worker would
 // send.
@@ -583,6 +643,19 @@ func TestFleetUploadFences(t *testing.T) {
 		tamperedHeader[digitAt]++
 	}
 
+	// Sidecars that parse but that the campaign timeline could not serve:
+	// records of another shard, one at the same index as this shard's,
+	// and records naming another shard count.
+	sidecar := func(recs ...string) []byte {
+		var b []byte
+		for _, r := range recs {
+			b = append(b, `{"schema":"gsbtimeline/v1",`+r+"}\n"...)
+		}
+		return b
+	}
+	twoShards := sidecar(`"index":0,"shard":0,"of":1`, `"index":0,"shard":1,"of":1`)
+	otherCount := sidecar(`"index":0,"shard":7,"of":9`)
+
 	// Corrupt the payload: a NUL in the middle breaks its JSON.
 	corruptPayload := append([]byte(nil), good...)
 	corruptPayload[headerEnd+(len(corruptPayload)-headerEnd)/2] = 0x00
@@ -601,6 +674,8 @@ func TestFleetUploadFences(t *testing.T) {
 		{"unknown campaign", "c9999", 0, UploadRequest{Schema: Schema, Snapshot: good}, 404},
 		{"shard out of range", resp.ID, 5, UploadRequest{Schema: Schema, Snapshot: good}, 404},
 		{"stale owner", resp.ID, 0, UploadRequest{Schema: Schema, WorkerID: "w9999", Snapshot: good}, 409},
+		{"sidecar with another shard's record", resp.ID, 0, UploadRequest{Schema: Schema, Snapshot: good, Timeline: twoShards}, 400},
+		{"sidecar of shard 7/9", resp.ID, 0, UploadRequest{Schema: Schema, Snapshot: good, Timeline: otherCount}, 400},
 	}
 	for _, tc := range cases {
 		_, err := c.upload(tc.id, tc.shard, tc.req)
@@ -616,9 +691,14 @@ func TestFleetUploadFences(t *testing.T) {
 		t.Errorf("%s = %d, want %d", MetricUploadsRejected, got, len(cases))
 	}
 
-	// The valid upload still lands after all that.
-	if _, err := c.upload(resp.ID, 0, UploadRequest{Schema: Schema, Snapshot: good}); err != nil {
+	// The valid upload still lands after all that, and the campaign
+	// timeline serves its sidecar.
+	valid := UploadRequest{Schema: Schema, Snapshot: good, Timeline: sidecar(`"index":0,"shard":0,"of":1`, `"index":1,"shard":0,"of":1`)}
+	if _, err := c.upload(resp.ID, 0, valid); err != nil {
 		t.Errorf("valid upload after rejections: %v", err)
+	}
+	if recs, err := c.campaignTimeline(resp.ID); err != nil || len(recs) != 2 {
+		t.Errorf("campaign timeline after the valid upload: %d records, %v; want 2", len(recs), err)
 	}
 }
 

@@ -59,7 +59,8 @@ func FuzzSubmission(f *testing.F) {
 // coordinator's handler with arbitrary bodies, against a coordinator
 // holding one submitted campaign. No body may panic it, and no body may
 // be accepted (a 2xx answer) unless its snapshot passes
-// campaign.DecodeUploaded. CI runs it briefly via `make fuzz-smoke`:
+// campaign.DecodeUploaded and the campaign's timeline route still
+// answers 200 after it. CI runs it briefly via `make fuzz-smoke`:
 //
 //	go test ./internal/fleet -run '^$' -fuzz FuzzUpload -fuzztime 60s
 func FuzzUpload(f *testing.F) {
@@ -86,6 +87,8 @@ func FuzzUpload(f *testing.F) {
 		[]byte(`{"schema":"gsbfleet/v1","snapshot":"!!"}`),
 		[]byte(`{"snapshot":null,"timeline":"AAAA"}`),
 		[]byte(`null`), []byte(`[]`), []byte(`{`), []byte(``),
+		body(UploadRequest{Schema: Schema, Snapshot: first, Timeline: []byte(`{"schema":"gsbtimeline/v1","index":0,"shard":0,"of":1}` + "\n")}),
+		body(UploadRequest{Schema: Schema, Snapshot: first, Timeline: []byte(`{"schema":"gsbtimeline/v1","index":0,"shard":0,"of":1}` + "\n" + `{"schema":"gsbtimeline/v1","index":0,"shard":1,"of":1}` + "\n")}),
 	} {
 		f.Add(seed)
 	}
@@ -110,6 +113,11 @@ func FuzzUpload(f *testing.F) {
 		}
 		if _, _, err := campaign.DecodeUploaded(req.Snapshot, "fuzz upload"); err != nil {
 			t.Fatalf("answered %d to a snapshot DecodeUploaded rejects: %v", rr.Code, err)
+		}
+		rr = httptest.NewRecorder()
+		c.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/v1/campaigns/"+resp.ID+"/timeline", nil))
+		if rr.Code != 200 {
+			t.Fatalf("accepted upload left the timeline route answering %d: %s", rr.Code, rr.Body)
 		}
 	})
 }

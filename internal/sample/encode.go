@@ -150,19 +150,6 @@ func (s *BatchState) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, pool...)
 	dst = append(dst, `,"classes":`...)
 	dst = s.appendClasses(dst)
-	dst = append(dst, `,"failed_run":`...)
-	dst = strconv.AppendInt(dst, int64(s.FailedRun), 10)
-	if s.Violation {
-		dst = append(dst, `,"violation":true`...)
-	}
-	if s.FailedMessage != "" {
-		msg, err := json.Marshal(s.FailedMessage)
-		if err != nil {
-			return dst, fmt.Errorf("sample: encode failed_message: %w", err)
-		}
-		dst = append(dst, `,"failed_message":`...)
-		dst = append(dst, msg...)
-	}
 	return append(dst, '}'), nil
 }
 

@@ -95,28 +95,25 @@ func TestCompareDecimalMatchesStringOrder(t *testing.T) {
 // and edge-case states, fresh, grown incrementally and decoded, its
 // bytes equal json.Marshal's.
 func TestAppendJSONMatchesMarshal(t *testing.T) {
-	checkEncoding(t, "nil classes", &BatchState{FailedRun: -1})
-	checkEncoding(t, "empty classes", &BatchState{Classes: map[uint64]int{}, FailedRun: -1})
+	checkEncoding(t, "nil classes", &BatchState{})
+	checkEncoding(t, "empty classes", &BatchState{Classes: map[uint64]int{}})
 	checkEncoding(t, "zero state", &BatchState{})
 	checkEncoding(t, "edge keys and escaping", &BatchState{
 		Depth: 3, Horizon: 41,
 		Pool: sched.SeededState{Shard: 1, Of: 3, Next: 9, Completed: 8,
-			Failure: &sched.SeededFailure{Run: 25, Message: `pool <fail> & "quote"`}},
-		Classes:       map[uint64]int{12: 4, 120: 1, 1200: 7, 1e19 - 1: 2, 1e19: 3, math.MaxUint64: 0},
-		FailedRun:     25,
-		Violation:     true,
-		FailedMessage: "processes <0> & \"1\" both decided 2 — naïve ✓ \u2028\u2029 \xff\x01",
+			Failure: &sched.SeededFailure{Run: 25, Message: "processes <0> & \"1\" both decided 2 — naïve ✓ \u2028\u2029 \xff\x01"}},
+		Classes: map[uint64]int{12: 4, 120: 1, 1200: 7, 1e19 - 1: 2, 1e19: 3, math.MaxUint64: 0},
 	})
 
 	rng := rand.New(rand.NewSource(7))
 	for trial := range 40 {
-		st := &BatchState{Classes: map[uint64]int{}, FailedRun: -1}
+		st := &BatchState{Classes: map[uint64]int{}}
 		if trial%2 == 1 {
 			st.Depth, st.Horizon = 1+rng.Intn(5), rng.Intn(1000)
 		}
 		if trial%3 == 0 {
-			st.FailedRun, st.Violation = rng.Intn(1000), trial%4 == 0
-			st.FailedMessage = "run <" + strconv.Itoa(st.FailedRun) + "> & \"ß\""
+			run := rng.Intn(1000)
+			st.Pool.Failure = &sched.SeededFailure{Run: run, Message: "run <" + strconv.Itoa(run) + "> & \"ß\""}
 		}
 		// Several slices' worth of classes, checkpointed after each, with
 		// keys of every decimal length and edge keys mixed in.
@@ -142,7 +139,7 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 // added, removed or replaced behind the state's back, or the map swapped
 // for another of the same size — is still encoded exactly.
 func TestAppendJSONStaleOrder(t *testing.T) {
-	st := &BatchState{Classes: map[uint64]int{5: 1, 50: 2, 6: 3}, FailedRun: -1}
+	st := &BatchState{Classes: map[uint64]int{5: 1, 50: 2, 6: 3}}
 	checkEncoding(t, "hand-built", st)
 	st.Classes[51] = 4
 	checkEncoding(t, "key added behind the state's back", st)
@@ -190,8 +187,8 @@ func TestAppendJSONAcrossSlices(t *testing.T) {
 				}
 			}
 			checkEncoding(t, label+" done", st)
-			if check == nil && len(st.Classes) < 4 || check != nil && st.FailedMessage == "" {
-				t.Fatalf("%s: %d classes, failure %q: the batch does not exercise the encoder", label, len(st.Classes), st.FailedMessage)
+			if check == nil && len(st.Classes) < 4 || check != nil && st.Pool.Failure == nil {
+				t.Fatalf("%s: %d classes, failure %+v: the batch does not exercise the encoder", label, len(st.Classes), st.Pool.Failure)
 			}
 		}
 	}

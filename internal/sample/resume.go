@@ -2,7 +2,6 @@ package sample
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -39,7 +38,10 @@ type BatchState struct {
 	Depth   int `json:"depth,omitempty"`
 	Horizon int `json:"horizon,omitempty"`
 	// Pool is the seeded-run pool position: shard/of, next local index,
-	// executed-run count, smallest pool-level failure.
+	// executed-run count, and the shard's smallest failing run — its only
+	// failure record. The failure's error is the run's *RunError while
+	// the process that recorded it runs, and an error with the same text
+	// after a restore.
 	Pool sched.SeededState `json:"pool"`
 	// Classes maps each canonical trace-class hash seen by this shard to
 	// the smallest (global) run index that produced it — the coverage
@@ -48,14 +50,6 @@ type BatchState struct {
 	// (class h occurred before run c iff Classes[h] < c), while the map
 	// grows with the distinct-class count rather than the run count.
 	Classes map[uint64]int `json:"classes"`
-	// FailedRun is the smallest failing run of this shard (-1 when every
-	// run verified); Violation distinguishes a property violation from a
-	// runner error, and FailedMessage is the inner error's rendering —
-	// together they rebuild the *RunError verdict after a restore.
-	FailedRun     int    `json:"failed_run"`
-	Violation     bool   `json:"violation,omitempty"`
-	FailedMessage string `json:"failed_message,omitempty"`
-	failedErr     error  // live inner error when recorded in this process
 	// keys keeps Classes' keys in checkpoint encoding order (AppendJSON);
 	// Slice records each class it sees for the first time into it.
 	keys *classKeys
@@ -101,9 +95,8 @@ func (r *ResumableBatch) Init(shard, of int) (*BatchState, error) {
 		return nil, fmt.Errorf("sample: shard %d of %d outside [0, of)", shard, of)
 	}
 	st := &BatchState{
-		Pool:      sched.SeededState{Shard: shard, Of: of},
-		Classes:   map[uint64]int{},
-		FailedRun: -1,
+		Pool:    sched.SeededState{Shard: shard, Of: of},
+		Classes: map[uint64]int{},
 	}
 	if r.Opts.SampleMode == sched.SamplePCT {
 		st.Depth = r.Opts.Depth
@@ -138,8 +131,8 @@ func (r *ResumableBatch) policyFor(st *BatchState) (func(int) sched.Policy, erro
 }
 
 // Slice advances the batch from state by at most sliceRuns runs (0 means
-// no bound), recording coverage and failure detail into the returned
-// state, and reports whether the shard's batch is complete. Pause
+// no bound), recording coverage and the smallest failing run into the
+// returned state, and reports whether the shard's batch is complete. Pause
 // semantics are those of sched.SeededSlice: runs already claimed finish,
 // and the returned state is an exact resume point. The input state's
 // coverage map, and the encoding order of its keys, are reused (not
@@ -163,9 +156,7 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 	}
 	keys := state.keys
 
-	var mu sync.Mutex // guards Classes and the failure-detail fields below
-	failedRun, violation := state.FailedRun, state.Violation
-	failedMsg, failedErr := state.FailedMessage, state.failedErr
+	var mu sync.Mutex // guards Classes
 	var classes *stats.Counter
 	if r.Opts.Stats != nil {
 		classes = r.Opts.Stats.Counter(MetricClasses, "Distinct Mazurkiewicz trace classes discovered by sampling (per-shard first sightings).")
@@ -175,19 +166,13 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 	// hasher from the pool for the duration of one visit.
 	hashers := sync.Pool{New: func() any { return new(sched.TraceHasher) }}
 
+	// visit returns run i's *RunError; the pool keeps the smallest one.
 	visit := func(i int, res *sched.Result, err error) error {
-		seed := sched.DeriveRunSeed(r.Opts.Seed, i)
-		record := func(violates bool, inner error) *RunError {
-			mu.Lock()
-			if failedRun < 0 || i < failedRun {
-				failedRun, violation = i, violates
-				failedMsg, failedErr = inner.Error(), inner
-			}
-			mu.Unlock()
-			return &RunError{Mode: r.Opts.SampleMode, Run: i, Seed: seed, Violation: violates, Err: inner}
+		runErr := func(violates bool, inner error) error {
+			return &RunError{Mode: r.Opts.SampleMode, Run: i, Seed: sched.DeriveRunSeed(r.Opts.Seed, i), Violation: violates, Err: inner}
 		}
 		if err != nil {
-			return record(false, err)
+			return runErr(false, err)
 		}
 		// Record coverage before checking, so the failing run's own
 		// class is part of the reported coverage. Keep the smallest run
@@ -209,7 +194,7 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 		}
 		if r.Check != nil {
 			if cerr := r.Check(res); cerr != nil {
-				return record(true, cerr)
+				return runErr(true, cerr)
 			}
 		}
 		return nil
@@ -221,15 +206,11 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 		return state, false, err
 	}
 	next := &BatchState{
-		Depth:         state.Depth,
-		Horizon:       state.Horizon,
-		Pool:          *pool,
-		Classes:       state.Classes,
-		FailedRun:     failedRun,
-		Violation:     violation,
-		FailedMessage: failedMsg,
-		failedErr:     failedErr,
-		keys:          keys,
+		Depth:   state.Depth,
+		Horizon: state.Horizon,
+		Pool:    *pool,
+		Classes: state.Classes,
+		keys:    keys,
 	}
 	return next, done, nil
 }
@@ -238,11 +219,12 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 // one state of a one-shot Explore or a single campaign, or the shard
 // states of a sharded one: the coverage figure counts distinct trace
 // classes over the runs up to and including the smallest failing one (all
-// runs, when every shard verified), and a failure is reported as a
-// *RunError for that smallest run. States must be the complete shard set
-// of one batch, all complete, with matching PCT parameters; the settle
-// rule itself (shard-set checks, smallest failure, cancellation of
-// unfinished states under a canceled ctx) is sched.FinalizeSeeded's.
+// runs, when every shard verified), and a failure is reported as that
+// smallest run's error from the pool (see BatchState.Pool). States must
+// be the complete shard set of one batch, all complete, with matching
+// PCT parameters; the settle rule itself (shard-set checks, smallest
+// failure, cancellation of unfinished states under a canceled ctx) is
+// sched.FinalizeSeeded's.
 func (r *ResumableBatch) Finalize(ctx context.Context, states ...*BatchState) (Report, error) {
 	rep := Report{Mode: r.Opts.SampleMode, FailedRun: -1}
 	if err := r.validate(); err != nil {
@@ -267,30 +249,10 @@ func (r *ResumableBatch) Finalize(ctx context.Context, states ...*BatchState) (R
 	count, best, err := sched.FinalizeSeeded(ctx, r.Opts.SampleRuns, pools...)
 	rep.Runs = count
 	rep.Classes = classesBelow(states, count)
-	if best < 0 {
-		// Every run verified, or the states settled as a cancellation
-		// (count is then the runs executed) or as an incomplete shard set.
-		return rep, err
+	if best >= 0 {
+		rep.FailedRun, rep.FailedSeed = best, sched.DeriveRunSeed(r.Opts.Seed, best)
 	}
-	var bestState *BatchState
-	for _, st := range states {
-		if st.FailedRun == best {
-			bestState = st
-		}
-	}
-	inner := bestState.failedErr
-	if inner == nil {
-		inner = errors.New(bestState.FailedMessage)
-	}
-	re := &RunError{
-		Mode:      r.Opts.SampleMode,
-		Run:       best,
-		Seed:      sched.DeriveRunSeed(r.Opts.Seed, best),
-		Violation: bestState.Violation,
-		Err:       inner,
-	}
-	rep.FailedRun, rep.FailedSeed = re.Run, re.Seed
-	return rep, re
+	return rep, err
 }
 
 // classesBelow counts the distinct trace classes first seen by a run

@@ -13,6 +13,11 @@
 // (Init, Slice, Finalize): Explore, the one-shot entry point, is one
 // unbounded slice of it, and tasks.ExploreVerified dispatches there when
 // sched.ExploreOptions.SampleRuns is set.
+//
+// A failing run's error is a *RunError in the process that ran it, so
+// Explore always returns one. A state restored from a checkpoint keeps
+// only the error's text: Finalize over it returns an error with the
+// same text, not a *RunError.
 package sample
 
 import (

@@ -64,7 +64,9 @@ type FrontierState struct {
 
 // FailureState is a serialized exploration failure. Only the rendered
 // message survives serialization; a restored failure compares equal to
-// the original by text, not by errors.Is identity.
+// the original by text, not by errors.Is identity. The explorer records
+// its smallest failure as this value and never modifies one once
+// recorded, so the states it returns share it.
 //
 //gsb:serialized
 type FailureState struct {
@@ -147,12 +149,7 @@ func (r *ResumableExplorer) Slice(ctx context.Context, state *ExploreState, slic
 	e := newExplorer(ctx, r.N, r.IDs, opts, r.Build, r.Check, nil)
 	e.claimed.Store(state.Claimed)
 	e.completed.Store(state.Completed)
-	if state.Failure != nil {
-		e.best = &exploreFailure{
-			choices: append([]int(nil), state.Failure.Choices...),
-			err:     state.Failure.Err(),
-		}
-	}
+	e.best = state.Failure
 	for i, it := range state.Frontier {
 		e.pushTo(i%len(e.shards), frontierItem{
 			choices: append([]int(nil), it.Choices...),
@@ -176,6 +173,7 @@ func (e *explorer) collectState() *ExploreState {
 	st := &ExploreState{
 		Claimed:   e.claimed.Load(),
 		Completed: e.completed.Load(),
+		Failure:   e.best,
 	}
 	for _, s := range e.shards {
 		s.mu.Lock()
@@ -190,15 +188,6 @@ func (e *explorer) collectState() *ExploreState {
 	if st.Frontier == nil {
 		st.Frontier = []FrontierState{}
 	}
-	e.mu.Lock()
-	if e.best != nil {
-		st.Failure = &FailureState{
-			Choices: append([]int(nil), e.best.choices...),
-			Message: e.best.err.Error(),
-			err:     e.best.err,
-		}
-	}
-	e.mu.Unlock()
 	return st
 }
 

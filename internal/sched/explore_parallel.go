@@ -255,13 +255,6 @@ func Explore(ctx context.Context, n int, ids []int, opts ExploreOptions, build f
 	return r.Finalize(ctx, st)
 }
 
-// exploreFailure is a failed run: a property violation or a runner error,
-// keyed by its choice sequence for lexicographic aggregation.
-type exploreFailure struct {
-	choices []int
-	err     error
-}
-
 // frontierItem is one unit of exploration work: re-execute the run
 // scripted by choices and push its unexplored siblings. sleep is the
 // sleep set at the node reached after choices (partial-order reduction
@@ -334,7 +327,7 @@ type explorer struct {
 	model MemModel       // resolved opts.Model, applied to every worker runner
 
 	mu   sync.Mutex
-	best *exploreFailure // lexicographically smallest failure seen
+	best *FailureState // lexicographically smallest failure seen
 }
 
 func newExplorer(ctx context.Context, n int, ids []int, opts ExploreOptions, build func() Body, check func(*Result) error, bound []int) *explorer {
@@ -503,15 +496,15 @@ func (e *explorer) pruneBound() []int {
 	if e.best == nil {
 		return nil
 	}
-	return e.best.choices
+	return e.best.Choices
 }
 
 func (e *explorer) recordFailure(choices []int, err error) {
 	c := append([]int(nil), choices...)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.best == nil || lexLess(c, e.best.choices) {
-		e.best = &exploreFailure{choices: c, err: err}
+	if e.best == nil || lexLess(c, e.best.Choices) {
+		e.best = &FailureState{Choices: c, Message: err.Error(), err: err}
 	}
 }
 

@@ -196,25 +196,21 @@ func SeededSlice(ctx context.Context, n int, ids []int, opts ExploreOptions, tot
 		next      atomic.Int64
 		completed atomic.Int64 // runs executed during this slice
 		mu        sync.Mutex
-		bestIdx   = -1 // smallest failing global index
-		bestErr   error
+		best      = state.Failure // smallest failure; never modified once recorded
 		wg        sync.WaitGroup
 	)
 	next.Store(state.Next)
-	if state.Failure != nil {
-		bestIdx, bestErr = state.Failure.Run, state.Failure.Err()
-	}
 	record := func(g int, err error) {
 		mu.Lock()
 		defer mu.Unlock()
-		if bestIdx < 0 || g < bestIdx {
-			bestIdx, bestErr = g, err
+		if best == nil || g < best.Run {
+			best = &SeededFailure{Run: g, Message: err.Error(), err: err}
 		}
 	}
 	failedBefore := func(g int) bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return bestIdx >= 0 && g > bestIdx
+		return best != nil && g > best.Run
 	}
 
 	for w := 0; w < opts.Workers; w++ {
@@ -275,12 +271,8 @@ func SeededSlice(ctx context.Context, n int, ids []int, opts ExploreOptions, tot
 		Of:        state.Of,
 		Next:      claimed,
 		Completed: state.Completed + completed.Load(),
+		Failure:   best,
 	}
-	mu.Lock()
-	if bestIdx >= 0 {
-		out.Failure = &SeededFailure{Run: bestIdx, Message: bestErr.Error(), err: bestErr}
-	}
-	mu.Unlock()
 	return out, out.SeededDone(total), nil
 }
 
