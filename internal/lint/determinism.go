@@ -12,16 +12,22 @@ import (
 // property and the options — never of worker interleaving, wall-clock
 // time, or map iteration order (explore_parallel.go's determinism
 // contract, docs/architecture.md). It applies to the packages that
-// compute results (sched, sample, campaign) and flags the four constructs
-// that historically smuggle nondeterminism into them:
+// compute results (sched, sample, campaign, mem, msgnet, luby) and flags
+// the constructs that historically smuggle nondeterminism, or avoidable
+// per-run cost, into them:
 //
 //   - wall-clock reads (time.Now, time.Since, time.Until): results must
 //     not depend on when the engine runs. Timing histograms and progress
 //     timestamps are legitimate — annotate them.
 //   - global math/rand draws (rand.Intn and friends): the process-global
 //     source is shared and unseeded; all engine randomness must flow from
-//     an explicit seed via rand.New(rand.NewSource(seed)), which is why
-//     the constructors New/NewSource/NewZipf are exempt.
+//     an explicit seed via runrand.New(seed), which is why the
+//     constructors New and NewZipf are exempt.
+//   - math/rand's own seeded source (rand.NewSource): its Seed computes
+//     all 607 register words, 1,841 Lehmer steps, before the first draw,
+//     and at one generator per sampled run that was a third of a walk
+//     campaign's profile. runrand.New yields exactly the same stream and
+//     computes each word on first read.
 //   - `go` statements: goroutines outside the audited worker pools make
 //     aggregation order a scheduling artifact. Worker-pool spawns carry
 //     annotations pointing at the interleaving-independence argument.
@@ -37,7 +43,7 @@ import (
 // class counts, verdicts, or checkpoint identity.
 var DeterminismAnalyzer = &Analyzer{
 	Name:       "determinism",
-	Doc:        "flags wall-clock reads, global rand, bare goroutines, and order-dependent map iteration in the result-computing packages",
+	Doc:        "flags wall-clock reads, global rand, math/rand's eager seeding, bare goroutines, and order-dependent map iteration in the result-computing packages",
 	Suppressor: "nondeterminism-ok",
 	Run:        runDeterminism,
 }
@@ -50,14 +56,14 @@ var determinismPackages = []string{
 	"internal/campaign",
 	"internal/msgnet",
 	"internal/luby",
+	"internal/mem",
 }
 
 // globalRandExempt are the package-level math/rand functions that do not
 // draw from the process-global source.
 var globalRandExempt = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
+	"New":     true,
+	"NewZipf": true,
 }
 
 func determinismApplies(path string) bool {
@@ -109,8 +115,11 @@ func checkDeterminismCall(pass *Pass, call *ast.CallExpr) {
 			pass.Reportf(call.Pos(), "wall-clock read time.%s: results must be a pure function of protocol, property and options", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
-		if !globalRandExempt[fn.Name()] {
-			pass.Reportf(call.Pos(), "global rand.%s draws from the process-global source: derive a seeded generator via rand.New(rand.NewSource(seed)) instead", fn.Name())
+		switch {
+		case fn.Pkg().Path() == "math/rand" && fn.Name() == "NewSource":
+			pass.Reportf(call.Pos(), "rand.NewSource seeds all 607 register words before the first draw: use runrand.New(seed), which yields the same stream")
+		case !globalRandExempt[fn.Name()]:
+			pass.Reportf(call.Pos(), "global rand.%s draws from the process-global source: derive a seeded generator via runrand.New(seed) instead", fn.Name())
 		}
 	}
 }

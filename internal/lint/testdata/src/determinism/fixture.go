@@ -23,11 +23,12 @@ func methodsAreFine(r *rand.Rand, t time.Time) {
 	_ = t.Add(time.Second)
 }
 
-func globalRand() int {
-	r := rand.New(rand.NewSource(1)) // constructors are exempt
-	_ = r
-	rand.Shuffle(3, func(i, j int) {}) // want `global rand\.Shuffle`
-	return rand.Intn(10)               // want `global rand\.Intn`
+func globalRand(src rand.Source) int {
+	_ = rand.New(src)                         // wrapping a seeded source is exempt
+	_ = rand.NewZipf(rand.New(src), 2, 1, 10) // so is a Zipf over one
+	_ = rand.NewSource(1)                     // want `rand\.NewSource seeds all 607 register words`
+	rand.Shuffle(3, func(i, j int) {})        // want `global rand\.Shuffle`
+	return rand.Intn(10)                      // want `global rand\.Intn`
 }
 
 func bareGoroutine() {

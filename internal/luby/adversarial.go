@@ -2,9 +2,9 @@ package luby
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/msgnet"
+	"repro/internal/runrand"
 )
 
 // This file runs the symmetry-breaking baselines under the message
@@ -29,10 +29,10 @@ func MISUnder(g *msgnet.Graph, seed int64, maxRounds int, adv *msgnet.NetAdversa
 	}
 	inMIS := make([]bool, g.N)
 	protos := make([]msgnet.Proto, g.N)
-	base := rand.New(rand.NewSource(seed))
+	base := runrand.New(seed)
 	for v := 0; v < g.N; v++ {
 		protos[v] = &misProto{
-			rng:   rand.New(rand.NewSource(base.Int63())),
+			rng:   runrand.New(base.Int63()),
 			inMIS: &inMIS[v],
 		}
 	}
@@ -51,11 +51,11 @@ func ColoringUnder(g *msgnet.Graph, seed int64, maxRounds int, adv *msgnet.NetAd
 	}
 	colors := make([]int, g.N)
 	protos := make([]msgnet.Proto, g.N)
-	base := rand.New(rand.NewSource(seed))
+	base := runrand.New(seed)
 	palette := g.MaxDegree() + 1
 	for v := 0; v < g.N; v++ {
 		protos[v] = &colorProto{
-			rng:     rand.New(rand.NewSource(base.Int63())),
+			rng:     runrand.New(base.Int63()),
 			palette: palette,
 			taken:   map[int]bool{},
 			color:   &colors[v],

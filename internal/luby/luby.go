@@ -11,6 +11,7 @@ import (
 	"math/rand"
 
 	"repro/internal/msgnet"
+	"repro/internal/runrand"
 )
 
 type misMsgKind int
@@ -88,10 +89,10 @@ type MISResult struct {
 func MIS(g *msgnet.Graph, seed int64, maxRounds int) (*MISResult, error) {
 	inMIS := make([]bool, g.N)
 	protos := make([]msgnet.Proto, g.N)
-	base := rand.New(rand.NewSource(seed))
+	base := runrand.New(seed)
 	for v := 0; v < g.N; v++ {
 		protos[v] = &misProto{
-			rng:   rand.New(rand.NewSource(base.Int63())),
+			rng:   runrand.New(base.Int63()),
 			inMIS: &inMIS[v],
 		}
 	}
@@ -200,11 +201,11 @@ type ColoringResult struct {
 func Coloring(g *msgnet.Graph, seed int64, maxRounds int) (*ColoringResult, error) {
 	colors := make([]int, g.N)
 	protos := make([]msgnet.Proto, g.N)
-	base := rand.New(rand.NewSource(seed))
+	base := runrand.New(seed)
 	palette := g.MaxDegree() + 1
 	for v := 0; v < g.N; v++ {
 		protos[v] = &colorProto{
-			rng:     rand.New(rand.NewSource(base.Int63())),
+			rng:     runrand.New(base.Int63()),
 			palette: palette,
 			taken:   map[int]bool{},
 			color:   &colors[v],

@@ -2,9 +2,9 @@ package mem
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/gsb"
+	"repro/internal/runrand"
 	"repro/internal/sched"
 )
 
@@ -56,7 +56,7 @@ func drawAssignment(spec gsb.Spec, seed int64) []int {
 	if v, ok := boxDraws.m.Load(key); ok {
 		return v.([]int)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := runrand.New(seed)
 	counting := spec.CountingVectors()
 	cv := counting[rng.Intn(len(counting))]
 	assignment := make([]int, 0, spec.N())

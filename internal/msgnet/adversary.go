@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/runrand"
 	"repro/internal/stats"
 )
 
@@ -77,7 +78,7 @@ func newNetFaults(nbrs [][]int, adv *NetAdversary) *netFaults {
 	f := &netFaults{
 		nbrs:   nbrs,
 		queues: queues,
-		rng:    rand.New(rand.NewSource(adv.Seed)),
+		rng:    runrand.New(adv.Seed),
 		adv:    adv,
 	}
 	if adv.Stats != nil {

@@ -16,8 +16,7 @@
 package sample
 
 import (
-	"math/rand"
-
+	"repro/internal/runrand"
 	"repro/internal/sched"
 )
 
@@ -64,7 +63,7 @@ func NewPCT(seed int64, n, depth, horizon int) *PCT {
 	if horizon < 1 {
 		horizon = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := runrand.New(seed)
 	p := &PCT{
 		prio:   make([]int, n),
 		change: make(map[int]int, depth-1),

@@ -14,6 +14,8 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+
+	"repro/internal/runrand"
 )
 
 // Registered adversary names (ExploreOptions.Adversary, gsbrun
@@ -126,7 +128,7 @@ func NewTResilientCrash(seed int64, crashProb float64, maxCrashes, n int) *TResi
 	if maxCrashes > n {
 		maxCrashes = n
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := runrand.New(seed)
 	victim := make([]bool, n)
 	for _, v := range rng.Perm(n)[:maxCrashes] {
 		victim[v] = true
@@ -166,7 +168,7 @@ func NewAdaptiveCrash(seed int64, crashProb float64, maxCrashes, n int) *Adaptiv
 		panic(fmt.Sprintf("sched: crashProb %v outside [0,1]", crashProb))
 	}
 	return &AdaptiveCrash{
-		rng:        rand.New(rand.NewSource(seed)),
+		rng:        runrand.New(seed),
 		crashProb:  crashProb,
 		maxCrashes: maxCrashes,
 		granted:    make([]int, n),

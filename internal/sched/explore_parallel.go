@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/runrand"
 	"repro/internal/stats"
 )
 
@@ -392,7 +393,7 @@ func (e *explorer) runWorkers() {
 func (e *explorer) worker(w int) {
 	// The rng only picks steal victims; exploration results never depend
 	// on it (see the determinism contract above).
-	rng := rand.New(rand.NewSource(int64(uint64(e.opts.Seed) ^ 0x9e3779b97f4a7c15*uint64(w+1))))
+	rng := runrand.New(int64(uint64(e.opts.Seed) ^ 0x9e3779b97f4a7c15*uint64(w+1)))
 	// One reusable runner and policy per worker, re-armed for every
 	// prefix re-execution: the steady-state hot path allocates nothing
 	// but the protocol instance (and a prefix slab chunk now and then).

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/runrand"
 )
 
 // Decision is a scheduling choice: grant the pending step of Proc, or
@@ -69,7 +71,7 @@ type Random struct {
 
 // NewRandom returns a seeded random policy.
 func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
+	return &Random{rng: runrand.New(seed)}
 }
 
 // Next implements Policy.
@@ -95,7 +97,7 @@ func NewRandomCrash(seed int64, crashProb float64, maxCrashes int) *RandomCrash 
 		panic(fmt.Sprintf("sched: crashProb %v outside [0,1]", crashProb))
 	}
 	return &RandomCrash{
-		rng:        rand.New(rand.NewSource(seed)),
+		rng:        runrand.New(seed),
 		crashProb:  crashProb,
 		maxCrashes: maxCrashes,
 	}
