@@ -91,14 +91,17 @@ govulncheck:
 # timeline sidecar reader, the fleet submission gate and the fleet upload
 # route: each target runs for
 # a few seconds (CI's static-analysis job runs the same), catching
-# parser panics early. For a real session:
+# parser panics early. -fuzzminimizetime 5x caps the minimizing of each
+# new input: at the 60 s default a leg spent its whole window minimizing
+# the first input it found and FuzzUpload ran ~200 execs, against ~3,300
+# with the cap. For a real session:
 #   go test ./internal/campaign -fuzz FuzzDecodeSnapshot -fuzztime 5m
 fuzz-smoke:
-	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzParseHeader -fuzztime 10s
-	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s
-	$(GO) test ./internal/timeline -run '^$$' -fuzz FuzzDecodeTimeline -fuzztime 10s
-	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzSubmission -fuzztime 10s
-	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzUpload -fuzztime 10s
+	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzParseHeader -fuzztime 10s -fuzzminimizetime 5x
+	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s -fuzzminimizetime 5x
+	$(GO) test ./internal/timeline -run '^$$' -fuzz FuzzDecodeTimeline -fuzztime 10s -fuzzminimizetime 5x
+	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzSubmission -fuzztime 10s -fuzzminimizetime 5x
+	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzUpload -fuzztime 10s -fuzzminimizetime 5x
 
 fmt:
 	gofmt -w .
