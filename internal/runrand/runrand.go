@@ -13,13 +13,19 @@
 // k = 21+3i, 22+3i and 23+3i as math/rand does. The powers of 48271 are a
 // table built once.
 //
-// The cooked constants are not copied from math/rand: init recovers them
-// from math/rand itself, by running its source for seed 1 through one
-// full turn of the register, undoing those draws to get the seeded
-// register, and XORing out seed 1's Lehmer part.
+// The cooked constants are not copied from math/rand: buildTables
+// recovers them from math/rand itself, by running its source for seed 1
+// through one full turn of the register, undoing those draws to get the
+// seeded register, and XORing out seed 1's Lehmer part. The first New
+// builds the tables, not package init: that seeding of math/rand takes
+// ~0.1 ms, the slowest init in the binaries, and a process that never
+// samples should not pay it at start-up.
 package runrand
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 const (
 	rngLen   = 607       // register length (math/rand's rngLen)
@@ -33,6 +39,7 @@ const (
 )
 
 var (
+	tables sync.Once // guards building pow and cooked
 	// pow[k] is 48271^k mod (2^31-1), for every step k seeding reaches.
 	pow [skip + 3*rngLen + 1]uint64
 	// cooked is math/rand's rngCooked: seeded word i is the Lehmer part
@@ -40,7 +47,7 @@ var (
 	cooked [rngLen]int64
 )
 
-func init() {
+func buildTables() {
 	p := uint64(1)
 	for k := range pow {
 		pow[k] = p
@@ -50,36 +57,22 @@ func init() {
 	// After rngLen draws every register word has been written once, by
 	// the draw that returned it, and the taps are back where seeding left
 	// them. So record the draws where the register holds them, then undo
-	// the draws newest first: undoing draw k restores the word it wrote
-	// from the tap word, which later draws have not yet changed.
+	// the draws newest first: undoing draw k subtracts the tap word it
+	// read, which holds that value again once every later draw is undone.
 	src := rand.NewSource(1).(rand.Source64)
 	var vec [rngLen]int64
 	tap, feed := 0, rngLen-rngTap
 	for range rngLen {
-		tap, feed = prev(tap), prev(feed)
+		tap, feed = (tap+rngLen-1)%rngLen, (feed+rngLen-1)%rngLen
 		vec[feed] = int64(src.Uint64())
 	}
 	for range rngLen {
 		vec[feed] -= vec[tap]
-		tap, feed = next(tap), next(feed)
+		tap, feed = (tap+1)%rngLen, (feed+1)%rngLen
 	}
 	for i := range cooked {
 		cooked[i] = vec[i] ^ lehmerWord(1, i)
 	}
-}
-
-func prev(i int) int {
-	if i == 0 {
-		return rngLen - 1
-	}
-	return i - 1
-}
-
-func next(i int) int {
-	if i == rngLen-1 {
-		return 0
-	}
-	return i + 1
 }
 
 // lehmerWord is the Lehmer part of register word i for the normalized
@@ -98,6 +91,7 @@ func lehmerWord(x0 uint64, i int) int64 {
 // New returns a generator whose every draw equals that of math/rand's
 // source seeded with seed.
 func New(seed int64) *rand.Rand {
+	tables.Do(buildTables)
 	s := new(source)
 	s.Seed(seed)
 	return rand.New(s)
