@@ -25,9 +25,9 @@ import (
 //     constructors New and NewZipf are exempt.
 //   - math/rand's own seeded source (rand.NewSource): its Seed computes
 //     all 607 register words, 1,841 Lehmer steps, before the first draw,
-//     and at one generator per sampled run that was a third of a walk
-//     campaign's profile. runrand.New yields exactly the same stream and
-//     computes each word on first read.
+//     and at one generator per sampled run that was over a quarter of a
+//     walk campaign's CPU profile. runrand.New yields exactly the same
+//     stream and computes each word on first read.
 //   - `go` statements: goroutines outside the audited worker pools make
 //     aggregation order a scheduling artifact. Worker-pool spawns carry
 //     annotations pointing at the interleaving-independence argument.
