@@ -156,6 +156,23 @@ func TestAppendJSONStaleOrder(t *testing.T) {
 	st.Classes[4] = 0
 	st.keys.fresh = append(st.keys.fresh, 1)
 	checkEncoding(t, "fresh key already kept", st)
+
+	st = &BatchState{Classes: map[uint64]int{}}
+	for i, h := range []uint64{30, 4, 500, 61, 7} {
+		addClass(st, h, i)
+	}
+	checkEncoding(t, "recorded", st)
+	st.Classes[500] = 12345
+	checkEncoding(t, "kept value changed, size unchanged", st)
+	delete(st.Classes, 61)
+	st.Classes[62] = 3
+	checkEncoding(t, "kept key replaced by a new key with the same value", st)
+	addClass(st, 8, 9)
+	addClass(st, 99, 10)
+	delete(st.Classes, 8)
+	checkEncoding(t, "fresh key deleted before the encode", st)
+	checkEncoding(t, "second encode, no fresh keys", st)
+	checkEncoding(t, "third encode, no fresh keys", st)
 }
 
 // TestAppendJSONAcrossSlices encodes real batch states after every slice,
@@ -189,6 +206,35 @@ func TestAppendJSONAcrossSlices(t *testing.T) {
 			checkEncoding(t, label+" done", st)
 			if check == nil && len(st.Classes) < 4 || check != nil && st.Pool.Failure == nil {
 				t.Fatalf("%s: %d classes, failure %+v: the batch does not exercise the encoder", label, len(st.Classes), st.Pool.Failure)
+			}
+		}
+	}
+}
+
+// BenchmarkClassCheckpoints encodes one state 60 times, recording 1,000
+// random 64-bit keys before each encode: the shape of a 60,000-run walk
+// campaign checkpointed every 1,000 runs. Only the encodes are timed.
+func BenchmarkClassCheckpoints(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]uint64, 60*1000)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
+	var buf []byte
+	b.ReportAllocs()
+	for range b.N {
+		b.StopTimer()
+		st := &BatchState{Classes: map[uint64]int{}}
+		b.StartTimer()
+		for c := range 60 {
+			b.StopTimer()
+			for i := c * 1000; i < (c+1)*1000; i++ {
+				addClass(st, keys[i], i)
+			}
+			b.StartTimer()
+			var err error
+			if buf, err = st.AppendJSON(buf[:0]); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
