@@ -88,8 +88,8 @@ govulncheck:
 	fi
 
 # Short native-fuzzing smoke over the campaign snapshot decoders, the
-# timeline sidecar reader, the fleet submission gate and the fleet upload
-# route: each target runs for
+# sample checkpoint encoder, the timeline sidecar reader, the fleet
+# submission gate and the fleet upload route: each target runs for
 # a few seconds (CI's static-analysis job runs the same), catching
 # parser panics early. -fuzzminimizetime 5x caps the minimizing of each
 # new input: at the 60 s default a leg spent its whole window minimizing
@@ -99,6 +99,7 @@ govulncheck:
 fuzz-smoke:
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzParseHeader -fuzztime 10s -fuzzminimizetime 5x
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s -fuzzminimizetime 5x
+	$(GO) test ./internal/sample -run '^$$' -fuzz FuzzAppendJSON -fuzztime 10s -fuzzminimizetime 5x
 	$(GO) test ./internal/timeline -run '^$$' -fuzz FuzzDecodeTimeline -fuzztime 10s -fuzzminimizetime 5x
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzSubmission -fuzztime 10s -fuzzminimizetime 5x
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzUpload -fuzztime 10s -fuzzminimizetime 5x

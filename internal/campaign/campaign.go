@@ -337,7 +337,7 @@ func run(ctx context.Context, cfg *Config, p payload) (Report, error) {
 	n := cfg.Spec.N()
 	h := cfg.header()
 	checkpoints := 0
-	var buf []byte // snapshot bytes, reused by every checkpoint
+	var parts [3][]byte // snapshot parts; parts[0] is the buffer every checkpoint reuses
 
 	reg := cfg.ensureStats()
 	if p.Stats != nil {
@@ -419,16 +419,16 @@ func run(ctx context.Context, cfg *Config, p payload) (Report, error) {
 		}
 		wstart := time.Now() //gsb:nondeterminism-ok feeds the checkpoint-latency histograms only, never a verdict or count
 		var werr error
-		if buf, werr = encodeSnapshot(buf[:0], h, p); werr != nil {
+		if parts, werr = encodeSnapshot(parts[0][:0], h, p); werr != nil {
 			return Report{}, werr
 		}
 		ckptEncode.Observe(time.Since(wstart).Seconds()) //gsb:nondeterminism-ok observability histogram; not part of campaign state
-		if werr = timeline.AtomicWrite(cfg.Path, buf); werr != nil {
+		if werr = timeline.AtomicWrite(cfg.Path, parts[:]...); werr != nil {
 			return Report{}, fmt.Errorf("campaign: checkpoint: %w", werr)
 		}
 		ckptSeconds.Observe(time.Since(wstart).Seconds()) //gsb:nondeterminism-ok observability histogram; not part of campaign state
 		ckptWrites.Inc()
-		ckptBytes.Set(int64(len(buf)))
+		ckptBytes.Set(int64(len(parts[0]) + len(parts[1]) + len(parts[2])))
 		checkpoints++
 		if cfg.Observer != nil {
 			cfg.Observer.checkpoint(h)

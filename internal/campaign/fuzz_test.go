@@ -34,11 +34,11 @@ func seedSnapshots(f *testing.F) [][]byte {
 
 	write := func(h Header, p payload) {
 		f.Helper()
-		data, err := encodeSnapshot(nil, h, p)
+		parts, err := encodeSnapshot(nil, h, p)
 		if err != nil {
 			f.Fatalf("encoding seed snapshot: %v", err)
 		}
-		seeds = append(seeds, data)
+		seeds = append(seeds, bytes.Join(parts[:], nil))
 	}
 
 	reg := stats.New()
@@ -215,7 +215,7 @@ func trailingMutants(valid []byte) [][]byte {
 // TestDecodeSnapshotRejectsTrailingBytes: nothing but whitespace may
 // follow the payload.
 func TestDecodeSnapshotRejectsTrailingBytes(t *testing.T) {
-	valid, err := encodeSnapshot(nil, Header{
+	parts, err := encodeSnapshot(nil, Header{
 		Mode: ModeCrash, Protocol: "reg", Task: "wait-free", N: 2,
 		IDs: []int{1, 2}, Of: 1,
 		Options: optionsHeader(sched.ExploreOptions{Seed: 5, CrashRuns: 10, CrashProb: 0.1}),
@@ -223,6 +223,7 @@ func TestDecodeSnapshotRejectsTrailingBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	valid := bytes.Join(parts[:], nil)
 	if _, _, err := decodeSnapshot(valid); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
@@ -287,10 +288,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err := json.NewEncoder(&want).Encode(p); err != nil {
 			t.Fatalf("accepted snapshot payload does not re-encode: %v", err)
 		}
-		got, err := appendPayload(nil, p)
+		parts, err := appendPayload(nil, p)
 		if err != nil {
 			t.Fatalf("writer cannot encode an accepted payload: %v", err)
 		}
+		got := bytes.Join(parts[:], nil)
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("writer's payload encoding differs from json.Encoder's:\n%s\n%s", got, want.Bytes())
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/stats"
 )
 
 // TestSampleCheckpointBytesGolden pins the exact bytes of the `sample`
@@ -66,6 +67,45 @@ func TestSampleCheckpointBytesGolden(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("checkpoint %d: sample bytes hash %s, want %s", i+1, got[i], want[i])
+		}
+	}
+}
+
+// TestCheckpointBytesGaugeIsFileSize: after every checkpoint,
+// gsb_checkpoint_bytes equals the snapshot's size on disk, which for a
+// sample snapshot is the sum of all three parts the writer hands over.
+func TestCheckpointBytesGaugeIsFileSize(t *testing.T) {
+	spec, build, err := SelectProtocol("slot-renaming", 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []sched.ExploreOptions{
+		{Workers: 2, Seed: 1, SampleRuns: 3000, SampleMode: sched.SampleWalk},
+		{Workers: 2, Seed: 1, CrashRuns: 3000, CrashProb: 0.05},
+	} {
+		reg := stats.New()
+		opts.Stats = reg
+		path := filepath.Join(t.TempDir(), "c.ckpt")
+		checkpoints := 0
+		cfg := Config{
+			Protocol: "slot-renaming", Spec: spec, Build: build, Opts: opts,
+			CheckpointEvery: 1000, Path: path,
+			OnCheckpoint: func(Header) {
+				checkpoints++
+				fi, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := reg.Gauge(MetricCheckpointBytes, "").Value(); got != fi.Size() {
+					t.Errorf("%s checkpoint %d: %s = %d, snapshot is %d bytes", ModeOf(opts), checkpoints, MetricCheckpointBytes, got, fi.Size())
+				}
+			},
+		}
+		if _, err := Start(context.Background(), cfg); err != nil {
+			t.Fatalf("%s: %v", ModeOf(opts), err)
+		}
+		if checkpoints != 3 {
+			t.Fatalf("%s: %d checkpoints, want 3", ModeOf(opts), checkpoints)
 		}
 	}
 }

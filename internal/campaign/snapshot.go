@@ -222,49 +222,59 @@ func optionsHash(h Header) string {
 	return fmt.Sprintf("%016x", f.Sum64())
 }
 
-// encodeSnapshot appends the snapshot file's bytes, header + payload, to
-// dst. run passes one buffer, emptied, to every checkpoint of a campaign.
-func encodeSnapshot(dst []byte, h Header, p payload) ([]byte, error) {
+// encodeSnapshot encodes the snapshot file, header + payload, as three
+// parts to write in order: a head, a sample state's class object, and a
+// tail. Head and tail are appended to dst, one after the other; run passes
+// parts[0] of the previous checkpoint, emptied, so every checkpoint of a
+// campaign reuses one buffer. The class object is the sample state's own
+// bytes (sample.BatchState.AppendJSONParts), so the largest part reaches
+// the file without a copy; it is nil, and the tail empty, for the other
+// payloads.
+func encodeSnapshot(dst []byte, h Header, p payload) ([3][]byte, error) {
 	h.Magic, h.Version = Magic, Version
 	h.OptionsHash = optionsHash(h)
 	h.Updated = time.Now().UTC().Format(time.RFC3339) //gsb:nondeterminism-ok Updated is a freshness timestamp, excluded from optionsHash
 
 	buf := bytes.NewBuffer(dst)
 	if err := json.NewEncoder(buf).Encode(h); err != nil {
-		return dst, fmt.Errorf("campaign: encode header: %w", err)
+		return [3][]byte{dst}, fmt.Errorf("campaign: encode header: %w", err)
 	}
-	out, err := appendPayload(buf.Bytes(), p)
+	parts, err := appendPayload(buf.Bytes(), p)
 	if err != nil {
-		return dst, fmt.Errorf("campaign: encode payload: %w", err)
+		return parts, fmt.Errorf("campaign: encode payload: %w", err)
 	}
-	return out, nil
+	return parts, nil
 }
 
-// appendPayload appends p and a newline to dst: exactly the bytes
-// json.Encoder writes for p. A sample payload's engine state goes through
-// sample.BatchState's own encoder, which keeps its class keys sorted from
-// one checkpoint to the next instead of sorting the whole map each time;
-// every other payload goes through json.Encoder.
-func appendPayload(dst []byte, p payload) ([]byte, error) {
+// appendPayload appends p and a newline to dst, as encodeSnapshot's
+// parts: exactly the bytes json.Encoder writes for p. A sample payload's
+// engine state goes through sample.BatchState's own encoder, which keeps
+// its class object from one checkpoint to the next instead of sorting and
+// formatting the whole map each time; every other payload goes through
+// json.Encoder.
+func appendPayload(dst []byte, p payload) ([3][]byte, error) {
 	if p.Sample == nil || p.Explore != nil || p.Crash != nil {
 		buf := bytes.NewBuffer(dst)
 		err := json.NewEncoder(buf).Encode(p)
-		return buf.Bytes(), err
+		return [3][]byte{buf.Bytes()}, err
 	}
 	dst = append(dst, `{"sample":`...)
-	dst, err := p.Sample.AppendJSON(dst)
+	dst, classes, err := p.Sample.AppendJSONParts(dst)
 	if err != nil {
-		return dst, err
+		return [3][]byte{dst}, err
 	}
+	head := len(dst)
+	dst = append(dst, '}')
 	if p.Stats != nil {
 		st, err := json.Marshal(p.Stats)
 		if err != nil {
-			return dst, err
+			return [3][]byte{dst}, err
 		}
 		dst = append(dst, `,"stats":`...)
 		dst = append(dst, st...)
 	}
-	return append(dst, '}', '\n'), nil
+	dst = append(dst, '}', '\n')
+	return [3][]byte{dst[:head], classes, dst[head:]}, nil
 }
 
 // decodeHeader parses and validates a snapshot's header line from the

@@ -12,72 +12,154 @@ import (
 // re-writes its whole coverage map at every checkpoint, and the map grows
 // with the distinct-class count; encoding/json sorts every key of it by
 // its decimal string on each write. AppendJSON writes the same bytes but
-// keeps the keys in encoding order from one checkpoint to the next, so a
-// checkpoint sorts only the keys first seen since the previous one.
+// keeps the class object it last wrote: a checkpoint checks the kept
+// entries against the map, then sorts and formats only the keys first
+// seen since the previous one and moves the kept bytes around them.
 //
 // BatchState deliberately has no MarshalJSON: encoding/json re-scans a
 // marshaler's output, which costs more than the sort it saves.
 // json.Marshal(BatchState) stays the reference the encoder is tested
 // against.
 
-// classKeys keeps the keys of a BatchState's class map in encoding order
-// across checkpoints. Slice shares it with the state it returns, exactly
-// as it shares the map.
+// classKeys keeps the class map's entries in encoding order across
+// checkpoints, together with the class object bytes they encode to. Slice
+// shares it with the state it returns, exactly as it shares the map.
+//
+// An encode reuses the kept bytes only after checking them against the
+// map (check); any disagreement re-encodes from the map. So the encoder
+// stays exact for any map, however it was changed.
 type classKeys struct {
-	order []uint64 // the map's keys in encoding order, as of the last encode
-	fresh []uint64 // keys first recorded since then
-	spare []uint64 // merge buffer, swapped with order
+	order []uint64 // the kept keys in encoding order, as of the last encode
+	vals  []int    // vals[i] is order[i]'s value at the last encode
+	obj   []byte   // the class object of order and vals: {"key":value,...}
+	fresh []uint64 // keys first recorded since the last encode
+	ins   []insert // the checked fresh entries, in fresh's (sorted) order
 }
 
-// sorted returns every key of classes in encoding order. It sorts only the
-// fresh keys and merges them into the kept order in one pass. When the
-// kept order and the fresh keys do not account for the map exactly — a
-// state decoded from disk, merged, or built by hand — every key is
-// treated as fresh.
-func (k *classKeys) sorted(classes map[uint64]int) []uint64 {
-	if len(k.order)+len(k.fresh) == len(classes) && k.merge() {
-		return k.order
+// insert is a fresh entry's value and its position in the kept order:
+// the index of the first kept key after it.
+type insert struct{ val, at int }
+
+// object returns the class object of classes: json.Marshal's bytes for
+// the map. The bytes are k's own and stay valid until the next encode.
+func (k *classKeys) object(classes map[uint64]int) []byte {
+	if !k.check(classes) {
+		k.reset(classes)
+		k.check(classes)
 	}
-	k.reset(classes)
 	k.merge()
-	return k.order
+	return k.obj
 }
 
-// reset drops the kept order and marks every key of classes fresh.
+// check reports whether the kept entries and the fresh keys account for
+// classes exactly: the counts agree, every kept key is in classes with its
+// kept value, and the fresh keys are distinct, not kept, and in classes.
+// It sorts the fresh keys and records their values and positions in ins.
+func (k *classKeys) check(classes map[uint64]int) bool {
+	if len(k.order)+len(k.fresh) != len(classes) {
+		return false
+	}
+	for i, h := range k.order {
+		if v, ok := classes[h]; !ok || v != k.vals[i] {
+			return false
+		}
+	}
+	slices.SortFunc(k.fresh, compareDecimal)
+	k.ins = k.ins[:0]
+	at := 0
+	for j, h := range k.fresh {
+		v, ok := classes[h]
+		if !ok || j > 0 && h == k.fresh[j-1] {
+			return false
+		}
+		i, kept := slices.BinarySearchFunc(k.order[at:], h, compareDecimal)
+		if kept {
+			return false
+		}
+		at += i
+		k.ins = append(k.ins, insert{v, at})
+	}
+	return true
+}
+
+// reset drops the kept entries and marks every key of classes fresh.
 func (k *classKeys) reset(classes map[uint64]int) {
-	k.order, k.fresh = k.order[:0], k.fresh[:0]
+	k.order, k.vals, k.obj, k.fresh = k.order[:0], k.vals[:0], k.obj[:0], k.fresh[:0]
 	for h := range classes { //gsb:nondeterminism-ok the keys are sorted before use
 		k.fresh = append(k.fresh, h)
 	}
 }
 
-// merge sorts the fresh keys into the kept order. It reports false, and
-// leaves the kept order as it was, when a key occurs twice: then the keys
-// no longer mirror the map.
-func (k *classKeys) merge() bool {
-	slices.SortFunc(k.fresh, compareDecimal)
-	for i := 1; i < len(k.fresh); i++ {
-		if k.fresh[i] == k.fresh[i-1] {
-			return false
+// merge inserts the checked fresh entries into the kept ones, in place and
+// from the back: each run of kept entries that a fresh entry displaces
+// moves with one copy, in order, vals and the object alike, and only the
+// fresh entries are formatted. In the object every entry but the first
+// starts with ',' and the first with '{', so a run moves unchanged, except
+// that the old first entry's '{' becomes ',' once a fresh entry precedes it.
+func (k *classKeys) merge() {
+	m, f := len(k.order), len(k.fresh)
+	if m == 0 {
+		k.obj = append(k.obj[:0], '{')
+		for j, h := range k.fresh {
+			if j > 0 {
+				k.obj = append(k.obj, ',')
+			}
+			k.obj = appendEntry(k.obj, h, k.ins[j].val)
+			k.vals = append(k.vals, k.ins[j].val)
 		}
+		k.obj = append(k.obj, '}')
+		k.order, k.fresh = append(k.order, k.fresh...), k.fresh[:0]
+		return
 	}
-	out := k.spare[:0]
-	i, j := 0, 0
-	for i < len(k.order) && j < len(k.fresh) {
-		switch c := compareDecimal(k.order[i], k.fresh[j]); {
-		case c < 0:
-			out = append(out, k.order[i])
-			i++
-		case c > 0:
-			out = append(out, k.fresh[j])
-			j++
-		default:
-			return false
+	grow := 0
+	for j, h := range k.fresh {
+		grow += entryLen(h, k.ins[j].val)
+	}
+	r := len(k.obj) - 1 // the kept entries are obj[:r], the closing '}' obj[r]
+	k.obj = slices.Grow(k.obj, grow)[:r+1+grow]
+	k.order = slices.Grow(k.order, f)[:m+f]
+	k.vals = slices.Grow(k.vals, f)[:m+f]
+	w := len(k.obj) - 1 // the placed entries are obj[w:len-1]
+	k.obj[w] = '}'
+	i := m // the kept entries not yet placed are order[:i]
+	for j := f - 1; j >= 0; j-- {
+		h, v, at := k.fresh[j], k.ins[j].val, k.ins[j].at
+		n := 0
+		for e := at; e < i; e++ {
+			n += entryLen(k.order[e], k.vals[e])
 		}
+		copy(k.obj[w-n:w], k.obj[r-n:r])
+		copy(k.order[at+j+1:], k.order[at:i])
+		copy(k.vals[at+j+1:], k.vals[at:i])
+		w, r, i = w-n, r-n, at
+		if at == 0 && n > 0 {
+			k.obj[w] = ','
+		}
+		w -= entryLen(h, v)
+		k.obj[w] = ','
+		appendEntry(k.obj[w+1:w+1], h, v)
+		k.order[at+j], k.vals[at+j] = h, v
 	}
-	out = append(append(out, k.order[i:]...), k.fresh[j:]...)
-	k.order, k.spare, k.fresh = out, k.order, k.fresh[:0]
-	return true
+	k.obj[0] = '{'
+	k.fresh = k.fresh[:0]
+}
+
+// appendEntry appends "key":value.
+func appendEntry(dst []byte, h uint64, v int) []byte {
+	dst = append(dst, '"')
+	dst = strconv.AppendUint(dst, h, 10)
+	dst = append(dst, '"', ':')
+	return strconv.AppendInt(dst, int64(v), 10)
+}
+
+// entryLen is the length of an entry in the class object: its leading ','
+// or '{' and "key":value.
+func entryLen(h uint64, v int) int {
+	n := len(`,"":`) + decimalDigits(h)
+	if v < 0 {
+		return n + 1 + decimalDigits(uint64(-v))
+	}
+	return n + decimalDigits(uint64(v))
 }
 
 // pow10 holds 10^0 .. 10^19, every power of ten a uint64 holds.
@@ -127,10 +209,23 @@ func compareDecimal(a, b uint64) int {
 
 // AppendJSON appends the JSON encoding of s to dst: byte for byte what
 // json.Marshal writes for it, with the same field order, class keys in
-// the same order, and the same escaping. The class keys' order is kept
-// in s between calls (see classKeys), so repeated calls on a state that
-// Slice advances cost one pass over the map plus a sort of the new keys.
+// the same order, and the same escaping. It is AppendJSONParts' head, class
+// object and closing '}' in one buffer.
 func (s *BatchState) AppendJSON(dst []byte) ([]byte, error) {
+	head, classes, err := s.AppendJSONParts(dst)
+	if err != nil {
+		return head, err
+	}
+	return append(append(head, classes...), '}'), nil
+}
+
+// AppendJSONParts appends the JSON encoding of s up to its class object
+// to dst and returns the class object separately: the encoding is head,
+// then classes, then '}'. The class object's bytes are s's own (shared
+// with the states Slice derives from s), valid until s is encoded again;
+// between calls s keeps them, so an encode after a Slice formats only the
+// classes first seen in it.
+func (s *BatchState) AppendJSONParts(dst []byte) (head, classes []byte, err error) {
 	dst = append(dst, '{')
 	if s.Depth != 0 {
 		dst = append(dst, `"depth":`...)
@@ -144,50 +239,16 @@ func (s *BatchState) AppendJSON(dst []byte) ([]byte, error) {
 	}
 	pool, err := json.Marshal(&s.Pool)
 	if err != nil {
-		return dst, fmt.Errorf("sample: encode pool: %w", err)
+		return dst, nil, fmt.Errorf("sample: encode pool: %w", err)
 	}
 	dst = append(dst, `"pool":`...)
 	dst = append(dst, pool...)
 	dst = append(dst, `,"classes":`...)
-	dst = s.appendClasses(dst)
-	return append(dst, '}'), nil
-}
-
-// appendClasses appends the class map as a JSON object.
-func (s *BatchState) appendClasses(dst []byte) []byte {
 	if s.Classes == nil {
-		return append(dst, "null"...)
+		return dst, []byte("null"), nil
 	}
 	if s.keys == nil {
 		s.keys = new(classKeys)
 	}
-	if out, ok := appendObject(dst, s.keys.sorted(s.Classes), s.Classes); ok {
-		return out
-	}
-	// A kept key is missing from the map: the map was changed behind the
-	// state's back. Treat every key as fresh, so the keys come from the
-	// map itself.
-	s.keys.reset(s.Classes)
-	out, _ := appendObject(dst, s.keys.sorted(s.Classes), s.Classes)
-	return out
-}
-
-// appendObject appends {"key":value,...} for keys in the given order. It
-// reports false when a key is not in classes.
-func appendObject(dst []byte, keys []uint64, classes map[uint64]int) ([]byte, bool) {
-	dst = append(dst, '{')
-	for i, h := range keys {
-		v, ok := classes[h]
-		if !ok {
-			return dst, false
-		}
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, '"')
-		dst = strconv.AppendUint(dst, h, 10)
-		dst = append(dst, '"', ':')
-		dst = strconv.AppendInt(dst, int64(v), 10)
-	}
-	return append(dst, '}'), true
+	return dst, s.keys.object(s.Classes), nil
 }

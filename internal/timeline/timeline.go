@@ -307,22 +307,27 @@ func WriteFile(path string, recs []Record) error {
 	return AtomicWrite(path, buf.Bytes())
 }
 
-// AtomicWrite replaces path with data so that a crash at any instant
-// leaves either the old file or the new one, never a torn one: it writes
-// a temp file in path's directory, fsyncs it, and renames it over path.
+// AtomicWrite replaces path with the concatenation of parts so that a
+// crash at any instant leaves either the old file or the new one, never a
+// torn one: it writes the parts in order to a temp file in path's
+// directory, fsyncs it, and renames it over path. Parts let a writer hand
+// over bytes it keeps elsewhere, such as a sample state's class object,
+// without first copying them into one buffer.
 // It is the one durable-write helper of the repository — campaign
 // snapshots, timeline files and the fleet's shard copies all go through
 // it — and lives here because this stdlib-only package is the lowest one
 // all of those writers import.
-func AtomicWrite(path string, data []byte) error {
+func AtomicWrite(path string, parts ...[]byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("atomic write: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("atomic write %s: %w", path, err)
+	for _, data := range parts {
+		if _, err := tmp.Write(data); err != nil {
+			tmp.Close()
+			return fmt.Errorf("atomic write %s: %w", path, err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

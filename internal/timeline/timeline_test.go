@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -236,6 +237,30 @@ func TestWriteFileRoundTrips(t *testing.T) {
 	}
 	if len(got) != 3 || got[2].Runs != 20 || !got[2].Done {
 		t.Fatalf("round trip: %+v", got)
+	}
+}
+
+// TestAtomicWriteParts: the file holds the parts' concatenation, empty
+// parts included, and replaces what was there.
+func TestAtomicWriteParts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "parts")
+	for _, parts := range [][][]byte{
+		{[]byte("head\n"), []byte(`{"a":1}`), []byte("}\n")},
+		{nil, []byte("x"), {}, []byte("yz"), nil},
+		{{}, nil},
+		{},
+		{[]byte("only")},
+	} {
+		if err := AtomicWrite(path, parts...); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bytes.Join(parts, nil); !bytes.Equal(got, want) {
+			t.Fatalf("AtomicWrite(%q) wrote %q, want %q", parts, got, want)
+		}
 	}
 }
 
