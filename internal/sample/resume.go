@@ -50,8 +50,9 @@ type BatchState struct {
 	// (class h occurred before run c iff Classes[h] < c), while the map
 	// grows with the distinct-class count rather than the run count.
 	Classes map[uint64]int `json:"classes"`
-	// keys keeps Classes' keys in checkpoint encoding order (AppendJSON);
-	// Slice records each class it sees for the first time into it.
+	// keys keeps Classes' entries in checkpoint encoding order, with the
+	// class object they encode to (AppendJSONParts); Slice records each
+	// class it sees for the first time into it.
 	keys *classKeys
 }
 
@@ -135,8 +136,8 @@ func (r *ResumableBatch) policyFor(st *BatchState) (func(int) sched.Policy, erro
 // returned state, and reports whether the shard's batch is complete. Pause
 // semantics are those of sched.SeededSlice: runs already claimed finish,
 // and the returned state is an exact resume point. The input state's
-// coverage map, and the encoding order of its keys, are reused (not
-// copied) by the returned state.
+// coverage map, and the encoded class object kept with it, are reused
+// (not copied) by the returned state.
 func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns int) (*BatchState, bool, error) {
 	if err := r.validate(); err != nil {
 		return state, false, err
