@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // The snapshots under testdata/pormemo were written by a build whose
@@ -54,6 +56,39 @@ func TestPORMemoSnapshotsResumeAndMerge(t *testing.T) {
 		t.Fatalf("merged shards: done=%v, %d classes, %v; want %d", rep.Done, rep.Schedules, err, porMemoClasses)
 	}
 	diffCounters(t, "merged", statsCounters(t, "merged", rep), want)
+}
+
+// testdata/por/paused.ckpt is a slot-renaming n=3 por campaign paused at
+// its first checkpoint (29 classes counted, 200 runs claimed), written
+// by a build whose por walk branched into every awake child. Its
+// frontier holds such children; a later walk may treat them as it
+// likes, but the campaign must still finish with the same classes.
+//
+// TestPORSnapshotResumes resumes it to the 216 classes of slot-renaming
+// n=3 and checks the cumulative schedules counter agrees.
+func TestPORSnapshotResumes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "por", "paused.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "paused.ckpt")
+	if err := os.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	req := porMemoRequest
+	req.Mode = "por"
+	cfg, err := req.Config(0, 1, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Opts.Workers = 2
+	rep, err := Resume(context.Background(), cfg)
+	if err != nil || !rep.Done || rep.Schedules != porMemoClasses {
+		t.Fatalf("resumed paused snapshot: done=%v, %d classes, %v; want %d", rep.Done, rep.Schedules, err, porMemoClasses)
+	}
+	if got := statsCounters(t, "resumed", rep)[sched.MetricSchedules]; got != porMemoClasses {
+		t.Errorf("resumed: %s = %d, want %d", sched.MetricSchedules, got, porMemoClasses)
+	}
 }
 
 func porMemoCampaign(t *testing.T, shard, of int, path string) Config {
