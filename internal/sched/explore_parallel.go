@@ -279,7 +279,7 @@ type exploreWorker struct {
 // newWorker builds worker w's reusable state; close its runner when done.
 func (e *explorer) newWorker(w int) *exploreWorker {
 	runner := NewRunner(e.n, e.ids, nil, WithMaxSteps(e.opts.MaxSteps), WithReuse(), WithModel(e.model))
-	policy := &porPolicy{indep: e.indep, runner: runner}
+	policy := &porPolicy{indep: e.indep, skipBlocked: e.opts.Reduction == ReductionSleepSets, runner: runner}
 	runner.Reset(policy)
 	return &exploreWorker{w: w, runner: runner, policy: policy}
 }
@@ -553,7 +553,11 @@ func (e *explorer) process(item frontierItem, wk *exploreWorker) bool {
 	}
 
 	b := e.pruneBound()
-	for _, branch := range policy.branchItems() {
+	branches, blocked := policy.branchItems()
+	if blocked > 0 {
+		e.met.addBlocked(blocked)
+	}
+	for _, branch := range branches {
 		if b != nil && !prefixViable(branch.choices, b) {
 			e.met.incPrunes()
 			continue

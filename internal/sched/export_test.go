@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -23,12 +24,13 @@ func newPORPair(n int, indep Independence, opts ...Option) (*Runner, *porPolicy)
 	return runner, policy
 }
 
-// CheckPORPolicyReuse walks the whole sleep-set tree of build (n
+// CheckPORPolicyReuse walks the whole ReductionSleepSets tree of build (n
 // processes under the named memory model) depth-first, executing every
 // frontier item twice: under one porPolicy re-armed with reset for every
 // item, as an exploration worker does, and under a fresh policy and runner.
-// Both must report the same run choices and the same branch items
-// (choices and sleep sets), and no queued item may change between its
+// Both must report the same run choices, the same branch items (choices
+// and sleep sets) and the same blocked count, and no queued item may
+// change between its
 // carving and its pop — the slab's immutability contract. It returns the
 // number of items walked. External tests call it with real protocols,
 // which this package cannot import.
@@ -46,6 +48,7 @@ func CheckPORPolicyReuse(t testing.TB, n int, model string, build func() Body) i
 		return frontierItem{choices: slices.Clone(it.choices), sleep: slices.Clone(it.sleep)}
 	}
 	runner, reused := newPORPair(n, OpIndependent, WithReuse(), WithModel(m))
+	reused.skipBlocked = true
 	defer runner.Close()
 	stack := []queued{{item: frontierItem{choices: []int{}}, want: frontierItem{choices: []int{}}}}
 	walked := 0
@@ -58,6 +61,7 @@ func CheckPORPolicyReuse(t testing.TB, n int, model string, build func() Body) i
 		walked++
 
 		freshRunner, fresh := newPORPair(n, OpIndependent, WithModel(m))
+		fresh.skipBlocked = true
 		fresh.reset(q.item.choices, q.item.sleep)
 		_, freshErr := freshRunner.Run(build())
 		reused.reset(q.item.choices, q.item.sleep)
@@ -68,9 +72,10 @@ func CheckPORPolicyReuse(t testing.TB, n int, model string, build func() Body) i
 		if !slices.Equal(fresh.choices, reused.choices) {
 			t.Fatalf("prefix %v: reused policy chose %v, fresh %v", q.item.choices, reused.choices, fresh.choices)
 		}
-		got, want := reused.branchItems(), fresh.branchItems()
-		if len(got) != len(want) {
-			t.Fatalf("prefix %v: reused policy branched %d items, fresh %d", q.item.choices, len(got), len(want))
+		got, gotBlocked := reused.branchItems()
+		want, wantBlocked := fresh.branchItems()
+		if len(got) != len(want) || gotBlocked != wantBlocked {
+			t.Fatalf("prefix %v: reused policy branched %d items and blocked %d, fresh %d and %d", q.item.choices, len(got), gotBlocked, len(want), wantBlocked)
 		}
 		for i := range got {
 			if !reflect.DeepEqual(got[i], want[i]) {
@@ -80,4 +85,57 @@ func CheckPORPolicyReuse(t testing.TB, n int, model string, build func() Body) i
 		}
 	}
 	return walked
+}
+
+// BlockedChildren walks the whole ReductionSleepSets tree of build (n
+// processes under the named memory model) depth-first and returns every
+// child its branching left out: for each frontier item, the branch items
+// of an unfiltered policy on the same item that the filtered policy did
+// not queue. Their number must equal the blocked counts reported.
+func BlockedChildren(t testing.TB, n int, model string, build func() Body) []FrontierState {
+	t.Helper()
+	m, err := MemModelByName(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, filtered := newPORPair(n, OpIndependent, WithReuse(), WithModel(m))
+	defer runner.Close()
+	filtered.skipBlocked = true
+	plainRunner, plain := newPORPair(n, OpIndependent, WithReuse(), WithModel(m))
+	defer plainRunner.Close()
+	var dropped []FrontierState
+	stack := []frontierItem{{choices: []int{}}}
+	for len(stack) > 0 {
+		item := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		filtered.reset(item.choices, item.sleep)
+		if _, err := runner.Run(build()); err != nil && !errors.Is(err, ErrRunAborted) {
+			t.Fatalf("prefix %v: %v", item.choices, err)
+		}
+		plain.reset(item.choices, item.sleep)
+		if _, err := plainRunner.Run(build()); err != nil && !errors.Is(err, ErrRunAborted) {
+			t.Fatalf("prefix %v: %v", item.choices, err)
+		}
+		kept, blocked := filtered.branchItems()
+		all, none := plain.branchItems()
+		if none != 0 || len(all) != len(kept)+blocked {
+			t.Fatalf("prefix %v: unfiltered policy branched %d items (%d blocked), filtered %d plus %d blocked", item.choices, len(all), none, len(kept), blocked)
+		}
+		k := 0
+		for _, it := range all {
+			if k < len(kept) && slices.Equal(it.choices, kept[k].choices) {
+				if !slices.Equal(it.sleep, kept[k].sleep) {
+					t.Fatalf("prefix %v: child %v sleeps on %v filtered, %v unfiltered", item.choices, it.choices, kept[k].sleep, it.sleep)
+				}
+				k++
+				continue
+			}
+			dropped = append(dropped, FrontierState{Choices: slices.Clone(it.choices), Sleep: slices.Clone(it.sleep)})
+		}
+		if k != len(kept) {
+			t.Fatalf("prefix %v: filtered children are not a subsequence of the unfiltered ones", item.choices)
+		}
+		stack = append(stack, kept...)
+	}
+	return dropped
 }

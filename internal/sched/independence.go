@@ -15,7 +15,8 @@ import "strings"
 //
 // Labels that do not follow the contract (no '.' separator, e.g. the bare
 // "noop"/"read"/"write" labels some tests use) are treated as touching one
-// global unknown object with writes — i.e. dependent on everything — so
+// global unknown object with writes — i.e. dependent on every step but
+// another process's decide, whose output register is private — so
 // reduction degrades to exhaustive exploration instead of becoming
 // unsound.
 
@@ -56,26 +57,33 @@ func opFootprint(op string) (object string, perProc, readOnly, known bool) {
 	return op[:i], false, readOnlyKinds[op[i+1:]], true
 }
 
+// perProcessOp reports whether op's footprint is private to the process
+// that executes it ("decide"). Such a step commutes with every step of
+// every other process under OpIndependent, so a process asleep on it
+// stays asleep however the others move: no run in its subtree completes.
+func perProcessOp(op string) bool {
+	_, perProc, _, _ := opFootprint(op)
+	return perProc
+}
+
 // OpIndependent is the Independence relation used by ExploreOptions.
-// Reduction: steps of distinct processes commute iff they touch distinct
-// objects (per the "<object>.<kind>" naming contract, with "decide"
-// touching a per-process output register) or are both read-only
-// operations on the same object. Unrecognized labels conflict with
-// everything (sound fallback).
+// Reduction: steps of distinct processes commute iff either touches a
+// per-process object ("decide", the process's own output register, which
+// no other process's step reaches, labeled or not), or they touch
+// distinct objects (per the "<object>.<kind>" naming contract), or both
+// are read-only operations on the same object. Other unrecognized labels
+// conflict with everything (sound fallback).
 func OpIndependent(procA int, opA string, procB int, opB string) bool {
 	if procA == procB {
 		return false
 	}
 	objA, perA, roA, okA := opFootprint(opA)
 	objB, perB, roB, okB := opFootprint(opB)
+	if perA || perB {
+		return true // a per-process object never aliases another process's object
+	}
 	if !okA || !okB {
 		return false
-	}
-	if perA != perB {
-		return true // a per-process object never aliases a named object
-	}
-	if perA {
-		return true // same per-process label, distinct processes
 	}
 	if objA != objB {
 		return true

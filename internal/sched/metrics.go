@@ -28,6 +28,11 @@ const (
 	// reduction (ErrRunAborted): budget slots that verified no new
 	// schedule but seeded sibling branches.
 	MetricAborts = "gsb_aborts_total"
+	// MetricBlockedBranches counts children the ReductionSleepSets walk
+	// did not branch into because a process asleep on its decide would
+	// block every run below them. Each would have cost at least one
+	// aborted probe under ReductionSleepMemo.
+	MetricBlockedBranches = "gsb_blocked_branches_total"
 	// MetricPrunes counts frontier prefixes dropped against the
 	// lexicographic violation bound. Pruning races discovery of the
 	// bound, so this counter is only deterministic on violation-free
@@ -52,6 +57,7 @@ type engineMetrics struct {
 	schedules *stats.Counter
 	steals    *stats.Counter
 	aborts    *stats.Counter
+	blocked   *stats.Counter
 	prunes    *stats.Counter
 	advEvents *stats.Counter
 	frontier  *stats.Gauge
@@ -68,6 +74,7 @@ func newEngineMetrics(r *stats.Registry) *engineMetrics {
 		schedules: r.Counter(MetricSchedules, "Schedules verified by exhaustive exploration (one per Mazurkiewicz trace class under reduction)."),
 		steals:    r.Counter(MetricSteals, "Frontier work items stolen between exploration workers."),
 		aborts:    r.Counter(MetricAborts, "Sleep-set probe runs aborted by partial-order reduction."),
+		blocked:   r.Counter(MetricBlockedBranches, "Children the sleep-set walk did not branch into: a process asleep on its decide blocks every run below them."),
 		prunes:    r.Counter(MetricPrunes, "Frontier prefixes pruned against the lexicographic violation bound."),
 		advEvents: r.Counter(MetricAdversaryEvents, "Adversary-injected fault events: crashes (crash adversaries) and message drops/delays/reorders (message adversary)."),
 		frontier:  r.Gauge(MetricFrontierDepth, "Exploration frontier size: schedule prefixes queued or in flight."),
@@ -99,6 +106,15 @@ func (m *engineMetrics) incSteals() {
 func (m *engineMetrics) incAborts() {
 	if m != nil {
 		m.aborts.Inc()
+	}
+}
+
+// addBlocked publishes the children one run's branching left out.
+//
+//gsb:hotpath
+func (m *engineMetrics) addBlocked(k int) {
+	if m != nil {
+		m.blocked.Add(int64(k))
 	}
 }
 

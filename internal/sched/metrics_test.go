@@ -11,12 +11,13 @@ import (
 // the engine's determinism contract: on a clean exploration, runs,
 // schedules and aborts are pure functions of the options — the same at
 // every worker count — schedules equals the returned count, and the
-// frontier gauge has drained to zero. Steals are inherently
+// frontier gauge has drained to zero. Blocked branches are counted only
+// by the ReductionSleepSets walk, deterministically. Steals are inherently
 // interleaving-dependent (and zero at one worker); prunes stay zero
 // without a violation bound.
 func TestExploreStatsDeterministic(t *testing.T) {
 	for _, red := range []Reduction{ReductionNone, ReductionSleepSets, ReductionSleepMemo} {
-		var wantRuns, wantScheds, wantAborts int64
+		var wantRuns, wantScheds, wantAborts, wantBlocked int64
 		for _, workers := range []int{1, 2, 8} {
 			reg := stats.New()
 			build := func() Body { return stepsBody(2) }
@@ -28,6 +29,10 @@ func TestExploreStatsDeterministic(t *testing.T) {
 			}
 			snap := reg.Snapshot()
 			runs, scheds, aborts := snap.Counter(MetricRuns), snap.Counter(MetricSchedules), snap.Counter(MetricAborts)
+			blocked := snap.Counter(MetricBlockedBranches)
+			if (blocked > 0) != (red == ReductionSleepSets) {
+				t.Fatalf("reduction=%v workers=%d: %s = %d", red, workers, MetricBlockedBranches, blocked)
+			}
 			if scheds != int64(count) {
 				t.Fatalf("reduction=%v workers=%d: %s = %d, Explore returned %d", red, workers, MetricSchedules, scheds, count)
 			}
@@ -41,15 +46,15 @@ func TestExploreStatsDeterministic(t *testing.T) {
 				t.Fatalf("reduction=%v workers=%d: frontier gauge = %d after drain", red, workers, d)
 			}
 			if workers == 1 {
-				wantRuns, wantScheds, wantAborts = runs, scheds, aborts
+				wantRuns, wantScheds, wantAborts, wantBlocked = runs, scheds, aborts, blocked
 				if s := snap.Counter(MetricSteals); s != 0 {
 					t.Fatalf("reduction=%v: %d steals at one worker", red, s)
 				}
 				continue
 			}
-			if runs != wantRuns || scheds != wantScheds || aborts != wantAborts {
-				t.Fatalf("reduction=%v workers=%d: (runs, schedules, aborts) = (%d, %d, %d), want (%d, %d, %d) as at workers=1",
-					red, workers, runs, scheds, aborts, wantRuns, wantScheds, wantAborts)
+			if runs != wantRuns || scheds != wantScheds || aborts != wantAborts || blocked != wantBlocked {
+				t.Fatalf("reduction=%v workers=%d: (runs, schedules, aborts, blocked) = (%d, %d, %d, %d), want (%d, %d, %d, %d) as at workers=1",
+					red, workers, runs, scheds, aborts, blocked, wantRuns, wantScheds, wantAborts, wantBlocked)
 			}
 		}
 	}

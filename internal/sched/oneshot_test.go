@@ -82,7 +82,7 @@ func TestExploreTerminalOutcomes(t *testing.T) {
 			build: mixedBody(), check: func(*Result) error { return nil },
 			is:       []error{ErrExplorationBudget},
 			contains: "sched: exploration budget exhausted (after 20 runs)",
-			want:     outcome{count: 4, text: "sched: exploration budget exhausted (after 20 runs)"},
+			want:     outcome{count: 10, text: "sched: exploration budget exhausted (after 20 runs)"},
 		},
 		{
 			name:  "violation-then-budget",

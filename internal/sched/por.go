@@ -24,6 +24,14 @@ import (
 // runs that continue from it are all covered elsewhere, so the policy
 // aborts the run (Decision.Abort -> ErrRunAborted). Aborted probes count
 // against MaxRuns — they did execute — but are not schedules.
+//
+// Some probes are doomed from the moment they are branched: a process
+// asleep on a per-process step (its decide) commutes with every step of
+// every other process, so it never wakes, never finishes, and every run
+// below the child aborts. Under ReductionSleepSets the policy does not
+// branch into such a child at all; the child would verify no schedule,
+// so the walk verifies the same schedules in the same order with fewer
+// runs.
 
 // Reduction selects the partial-order reduction applied by Explore to
 // exhaustive (failure-free) exploration. Crash sweep mode ignores it.
@@ -35,12 +43,16 @@ const (
 	ReductionNone Reduction = iota
 	// ReductionSleepSets prunes the frontier with sleep sets over the
 	// OpIndependent commutation relation: one run per Mazurkiewicz
-	// trace class, the class's lexicographically smallest member.
+	// trace class, the class's lexicographically smallest member. It
+	// never branches into a child whose sleep set holds a process
+	// pending on a per-process step (a decide): no run below such a
+	// child completes.
 	ReductionSleepSets
-	// ReductionSleepMemo runs exactly the ReductionSleepSets walk. It
-	// is kept as a name because snapshots, options hashes and requests
-	// (mode por-memo) already record it; new code selects
-	// ReductionSleepSets.
+	// ReductionSleepMemo is the sleep-set walk without that filter: it
+	// branches into every awake child, so it verifies the same schedules
+	// in the same order as ReductionSleepSets and executes more runs.
+	// Snapshots, options hashes and requests (mode por-memo) record it;
+	// it is the oracle the filtered walk is tested against.
 	ReductionSleepMemo
 )
 
@@ -78,7 +90,8 @@ var ErrRunAborted = errors.New("sched: run aborted by the scheduling policy")
 // means no pair of steps commutes — the ReductionNone walk: no label is
 // read, no process is ever put to sleep, no run aborts, and every pending
 // process larger than the chosen one branches, so the walk is the
-// exhaustive one.
+// exhaustive one. skipBlocked turns on the ReductionSleepSets filter in
+// branchItems.
 //
 // Each exploration worker owns one runner and one porPolicy, and re-arms
 // the policy with reset for every frontier item, so its buffers reach a
@@ -87,10 +100,11 @@ var ErrRunAborted = errors.New("sched: run aborted by the scheduling policy")
 // items it returns are carved from the worker's prefix slab and never
 // written again.
 type porPolicy struct {
-	indep  Independence // nil: every pair of steps conflicts
-	runner *Runner      // the runner this policy schedules; read only when indep is set
-	prefix []int
-	sleep0 []int // sleep set at the node reached after prefix
+	indep       Independence // nil: every pair of steps conflicts
+	skipBlocked bool         // drop children a per-process sleeper blocks; only with indep
+	runner      *Runner      // the runner this policy schedules; read only when indep is set
+	prefix      []int
+	sleep0      []int // sleep set at the node reached after prefix
 
 	choices []int
 	// Recorded per post-prefix decision j (aligned with
@@ -191,13 +205,15 @@ func (e *porPolicy) Next(pending []int, _ int) Decision {
 // via alt sleeps on everything already asleep at the node plus every
 // allowed transition ordered before alt (they are explored in their own
 // subtrees first), filtered down to the transitions that commute with
-// alt — the ones whose pending step survives alt unchanged.
+// alt — the ones whose pending step survives alt unchanged. With
+// skipBlocked, a child that would sleep on a per-process step is left
+// out and only counted in blocked.
 //
 // The returned slice is reused by the next call; the items' choices and
 // sleep sets are carved from the policy's prefix slab and are immutable.
 //
 //gsb:hotpath
-func (e *porPolicy) branchItems() []frontierItem {
+func (e *porPolicy) branchItems() (items []frontierItem, blocked int) {
 	out := e.items[:0]
 	lo, slo := 0, 0
 	for j, hi := range e.at {
@@ -215,6 +231,7 @@ func (e *porPolicy) branchItems() []frontierItem {
 				continue
 			}
 			childSleep := e.scratch[:0]
+			doomed := false
 			if e.indep != nil { // a nil relation leaves every child awake
 				altOp := ops[ai]
 				for ui, u := range pending {
@@ -225,11 +242,19 @@ func (e *porPolicy) branchItems() []frontierItem {
 						continue // explored after alt, not yet covered
 					}
 					if e.indep(u, ops[ui], alt, altOp) {
+						if e.skipBlocked && perProcessOp(ops[ui]) {
+							doomed = true // u would sleep forever
+							break
+						}
 						childSleep = append(childSleep, u) //gsb:alloc-ok reused e.scratch, steady state after the widest pending set
 					}
 				}
 			}
 			e.scratch = childSleep
+			if doomed {
+				blocked++
+				continue
+			}
 			item := frontierItem{choices: e.slab.carve(i + 1)}
 			copy(item.choices, e.choices[:i])
 			item.choices[i] = alt
@@ -241,7 +266,7 @@ func (e *porPolicy) branchItems() []frontierItem {
 		}
 	}
 	e.items = out
-	return out
+	return out, blocked
 }
 
 // slabChunk is the size, in ints, of a prefix slab chunk. A chunk holds

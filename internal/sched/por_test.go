@@ -82,7 +82,8 @@ func TestExhaustiveWalkReadsNoLabels(t *testing.T) {
 				}
 				labels += len(policy.ops)
 			}
-			stack = append(stack, policy.branchItems()...)
+			items, _ := policy.branchItems()
+			stack = append(stack, items...)
 		}
 		runner.Close()
 		if indep != nil && labels == 0 {
@@ -113,6 +114,7 @@ func TestOpIndependent(t *testing.T) {
 		{0, "read", 1, "A.read", false},       // unlabeled conflicts
 		{0, "A.read", 0, "A.read", false},     // same process: program order
 		{0, "decide", 1, "decide.read", true}, // per-proc label never aliases an object
+		{0, "decide", 1, "noop", true},        // nor the unknown object
 	}
 	for _, tc := range cases {
 		if got := OpIndependent(tc.pa, tc.a, tc.pb, tc.b); got != tc.want {
@@ -121,6 +123,29 @@ func TestOpIndependent(t *testing.T) {
 		if got := OpIndependent(tc.pb, tc.b, tc.pa, tc.a); got != tc.want {
 			t.Errorf("OpIndependent not symmetric on (%q,%q)", tc.a, tc.b)
 		}
+	}
+}
+
+// TestPerProcessOpCommutesWithAll: a label perProcessOp accepts commutes
+// with every label of every other process, inside the naming contract or
+// not — the property that lets the sleep-set walk drop children a
+// process asleep on it blocks.
+func TestPerProcessOpCommutesWithAll(t *testing.T) {
+	labels := []string{"decide", "A.read", "A.write", "A.write-start", "A.write-commit", "KS.invoke", "T.tas", "noop", "read", ""}
+	perProc := 0
+	for _, op := range labels {
+		if !perProcessOp(op) {
+			continue
+		}
+		perProc++
+		for _, other := range labels {
+			if !OpIndependent(0, op, 1, other) {
+				t.Errorf("perProcessOp(%q), but it conflicts with %q of another process", op, other)
+			}
+		}
+	}
+	if perProc != 1 {
+		t.Errorf("%d per-process labels among %q, want 1 (decide)", perProc, labels)
 	}
 }
 

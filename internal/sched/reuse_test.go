@@ -397,6 +397,8 @@ func (f policyFunc) Next(pending []int, stepNo int) Decision { return f(pending,
 // nothing of its own. The body's op closures are bound once, so the only
 // allocations left are the prefix slab's chunks, one per slabChunk ints
 // carved; AllocsPerRun reports the integer mean, which they keep at 0.
+// Stats are attached, so publishing the counters (blocked branches
+// included, under ReductionSleepSets) is part of the measured cost.
 func TestProcessSteadyStateAllocs(t *testing.T) {
 	const n = 3
 	shared, private := 0, make([]int, n)
@@ -415,7 +417,8 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 	})
 	build := func() Body { return body }
 	for _, red := range []Reduction{ReductionNone, ReductionSleepSets, ReductionSleepMemo} {
-		opts := ExploreOptions{Workers: 1, MaxRuns: math.MaxInt, Reduction: red}.withDefaults(n)
+		reg := stats.New()
+		opts := ExploreOptions{Workers: 1, MaxRuns: math.MaxInt, Reduction: red, Stats: reg}.withDefaults(n)
 		e := newExplorer(context.Background(), n, DefaultIDs(n), opts, build, nil, nil)
 		wk := e.newWorker(0)
 		lane := e.shards[0]
@@ -436,6 +439,9 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 		once() // warm-up: buffers and the frontier lane reach steady size
 		if allocs := testing.AllocsPerRun(200, once); allocs != 0 {
 			t.Errorf("%v: processing a frontier item allocates %.0f times, want 0", red, allocs)
+		}
+		if blocked := reg.Snapshot().Counter(MetricBlockedBranches); (blocked > 0) != (red == ReductionSleepSets) {
+			t.Errorf("%v: %s = %d after the measured runs", red, MetricBlockedBranches, blocked)
 		}
 		wk.runner.Close()
 	}

@@ -105,3 +105,60 @@ func TestSleepSetWalksAgree(t *testing.T) {
 		t.Logf("%s: %d classes, runs %d (por) / %d (por-memo)", in.name, len(por.schedules), por.runs, memo.runs)
 	}
 }
+
+// racyWSB is a seeded bug: a WSB solver deciding off a non-atomic
+// increment of a shared register, so the schedules where every process
+// reads before anyone writes decide 1 everywhere and violate WSB(3).
+func racyWSB(int) tasks.Solver {
+	c := mem.NewReg[int]("C")
+	return tasks.SolverFunc(func(p *sched.Proc, id int) int {
+		v, _ := c.Read(p)
+		c.Write(p, v+1)
+		return 1 + v%2
+	})
+}
+
+// TestBlockedChildrenVerifyNothing: every child the por walk leaves out,
+// re-run as a frontier item of the unfiltered por-memo walk, verifies no
+// schedule and finds no failure — on slot-renaming n=3 (atomic and
+// regular) and on a protocol with a seeded bug.
+func TestBlockedChildrenVerifyNothing(t *testing.T) {
+	slotSpec, slotBuild := selectProtocol(t, "slot-renaming", 3)
+	cases := []struct {
+		name  string
+		model string
+		spec  gsb.Spec
+		build func(int) tasks.Solver
+	}{
+		{"slot-renaming-3", sched.ModelAtomic, slotSpec, slotBuild},
+		{"slot-renaming-3-regular", sched.ModelRegular, slotSpec, slotBuild},
+		{"racy-wsb-3", sched.ModelAtomic, gsb.WSB(3), racyWSB},
+	}
+	for _, tc := range cases {
+		n := tc.spec.N()
+		body := func() sched.Body { return tasks.Body(tc.build(n)) }
+		dropped := sched.BlockedChildren(t, n, tc.model, body)
+		if len(dropped) == 0 {
+			t.Fatalf("%s: the filter dropped no child; the test is vacuous", tc.name)
+		}
+		checked := 0
+		r := &sched.ResumableExplorer{
+			N: n, IDs: sched.DefaultIDs(n),
+			Opts:  sched.ExploreOptions{Workers: 1, Reduction: sched.ReductionSleepMemo, Model: tc.model},
+			Build: body,
+			Check: func(res *sched.Result) error { checked++; return tasks.VerifyResult(tc.spec, res) },
+		}
+		var runs int64
+		for _, child := range dropped {
+			st, done, err := r.Slice(context.Background(), &sched.ExploreState{Frontier: []sched.FrontierState{child}}, 0)
+			if err != nil || !done {
+				t.Fatalf("%s: child %v: done %v, %v", tc.name, child.Choices, done, err)
+			}
+			if st.Completed != 0 || st.Failure != nil || checked != 0 {
+				t.Fatalf("%s: child %v verified %d schedules (%d checked), failure %+v; want none", tc.name, child.Choices, st.Completed, checked, st.Failure)
+			}
+			runs += st.Claimed
+		}
+		t.Logf("%s: %d dropped children, %d unfiltered runs below them", tc.name, len(dropped), runs)
+	}
+}
