@@ -31,6 +31,7 @@ func statsCounters(t *testing.T, label string, rep Report) map[string]int64 {
 	case "explore":
 		out[sched.MetricSchedules] = rep.Stats.Counter(sched.MetricSchedules)
 		out[sched.MetricAborts] = rep.Stats.Counter(sched.MetricAborts)
+		out[sched.MetricBlockedBranches] = rep.Stats.Counter(sched.MetricBlockedBranches)
 	case "sample":
 		out[sample.MetricClasses] = rep.Stats.Counter(sample.MetricClasses)
 	}

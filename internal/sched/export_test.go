@@ -30,10 +30,9 @@ func newPORPair(n int, indep Independence, opts ...Option) (*Runner, *porPolicy)
 // item, as an exploration worker does, and under a fresh policy and runner.
 // Both must report the same run choices, the same branch items (choices
 // and sleep sets) and the same blocked count, and no queued item may
-// change between its
-// carving and its pop — the slab's immutability contract. It returns the
-// number of items walked. External tests call it with real protocols,
-// which this package cannot import.
+// change between its carving and its pop — the slab's immutability
+// contract. It returns the number of items walked. External tests call
+// it with real protocols, which this package cannot import.
 func CheckPORPolicyReuse(t testing.TB, n int, model string, build func() Body) int {
 	t.Helper()
 	m, err := MemModelByName(model)
