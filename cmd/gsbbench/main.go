@@ -1,7 +1,8 @@
 // Command gsbbench measures the exploration engine and writes a
 // machine-readable report (BENCH_sched.json) so the performance
-// trajectory — schedule counts, runs per second, and the partial-order
-// reduction factor — is tracked across PRs. CI runs it in the benchmark
+// trajectory — schedule counts, runs per second, the partial-order
+// reduction factor and the reduced walks' runs per class — is tracked
+// across PRs. CI runs it in the benchmark
 // smoke step via `make bench`.
 //
 // Usage:
@@ -25,12 +26,12 @@
 // is matched to the baseline entry with the same name/mode/reduction and
 // the run fails if throughput dropped more than -max-drop (default 25%),
 // if allocs-per-run grew beyond -max-allocs-growth, or if a
-// deterministic column (schedule or class count) changed at all —
-// determinism drift is a correctness regression, not noise. Baseline
-// entries with no current counterpart fail the gate too (a vanished
-// benchmark is a silent hole in coverage). A legitimate change to the
-// measured set or counts means regenerating the baseline with
-// `make bench`.
+// deterministic column (schedule or class count, runs per class)
+// changed at all — determinism drift is a correctness regression, not
+// noise. Baseline entries with no current counterpart fail the gate too
+// (a vanished benchmark is a silent hole in coverage). A legitimate
+// change to the measured set or counts means regenerating the baseline
+// with `make bench`.
 //
 // When the gate fails on a performance regression the run also explains
 // it: for each regressed entry whose CPU profile exists both under
@@ -88,6 +89,11 @@ type Entry struct {
 	// ReductionFactor is exhaustive schedules / reduced schedules for
 	// the same protocol, when both are known (0 otherwise).
 	ReductionFactor float64 `json:"reduction_factor,omitempty"`
+	// RunsPerClass is, under reduction, the engine runs executed (verified
+	// schedules plus aborted sleep-set probes, gsb_runs_total) per
+	// verified class. It is a pure function of the walk — the same on
+	// every host and at every worker count — so the gate holds it exact.
+	RunsPerClass float64 `json:"runs_per_class,omitempty"`
 	// Budget marks a budget-bounded throughput row: the exploration was
 	// cut off after this many runs (the full tree is infeasible), so
 	// Schedules equals the budget and RunsPerSec is the figure of merit.
@@ -123,11 +129,30 @@ const reportSchema = "gsb-bench/v1"
 
 // Report is the top-level BENCH_sched.json document.
 type Report struct {
-	Schema     string  `json:"schema"`
-	GoVersion  string  `json:"go_version"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Full       bool    `json:"full"`
-	Entries    []Entry `json:"entries"`
+	Schema     string `json:"schema"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// Host names the machine the timings come from: OS/architecture,
+	// logical CPUs and, where the OS reports it, the CPU model.
+	Host    string  `json:"host,omitempty"`
+	Full    bool    `json:"full"`
+	Entries []Entry `json:"entries"`
+}
+
+// hostDescription returns the Report's Host: GOOS/GOARCH, the logical
+// CPU count and the first "model name" of /proc/cpuinfo when readable.
+func hostDescription() string {
+	host := fmt.Sprintf("%s/%s, %d CPUs", runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return host
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		if key, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "model name" {
+			return host + ", " + strings.TrimSpace(val)
+		}
+	}
+	return host
 }
 
 type benchCase struct {
@@ -271,7 +296,18 @@ func measureSample(c benchCase, workers, runs int, mode repro.SampleMode, depth 
 }
 
 func measure(c benchCase, workers int, reduction repro.Reduction) Entry {
-	return measureOpts(c, workers, repro.ExploreOptions{Workers: workers, MaxRuns: 1 << 22, Reduction: reduction}, false)
+	opts := repro.ExploreOptions{Workers: workers, MaxRuns: 1 << 22, Reduction: reduction}
+	e := measureOpts(c, workers, opts, false)
+	if reduction != repro.ReductionNone && e.Error == "" && e.Schedules > 0 {
+		// One more walk, untimed, with the engine counters attached.
+		reg := repro.NewStatsRegistry()
+		opts.Stats = reg
+		if _, err := repro.ExploreVerified(context.Background(), c.spec, repro.DefaultIDs(c.n), opts, c.build); err != nil {
+			e.Error = err.Error()
+		}
+		e.RunsPerClass = float64(reg.Snapshot().Counter("gsb_runs_total")) / float64(e.Schedules)
+	}
+	return e
 }
 
 // minMeasure is the smallest wall-clock window a throughput figure may
@@ -485,9 +521,10 @@ func entryKey(e Entry) string {
 // the list of regressions (empty means the gate passes). Throughput may
 // drop up to maxDrop (relative); allocs-per-run may grow up to
 // maxAllocsGrowth (relative, plus half an allocation of absolute slack
-// for counter noise); deterministic columns — schedule and class counts —
-// must match exactly. The runner-steady-state gauge entry is excluded:
-// its own pinned bound already gates it, in absolute terms.
+// for counter noise); deterministic columns — schedule and class counts,
+// and runs per class where the baseline records it — must match
+// exactly. The runner-steady-state gauge entry is excluded: its own
+// pinned bound already gates it, in absolute terms.
 //
 // regressed pairs up the performance failures — (baseline, current) for
 // each throughput-drop or allocs-growth failure — so the caller can
@@ -516,6 +553,9 @@ func compareReports(cur, base Report, maxDrop, maxAllocsGrowth float64) (failure
 		}
 		if c.Classes != b.Classes {
 			failures = append(failures, fmt.Sprintf("%s: class count %d, baseline %d (determinism drift)", key, c.Classes, b.Classes))
+		}
+		if b.RunsPerClass > 0 && c.RunsPerClass != b.RunsPerClass {
+			failures = append(failures, fmt.Sprintf("%s: %.4g runs per class, baseline %.4g (determinism drift)", key, c.RunsPerClass, b.RunsPerClass))
 		}
 		perf := false
 		if b.RunsPerSec > 0 && c.RunsPerSec < b.RunsPerSec*(1-maxDrop) {
@@ -679,6 +719,7 @@ func main() {
 		Schema:     reportSchema,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Host:       hostDescription(),
 		Full:       *full,
 	}
 	for _, c := range cases(*full) {
@@ -704,8 +745,8 @@ func main() {
 				c.name, c.n, budgeted.Reduction, budgeted.Schedules, budgeted.RunsPerSec, budgeted.AllocsPerRun)
 		}
 		rep.Entries = append(rep.Entries, reduced)
-		fmt.Printf("  %-18s n=%d %-12s %8d schedules  %8.0f runs/s  %6.1f allocs/run  factor %.0fx\n",
-			c.name, c.n, reduced.Reduction, reduced.Schedules, reduced.RunsPerSec, reduced.AllocsPerRun, reduced.ReductionFactor)
+		fmt.Printf("  %-18s n=%d %-12s %8d schedules  %8.0f runs/s  %6.1f allocs/run  factor %.0fx  %.2f runs/class\n",
+			c.name, c.n, reduced.Reduction, reduced.Schedules, reduced.RunsPerSec, reduced.AllocsPerRun, reduced.ReductionFactor, reduced.RunsPerClass)
 	}
 	// The runner's steady-state allocation gauge: pinned at zero
 	// allocs/step; exceeding the bound fails the bench run (and CI).

@@ -22,11 +22,12 @@ func entry(name, mode, reduction string, schedules, classes int, runsPerSec, all
 // TestCompareReports covers the regression gate's decision table:
 // throughput drops beyond the limit fail, small drops pass, any
 // meaningful allocs growth fails, schedule/class drift fails regardless
-// of performance, vanished baseline entries fail, new entries only note,
-// and the allocs gauge is excluded.
+// of performance, runs-per-class drift fails where the baseline records
+// the column, vanished baseline entries fail, new entries only note, and
+// the allocs gauge is excluded.
 func TestCompareReports(t *testing.T) {
 	base := Report{Schema: "gsb-bench/v1", Entries: []Entry{
-		entry("box-6-3", "", "sleep-sets", 720, 0, 1000, 100),
+		{Name: "box-6-3", Reduction: "sleep-sets", Schedules: 720, RunsPerSec: 1000, AllocsPerRun: 100, RunsPerClass: 2.27},
 		entry("slot-renaming-6", "sample-walk", "", 2000, 1980, 5000, 50),
 		{Name: "runner-steady-state", Mode: "allocs-gauge", Schedules: 2000, RunsPerSec: 90000, AllocsPerStep: 0},
 	}}
@@ -44,6 +45,8 @@ func TestCompareReports(t *testing.T) {
 		{"allocs-noise-ok", func(r *Report) { r.Entries[0].AllocsPerRun = 100.4 }, "", ""},
 		{"schedule-drift-fails", func(r *Report) { r.Entries[0].Schedules = 719 }, "determinism drift", ""},
 		{"class-drift-fails", func(r *Report) { r.Entries[1].Classes = 1979 }, "determinism drift", ""},
+		{"runs-per-class-drift-fails", func(r *Report) { r.Entries[0].RunsPerClass = 2.5 }, "runs per class", ""},
+		{"runs-per-class-unrecorded-ok", func(r *Report) { r.Entries[1].RunsPerClass = 3 }, "", ""},
 		{"missing-entry-fails", func(r *Report) { r.Entries = r.Entries[1:] }, "coverage hole", ""},
 		{"new-entry-notes", func(r *Report) {
 			r.Entries = append(r.Entries, entry("new-case", "", "none", 10, 0, 1, 1))
