@@ -24,16 +24,19 @@ func newPORPair(n int, indep Independence, opts ...Option) (*Runner, *porPolicy)
 	return runner, policy
 }
 
-// CheckPORPolicyReuse walks the whole ReductionSleepSets tree of build (n
+// CheckPORPolicyReuse walks the whole sleep-set tree of build (n
 // processes under the named memory model) depth-first, executing every
 // frontier item twice: under one porPolicy re-armed with reset for every
 // item, as an exploration worker does, and under a fresh policy and runner.
-// Both must report the same run choices, the same branch items (choices
-// and sleep sets) and the same blocked count, and no queued item may
-// change between its carving and its pop — the slab's immutability
-// contract. It returns the number of items walked. External tests call
-// it with real protocols, which this package cannot import.
-func CheckPORPolicyReuse(t testing.TB, n int, model string, build func() Body) int {
+// skipBlocked selects the tree: true walks ReductionSleepSets, which
+// leaves out the children a sleeping decide blocks, false the unfiltered
+// ReductionSleepMemo walk. Both policies must report the same run
+// choices, the same branch items (choices and sleep sets) and the same
+// blocked count, and no queued item may change between its carving and
+// its pop — the slab's immutability contract. It returns the number of
+// items walked. External tests call it with real protocols, which this
+// package cannot import.
+func CheckPORPolicyReuse(t testing.TB, n int, model string, skipBlocked bool, build func() Body) int {
 	t.Helper()
 	m, err := MemModelByName(model)
 	if err != nil {
@@ -47,7 +50,7 @@ func CheckPORPolicyReuse(t testing.TB, n int, model string, build func() Body) i
 		return frontierItem{choices: slices.Clone(it.choices), sleep: slices.Clone(it.sleep)}
 	}
 	runner, reused := newPORPair(n, OpIndependent, WithReuse(), WithModel(m))
-	reused.skipBlocked = true
+	reused.skipBlocked = skipBlocked
 	defer runner.Close()
 	stack := []queued{{item: frontierItem{choices: []int{}}, want: frontierItem{choices: []int{}}}}
 	walked := 0
@@ -60,7 +63,7 @@ func CheckPORPolicyReuse(t testing.TB, n int, model string, build func() Body) i
 		walked++
 
 		freshRunner, fresh := newPORPair(n, OpIndependent, WithModel(m))
-		fresh.skipBlocked = true
+		fresh.skipBlocked = skipBlocked
 		fresh.reset(q.item.choices, q.item.sleep)
 		_, freshErr := freshRunner.Run(build())
 		reused.reset(q.item.choices, q.item.sleep)
