@@ -296,18 +296,28 @@ func measureSample(c benchCase, workers, runs int, mode repro.SampleMode, depth 
 }
 
 func measure(c benchCase, workers int, reduction repro.Reduction) Entry {
-	opts := repro.ExploreOptions{Workers: workers, MaxRuns: 1 << 22, Reduction: reduction}
-	e := measureOpts(c, workers, opts, false)
-	if reduction != repro.ReductionNone && e.Error == "" && e.Schedules > 0 {
-		// One more walk, untimed, with the engine counters attached.
-		reg := repro.NewStatsRegistry()
-		opts.Stats = reg
-		if _, err := repro.ExploreVerified(context.Background(), c.spec, repro.DefaultIDs(c.n), opts, c.build); err != nil {
-			e.Error = err.Error()
-		}
-		e.RunsPerClass = float64(reg.Snapshot().Counter("gsb_runs_total")) / float64(e.Schedules)
+	return measureOpts(c, workers, exploreOpts(workers, reduction), false)
+}
+
+func exploreOpts(workers int, reduction repro.Reduction) repro.ExploreOptions {
+	return repro.ExploreOptions{Workers: workers, MaxRuns: 1 << 22, Reduction: reduction}
+}
+
+// addRunsPerClass fills a measured reduced entry's RunsPerClass from one
+// more walk, untimed, with the engine counters attached. It runs outside
+// profiled, so the committed CPU profiles hold the timed walks only.
+func addRunsPerClass(e *Entry, c benchCase, workers int, reduction repro.Reduction) {
+	if e.Error != "" || e.Schedules == 0 {
+		return
 	}
-	return e
+	reg := repro.NewStatsRegistry()
+	opts := exploreOpts(workers, reduction)
+	opts.Stats = reg
+	if _, err := repro.ExploreVerified(context.Background(), c.spec, repro.DefaultIDs(c.n), opts, c.build); err != nil {
+		e.Error = err.Error()
+		return
+	}
+	e.RunsPerClass = float64(reg.Snapshot().Counter("gsb_runs_total")) / float64(e.Schedules)
 }
 
 // minMeasure is the smallest wall-clock window a throughput figure may
@@ -725,6 +735,7 @@ func main() {
 	for _, c := range cases(*full) {
 		reduced := profiled(*profiles, profileSlug(c.name, "", repro.ReductionSleepSets.String(), 0),
 			func() Entry { return measure(c, w, repro.ReductionSleepSets) })
+		addRunsPerClass(&reduced, c, w, repro.ReductionSleepSets)
 		if !c.fullOnly {
 			exhaustive := profiled(*profiles, profileSlug(c.name, "", repro.ReductionNone.String(), 0),
 				func() Entry { return measure(c, w, repro.ReductionNone) })

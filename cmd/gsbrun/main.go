@@ -121,7 +121,7 @@ func main() {
 	workers := flag.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS); only with -explore/-sample")
 	maxRuns := flag.Int("maxruns", 1<<20, "exploration run budget; only with -explore")
 	por := flag.Bool("por", false, "partial-order reduction: explore one schedule per commuting-step equivalence class; only with -explore")
-	porMemo := flag.Bool("por-memo", false, "the same walk as -por, kept as a name for existing scripts; only with -explore")
+	porMemo := flag.Bool("por-memo", false, "the unfiltered sleep-set walk: the same schedules as -por, more runs; only with -explore")
 	sample := flag.Int("sample", 0, "statistically sample this many seeded schedules (uniform random walk) and report trace-class coverage")
 	pctDepth := flag.Int("pct-depth", 0, "with -sample, use the PCT sampler with this bug depth (d-1 priority-change points; 0 = random walk)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable NDJSON result record per batch/run instead of text")
