@@ -196,19 +196,9 @@ func startObservability(obs *repro.CampaignObserver, addr string, every time.Dur
 func cmdStart(args []string) int {
 	fs := flag.NewFlagSet("gsbcampaign start", flag.ExitOnError)
 	ckpt := fs.String("ckpt", "", "snapshot file (required)")
-	protocol := fs.String("protocol", "slot-renaming", "protocol to verify (see gsbrun)")
-	n := fs.Int("n", 4, "number of processes")
-	mode := fs.String("mode", "exhaustive", "verification mode: exhaustive | por | por-memo | walk | pct | crash")
-	runs := fs.Int("runs", 0, "sampled/swept runs (walk, pct and crash modes)")
-	pctDepth := fs.Int("pct-depth", 0, "PCT bug depth (pct mode; 0 = default)")
-	crashProb := fs.Float64("crash", 0.05, "per-decision crash probability (crash mode)")
-	model := fs.String("model", "", "memory model for shared registers/snapshots (empty = atomic; see gsbrun -model)")
-	adversary := fs.String("adversary", "", "crash adversary for crash mode (empty = uniform-crash; see gsbrun -adversary)")
-	seed := fs.Int64("seed", 1, "campaign seed (oracle draws and per-run schedule seeds)")
+	var req repro.CampaignRequest
+	req.BindFlags(fs)
 	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	maxRuns := fs.Int("maxruns", 0, "exploration run budget (0 = default)")
-	maxSteps := fs.Int("maxsteps", 0, "per-run step budget (0 = default)")
-	every := fs.Int("every", 0, "checkpoint interval in runs (0 = default)")
 	shardSpec := fs.String("shard", "", "run shard i of m (\"i/m\"); every shard gets its own -ckpt file")
 	force := fs.Bool("force", false, "overwrite an existing snapshot file")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON record")
@@ -228,11 +218,6 @@ func cmdStart(args []string) int {
 	// The model and adversary are validated with the rest of the
 	// request, so a typo is a usage error before any snapshot file is
 	// touched; both are part of the snapshot's options hash.
-	req := repro.CampaignRequest{
-		Protocol: *protocol, N: *n, Mode: *mode, Runs: *runs, PCTDepth: *pctDepth,
-		CrashProb: *crashProb, Model: *model, Adversary: *adversary, Seed: *seed,
-		MaxRuns: *maxRuns, MaxSteps: *maxSteps, CheckpointEvery: *every,
-	}
 	cfg, err := req.Config(shard, of, *ckpt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gsbcampaign start: %v\n", err)

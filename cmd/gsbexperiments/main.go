@@ -100,30 +100,6 @@ func main() {
 	}
 	fmt.Print(repro.SampleText(append(walkRows, pctRows...)))
 
-	fmt.Println("\n== Durable campaigns: kill/resume and 3-shard merge resilience ==")
-	campaignRuns := 300
-	if *full {
-		campaignRuns = 2000
-	}
-	campRows, err := repro.CampaignExperiment(3, *workers, campaignRuns, "", "")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gsbexperiments: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(repro.CampaignText(campRows))
-
-	// The same differentials under a non-default execution model: weak
-	// registers (regular) everywhere and a biased crash adversary
-	// (t-resilient) for the sweep. Kill/resume and shard-merge must be as
-	// invisible here as under the defaults.
-	fmt.Println("  (again with model=regular, adversary=t-resilient)")
-	campRows, err = repro.CampaignExperiment(3, *workers, campaignRuns, repro.ModelRegular, repro.AdversaryTResilient)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gsbexperiments: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(repro.CampaignText(campRows))
-
 	fmt.Println("\n== Model matrix: memory models x adversaries as an experimental axis ==")
 	matrixSample, matrixCrash := 8000, 60
 	if *full {

@@ -181,18 +181,8 @@ func cmdWorker(args []string) int {
 func cmdSubmit(args []string) int {
 	fs := flag.NewFlagSet("gsbfleet submit", flag.ExitOnError)
 	coord := fs.String("coordinator", "", "coordinator base URL (required)")
-	protocol := fs.String("protocol", "slot-renaming", "protocol to verify (see gsbrun)")
-	n := fs.Int("n", 4, "number of processes")
-	mode := fs.String("mode", "exhaustive", "verification mode: exhaustive | por | por-memo | walk | pct | crash")
-	runs := fs.Int("runs", 0, "sampled/swept runs (walk, pct and crash modes)")
-	pctDepth := fs.Int("pct-depth", 0, "PCT bug depth (pct mode; 0 = default)")
-	crashProb := fs.Float64("crash", 0.05, "per-decision crash probability (crash mode)")
-	model := fs.String("model", "", "memory model (empty = atomic; see gsbrun -model)")
-	adversary := fs.String("adversary", "", "crash adversary (crash mode; empty = uniform-crash)")
-	seed := fs.Int64("seed", 1, "campaign seed")
-	maxRuns := fs.Int("maxruns", 0, "exploration run budget (0 = default)")
-	maxSteps := fs.Int("maxsteps", 0, "per-run step budget (0 = default)")
-	every := fs.Int("every", 0, "checkpoint (= upload) interval in runs (0 = default)")
+	var req repro.CampaignRequest
+	req.BindFlags(fs)
 	shards := fs.Int("shards", 1, "number of shards to deal the campaign as")
 	wait := fs.Bool("wait", false, "poll until the campaign finishes and report its verdict")
 	interval := fs.Duration("interval", time.Second, "poll interval for -wait")
@@ -208,10 +198,10 @@ func cmdSubmit(args []string) int {
 		return exitUsage
 	}
 	sub := repro.FleetSubmission{
-		Schema: repro.FleetSchema, Protocol: *protocol, N: *n, Mode: *mode,
-		Runs: *runs, PCTDepth: *pctDepth, CrashProb: *crashProb, Seed: *seed,
-		Model: *model, Adversary: *adversary, MaxRuns: *maxRuns, MaxSteps: *maxSteps,
-		Shards: *shards, CheckpointEvery: *every,
+		Schema: repro.FleetSchema, Protocol: req.Protocol, N: req.N, Mode: req.Mode,
+		Runs: req.Runs, PCTDepth: req.PCTDepth, CrashProb: req.CrashProb, Seed: req.Seed,
+		Model: req.Model, Adversary: req.Adversary, MaxRuns: req.MaxRuns, MaxSteps: req.MaxSteps,
+		Shards: *shards, CheckpointEvery: req.CheckpointEvery,
 	}
 	// Validate locally first: a typo is a usage error here, not a
 	// round-trip to the coordinator.

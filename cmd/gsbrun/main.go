@@ -34,6 +34,14 @@
 // (uniform-crash, t-resilient, adaptive) and needs -explore -crash > 0.
 // Unknown names are usage errors listing the registered set.
 //
+// Every verification mode (-explore, -explore -crash, -sample) is
+// resolved as a campaign request (gsbcampaign start -mode exhaustive |
+// por | por-memo | crash | walk | pct), so the protocol, options and
+// their validation are the campaign library's.
+//
+// Exit codes: 0 verified, 1 violation or operational error, 2 usage: an
+// invalid flag value exits 2 in every mode, before anything runs.
+//
 // Protocols:
 //
 //	renaming       snapshot-based adaptive (2n-1)-renaming
@@ -129,23 +137,14 @@ func main() {
 	adversary := flag.String("adversary", "", "crash adversary strategy for crash sweeps (see docs/models.md; default uniform-crash)")
 	flag.Parse()
 
-	if *n < 2 {
-		fmt.Fprintln(os.Stderr, "gsbrun: need n >= 2")
-		os.Exit(2)
+	if *pctDepth != 0 && *sample == 0 {
+		usageError("-pct-depth needs -sample N")
 	}
-	// Registry names are validated eagerly so a typo is a usage error
-	// with the registered names listed, not a late engine failure.
-	if _, err := repro.MemModelByName(*model); err != nil {
-		fmt.Fprintf(os.Stderr, "gsbrun: %v\n", err)
-		os.Exit(2)
+	if *sample != 0 && (*explore || *crash != 0 || *por || *porMemo || flagSet("maxruns")) {
+		usageError("-sample conflicts with -explore/-crash/-por/-por-memo/-maxruns (pick one mode)")
 	}
-	if _, err := repro.AdversaryByName(*adversary); err != nil {
-		fmt.Fprintf(os.Stderr, "gsbrun: %v\n", err)
-		os.Exit(2)
-	}
-	if *adversary != "" && !(*explore && *crash > 0) {
-		fmt.Fprintln(os.Stderr, "gsbrun: -adversary selects a crash-sweep strategy and needs -explore -crash > 0")
-		os.Exit(2)
+	if *adversary != "" && !(*explore && *crash != 0) {
+		usageError("-adversary selects a crash-sweep strategy and needs -explore -crash > 0")
 	}
 	// Explicitly naming a default is the same as not naming it: the
 	// records (and campaign option hashes) of default runs stay
@@ -156,57 +155,52 @@ func main() {
 	if *adversary == repro.AdversaryUniformCrash {
 		*adversary = ""
 	}
-	reduction := repro.ReductionNone
-	if *por {
-		reduction = repro.ReductionSleepSets
-	}
-	if *porMemo {
-		reduction = repro.ReductionSleepMemo
-	}
-	if *pctDepth > 0 && *sample <= 0 {
-		fmt.Fprintln(os.Stderr, "gsbrun: -pct-depth needs -sample N")
-		os.Exit(2)
-	}
-	if *sample > 0 && (*explore || *crash > 0 || *por || *porMemo || flagSet("maxruns")) {
-		fmt.Fprintln(os.Stderr, "gsbrun: -sample conflicts with -explore/-crash/-por/-por-memo/-maxruns (pick one mode)")
-		os.Exit(2)
-	}
-	if *sample > 0 {
-		if err := sampleProtocol(*protocol, *n, *seed, *workers, *sample, *pctDepth, *model, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "gsbrun: %v\n", err)
-			os.Exit(1)
-		}
+	if !*explore && *sample == 0 {
+		runSeeded(*protocol, *n, *seed, *runs, *crash, *model, *trace, *jsonOut)
 		return
 	}
-	if *explore {
+
+	// Every verification mode is a campaign request: the request
+	// resolves the protocol and the engine options and validates both.
+	req := repro.CampaignRequest{Protocol: *protocol, N: *n, Seed: *seed, Model: *model, Adversary: *adversary}
+	switch {
+	case *sample != 0 && *pctDepth != 0:
+		req.Mode, req.Runs, req.PCTDepth = "pct", *sample, *pctDepth
+	case *sample != 0:
+		req.Mode, req.Runs = "walk", *sample
+	case *crash != 0:
 		// -runs defaults to 1 for seeded runs; for a crash sweep an
 		// unset -runs means a 1000-run sweep, but an explicit value —
 		// even 1 — is honored.
-		sweepRuns := *runs
-		if !flagSet("runs") && *crash > 0 {
-			sweepRuns = 1000
+		req.Mode, req.Runs, req.CrashProb = "crash", *runs, *crash
+		if !flagSet("runs") {
+			req.Runs = 1000
 		}
-		// Probability/budget validation happens inside the exploration
-		// engine (ExploreOptions.Validate), so a bad -crash surfaces as
-		// an error here rather than a panic in a worker goroutine.
-		if err := exploreProtocol(*protocol, *n, *seed, *crash, *workers, *maxRuns, sweepRuns, reduction, *model, *adversary, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "gsbrun: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	case *porMemo:
+		req.Mode = "por-memo"
+	case *por:
+		req.Mode = "por"
+	default:
+		req.Mode = "exhaustive"
 	}
-	if math.IsNaN(*crash) || *crash < 0 || *crash > 1 {
-		// The seeded-run path constructs the crash policy directly, so
-		// validate here; the constructor panics on a bad probability.
-		fmt.Fprintf(os.Stderr, "gsbrun: -crash %v outside [0, 1]\n", *crash)
-		os.Exit(2)
+	if *explore {
+		req.MaxRuns = *maxRuns
 	}
-	for s := *seed; s < *seed+int64(*runs); s++ {
-		if err := runOnce(*protocol, *n, s, *crash, *model, *trace, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "gsbrun: %v\n", err)
-			os.Exit(1)
-		}
+	cfg, err := req.Config(0, 1, "")
+	if err != nil {
+		usageError(err.Error())
 	}
+	cfg.Opts.Workers = *workers
+	if err := verify(req, cfg, *jsonOut); err != nil {
+		fmt.Fprintf(os.Stderr, "gsbrun: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// usageError reports an invalid flag value and exits 2.
+func usageError(msg string) {
+	fmt.Fprintf(os.Stderr, "gsbrun: %s\n", msg)
+	os.Exit(2)
 }
 
 // flagSet reports whether the named flag was set explicitly.
@@ -220,105 +214,53 @@ func flagSet(name string) bool {
 	return set
 }
 
-// selectProtocol maps a -protocol name to its task spec and constructor:
-// the registry shared with cmd/gsbcampaign (repro.SelectProtocol).
-func selectProtocol(protocol string, n int, seed int64) (repro.Spec, func(n int) repro.Solver, error) {
-	return repro.SelectProtocol(protocol, n, seed)
-}
-
-// sampleProtocol statistically samples the protocol's schedule space:
-// sampleRuns seeded runs drawn by a uniform random walk, or by PCT when
-// pctDepth > 0, each verified against the task, with distinct-trace-class
-// coverage in the report.
-func sampleProtocol(protocol string, n int, seed int64, workers, sampleRuns, pctDepth int, model string, jsonOut bool) error {
-	spec, build, err := selectProtocol(protocol, n, seed)
-	if err != nil {
-		return err
+// verify runs the verification a resolved request describes — a
+// sampling batch in the walk and pct modes, an exploration or crash
+// sweep otherwise — and reports it as one record (-json) or as text.
+func verify(req repro.CampaignRequest, cfg repro.CampaignConfig, jsonOut bool) error {
+	opts, spec := cfg.Opts, cfg.Spec
+	rec := record{
+		Protocol: req.Protocol, Task: spec.String(), N: req.N, Seed: req.Seed,
+		Workers: opts.Workers, Model: req.Model, Adversary: req.Adversary,
 	}
-	mode := repro.SampleWalk
-	if pctDepth > 0 {
-		mode = repro.SamplePCT
+	var err error
+	var failed string    // what a text-mode failure reports as done
+	var summary []string // text-mode report lines
+	switch req.Mode {
+	case "walk", "pct":
+		var rep repro.SampleReport
+		rep, err = repro.SampleVerified(context.Background(), spec, repro.DefaultIDs(req.N), opts, cfg.Build)
+		rec.Mode = "sample-" + rep.Mode.String()
+		rec.Schedules, rec.Classes, rec.Coverage, rec.PCTDepth = rep.Runs, rep.Classes, rep.Coverage(), rep.Depth
+		if err != nil && rep.FailedRun >= 0 {
+			rec.FailedRun, rec.FailedSeed = &rep.FailedRun, &rep.FailedSeed
+		}
+		failed = fmt.Sprintf("%d sampled runs (%d distinct trace classes)", rep.Runs, rep.Classes)
+		how := rep.Mode.String()
+		if req.Mode == "pct" {
+			how += fmt.Sprintf(", depth %d over a %d-step horizon", rep.Depth, rep.Horizon)
+		}
+		summary = []string{
+			fmt.Sprintf("sampled %d schedules (%s)", rep.Runs, how),
+			fmt.Sprintf("%d runs verified against %v", rep.Runs, spec),
+			fmt.Sprintf("coverage: %d distinct trace classes (%.1f%% of runs found a new class)", rep.Classes, 100*rep.Coverage()),
+		}
+	default:
+		rec.Schedules, err = repro.ExploreVerified(context.Background(), spec, repro.DefaultIDs(req.N), opts, cfg.Build)
+		rec.Mode = "explore"
+		how := "every failure-free schedule"
+		switch req.Mode {
+		case "crash":
+			rec.Mode = "crash-sweep"
+			how = fmt.Sprintf("%d crash-injected runs (p=%v)", req.Runs, req.CrashProb)
+		case "por", "por-memo":
+			how += fmt.Sprintf(" (%v reduction)", opts.Reduction)
+		}
+		failed = fmt.Sprintf("%d schedules", rec.Schedules)
+		summary = []string{"explored " + how, fmt.Sprintf("%d schedules verified against %v", rec.Schedules, spec)}
 	}
-	opts := repro.ExploreOptions{Workers: workers, Seed: seed, SampleRuns: sampleRuns, SampleMode: mode, Depth: pctDepth, Model: model}
-	rep, err := repro.SampleVerified(context.Background(), spec, repro.DefaultIDs(n), opts, build)
 	if jsonOut {
-		rec := record{
-			Protocol:  protocol,
-			Task:      spec.String(),
-			Mode:      "sample-" + rep.Mode.String(),
-			N:         n,
-			Seed:      seed,
-			Workers:   workers,
-			Model:     model,
-			Schedules: rep.Runs,
-			Classes:   rep.Classes,
-			Coverage:  rep.Coverage(),
-			PCTDepth:  rep.Depth,
-			OK:        err == nil,
-		}
-		if err != nil {
-			rec.Violation = err.Error()
-			if rep.FailedRun >= 0 {
-				rec.FailedRun = &rep.FailedRun
-				rec.FailedSeed = &rep.FailedSeed
-			}
-		}
-		if jerr := emitJSON(rec); jerr != nil {
-			return jerr
-		}
-		return err
-	}
-	if err != nil {
-		return fmt.Errorf("after %d sampled runs (%d distinct trace classes): %w", rep.Runs, rep.Classes, err)
-	}
-	fmt.Printf("protocol=%s task=%v sampled %d schedules (%v", protocol, spec, rep.Runs, rep.Mode)
-	if rep.Mode == repro.SamplePCT {
-		fmt.Printf(", depth %d over a %d-step horizon", rep.Depth, rep.Horizon)
-	}
-	fmt.Printf(")\n")
-	fmt.Printf("  %d runs verified against %v\n", rep.Runs, spec)
-	fmt.Printf("  coverage: %d distinct trace classes (%.1f%% of runs found a new class)\n", rep.Classes, 100*rep.Coverage())
-	return nil
-}
-
-// exploreProtocol model-checks the protocol: exhaustively over every
-// failure-free schedule (one representative per commuting-step
-// equivalence class under -por), or as a randomized crash sweep when
-// crash > 0.
-func exploreProtocol(protocol string, n int, seed int64, crash float64, workers, maxRuns, runs int, reduction repro.Reduction, model, adversary string, jsonOut bool) error {
-	spec, build, err := selectProtocol(protocol, n, seed)
-	if err != nil {
-		return err
-	}
-	opts := repro.ExploreOptions{Workers: workers, MaxRuns: maxRuns, Seed: seed, Reduction: reduction, Model: model, Adversary: adversary}
-	mode := "every failure-free schedule"
-	recMode := "explore"
-	if reduction != repro.ReductionNone {
-		mode = fmt.Sprintf("every failure-free schedule (%v reduction)", reduction)
-	}
-	if crash > 0 {
-		if runs < 1 {
-			return fmt.Errorf("crash sweep needs -runs >= 1, got %d", runs)
-		}
-		opts.CrashRuns = runs
-		opts.CrashProb = crash
-		mode = fmt.Sprintf("%d crash-injected runs (p=%v)", runs, crash)
-		recMode = "crash-sweep"
-	}
-	count, err := repro.ExploreVerified(context.Background(), spec, repro.DefaultIDs(n), opts, build)
-	if jsonOut {
-		rec := record{
-			Protocol:  protocol,
-			Task:      spec.String(),
-			Mode:      recMode,
-			N:         n,
-			Seed:      seed,
-			Workers:   workers,
-			Model:     model,
-			Adversary: adversary,
-			Schedules: count,
-			OK:        err == nil,
-		}
+		rec.OK = err == nil
 		if err != nil {
 			rec.Violation = err.Error()
 		}
@@ -328,15 +270,47 @@ func exploreProtocol(protocol string, n int, seed int64, crash float64, workers,
 		return err
 	}
 	if err != nil {
-		return fmt.Errorf("after %d schedules: %w", count, err)
+		return fmt.Errorf("after %s: %w", failed, err)
 	}
-	fmt.Printf("protocol=%s task=%v explored %s\n", protocol, spec, mode)
-	fmt.Printf("  %d schedules verified against %v\n", count, spec)
+	fmt.Printf("protocol=%s task=%v %s\n", req.Protocol, spec, summary[0])
+	for _, line := range summary[1:] {
+		fmt.Printf("  %s\n", line)
+	}
 	return nil
+}
+
+// runSeeded executes the seeded runs seed..seed+runs-1. The protocol,
+// model and crash probability are checked before the first run, so an
+// invalid value is a usage error as in every other mode.
+func runSeeded(protocol string, n int, seed int64, runs int, crash float64, model string, trace, jsonOut bool) {
+	if n < 2 {
+		usageError("need n >= 2")
+	}
+	if math.IsNaN(crash) || crash < 0 || crash > 1 {
+		// The seeded-run path constructs the crash policy directly; the
+		// constructor panics on a bad probability.
+		usageError(fmt.Sprintf("-crash %v outside [0, 1]", crash))
+	}
+	if _, err := repro.MemModelByName(model); err != nil {
+		usageError(err.Error())
+	}
+	if _, _, err := repro.SelectProtocol(protocol, n, seed); err != nil {
+		usageError(err.Error())
+	}
+	for s := seed; s < seed+int64(runs); s++ {
+		if err := runOnce(protocol, n, s, crash, model, trace, jsonOut); err != nil {
+			fmt.Fprintf(os.Stderr, "gsbrun: %v\n", err)
+			os.Exit(1)
+		}
+	}
 }
 
 func runOnce(protocol string, n int, seed int64, crash float64, model string, trace, jsonOut bool) error {
-	spec, build, err := selectProtocol(protocol, n, seed)
+	spec, build, err := repro.SelectProtocol(protocol, n, seed)
+	if err != nil {
+		return err
+	}
+	m, err := repro.MemModelByName(model)
 	if err != nil {
 		return err
 	}
@@ -345,10 +319,6 @@ func runOnce(protocol string, n int, seed int64, crash float64, model string, tr
 		policy = repro.NewRandomCrashPolicy(seed, crash, n-1)
 	} else {
 		policy = repro.NewRandomPolicy(seed)
-	}
-	m, err := repro.MemModelByName(model)
-	if err != nil {
-		return err
 	}
 	res, err := repro.RunVerified(spec, repro.DefaultIDs(n), policy, build, repro.WithModel(m))
 	if jsonOut {

@@ -53,13 +53,13 @@ func TestGsbrunInvalidFlags(t *testing.T) {
 	}{
 		{"n-too-small", []string{"-n", "1"}, 2, "need n >= 2"},
 		{"crash-out-of-range", []string{"-crash", "1.5"}, 2, "outside [0, 1]"},
-		{"explore-crash-out-of-range", []string{"-explore", "-crash", "1.5"}, 1, "CrashProb"},
+		{"explore-crash-out-of-range", []string{"-explore", "-crash", "1.5"}, 2, "CrashProb"},
 		{"sample-conflicts-explore", []string{"-sample", "10", "-explore"}, 2, "conflicts"},
 		{"sample-conflicts-por", []string{"-sample", "10", "-por"}, 2, "conflicts"},
 		{"pct-depth-without-sample", []string{"-pct-depth", "3"}, 2, "-pct-depth needs -sample"},
-		{"unknown-protocol", []string{"-protocol", "bogus"}, 1, `unknown protocol "bogus"`},
+		{"unknown-protocol", []string{"-protocol", "bogus"}, 2, `unknown protocol "bogus"`},
 		{"undefined-flag", []string{"-bogus"}, 2, "flag provided but not defined"},
-		{"negative-maxruns", []string{"-explore", "-maxruns", "-5"}, 1, "negative"},
+		{"negative-maxruns", []string{"-explore", "-maxruns", "-5"}, 2, "negative"},
 		{"unknown-model", []string{"-model", "bogus"}, 2, `unknown memory model "bogus" (registered: atomic, regular, safe, stale-snapshot)`},
 		{"unknown-adversary", []string{"-adversary", "bogus", "-explore", "-crash", "0.1", "-runs", "10"}, 2, `unknown adversary "bogus" (registered: uniform-crash, t-resilient, adaptive)`},
 		{"adversary-without-crash-sweep", []string{"-adversary", "t-resilient"}, 2, "-adversary selects a crash-sweep strategy"},

@@ -334,19 +334,17 @@ var (
 // Paper artifacts (Table 1, Figure 1, Figure 2) and the exhaustive
 // exploration experiment.
 var (
-	Table1             = harness.Table1
-	Figure1Text        = harness.Figure1Text
-	Figure1DOT         = harness.Figure1DOT
-	Figure2Experiment  = harness.Figure2Experiment
-	Figure2Text        = harness.Figure2Text
-	ExploreExperiment  = harness.ExploreExperiment
-	ExploreText        = harness.ExploreText
-	SampleExperiment   = harness.SampleExperiment
-	SampleText         = harness.SampleText
-	CampaignExperiment = harness.CampaignExperiment
-	CampaignText       = harness.CampaignText
-	SolvabilityText    = harness.SolvabilityText
-	GCDTableText       = harness.GCDTableText
+	Table1            = harness.Table1
+	Figure1Text       = harness.Figure1Text
+	Figure1DOT        = harness.Figure1DOT
+	Figure2Experiment = harness.Figure2Experiment
+	Figure2Text       = harness.Figure2Text
+	ExploreExperiment = harness.ExploreExperiment
+	ExploreText       = harness.ExploreText
+	SampleExperiment  = harness.SampleExperiment
+	SampleText        = harness.SampleText
+	SolvabilityText   = harness.SolvabilityText
+	GCDTableText      = harness.GCDTableText
 	// ModelMatrixExperiment diffs GSB solvability across the registered
 	// memory models and adversaries (docs/models.md).
 	ModelMatrixExperiment = harness.ModelMatrixExperiment

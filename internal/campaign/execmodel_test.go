@@ -119,49 +119,51 @@ func TestCampaignResumeRejectsChangedModel(t *testing.T) {
 }
 
 // TestCampaignDifferentialsUnderNonDefaultModel: the kill/resume and
-// 3-shard-merge differentials hold under a non-default memory model AND a
-// non-default adversary — the campaign machinery is model-agnostic.
+// 3-shard-merge differentials hold under a non-default memory model AND
+// each non-default adversary — the campaign machinery is model-agnostic.
 func TestCampaignDifferentialsUnderNonDefaultModel(t *testing.T) {
 	cases := append(campCases(t), racyCase())
 	for _, tc := range cases {
 		for _, mode := range campModes {
-			opts := optsFor(mode, 2)
-			opts.Model = sched.ModelRegular
+			adversaries := []string{""}
 			if mode == ModeCrash {
-				opts.Adversary = sched.AdversaryAdaptive
+				adversaries = []string{sched.AdversaryAdaptive, sched.AdversaryTResilient}
 			}
-			label := fmt.Sprintf("%s %s model=regular", tc.name, mode)
-			dir := t.TempDir()
+			for _, adversary := range adversaries {
+				opts := withExecModel(optsFor(mode, 2), sched.ModelRegular, adversary)
+				label := fmt.Sprintf("%s %s model=regular adversary=%q", tc.name, mode, adversary)
+				dir := t.TempDir()
 
-			// Kill at the first checkpoint, resume to completion.
-			cfg := cfgFor(tc, opts, filepath.Join(dir, "kr.ckpt"))
-			cfg.CheckpointEvery = 50
-			ctx, cancel := context.WithCancel(context.Background())
-			cfg.OnCheckpoint = func(Header) { cancel() }
-			rep, err := Start(ctx, cfg)
-			cancel()
-			for attempt := 0; errors.Is(err, ErrPaused); attempt++ {
-				if attempt > 1000 {
-					t.Fatalf("%s: campaign failed to finish", label)
+				// Kill at the first checkpoint, resume to completion.
+				cfg := cfgFor(tc, opts, filepath.Join(dir, "kr.ckpt"))
+				cfg.CheckpointEvery = 50
+				ctx, cancel := context.WithCancel(context.Background())
+				cfg.OnCheckpoint = func(Header) { cancel() }
+				rep, err := Start(ctx, cfg)
+				cancel()
+				for attempt := 0; errors.Is(err, ErrPaused); attempt++ {
+					if attempt > 1000 {
+						t.Fatalf("%s: campaign failed to finish", label)
+					}
+					cfg.OnCheckpoint = nil
+					rep, err = Resume(context.Background(), cfg)
 				}
-				cfg.OnCheckpoint = nil
-				rep, err = Resume(context.Background(), cfg)
-			}
-			checkAgainstReference(t, label+" kill/resume", tc, opts, rep, err)
+				checkAgainstReference(t, label+" kill/resume", tc, opts, rep, err)
 
-			// 3-shard split, merged.
-			const shards = 3
-			paths := make([]string, shards)
-			for s := 0; s < shards; s++ {
-				paths[s] = filepath.Join(dir, fmt.Sprintf("shard-%d.ckpt", s))
-				scfg := cfgFor(tc, opts, paths[s])
-				scfg.Shard, scfg.Of = s, shards
-				if _, serr := Start(context.Background(), scfg); serr != nil && !isCampaignVerdict(serr) {
-					t.Fatalf("%s shard %d: %v", label, s, serr)
+				// 3-shard split, merged.
+				const shards = 3
+				paths := make([]string, shards)
+				for s := 0; s < shards; s++ {
+					paths[s] = filepath.Join(dir, fmt.Sprintf("shard-%d.ckpt", s))
+					scfg := cfgFor(tc, opts, paths[s])
+					scfg.Shard, scfg.Of = s, shards
+					if _, serr := Start(context.Background(), scfg); serr != nil && !isCampaignVerdict(serr) {
+						t.Fatalf("%s shard %d: %v", label, s, serr)
+					}
 				}
+				merged, merr := Merge(context.Background(), cfgFor(tc, opts, paths[0]), paths)
+				checkAgainstReference(t, label+" merge", tc, opts, merged, merr)
 			}
-			merged, merr := Merge(context.Background(), cfgFor(tc, opts, paths[0]), paths)
-			checkAgainstReference(t, label+" merge", tc, opts, merged, merr)
 		}
 	}
 }

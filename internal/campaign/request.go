@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"flag"
 	"fmt"
 
 	"repro/internal/sched"
@@ -33,6 +34,26 @@ type Request struct {
 	// CheckpointEvery is the checkpoint interval in runs (0: the
 	// default).
 	CheckpointEvery int
+}
+
+// BindFlags declares the request's flags on fs, each storing into its
+// field with the default a request starts from: -protocol -n -mode -runs
+// -pct-depth -crash -model -adversary -seed -maxruns -maxsteps -every.
+// `gsbcampaign start` and `gsbfleet submit` declare their requests
+// through it, so both speak one flag vocabulary.
+func (r *Request) BindFlags(fs *flag.FlagSet) {
+	fs.StringVar(&r.Protocol, "protocol", "slot-renaming", "protocol to verify (see gsbrun)")
+	fs.IntVar(&r.N, "n", 4, "number of processes")
+	fs.StringVar(&r.Mode, "mode", "exhaustive", "verification mode: exhaustive | por | por-memo | walk | pct | crash")
+	fs.IntVar(&r.Runs, "runs", 0, "sampled/swept runs (walk, pct and crash modes)")
+	fs.IntVar(&r.PCTDepth, "pct-depth", 0, "PCT bug depth (pct mode; 0 = default)")
+	fs.Float64Var(&r.CrashProb, "crash", 0.05, "per-decision crash probability (crash mode)")
+	fs.StringVar(&r.Model, "model", "", "memory model for shared registers/snapshots (empty = atomic; see gsbrun -model)")
+	fs.StringVar(&r.Adversary, "adversary", "", "crash adversary (crash mode; empty = uniform-crash; see gsbrun -adversary)")
+	fs.Int64Var(&r.Seed, "seed", 1, "campaign seed (oracle draws and per-run schedule seeds)")
+	fs.IntVar(&r.MaxRuns, "maxruns", 0, "exploration run budget (0 = default)")
+	fs.IntVar(&r.MaxSteps, "maxsteps", 0, "per-run step budget (0 = default)")
+	fs.IntVar(&r.CheckpointEvery, "every", 0, "checkpoint interval in runs (0 = default); in a fleet, also the upload interval")
 }
 
 // maxRequestN bounds a request's process count. It is far beyond any

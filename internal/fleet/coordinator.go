@@ -86,7 +86,6 @@ type shardRef struct {
 // shardState is the coordinator's view of one shard.
 type shardState struct {
 	state   string // "queued" | "running" | "done" | "failed"
-	worker  string // owning worker id while running
 	redeals int
 	errMsg  string // terminal engine error (failed state)
 
@@ -125,12 +124,19 @@ type campaignState struct {
 	runsPerSec float64
 }
 
-// workerState is one registered worker session.
+// workerState is one registered worker session. owns is the one record
+// of shard ownership: a running shard's owner is the worker whose owns
+// names it (ownerLocked).
 type workerState struct {
 	id       string
 	name     string
 	lastBeat time.Time
 	owns     *shardRef
+}
+
+// holds reports whether w owns shard `shard` of campaign id.
+func (w *workerState) holds(id string, shard int) bool {
+	return w.owns != nil && *w.owns == shardRef{id, shard}
 }
 
 // Coordinator is the fleet control plane: an http.Handler serving the
@@ -265,6 +271,17 @@ func (c *Coordinator) dropWorkerLocked(w *workerState, why string) {
 	delete(c.workers, w.id)
 }
 
+// ownerLocked returns the worker owning shard `shard` of campaign id,
+// or nil. Workers are few, so the scan is cheap.
+func (c *Coordinator) ownerLocked(id string, shard int) *workerState {
+	for _, w := range c.workers {
+		if w.holds(id, shard) {
+			return w
+		}
+	}
+	return nil
+}
+
 // requeueShardLocked returns a running shard to the queue (a re-deal:
 // the next lease resumes it from its latest uploaded snapshot).
 func (c *Coordinator) requeueShardLocked(cs *campaignState, shard int, why string) {
@@ -272,11 +289,10 @@ func (c *Coordinator) requeueShardLocked(cs *campaignState, shard int, why strin
 	if sh.state != "running" {
 		return
 	}
-	if w, ok := c.workers[sh.worker]; ok && w.owns != nil && w.owns.id == cs.id && w.owns.shard == shard {
+	if w := c.ownerLocked(cs.id, shard); w != nil {
 		w.owns = nil
 	}
 	sh.state = "queued"
-	sh.worker = ""
 	sh.redeals++
 	sh.touchedAt = time.Now()
 	c.redeals.Inc()
@@ -514,7 +530,6 @@ func (c *Coordinator) lease(workerID string) (LeaseResponse, error) {
 			continue // completed by an import, or re-queued twice
 		}
 		sh.state = "running"
-		sh.worker = workerID
 		sh.touchedAt = time.Now()
 		w.owns = &shardRef{ref.id, ref.shard}
 		c.logf("fleet: campaign %s shard %d dealt to %s (resume from %d runs)", ref.id, ref.shard, w.name, sh.header.Runs)
@@ -554,8 +569,7 @@ func (c *Coordinator) release(workerID string, req ReleaseRequest) (Ack, error) 
 	if req.Shard < 0 || req.Shard >= len(cs.shards) {
 		return Ack{}, errorf(http.StatusNotFound, "fleet: campaign %s has no shard %d", req.CampaignID, req.Shard)
 	}
-	sh := cs.shards[req.Shard]
-	if sh.worker == workerID { // else already re-dealt; nothing to release
+	if w.holds(req.CampaignID, req.Shard) { // else already re-dealt; nothing to release
 		c.requeueShardLocked(cs, req.Shard, "released by "+w.name)
 	}
 	return Ack{Schema: Schema}, nil
@@ -585,15 +599,15 @@ func (c *Coordinator) failShard(campaignID string, shard int, req FailRequest) (
 	if shard < 0 || shard >= len(cs.shards) {
 		return Ack{}, errorf(http.StatusConflict, "fleet: campaign %s has no shard %d", campaignID, shard)
 	}
-	sh := cs.shards[shard]
-	if req.WorkerID != "" && sh.worker != req.WorkerID {
+	owner := c.ownerLocked(campaignID, shard)
+	if req.WorkerID != "" && (owner == nil || owner.id != req.WorkerID) {
 		return Ack{}, errorf(http.StatusConflict, "fleet: worker %s no longer owns campaign %s shard %d", req.WorkerID, campaignID, shard)
 	}
-	if w, ok := c.workers[sh.worker]; ok {
-		w.owns = nil
+	if owner != nil {
+		owner.owns = nil
 	}
+	sh := cs.shards[shard]
 	sh.state = "failed"
-	sh.worker = ""
 	sh.errMsg = req.Error
 	if cs.errMsg == "" {
 		cs.errMsg = fmt.Sprintf("shard %d failed: %s", shard, req.Error)
@@ -638,7 +652,7 @@ func (c *Coordinator) upload(campaignID string, shard int, req UploadRequest) (U
 		return reject(http.StatusConflict, "fleet: campaign %s shard %d is already done", campaignID, shard)
 	}
 	if req.WorkerID != "" {
-		if sh.worker != req.WorkerID {
+		if w, ok := c.workers[req.WorkerID]; !ok || !w.holds(campaignID, shard) {
 			// The fencing that makes re-deals safe: a zombie worker whose
 			// shard moved on gets a conflict, abandons the run, and its
 			// stale bytes never land.
@@ -678,11 +692,8 @@ func (c *Coordinator) upload(campaignID string, shard int, req UploadRequest) (U
 	c.uploads.Inc()
 	if h.Done {
 		sh.state = "done"
-		sh.worker = ""
-		if req.WorkerID != "" {
-			if w, ok := c.workers[req.WorkerID]; ok && w.owns != nil && w.owns.id == campaignID && w.owns.shard == shard {
-				w.owns = nil
-			}
+		if w := c.ownerLocked(campaignID, shard); w != nil {
+			w.owns = nil
 		}
 		c.logf("fleet: campaign %s shard %d done after %d runs", campaignID, shard, h.Runs)
 	}
@@ -704,7 +715,7 @@ func (c *Coordinator) campaignStatusLocked(cs *campaignState, now time.Time) Cam
 			Shard: i, State: sh.state, Runs: sh.header.Runs,
 			Done: sh.header.Done, Redeals: sh.redeals, Error: sh.errMsg,
 		}
-		if w, ok := c.workers[sh.worker]; ok {
+		if w := c.ownerLocked(cs.id, i); w != nil {
 			row.Worker = w.name
 		}
 		if sh.haveCkpt {

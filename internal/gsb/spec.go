@@ -85,12 +85,6 @@ func (s Spec) Lower(v int) int { return s.l[v-1] }
 // Upper returns the upper bound for value v (1-based).
 func (s Spec) Upper(v int) int { return s.u[v-1] }
 
-// LowerVec returns a copy of the per-value lower-bound vector.
-func (s Spec) LowerVec() vecmath.Vec { return s.l.Clone() }
-
-// UpperVec returns a copy of the per-value upper-bound vector.
-func (s Spec) UpperVec() vecmath.Vec { return s.u.Clone() }
-
 // Symmetric reports whether all lower bounds are equal and all upper
 // bounds are equal (the symmetric agreement case of the paper).
 func (s Spec) Symmetric() bool {

@@ -245,50 +245,3 @@ func TestSampleExperiment(t *testing.T) {
 		t.Errorf("SampleText malformed:\n%s", text)
 	}
 }
-
-func TestCampaignExperiment(t *testing.T) {
-	for _, axis := range []struct {
-		name             string
-		model, adversary string
-	}{
-		{"defaults", "", ""},
-		{"regular+t-resilient", sched.ModelRegular, sched.AdversaryTResilient},
-	} {
-		t.Run(axis.name, func(t *testing.T) {
-			rows, err := CampaignExperiment(3, 2, 120, axis.model, axis.adversary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rows) != 3 {
-				t.Fatalf("got %d rows", len(rows))
-			}
-			for _, r := range rows {
-				if !r.Match {
-					t.Errorf("%s: kill/resume or 3-shard merge diverged from the uninterrupted run: %+v", r.Mode, r)
-				}
-				if r.Resumes == 0 {
-					t.Errorf("%s: the campaign was never actually interrupted (the experiment is vacuous)", r.Mode)
-				}
-				if r.Schedules == 0 {
-					t.Errorf("%s: no schedules verified: %+v", r.Mode, r)
-				}
-				if r.Samples < 2 {
-					t.Errorf("%s: kill/resume chain appended %d timeline samples, want a multi-sample series", r.Mode, r.Samples)
-				}
-			}
-			text := CampaignText(rows)
-			if !strings.Contains(text, "kill/resume") || !strings.Contains(text, "OK") || strings.Contains(text, "MISMATCH") {
-				t.Errorf("CampaignText malformed:\n%s", text)
-			}
-		})
-	}
-}
-
-func TestCampaignExperimentRejectsUnknownNames(t *testing.T) {
-	if _, err := CampaignExperiment(3, 1, 20, "bogus", ""); err == nil {
-		t.Error("unknown memory model accepted")
-	}
-	if _, err := CampaignExperiment(3, 1, 20, "", "bogus"); err == nil {
-		t.Error("unknown adversary accepted")
-	}
-}

@@ -7,7 +7,8 @@
 // backtracking.
 //
 // Literal convention: a literal is a non-zero int; +v means variable v is
-// true, -v means variable v is false, with v in [1..NumVars].
+// true, -v means variable v is false, with v in [1..nVars] for the nVars
+// given to New.
 package sat
 
 import "fmt"
@@ -88,9 +89,6 @@ func New(nVars int) *Solver {
 		varInc:   1,
 	}
 }
-
-// NumVars returns the number of variables.
-func (s *Solver) NumVars() int { return s.nVars }
 
 func (s *Solver) checkLit(l int) {
 	v := l
@@ -402,7 +400,7 @@ func (s *Solver) Solve() Result {
 	}
 }
 
-// Model returns the satisfying assignment (index 1..NumVars) after a Sat
+// Model returns the satisfying assignment (index 1..nVars) after a Sat
 // result; entry v is the value of variable v.
 func (s *Solver) Model() []bool {
 	model := make([]bool, s.nVars+1)
@@ -411,6 +409,3 @@ func (s *Solver) Model() []bool {
 	}
 	return model
 }
-
-// Conflicts reports the number of conflicts encountered.
-func (s *Solver) Conflicts() int64 { return s.conflicts }
