@@ -387,31 +387,27 @@ func BenchmarkGCDClassification(b *testing.B) {
 	}
 }
 
-// BenchmarkElectionCertificate builds the IIS protocol complex and
-// exhausts the decision-map search certifying Theorem 11.
-func BenchmarkElectionCertificate(b *testing.B) {
-	for _, tc := range []struct{ n, r int }{{2, 2}, {3, 1}, {3, 2}, {4, 1}} {
-		b.Run(fmt.Sprintf("n=%d/r=%d", tc.n, tc.r), func(b *testing.B) {
+// BenchmarkCertificate builds the IIS protocol complex and exhausts the
+// decision-map search certifying Theorems 10 and 11. WSB at n=3, r=2 is
+// the instance chronological backtracking cannot finish.
+func BenchmarkCertificate(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		spec gsb.Spec
+		r    int
+	}{
+		{"election", gsb.Election(2), 2},
+		{"election", gsb.Election(3), 1},
+		{"election", gsb.Election(3), 2},
+		{"election", gsb.Election(4), 1},
+		{"wsb", gsb.WSB(3), 2},
+		{"wsb", gsb.WSB(4), 1},
+	} {
+		b.Run(fmt.Sprintf("%s/n=%d/r=%d", tc.name, tc.spec.N(), tc.r), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c := topology.BuildIIS(tc.n, tc.r)
-				if c.FindDecisionMap(gsb.Election(tc.n)) != nil {
-					b.Fatal("election map found; contradicts Theorem 11")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkWSBCertificateCDCL measures the CDCL-backed exhaustive search
-// on the instance chronological backtracking cannot finish (WSB at n=3,
-// rounds=2), plus the n=4 one-round instance for comparison.
-func BenchmarkWSBCertificateCDCL(b *testing.B) {
-	for _, tc := range []struct{ n, r int }{{3, 2}, {4, 1}} {
-		b.Run(fmt.Sprintf("n=%d/r=%d", tc.n, tc.r), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c := topology.BuildIIS(tc.n, tc.r)
-				if c.FindDecisionMapSAT(gsb.WSB(tc.n)) != nil {
-					b.Fatal("WSB map found; contradicts Theorem 10")
+				c := topology.BuildIIS(tc.spec.N(), tc.r)
+				if c.FindDecisionMap(tc.spec) != nil {
+					b.Fatalf("%v decision map found; contradicts Theorems 10-11", tc.spec)
 				}
 			}
 		})

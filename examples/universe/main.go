@@ -69,7 +69,7 @@ func main() {
 	} {
 		ok := true
 		for r := 0; r <= c.rounds; r++ {
-			if repro.BoundedRoundsCheckSAT(c.spec, r) {
+			if repro.BoundedRoundsCheck(c.spec, r) {
 				ok = false
 			}
 		}

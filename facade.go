@@ -323,13 +323,10 @@ var (
 	NoCommVerify   = nocomm.Verify
 )
 
-// Topology certificates (Theorem 11).
-var (
-	BoundedRoundsCheck = topology.Solvable
-	// BoundedRoundsCheckSAT is the CDCL-backed variant: it exhausts
-	// instances (e.g. WSB) whose constraints defeat plain backtracking.
-	BoundedRoundsCheckSAT = topology.SolvableSAT
-)
+// Topology certificates (Theorem 11): BoundedRoundsCheck reports whether
+// a comparison-based protocol solves a task in the given number of IIS
+// rounds, by an exhaustive CDCL search for a decision map.
+var BoundedRoundsCheck = topology.Solvable
 
 // Paper artifacts (Table 1, Figure 1, Figure 2) and the exhaustive
 // exploration experiment.

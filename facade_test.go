@@ -3,6 +3,7 @@ package repro
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // The facade tests exercise the public API exactly as the examples and
@@ -96,6 +97,22 @@ func TestFacadeArtifacts(t *testing.T) {
 func TestFacadeTopologyCertificate(t *testing.T) {
 	if BoundedRoundsCheck(Election(3), 1) {
 		t.Error("election must not be 1-round solvable")
+	}
+}
+
+// TestFacadeWSBCertificateTwoRounds: the one bounded-round check answers
+// WSB at n=3, r=2, the instance chronological backtracking does not
+// exhaust in minutes, within a fixed deadline.
+func TestFacadeWSBCertificateTwoRounds(t *testing.T) {
+	done := make(chan bool, 1)
+	go func() { done <- BoundedRoundsCheck(WSB(3), 2) }()
+	select {
+	case solvable := <-done:
+		if solvable {
+			t.Error("WSB n=3 must not be 2-round solvable (Theorem 10)")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("BoundedRoundsCheck(WSB(3), 2) gave no answer within 10s")
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package sat is a compact conflict-driven clause-learning (CDCL) SAT
 // solver: two-watched-literal propagation, first-UIP clause learning with
 // backjumping, exponential VSIDS-style activity ordering, phase saving
-// and Luby restarts. It exists to exhaust the decision-map searches of
-// package topology whose constraints (e.g. weak symmetry breaking's
-// not-all-equal facets) propagate too weakly for chronological
+// and Luby restarts. It exhausts the decision-map search of package
+// topology, including instances whose constraints (e.g. weak symmetry
+// breaking's not-all-equal facets) propagate too weakly for chronological
 // backtracking.
 //
 // Literal convention: a literal is a non-zero int; +v means variable v is
@@ -20,7 +20,6 @@ type Result int
 const (
 	Unsat Result = iota
 	Sat
-	Aborted // conflict budget exhausted
 )
 
 // String renders the result.
@@ -30,8 +29,6 @@ func (r Result) String() string {
 		return "UNSAT"
 	case Sat:
 		return "SAT"
-	case Aborted:
-		return "ABORTED"
 	default:
 		return fmt.Sprintf("Result(%d)", int(r))
 	}
@@ -67,10 +64,6 @@ type Solver struct {
 
 	propHead int
 	unsatNow bool // empty/contradictory clause added at level 0
-
-	// MaxConflicts aborts the search when exceeded (0 = unlimited).
-	MaxConflicts int64
-	conflicts    int64
 }
 
 // New creates a solver over variables 1..nVars.
@@ -356,13 +349,9 @@ func (s *Solver) Solve() Result {
 	for {
 		confl := s.propagate()
 		if confl != nil {
-			s.conflicts++
 			conflictsAtRestart++
 			if len(s.trailLo) == 0 {
 				return Unsat
-			}
-			if s.MaxConflicts > 0 && s.conflicts > s.MaxConflicts {
-				return Aborted
 			}
 			learnt, back := s.analyze(confl)
 			s.cancelUntil(back)

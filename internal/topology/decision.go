@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/gsb"
+	"repro/internal/sat"
 )
 
 // FindDecisionMap searches for an assignment of output values in [1..m]
@@ -13,135 +14,148 @@ import (
 // certifies that no Rounds-round full-information comparison-based
 // protocol solves the task.
 //
-// The search is exact: backtracking over classes with per-facet forward
-// checking (upper bounds can never be exceeded; lower bounds must remain
-// coverable by the facet's unassigned vertices).
+// The search is exact: a CNF encoding exhausted by the CDCL solver of
+// package sat. Clause learning handles instances whose constraints
+// propagate too weakly for chronological backtracking (notably weak
+// symmetry breaking, whose facet constraints are pure not-all-equal).
+//
+// Encoding: boolean variable x[c][v] = "class c decides value v";
+// exactly-one constraints per class, and per facet and value the counting
+// bounds become blocking clauses over minimal violating class sets
+// (multiplicities of a class within a facet are respected).
 func (c *Complex) FindDecisionMap(spec gsb.Spec) []int {
 	if spec.N() != c.N {
 		panic(fmt.Sprintf("topology: spec %v is for n=%d, complex has n=%d", spec, spec.N(), c.N))
 	}
 	m := spec.M()
+	varOf := func(cls, val int) int { return cls*m + val } // val is 1-based
 
-	// Facet class multisets.
-	facetClasses := make([][]int, len(c.Facets))
-	for f, facet := range c.Facets {
-		cls := make([]int, len(facet))
-		for i, v := range facet {
-			cls[i] = c.Vertices[v].Class
-		}
-		facetClasses[f] = cls
-	}
-	// For each class, the facets it appears in (deduplicated).
-	occursIn := make([][]int, c.Classes)
-	for f, cls := range facetClasses {
-		seen := map[int]bool{}
-		for _, cl := range cls {
-			if !seen[cl] {
-				seen[cl] = true
-				occursIn[cl] = append(occursIn[cl], f)
-			}
-		}
-	}
+	solver := sat.New(c.Classes * m)
 
-	assign := make([]int, c.Classes) // 0 = unassigned, else value in [1..m]
-	counts := make([][]int, len(c.Facets))
-	unassigned := make([]int, len(c.Facets))
-	for f := range c.Facets {
-		counts[f] = make([]int, m)
-		unassigned[f] = len(facetClasses[f])
-	}
-
-	feasible := func(f int) bool {
-		need := 0
+	// Exactly one value per class.
+	for cls := 0; cls < c.Classes; cls++ {
+		lits := make([]int, m)
 		for v := 1; v <= m; v++ {
-			cv := counts[f][v-1]
-			if cv > spec.Upper(v) {
-				return false
-			}
-			if d := spec.Lower(v) - cv; d > 0 {
-				need += d
+			lits[v-1] = varOf(cls, v)
+		}
+		solver.AddClause(lits...)
+		for a := 1; a <= m; a++ {
+			for b := a + 1; b <= m; b++ {
+				solver.AddClause(-varOf(cls, a), -varOf(cls, b))
 			}
 		}
-		return need <= unassigned[f]
 	}
 
-	apply := func(cls, val, dir int) bool {
-		ok := true
-		for _, f := range occursIn[cls] {
-			for _, cl := range facetClasses[f] {
-				if cl == cls {
-					counts[f][val-1] += dir
-					unassigned[f] -= dir
+	// Facet counting constraints over class multiplicities.
+	for _, facet := range c.Facets {
+		mult := map[int]int{}
+		for _, vtx := range facet {
+			mult[c.Vertices[vtx].Class]++
+		}
+		cms := make([]classMult, 0, len(mult))
+		for cls, t := range mult {
+			cms = append(cms, classMult{cls, t})
+		}
+		k := len(cms)
+		// Enumerate subsets of the facet's classes.
+		for v := 1; v <= m; v++ {
+			upper, lower := spec.Upper(v), spec.Lower(v)
+			for mask := 1; mask < 1<<k; mask++ {
+				total := 0
+				for i := 0; i < k; i++ {
+					if mask&(1<<i) != 0 {
+						total += cms[i].mult
+					}
+				}
+				// Upper bound: the classes in the subset cannot all pick v
+				// if their combined multiplicity exceeds u_v. Only minimal
+				// violating subsets are needed: every proper subset must be
+				// within the bound.
+				if total > upper && minimalOver(cms, mask, upper) {
+					lits := make([]int, 0, k)
+					for i := 0; i < k; i++ {
+						if mask&(1<<i) != 0 {
+							lits = append(lits, -varOf(cms[i].cls, v))
+						}
+					}
+					solver.AddClause(lits...)
+				}
+				// Lower bound: the complement of the subset cannot supply
+				// l_v instances, so some class in the subset must pick v.
+				rest := c.N - total
+				if rest < lower && minimalUnder(cms, mask, c.N, lower) {
+					lits := make([]int, 0, k)
+					for i := 0; i < k; i++ {
+						if mask&(1<<i) != 0 {
+							lits = append(lits, varOf(cms[i].cls, v))
+						}
+					}
+					solver.AddClause(lits...)
 				}
 			}
-			if dir > 0 && !feasible(f) {
-				ok = false
-			}
 		}
-		return ok
 	}
 
-	// Most-constrained-facet heuristic: always branch on a class of the
-	// facet with the fewest unassigned vertices, so that near-complete
-	// facets are finished (and contradictions detected) as early as
-	// possible. This makes exhausting unsatisfiable instances tractable.
-	pickClass := func() int {
-		bestF, bestCount := -1, 0
-		for f := range facetClasses {
-			u := unassigned[f]
-			if u == 0 {
-				continue
-			}
-			if bestF == -1 || u < bestCount {
-				bestF, bestCount = f, u
-			}
-		}
-		if bestF == -1 {
-			return -1
-		}
-		for _, cl := range facetClasses[bestF] {
-			if assign[cl] == 0 {
-				return cl
-			}
-		}
-		return -1
-	}
-
-	remaining := c.Classes
-	var rec func() bool
-	rec = func() bool {
-		if remaining == 0 {
-			return true
-		}
-		cls := pickClass()
-		if cls == -1 {
-			// Some classes appear in no facet (impossible by construction)
-			// or all facets are complete: assign leftovers arbitrarily.
-			for cl := range assign {
-				if assign[cl] == 0 {
-					assign[cl] = 1
-					remaining--
-				}
-			}
-			return true
-		}
-		remaining--
-		for val := 1; val <= m; val++ {
-			assign[cls] = val
-			ok := apply(cls, val, +1)
-			if ok && rec() {
-				return true
-			}
-			apply(cls, val, -1)
-			assign[cls] = 0
-		}
-		remaining++
-		return false
-	}
-	if !rec() {
+	if solver.Solve() == sat.Unsat {
 		return nil
 	}
+	model := solver.Model()
+	assign := make([]int, c.Classes)
+	for cls := 0; cls < c.Classes; cls++ {
+		for v := 1; v <= m; v++ {
+			if model[varOf(cls, v)] {
+				assign[cls] = v
+				break
+			}
+		}
+		if assign[cls] == 0 {
+			panic("topology: SAT model left a class unassigned")
+		}
+	}
+	if err := c.CheckDecisionMap(spec, assign); err != nil {
+		panic(fmt.Sprintf("topology: SAT model fails verification: %v", err))
+	}
 	return assign
+}
+
+type classMult struct {
+	cls, mult int
+}
+
+// minimalOver reports whether removing any single element of the subset
+// brings the multiplicity total to at most the bound (so the subset is a
+// minimal violator of the upper bound).
+func minimalOver(cms []classMult, mask, upper int) bool {
+	total := 0
+	for i := range cms {
+		if mask&(1<<i) != 0 {
+			total += cms[i].mult
+		}
+	}
+	for i := range cms {
+		if mask&(1<<i) != 0 && total-cms[i].mult > upper {
+			return false
+		}
+	}
+	return true
+}
+
+// minimalUnder reports whether the subset is a minimal set whose
+// complement cannot reach the lower bound (removing any element restores
+// feasibility of the complement).
+func minimalUnder(cms []classMult, mask, n, lower int) bool {
+	total := 0
+	for i := range cms {
+		if mask&(1<<i) != 0 {
+			total += cms[i].mult
+		}
+	}
+	for i := range cms {
+		if mask&(1<<i) != 0 && n-(total-cms[i].mult) < lower {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckDecisionMap verifies that a per-class assignment solves spec on

@@ -25,8 +25,8 @@ func TestSATSearchAgreesWithBacktracking(t *testing.T) {
 	} {
 		c := BuildIIS(tc.n, tc.rounds)
 		for _, spec := range specs(tc.n) {
-			bt := c.FindDecisionMap(spec) != nil
-			cdcl := c.FindDecisionMapSAT(spec) != nil
+			bt := c.backtrackDecisionMap(spec) != nil
+			cdcl := c.FindDecisionMap(spec) != nil
 			if bt != cdcl {
 				t.Fatalf("n=%d r=%d %v: backtracking=%v CDCL=%v", tc.n, tc.rounds, spec, bt, cdcl)
 			}
@@ -39,22 +39,22 @@ func TestSATSearchClosesWSBn3r2(t *testing.T) {
 	// TestWSBImpossibleForPrimePowerN): WSB at n=3, rounds=2. Clause learning exhausts it,
 	// completing the Theorem 10 bounded-round certificate series.
 	c := BuildIIS(3, 2)
-	if got := c.FindDecisionMapSAT(gsb.WSB(3)); got != nil {
+	if got := c.FindDecisionMap(gsb.WSB(3)); got != nil {
 		t.Fatalf("WSB n=3 r=2 decision map found: %v; contradicts Theorem 10 (gcd{C(3,i)}=3)", got)
 	}
 }
 
 func TestSATSearchElectionDeeperRounds(t *testing.T) {
-	// Push the election certificate deeper than the backtracking tests:
+	// Push the election certificate deeper than TestElectionImpossible:
 	// n=3 at three rounds has 2197 facets and ~1086 classes, and the CDCL
 	// search still exhausts it in milliseconds.
-	if SolvableSAT(gsb.Election(2), 4) {
+	if Solvable(gsb.Election(2), 4) {
 		t.Error("election n=2 solvable at 4 rounds")
 	}
-	if SolvableSAT(gsb.Election(3), 2) {
+	if Solvable(gsb.Election(3), 2) {
 		t.Error("election n=3 solvable at 2 rounds")
 	}
-	if SolvableSAT(gsb.Election(3), 3) {
+	if Solvable(gsb.Election(3), 3) {
 		t.Error("election n=3 solvable at 3 rounds")
 	}
 }
@@ -64,20 +64,20 @@ func TestSATSearchFiveProcessesOneRound(t *testing.T) {
 	// prime), election and perfect renaming all provably unsolvable.
 	c := BuildIIS(5, 1)
 	for _, spec := range []gsb.Spec{gsb.WSB(5), gsb.Election(5), gsb.PerfectRenaming(5)} {
-		if c.FindDecisionMapSAT(spec) != nil {
+		if c.FindDecisionMap(spec) != nil {
 			t.Errorf("%v solvable in one IIS round for n=5", spec)
 		}
 	}
 	// Positive control at the same size: one-round renaming into
 	// n(n+1)/2 = 15 names exists.
-	if c.FindDecisionMapSAT(gsb.Renaming(5, 15)) == nil {
+	if c.FindDecisionMap(gsb.Renaming(5, 15)) == nil {
 		t.Error("15-renaming for n=5 should be one-round solvable")
 	}
 }
 
 func TestSATSearchPositiveModelsVerify(t *testing.T) {
 	// SAT results are double-checked against CheckDecisionMap inside
-	// FindDecisionMapSAT; exercise a few satisfiable instances.
+	// FindDecisionMap; exercise a few satisfiable instances.
 	for _, tc := range []struct {
 		spec   gsb.Spec
 		rounds int
@@ -88,17 +88,8 @@ func TestSATSearchPositiveModelsVerify(t *testing.T) {
 		{gsb.NewSym(4, 2, 0, 4), 1},
 	} {
 		c := BuildIIS(tc.spec.N(), tc.rounds)
-		if c.FindDecisionMapSAT(tc.spec) == nil {
+		if c.FindDecisionMap(tc.spec) == nil {
 			t.Errorf("%v at %d rounds: no map found", tc.spec, tc.rounds)
 		}
 	}
-}
-
-func TestSATSearchPanicsOnWrongN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BuildIIS(2, 1).FindDecisionMapSAT(gsb.Election(3))
 }
