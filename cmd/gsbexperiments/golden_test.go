@@ -38,7 +38,7 @@ func TestTheorem11Golden(t *testing.T) {
 		"  election n=3          : no comparison-based protocol in <= 2 IIS rounds",
 		"  election n=4          : no comparison-based protocol in <= 1 IIS rounds",
 		"  perfect renaming n=3  : no comparison-based protocol in <= 2 IIS rounds",
-		"  WSB n=3               : no comparison-based protocol in <= 1 IIS rounds",
+		"  WSB n=3               : no comparison-based protocol in <= 2 IIS rounds",
 		"  WSB n=4               : no comparison-based protocol in <= 1 IIS rounds",
 		"  positive controls:",
 		"  3-renaming n=2        : decision map found at 1 round(s)",

@@ -178,7 +178,7 @@ func main() {
 		{"election n=3", repro.Election(3), 2},
 		{"election n=4", repro.Election(4), 1},
 		{"perfect renaming n=3", repro.PerfectRenaming(3), 2},
-		{"WSB n=3", repro.WSB(3), 1},
+		{"WSB n=3", repro.WSB(3), 2},
 		{"WSB n=4", repro.WSB(4), 1},
 	}
 	for _, c := range certs {
