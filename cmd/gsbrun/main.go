@@ -40,7 +40,8 @@
 // their validation are the campaign library's.
 //
 // Exit codes: 0 verified, 1 violation or operational error, 2 usage: an
-// invalid flag value exits 2 in every mode, before anything runs.
+// invalid flag value, or a flag the selected mode does not read, exits 2
+// in every mode, before anything runs.
 //
 // Protocols:
 //
@@ -124,12 +125,12 @@ func main() {
 	seed := flag.Int64("seed", 1, "scheduler seed")
 	crash := flag.Float64("crash", 0, "per-decision crash probability (up to n-1 crashes)")
 	runs := flag.Int("runs", 1, "number of seeded runs (seeds seed..seed+runs-1); with -explore -crash, the crash-sweep run count")
-	trace := flag.Bool("trace", false, "print the step timeline of each run")
+	trace := flag.Bool("trace", false, "print the step timeline of each run; only in seeded-run mode")
 	explore := flag.Bool("explore", false, "model-check the protocol over every failure-free schedule instead of sampling")
 	workers := flag.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS); only with -explore/-sample")
 	maxRuns := flag.Int("maxruns", 1<<20, "exploration run budget; only with -explore")
-	por := flag.Bool("por", false, "partial-order reduction: explore one schedule per commuting-step equivalence class; only with -explore")
-	porMemo := flag.Bool("por-memo", false, "the unfiltered sleep-set walk: the same schedules as -por, more runs; only with -explore")
+	por := flag.Bool("por", false, "partial-order reduction: explore one schedule per commuting-step equivalence class; only with -explore, without -crash")
+	porMemo := flag.Bool("por-memo", false, "the unfiltered sleep-set walk: the same schedules as -por, more runs; only with -explore, without -crash")
 	sample := flag.Int("sample", 0, "statistically sample this many seeded schedules (uniform random walk) and report trace-class coverage")
 	pctDepth := flag.Int("pct-depth", 0, "with -sample, use the PCT sampler with this bug depth (d-1 priority-change points; 0 = random walk)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable NDJSON result record per batch/run instead of text")
@@ -143,6 +144,24 @@ func main() {
 	if *sample != 0 && (*explore || *crash != 0 || *por || *porMemo || flagSet("maxruns")) {
 		usageError("-sample conflicts with -explore/-crash/-por/-por-memo/-maxruns (pick one mode)")
 	}
+	// A flag the selected mode never reads is a usage error, not ignored.
+	seeded := !*explore && *sample == 0
+	for _, f := range []struct {
+		name  string
+		read  bool   // the selected mode reads the flag
+		needs string // the modes that do
+	}{
+		{"por", *explore && *crash == 0, "-explore without -crash"},
+		{"por-memo", *explore && *crash == 0, "-explore without -crash"},
+		{"maxruns", *explore, "-explore"},
+		{"workers", !seeded, "-explore or -sample"},
+		{"trace", seeded, "a seeded run (no -explore or -sample)"},
+		{"runs", seeded || *crash != 0, "a seeded run or -explore -crash"},
+	} {
+		if !f.read && flagSet(f.name) {
+			usageError(fmt.Sprintf("-%s needs %s", f.name, f.needs))
+		}
+	}
 	if *adversary != "" && !(*explore && *crash != 0) {
 		usageError("-adversary selects a crash-sweep strategy and needs -explore -crash > 0")
 	}
@@ -155,7 +174,7 @@ func main() {
 	if *adversary == repro.AdversaryUniformCrash {
 		*adversary = ""
 	}
-	if !*explore && *sample == 0 {
+	if seeded {
 		runSeeded(*protocol, *n, *seed, *runs, *crash, *model, *trace, *jsonOut)
 		return
 	}
@@ -285,6 +304,9 @@ func verify(req repro.CampaignRequest, cfg repro.CampaignConfig, jsonOut bool) e
 func runSeeded(protocol string, n int, seed int64, runs int, crash float64, model string, trace, jsonOut bool) {
 	if n < 2 {
 		usageError("need n >= 2")
+	}
+	if runs < 1 {
+		usageError(fmt.Sprintf("-runs %d: need at least one run", runs))
 	}
 	if math.IsNaN(crash) || crash < 0 || crash > 1 {
 		// The seeded-run path constructs the crash policy directly; the

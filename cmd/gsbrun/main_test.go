@@ -64,6 +64,17 @@ func TestGsbrunInvalidFlags(t *testing.T) {
 		{"unknown-adversary", []string{"-adversary", "bogus", "-explore", "-crash", "0.1", "-runs", "10"}, 2, `unknown adversary "bogus" (registered: uniform-crash, t-resilient, adaptive)`},
 		{"adversary-without-crash-sweep", []string{"-adversary", "t-resilient"}, 2, "-adversary selects a crash-sweep strategy"},
 		{"adversary-with-sample", []string{"-adversary", "t-resilient", "-sample", "10"}, 2, "-adversary selects a crash-sweep strategy"},
+		{"por-without-explore", []string{"-por"}, 2, "-por needs -explore"},
+		{"por-memo-without-explore", []string{"-por-memo"}, 2, "-por-memo needs -explore"},
+		{"por-with-crash-sweep", []string{"-explore", "-crash", "0.1", "-por"}, 2, "-por needs -explore without -crash"},
+		{"workers-seeded", []string{"-workers", "3"}, 2, "-workers needs -explore or -sample"},
+		{"maxruns-seeded", []string{"-maxruns", "5"}, 2, "-maxruns needs -explore"},
+		{"zero-runs", []string{"-runs", "0"}, 2, "-runs 0"},
+		{"negative-runs", []string{"-runs", "-2"}, 2, "-runs -2"},
+		{"explore-trace", []string{"-explore", "-trace"}, 2, "-trace needs a seeded run"},
+		{"sample-trace", []string{"-sample", "20", "-trace"}, 2, "-trace needs a seeded run"},
+		{"explore-runs-without-crash", []string{"-explore", "-runs", "7"}, 2, "-runs needs a seeded run or -explore -crash"},
+		{"sample-runs", []string{"-sample", "20", "-runs", "5"}, 2, "-runs needs a seeded run or -explore -crash"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
