@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-compare lint vet-gsb staticcheck govulncheck check fmt fuzz-smoke
+.PHONY: all build test race bench bench-compare lint vet-gsb staticcheck govulncheck check fmt fuzz-smoke examples
 
 # Pinned external tool versions. CI installs exactly these; bump them
 # deliberately (update here AND in .github/workflows/ci.yml, run
@@ -24,6 +24,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# examples runs every program under examples/ to completion; any
+# non-zero exit fails the target. Compiling them (make build) does not
+# show that they still work through the facade.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d > /dev/null; \
+	done
 
 race:
 	$(GO) test -race -timeout 30m ./...
