@@ -93,3 +93,15 @@ func TestSATSearchPositiveModelsVerify(t *testing.T) {
 		}
 	}
 }
+
+func TestSATSearchPanicsOnWrongN(t *testing.T) {
+	// TestFindDecisionMapPanicsOnWrongN gives a spec for more processes than
+	// the complex has; here the spec is for fewer, which must panic too
+	// rather than search the wrong constraint set.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	BuildIIS(3, 1).FindDecisionMap(gsb.Election(2))
+}
