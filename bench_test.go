@@ -424,7 +424,7 @@ func BenchmarkLubyMIS(b *testing.B) {
 		g := msgnet.GNP(n, 0.1, rng.Float64)
 		b.Run(fmt.Sprintf("gnp%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := luby.MIS(g, int64(i%seeds), 1<<20)
+				res, err := luby.MIS(g, int64(i%seeds), 1<<20, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -443,7 +443,7 @@ func BenchmarkColeVishkin(b *testing.B) {
 	for _, n := range []int{64, 1024, 1 << 20} {
 		b.Run(fmt.Sprintf("ring%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := luby.RingThreeColor(n, 1000); err != nil {
+				if _, err := luby.RingThreeColor(n, 1000, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -452,7 +452,7 @@ func BenchmarkColeVishkin(b *testing.B) {
 	b.Run("adversarial/ring4096", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			adv := &msgnet.NetAdversary{Seed: 7, LossProb: 0.15, DelayProb: 0.1, ReorderProb: 0.1}
-			if _, err := luby.RingThreeColorUnder(4096, 20000, adv); err != nil {
+			if _, err := luby.RingThreeColor(4096, 20000, adv); err != nil {
 				b.Fatal(err)
 			}
 		}

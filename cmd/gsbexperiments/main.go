@@ -210,7 +210,7 @@ func main() {
 
 	fmt.Println("\n== Baselines: message-passing symmetry breaking ==")
 	for _, n := range []int{64, 4096} {
-		res, err := repro.RingThreeColor(n, 1000)
+		res, err := repro.RingThreeColor(n, 1000, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gsbexperiments: %v\n", err)
 			os.Exit(1)
@@ -221,7 +221,7 @@ func main() {
 	// synchronizer repairs loss/delay/reordering by retransmission, so the
 	// coloring is unchanged and only the round count grows.
 	netAdv := &repro.NetAdversary{Seed: 7, LossProb: 0.15, DelayProb: 0.1, ReorderProb: 0.1}
-	advRes, err := repro.RingThreeColorUnder(64, 4000, netAdv)
+	advRes, err := repro.RingThreeColor(64, 4000, netAdv)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gsbexperiments: %v\n", err)
 		os.Exit(1)

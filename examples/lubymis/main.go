@@ -19,7 +19,7 @@ func main() {
 	// Luby MIS on a random graph.
 	rng := rand.New(rand.NewSource(11))
 	g := repro.GNP(40, 0.15, rng.Float64)
-	res, err := repro.LubyMIS(g, 11, 100000)
+	res, err := repro.LubyMIS(g, 11, 100000, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("Luby MIS on G(40, 0.15): |MIS| = %d, rounds = %d\n", size, res.Rounds)
 
 	// Randomized (Delta+1)-coloring on the same graph.
-	col, err := repro.LubyColoring(g, 13, 100000)
+	col, err := repro.LubyColoring(g, 13, 100000, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func main() {
 	// grow like log* n.
 	fmt.Println("Cole-Vishkin ring 3-coloring (deterministic):")
 	for _, n := range []int{8, 64, 4096, 1 << 20} {
-		res, err := repro.RingThreeColor(n, 1000)
+		res, err := repro.RingThreeColor(n, 1000, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

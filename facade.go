@@ -364,8 +364,4 @@ var (
 	LubyColoring   = luby.Coloring
 	VerifyColoring = luby.VerifyColoring
 	RingThreeColor = luby.RingThreeColor
-	// RingThreeColorUnder runs Cole-Vishkin ring 3-coloring under a
-	// message adversary, wrapped in a synchronizer so the baseline
-	// survives loss, delay and reordering unchanged.
-	RingThreeColorUnder = luby.RingThreeColorUnder
 )

@@ -118,14 +118,14 @@ func TestFacadeWSBCertificateTwoRounds(t *testing.T) {
 
 func TestFacadeBaselines(t *testing.T) {
 	g := Ring(10)
-	res, err := LubyMIS(g, 1, 10000)
+	res, err := LubyMIS(g, 1, 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyMIS(g, res.InMIS); err != nil {
 		t.Fatal(err)
 	}
-	col, err := RingThreeColor(100, 1000)
+	col, err := RingThreeColor(100, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

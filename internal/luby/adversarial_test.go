@@ -8,18 +8,18 @@ import (
 	"repro/internal/stats"
 )
 
-// The *Under variants run the baselines under the message adversary via
-// the synchronizer: faults must cost rounds, never correctness, and the
+// A non-nil adversary runs the baselines under message faults via the
+// synchronizer: faults must cost rounds, never correctness, and the
 // executions must be deterministic per (seed, adversary).
 
 func testAdv(seed int64) *msgnet.NetAdversary {
 	return &msgnet.NetAdversary{Seed: seed, LossProb: 0.15, DelayProb: 0.1, ReorderProb: 0.1}
 }
 
-func TestMISUnderAdversary(t *testing.T) {
+func TestMISWithAdversary(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := msgnet.GNP(24, 0.2, rng.Float64)
-	res, err := MISUnder(g, 7, 20000, testAdv(11))
+	res, err := MIS(g, 7, 20000, testAdv(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestMISUnderAdversary(t *testing.T) {
 		t.Fatalf("MIS under faults is invalid: %v", err)
 	}
 	// nil adversary is the fault-free run.
-	ref, err := MISUnder(g, 7, 1000, nil)
+	ref, err := MIS(g, 7, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestMISUnderAdversary(t *testing.T) {
 		t.Errorf("adversarial run took %d rounds, fault-free %d; synchronization must cost rounds", res.Rounds, ref.Rounds)
 	}
 	// Determinism per (seed, adversary).
-	again, err := MISUnder(g, 7, 20000, testAdv(11))
+	again, err := MIS(g, 7, 20000, testAdv(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +52,10 @@ func TestMISUnderAdversary(t *testing.T) {
 	}
 }
 
-func TestColoringUnderAdversary(t *testing.T) {
+func TestColoringWithAdversary(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := msgnet.GNP(20, 0.25, rng.Float64)
-	res, err := ColoringUnder(g, 9, 20000, testAdv(13))
+	res, err := Coloring(g, 9, 20000, testAdv(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,21 +64,21 @@ func TestColoringUnderAdversary(t *testing.T) {
 	}
 }
 
-// TestRingThreeColorUnderMatchesFaultFree: Cole-Vishkin is deterministic,
+// TestRingThreeColorWithAdversaryMatchesFaultFree: Cole-Vishkin is deterministic,
 // so the synchronizer-wrapped adversarial run must produce exactly the
 // fault-free coloring — the adversary can delay the answer, not change it.
 // The 4,096-vertex ring keeps the adversarial round engine honest at a
 // size where per-round overhead shows.
-func TestRingThreeColorUnderMatchesFaultFree(t *testing.T) {
+func TestRingThreeColorWithAdversaryMatchesFaultFree(t *testing.T) {
 	for _, n := range []int{32, 4096} {
-		ref, err := RingThreeColor(n, 1000)
+		ref, err := RingThreeColor(n, 1000, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		adv := testAdv(17)
 		reg := stats.New()
 		adv.Stats = reg
-		res, err := RingThreeColorUnder(n, 20000, adv)
+		res, err := RingThreeColor(n, 20000, adv)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

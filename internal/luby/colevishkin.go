@@ -101,8 +101,11 @@ func cvStep(own, succ int) int {
 
 // RingThreeColor 3-colors the oriented n-ring deterministically with
 // Cole-Vishkin; colors are returned 1-based (1..3) for consistency with
-// VerifyColoring.
-func RingThreeColor(n int, maxRounds int) (*ColoringResult, error) {
+// VerifyColoring. A non-nil adv runs it under that message adversary (see
+// run): cvProto panics when a successor color goes missing, which is
+// exactly what the synchronizer rules out, so the coloring is the
+// fault-free one and only the round count grows.
+func RingThreeColor(n, maxRounds int, adv *msgnet.NetAdversary) (*ColoringResult, error) {
 	if n == 1 {
 		return &ColoringResult{Colors: []int{1}, Rounds: 0}, nil
 	}
@@ -114,7 +117,7 @@ func RingThreeColor(n int, maxRounds int) (*ColoringResult, error) {
 		colors[v] = v // initial color = identity
 		protos[v] = &cvProto{succ: (v + 1) % n, cv: cv, color: &colors[v]}
 	}
-	res, err := msgnet.Run(g, protos, maxRounds)
+	res, err := run(g, protos, maxRounds, adv)
 	if err != nil {
 		return nil, err
 	}

@@ -18,9 +18,9 @@ const resultsGolden = "56c385ebdc3148f6"
 
 // TestResultsGolden hashes rounds, colors, MIS membership, errors and
 // adversary event counts of Cole-Vishkin on rings of 2, 3, 17, 64 and 257
-// vertices (fault-free and under 4 adversary seeds), and of MIS, Coloring,
-// MISUnder and ColoringUnder on GNP graphs of 8, 32 and 96 vertices under
-// 4 seeds each.
+// vertices (fault-free and under 4 adversary seeds), and of MIS and
+// Coloring, fault-free and under an adversary, on GNP graphs of 8, 32 and
+// 96 vertices under 4 seeds each.
 func TestResultsGolden(t *testing.T) {
 	h := fnv.New64a()
 	out := func(label string, rounds int, values any, err error) {
@@ -34,11 +34,11 @@ func TestResultsGolden(t *testing.T) {
 	}
 
 	for _, n := range []int{2, 3, 17, 64, 257} {
-		res, err := RingThreeColor(n, 1000)
+		res, err := RingThreeColor(n, 1000, nil)
 		writeColoring(out, fmt.Sprintf("cv n=%d", n), res, err)
 		for seed := int64(1); seed <= 4; seed++ {
 			adv, events := underStats(seed)
-			res, err := RingThreeColorUnder(n, 20000, adv)
+			res, err := RingThreeColor(n, 20000, adv)
 			writeColoring(out, fmt.Sprintf("cv-under n=%d seed=%d", n, seed), res, err)
 			fmt.Fprintf(h, "events=%d\n", events())
 		}
@@ -50,18 +50,18 @@ func TestResultsGolden(t *testing.T) {
 			g := msgnet.GNP(n, 0.2, rng.Float64)
 			label := fmt.Sprintf("n=%d seed=%d", n, seed)
 
-			mis, err := MIS(g, seed, 10000)
+			mis, err := MIS(g, seed, 10000, nil)
 			writeMIS(out, "mis "+label, mis, err)
-			col, err := Coloring(g, seed, 10000)
+			col, err := Coloring(g, seed, 10000, nil)
 			writeColoring(out, "coloring "+label, col, err)
 
 			adv, events := underStats(seed)
-			mis, err = MISUnder(g, seed, 20000, adv)
+			mis, err = MIS(g, seed, 20000, adv)
 			writeMIS(out, "mis-under "+label, mis, err)
 			fmt.Fprintf(h, "events=%d\n", events())
 
 			adv, events = underStats(seed)
-			col, err = ColoringUnder(g, seed, 20000, adv)
+			col, err = Coloring(g, seed, 20000, adv)
 			writeColoring(out, "coloring-under "+label, col, err)
 			fmt.Fprintf(h, "events=%d\n", events())
 		}

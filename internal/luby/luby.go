@@ -14,6 +14,25 @@ import (
 	"repro/internal/runrand"
 )
 
+// syncGrace is the synchronizer linger period of a run under a message
+// adversary: enough settle rounds that final acknowledgments survive
+// moderate loss rates.
+const syncGrace = 12
+
+// run executes the baseline's protocols on g. The protocols are written
+// for the reliable lockstep substrate, so under a non-nil adv they are
+// wrapped with msgnet.Synchronize, which repairs loss by retransmission
+// and absorbs delay and reordering. Executions stay deterministic per
+// (seed, adversary) pair; maxRounds must be scaled up versus the
+// fault-free runs because each simulated round costs at least one real
+// exchange.
+func run(g *msgnet.Graph, protos []msgnet.Proto, maxRounds int, adv *msgnet.NetAdversary) (*msgnet.Result, error) {
+	if adv != nil {
+		protos = msgnet.Synchronize(protos, syncGrace)
+	}
+	return msgnet.Run(g, protos, maxRounds, adv)
+}
+
 type misMsgKind int
 
 const (
@@ -85,8 +104,10 @@ type MISResult struct {
 
 // MIS runs Luby's algorithm on g with a seeded generator and returns the
 // computed set. maxRounds bounds the execution (the algorithm terminates
-// in O(log n) phases with high probability).
-func MIS(g *msgnet.Graph, seed int64, maxRounds int) (*MISResult, error) {
+// in O(log n) phases with high probability). A non-nil adv runs it under
+// that message adversary (see run): the set satisfies VerifyMIS exactly as
+// in the fault-free execution, since faults cost rounds, not correctness.
+func MIS(g *msgnet.Graph, seed int64, maxRounds int, adv *msgnet.NetAdversary) (*MISResult, error) {
 	inMIS := make([]bool, g.N)
 	protos := make([]msgnet.Proto, g.N)
 	base := runrand.New(seed)
@@ -96,7 +117,7 @@ func MIS(g *msgnet.Graph, seed int64, maxRounds int) (*MISResult, error) {
 			inMIS: &inMIS[v],
 		}
 	}
-	res, err := msgnet.Run(g, protos, maxRounds)
+	res, err := run(g, protos, maxRounds, adv)
 	if err != nil {
 		return nil, err
 	}
@@ -197,8 +218,9 @@ type ColoringResult struct {
 	Rounds int
 }
 
-// Coloring runs the randomized (Delta+1)-coloring baseline.
-func Coloring(g *msgnet.Graph, seed int64, maxRounds int) (*ColoringResult, error) {
+// Coloring runs the randomized (Delta+1)-coloring baseline, under adv
+// when it is non-nil (see run).
+func Coloring(g *msgnet.Graph, seed int64, maxRounds int, adv *msgnet.NetAdversary) (*ColoringResult, error) {
 	colors := make([]int, g.N)
 	protos := make([]msgnet.Proto, g.N)
 	base := runrand.New(seed)
@@ -211,7 +233,7 @@ func Coloring(g *msgnet.Graph, seed int64, maxRounds int) (*ColoringResult, erro
 			color:   &colors[v],
 		}
 	}
-	res, err := msgnet.Run(g, protos, maxRounds)
+	res, err := run(g, protos, maxRounds, adv)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ func TestMISOnRings(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 10, 25} {
 		for seed := int64(0); seed < 10; seed++ {
 			g := msgnet.Ring(n)
-			res, err := MIS(g, seed, 10000)
+			res, err := MIS(g, seed, 10000, nil)
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}
@@ -26,7 +26,7 @@ func TestMISOnCompleteGraph(t *testing.T) {
 	// In K_n the MIS is a single vertex.
 	for seed := int64(0); seed < 10; seed++ {
 		g := msgnet.Complete(8)
-		res, err := MIS(g, seed, 10000)
+		res, err := MIS(g, seed, 10000, nil)
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
@@ -49,7 +49,7 @@ func TestMISOnRandomGraphs(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := msgnet.GNP(30, 0.2, rng.Float64)
-		res, err := MIS(g, seed, 10000)
+		res, err := MIS(g, seed, 10000, nil)
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
@@ -61,11 +61,11 @@ func TestMISOnRandomGraphs(t *testing.T) {
 
 func TestMISDeterministicGivenSeed(t *testing.T) {
 	g := msgnet.Ring(12)
-	a, err := MIS(g, 7, 10000)
+	a, err := MIS(g, 7, 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MIS(msgnet.Ring(12), 7, 10000)
+	b, err := MIS(msgnet.Ring(12), 7, 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestColoringOnGraphs(t *testing.T) {
 	graphs["gnp"] = msgnet.GNP(25, 0.3, rng.Float64)
 	for name, g := range graphs {
 		for seed := int64(0); seed < 10; seed++ {
-			res, err := Coloring(g, seed, 10000)
+			res, err := Coloring(g, seed, 10000, nil)
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", name, seed, err)
 			}
@@ -128,7 +128,7 @@ func TestVerifyColoringRejects(t *testing.T) {
 
 func TestRingThreeColor(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 16, 33, 100, 1000} {
-		res, err := RingThreeColor(n, 100000)
+		res, err := RingThreeColor(n, 100000, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -143,7 +143,7 @@ func TestRingThreeColor(t *testing.T) {
 func TestRingThreeColorRoundsGrowSlowly(t *testing.T) {
 	// Cole-Vishkin runs in O(log* n) + O(1) rounds; even n = 10^6 must
 	// finish in very few rounds.
-	res, err := RingThreeColor(1<<20, 1000)
+	res, err := RingThreeColor(1<<20, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,15 +129,3 @@ func (f *netFaults) deliver(sent, out []map[int]any) {
 		}
 	}
 }
-
-// RunAdversarial executes the protocol like Run, with adv injecting
-// message faults between rounds. A nil adversary is the fault-free Run.
-func RunAdversarial(g *Graph, protos []Proto, maxRounds int, adv *NetAdversary) (*Result, error) {
-	if adv == nil {
-		return Run(g, protos, maxRounds)
-	}
-	if err := adv.Validate(); err != nil {
-		return nil, err
-	}
-	return run(g, protos, maxRounds, adv)
-}

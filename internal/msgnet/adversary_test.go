@@ -164,9 +164,9 @@ func (f *flood) Step(node Node, recv map[int]any) (map[int]any, bool) {
 	return send, node.Round >= f.k-1
 }
 
-// TestRunAdversarialNilAndZero: a nil adversary is the reliable Run, and
+// TestRunNilAndZeroAdversary: a nil adversary is the reliable Run, and
 // a zero-probability adversary behaves identically.
-func TestRunAdversarialNilAndZero(t *testing.T) {
+func TestRunNilAndZeroAdversary(t *testing.T) {
 	g := Complete(4)
 	mk := func() []Proto {
 		ps := make([]Proto, g.N)
@@ -175,24 +175,24 @@ func TestRunAdversarialNilAndZero(t *testing.T) {
 		}
 		return ps
 	}
-	ref, err := Run(g, mk(), 100)
+	ref, err := Run(g, mk(), 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNil, err := RunAdversarial(g, mk(), 100, nil)
+	viaNil, err := Run(g, mk(), 100, nil)
 	if err != nil || viaNil.Rounds != ref.Rounds {
 		t.Errorf("nil adversary: (%+v, %v), want %+v", viaNil, err, ref)
 	}
-	viaZero, err := RunAdversarial(g, mk(), 100, &NetAdversary{Seed: 9})
+	viaZero, err := Run(g, mk(), 100, &NetAdversary{Seed: 9})
 	if err != nil || viaZero.Rounds != ref.Rounds {
 		t.Errorf("zero adversary: (%+v, %v), want %+v", viaZero, err, ref)
 	}
 }
 
-func TestRunAdversarialRejectsInvalid(t *testing.T) {
+func TestRunRejectsInvalidAdversary(t *testing.T) {
 	g := Ring(3)
 	ps := []Proto{&flood{k: 1}, &flood{k: 1}, &flood{k: 1}}
-	if _, err := RunAdversarial(g, ps, 10, &NetAdversary{LossProb: 2}); err == nil {
+	if _, err := Run(g, ps, 10, &NetAdversary{LossProb: 2}); err == nil {
 		t.Fatal("invalid adversary accepted")
 	}
 }
@@ -215,7 +215,7 @@ func TestSynchronizeRepairsLoss(t *testing.T) {
 	}
 
 	ps, heard := mk()
-	res, err := RunAdversarial(g, Synchronize(ps, 8), 5000, adv())
+	res, err := Run(g, Synchronize(ps, 8), 5000, adv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestSynchronizeRepairsLoss(t *testing.T) {
 	}
 
 	ps2, _ := mk()
-	res2, err := RunAdversarial(g, Synchronize(ps2, 8), 5000, adv())
+	res2, err := Run(g, Synchronize(ps2, 8), 5000, adv())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,17 +140,17 @@ type Result struct {
 // Run executes the protocol on the graph until every process has halted
 // or maxRounds is reached (returning an error in the latter case). Each
 // round steps the active processes one after another in ascending vertex
-// order, on the caller's goroutine, and message delivery is synchronous
-// and reliable (see RunAdversarial for execution under message faults).
-// A send to a vertex that is not a neighbor is an error, and a panic in
-// a process's Step propagates to the caller.
-func Run(g *Graph, protos []Proto, maxRounds int) (*Result, error) {
-	return run(g, protos, maxRounds, nil)
-}
-
-// run is the shared round loop: adv == nil is the reliable substrate,
-// otherwise every round's sends pass through the adversary's queues.
-func run(g *Graph, protos []Proto, maxRounds int, adv *NetAdversary) (*Result, error) {
+// order, on the caller's goroutine. With a nil adversary message delivery
+// is synchronous and reliable; otherwise every round's sends pass through
+// adv's fault queues (adversary.go), and an adv that fails Validate is an
+// error. A send to a vertex that is not a neighbor is an error, and a
+// panic in a process's Step propagates to the caller.
+func Run(g *Graph, protos []Proto, maxRounds int, adv *NetAdversary) (*Result, error) {
+	if adv != nil {
+		if err := adv.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	if len(protos) != g.N {
 		return nil, fmt.Errorf("msgnet: %d protocols for %d vertices", len(protos), g.N)
 	}

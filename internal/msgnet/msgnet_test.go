@@ -125,7 +125,7 @@ func TestRunDeliversToAllNeighbors(t *testing.T) {
 		heard[v] = map[int]bool{}
 		protos[v] = &echoProto{k: 2, heard: heard[v]}
 	}
-	res, err := Run(g, protos, 100)
+	res, err := Run(g, protos, 100, nil)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestRunMaxRounds(t *testing.T) {
 	for v := range protos {
 		protos[v] = &echoProto{k: 1 << 30, heard: map[int]bool{}}
 	}
-	_, err := Run(g, protos, 5)
+	_, err := Run(g, protos, 5, nil)
 	if err == nil || !strings.Contains(err.Error(), "still active") {
 		t.Fatalf("err = %v, want still-active error", err)
 	}
@@ -158,7 +158,7 @@ func TestRunMaxRounds(t *testing.T) {
 
 func TestRunProtoCountMismatch(t *testing.T) {
 	g := Ring(3)
-	_, err := Run(g, make([]Proto, 2), 5)
+	_, err := Run(g, make([]Proto, 2), 5, nil)
 	if err == nil {
 		t.Fatal("expected error for wrong protocol count")
 	}
@@ -185,7 +185,7 @@ func TestRunStaggeredHalting(t *testing.T) {
 	for v := range protos {
 		protos[v] = &lateHaltProto{until: v + 1}
 	}
-	res, err := Run(g, protos, 100)
+	res, err := Run(g, protos, 100, nil)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestRunRejectsSendToNonNeighbor(t *testing.T) {
 		for v := range protos {
 			protos[v] = &strayProto{heard: &heard}
 		}
-		_, err := RunAdversarial(g, protos, 10, adv)
+		_, err := Run(g, protos, 10, adv)
 		if err == nil || !strings.Contains(err.Error(), "process 0 sent to non-neighbor 2") {
 			t.Errorf("adversary %v: err = %v, want a non-neighbor error", adv, err)
 		}
@@ -243,5 +243,5 @@ func TestRunStepPanicReachesCaller(t *testing.T) {
 			t.Fatalf("recover = %v, want the Step panic", rec)
 		}
 	}()
-	_, _ = Run(Ring(3), []Proto{panicProto{}, panicProto{}, panicProto{}}, 5)
+	_, _ = Run(Ring(3), []Proto{panicProto{}, panicProto{}, panicProto{}}, 5, nil)
 }

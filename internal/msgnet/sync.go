@@ -2,12 +2,12 @@ package msgnet
 
 // This file is the synchronizer: a per-vertex wrapper that simulates the
 // reliable lockstep substrate on top of an adversarial one, so protocols
-// written for Run (which assume every message arrives exactly one round
-// after it was sent — cvProto panics otherwise) also execute under
-// RunAdversarial. Each wrapper tracks a simulated inner round, buffers the
-// inner protocol's sends, and exchanges envelopes carrying (a) every
-// not-yet-acknowledged inner payload, (b) a cumulative ack of the rounds
-// it has fully received, and (c) progress/halt flags. Loss is repaired by
+// written for the reliable Run (which assume every message arrives
+// exactly one round after it was sent — cvProto panics otherwise) also
+// execute under a NetAdversary. Each wrapper tracks a simulated inner
+// round, buffers the inner protocol's sends, and exchanges envelopes
+// carrying (a) every not-yet-acknowledged inner payload, (b) a cumulative
+// ack of the rounds it has fully received, and (c) progress/halt flags. Loss is repaired by
 // retransmitting the unacked window every real round; delay and reorder
 // are absorbed by the per-round buffers. An inner round executes only
 // when the sends of every neighbor's previous inner round are known
@@ -92,7 +92,7 @@ type syncProto struct {
 }
 
 // Synchronize wraps each protocol for execution under a message
-// adversary (RunAdversarial). grace is the number of extra envelope
+// adversary (Run with a non-nil NetAdversary). grace is the number of extra envelope
 // rounds a wrapper lingers after everything is settled, so neighbors can
 // collect its final acknowledgments; a handful suffices for moderate
 // fault rates. The wrapped protocols simulate more slowly (one inner
