@@ -210,21 +210,33 @@ func (s *strayProto) Step(node Node, recv map[int]any) (map[int]any, bool) {
 }
 
 // TestRunRejectsSendToNonNeighbor: a send along an edge the graph does
-// not have is an error in both substrates, never a delivery.
+// not have is an error in both substrates, with or without the
+// synchronizer, never a delivery.
 func TestRunRejectsSendToNonNeighbor(t *testing.T) {
-	for _, adv := range []*NetAdversary{nil, {Seed: 1}} {
+	for _, c := range []struct {
+		adv  *NetAdversary
+		sync bool
+	}{
+		{nil, false},
+		{&NetAdversary{Seed: 1}, false},
+		{&NetAdversary{Seed: 1}, true},
+		{&NetAdversary{Seed: 1, LossProb: 0.1}, true},
+	} {
 		g := Ring(5)
 		heard := false
 		protos := make([]Proto, g.N)
 		for v := range protos {
 			protos[v] = &strayProto{heard: &heard}
 		}
-		_, err := Run(g, protos, 10, adv)
+		if c.sync {
+			protos = Synchronize(protos, 2)
+		}
+		_, err := Run(g, protos, 10, c.adv)
 		if err == nil || !strings.Contains(err.Error(), "process 0 sent to non-neighbor 2") {
-			t.Errorf("adversary %v: err = %v, want a non-neighbor error", adv, err)
+			t.Errorf("adversary %v, synchronized %v: err = %v, want a non-neighbor error", c.adv, c.sync, err)
 		}
 		if heard {
-			t.Errorf("adversary %v: vertex 2 received a message over a non-edge", adv)
+			t.Errorf("adversary %v, synchronized %v: vertex 2 received a message over a non-edge", c.adv, c.sync)
 		}
 	}
 }

@@ -143,6 +143,7 @@ func (w *syncProto) Step(node Node, recv map[int]any) (map[int]any, bool) {
 	// (possibly several inner rounds, when delayed envelopes arrive in a
 	// burst; the unacked-window retransmission keeps skipped-over rounds
 	// recoverable by slower neighbors).
+	out := make(map[int]any, len(node.Neighbors))
 	for !w.innerDone && w.canExec(node) {
 		var innerRecv map[int]any
 		if w.sim > 0 {
@@ -155,6 +156,13 @@ func (w *syncProto) Step(node Node, recv map[int]any) (map[int]any, bool) {
 			}
 		}
 		send, done := w.inner.Step(Node{ID: node.ID, Neighbors: node.Neighbors, Round: w.sim}, innerRecv)
+		// A send to a non-neighbor has no envelope to ride in: forward it
+		// as is, so Run rejects it exactly as on the reliable substrate.
+		for to, msg := range send {
+			if w.nb[to] == nil {
+				out[to] = msg
+			}
+		}
 		w.sent = append(w.sent, send)
 		w.sim++
 		if done {
@@ -163,7 +171,6 @@ func (w *syncProto) Step(node Node, recv map[int]any) (map[int]any, bool) {
 	}
 
 	// Envelope per neighbor: the full unacked window of inner payloads.
-	out := make(map[int]any, len(node.Neighbors))
 	for _, n := range node.Neighbors {
 		st := w.nb[n]
 		from := st.ack
