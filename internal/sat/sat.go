@@ -62,6 +62,11 @@ type Solver struct {
 	varInc   float64
 	phase    []int8
 
+	// mark is per-variable scratch for AddClause (the sign of the
+	// variable's literal already in the clause) and analyze (variable
+	// seen); both clear what they set before returning.
+	mark []int8
+
 	propHead int
 	unsatNow bool // empty/contradictory clause added at level 0
 }
@@ -79,6 +84,7 @@ func New(nVars int) *Solver {
 		reason:   make([]*clause, nVars+1),
 		activity: make([]float64, nVars+1),
 		phase:    make([]int8, nVars+1),
+		mark:     make([]int8, nVars+1),
 		varInc:   1,
 	}
 }
@@ -97,17 +103,31 @@ func (s *Solver) checkLit(l int) {
 // literals are removed; tautologies are dropped. Must be called before
 // Solve.
 func (s *Solver) AddClause(lits ...int) {
-	seen := map[int]bool{}
-	var cl []int
+	cl := make([]int, 0, len(lits))
+	tautology := false
 	for _, l := range lits {
 		s.checkLit(l)
-		if seen[-l] {
-			return // tautology
+		v, sign := l, int8(1)
+		if v < 0 {
+			v, sign = -v, -1
 		}
-		if !seen[l] {
-			seen[l] = true
+		if s.mark[v] == -sign {
+			tautology = true
+			break
+		}
+		if s.mark[v] == 0 {
+			s.mark[v] = sign
 			cl = append(cl, l)
 		}
+	}
+	for _, l := range cl {
+		if l < 0 {
+			l = -l
+		}
+		s.mark[l] = 0
+	}
+	if tautology {
+		return
 	}
 	if len(cl) == 0 {
 		s.unsatNow = true
@@ -222,10 +242,8 @@ func (s *Solver) bumpVar(v int) {
 // clause (with the asserting literal first) and the backjump level.
 func (s *Solver) analyze(confl *clause) ([]int, int) {
 	curLevel := len(s.trailLo)
-	seen := make(map[int]bool)
-	var learnt []int
+	learnt := []int{0} // learnt[0] becomes the asserting literal
 	counter := 0
-	var assertLit int
 	idx := len(s.trail) - 1
 
 	reasonLits := confl.lits
@@ -235,10 +253,10 @@ func (s *Solver) analyze(confl *clause) ([]int, int) {
 			if v < 0 {
 				v = -v
 			}
-			if seen[v] || s.level[v] == 0 {
+			if s.mark[v] != 0 || s.level[v] == 0 {
 				continue
 			}
-			seen[v] = true
+			s.mark[v] = 1
 			s.bumpVar(v)
 			if s.level[v] == curLevel {
 				counter++
@@ -252,7 +270,7 @@ func (s *Solver) analyze(confl *clause) ([]int, int) {
 			if v < 0 {
 				v = -v
 			}
-			if seen[v] {
+			if s.mark[v] != 0 {
 				break
 			}
 			idx--
@@ -263,10 +281,10 @@ func (s *Solver) analyze(confl *clause) ([]int, int) {
 			v, sign = -v, -1
 		}
 		counter--
-		seen[v] = false
+		s.mark[v] = 0
 		idx--
 		if counter == 0 {
-			assertLit = -sign * v
+			learnt[0] = -sign * v
 			break
 		}
 		if s.reason[v] == nil {
@@ -276,19 +294,20 @@ func (s *Solver) analyze(confl *clause) ([]int, int) {
 		reasonLits = s.reason[v].lits[1:]
 	}
 
-	out := append([]int{assertLit}, learnt...)
-	// Backjump level: highest level among the non-asserting literals.
+	// Backjump level: highest level among the non-asserting literals,
+	// whose marks are the only ones still set.
 	back := 0
-	for _, l := range learnt {
+	for _, l := range learnt[1:] {
 		v := l
 		if v < 0 {
 			v = -v
 		}
+		s.mark[v] = 0
 		if s.level[v] > back {
 			back = s.level[v]
 		}
 	}
-	return out, back
+	return learnt, back
 }
 
 func (s *Solver) cancelUntil(level int) {

@@ -43,6 +43,27 @@ func TestTautologyDropped(t *testing.T) {
 	}
 }
 
+// TestMarksClearedAfterUse: AddClause and analyze share one per-variable
+// mark slice, and each clears what it set, also when a clause turns out
+// to be a tautology partway through.
+func TestMarksClearedAfterUse(t *testing.T) {
+	s := New(2)
+	s.AddClause(1, 2, -1)
+	s.AddClause(2)
+	if s.Solve() != Sat || !s.Model()[2] {
+		t.Fatal("a tautology left its literals marked")
+	}
+	s = pigeonhole(5, 4)
+	if s.Solve() != Unsat {
+		t.Fatal("PHP(5,4) should be UNSAT")
+	}
+	for v, m := range s.mark {
+		if m != 0 {
+			t.Fatalf("variable %d still marked %d after Solve", v, m)
+		}
+	}
+}
+
 func TestSimpleImplicationChain(t *testing.T) {
 	// x1 & (x1->x2) & (x2->x3) & (x3->x4): all true.
 	s := New(4)
