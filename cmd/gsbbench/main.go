@@ -196,18 +196,7 @@ func multinomialSteps(n, k int) int {
 }
 
 func cases(full bool) []benchCase {
-	var cs []benchCase
-	for _, n := range []int{2, 3} {
-		n := n
-		cs = append(cs, benchCase{
-			name: fmt.Sprintf("slot-renaming-%d", n),
-			n:    n,
-			spec: repro.Renaming(n, n+1),
-			build: func(n int) repro.Solver {
-				return repro.NewSlotRenaming("F2", n, repro.SlotBox("KS", n, n-1, 1))
-			},
-		})
-	}
+	cs := []benchCase{slotCase(2), slotCase(3)}
 	boxCase := func(n int) benchCase {
 		spec := repro.Hardest(n, 3)
 		c := benchCase{
@@ -228,31 +217,23 @@ func cases(full bool) []benchCase {
 	}
 	cs = append(cs, boxCase(6))
 	if full {
-		cs = append(cs, benchCase{
-			name: "slot-renaming-4",
-			n:    4,
-			spec: repro.Renaming(4, 5),
-			build: func(n int) repro.Solver {
-				return repro.NewSlotRenaming("F2", n, repro.SlotBox("KS", n, n-1, 1))
-			},
-			fullOnly: true,
-			analytic: multinomialSteps(4, 4), // invoke, write, snapshot, decide
-		}, boxCase(7))
+		c := slotCase(4)
+		c.fullOnly = true
+		c.analytic = multinomialSteps(4, 4) // invoke, write, snapshot, decide
+		cs = append(cs, c, boxCase(7))
 	}
 	return cs
 }
 
-// slotCase is the Figure 2 slot-renaming protocol at size n, the
-// standard sampling showcase (n >= 5 is beyond every enumerating mode).
+// slotCase is the Figure 2 slot-renaming protocol at size n as
+// registered under "slot-renaming", the standard sampling showcase
+// (n >= 5 is beyond every enumerating mode).
 func slotCase(n int) benchCase {
-	return benchCase{
-		name: fmt.Sprintf("slot-renaming-%d", n),
-		n:    n,
-		spec: repro.Renaming(n, n+1),
-		build: func(n int) repro.Solver {
-			return repro.NewSlotRenaming("F2", n, repro.SlotBox("KS", n, n-1, 1))
-		},
+	spec, build, err := repro.SelectProtocol("slot-renaming", n, 1)
+	if err != nil {
+		panic(err)
 	}
+	return benchCase{name: fmt.Sprintf("slot-renaming-%d", n), n: n, spec: spec, build: build}
 }
 
 // sampleCases are the statistical-sampling measurements: instances whose

@@ -108,31 +108,21 @@ func ModelMatrixExperiment(workers, sampleRuns, crashRuns int, models, adversari
 		Adversaries: adversaries,
 	}
 
-	// Part 1: the model axis on the register-based protocols.
-	protocols := []struct {
-		name  string
-		spec  func(n int) gsb.Spec
-		build func(n int) tasks.Solver
-	}{
-		{
-			name:  "snapshot-renaming",
-			spec:  func(n int) gsb.Spec { return gsb.Renaming(n, 2*n-1) },
-			build: func(n int) tasks.Solver { return tasks.NewSnapshotRenaming("R", n) },
-		},
-		{
-			name:  "grid-renaming",
-			spec:  func(n int) gsb.Spec { return gsb.Renaming(n, n*(n+1)/2) },
-			build: func(n int) tasks.Solver { return tasks.NewGridRenaming("G", n) },
-		},
-	}
-	for _, proto := range protocols {
+	// Part 1: the model axis on the register-based protocols, explored at
+	// n=2 and sampled at n=3.
+	for _, proto := range []struct{ name, registered string }{
+		{"snapshot-renaming", "renaming"},
+		{"grid-renaming", "grid"},
+	} {
+		spec2, build2 := registered(proto.registered, 2)
+		spec3, build3 := registered(proto.registered, 3)
 		for _, model := range res.Models {
 			opts := sched.ExploreOptions{
 				Workers:   workers,
 				Reduction: sched.ReductionSleepSets,
 				Model:     model,
 			}
-			classes, err := tasks.ExploreVerified(context.Background(), proto.spec(2), sched.DefaultIDs(2), opts, proto.build)
+			classes, err := tasks.ExploreVerified(context.Background(), spec2, sched.DefaultIDs(2), opts, build2)
 			if err != nil {
 				return nil, fmt.Errorf("harness: model matrix explore %s model=%s: %w", proto.name, model, err)
 			}
@@ -144,7 +134,7 @@ func ModelMatrixExperiment(workers, sampleRuns, crashRuns int, models, adversari
 				Depth:      3,
 				Model:      model,
 			}
-			_, serr := tasks.SampleVerified(context.Background(), proto.spec(3), sched.DefaultIDs(3), sopts, proto.build)
+			_, serr := tasks.SampleVerified(context.Background(), spec3, sched.DefaultIDs(3), sopts, build3)
 			if serr != nil && !isViolation(serr) {
 				return nil, fmt.Errorf("harness: model matrix sample %s model=%s: %w", proto.name, model, serr)
 			}
