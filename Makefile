@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-compare lint vet-gsb staticcheck govulncheck check fmt fuzz-smoke examples
+.PHONY: all build test race bench bench-compare lint vet-bench vet-gsb staticcheck govulncheck check fmt fuzz-smoke examples
 
 # Pinned external tool versions. CI installs exactly these; bump them
 # deliberately (update here AND in .github/workflows/ci.yml, run
@@ -13,11 +13,11 @@ GOVULNCHECK_VERSION ?= v1.1.4
 all: build lint test
 
 # check is the single local entry point mirroring CI: build, vet/gofmt,
-# the project's own analyzers (gsbvet, built from the tree — never
-# skipped), external static analysis (skipped with a notice when the
-# tools are not installed), vulnerability scan, tests. CI runs the same
-# make targets.
-check: build lint vet-gsb staticcheck govulncheck test
+# the examples run end to end, vet of the benchmark module, the
+# project's own analyzers (gsbvet, built from the tree — never skipped),
+# external static analysis (skipped with a notice when the tools are not
+# installed), vulnerability scan, tests. CI runs the same make targets.
+check: build lint examples vet-bench vet-gsb staticcheck govulncheck test
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,12 @@ examples:
 	@set -e; for d in examples/*/; do \
 		echo "== $$d"; $(GO) run ./$$d > /dev/null; \
 	done
+
+# vet-bench vets the benchmark module: verdictbench/ has its own go.mod,
+# so the root `go build ./...` never compiles it, and a facade change
+# that breaks a function it calls shows only here.
+vet-bench:
+	$(GO) -C verdictbench vet ./...
 
 race:
 	$(GO) test -race -timeout 30m ./...
