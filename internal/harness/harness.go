@@ -153,17 +153,6 @@ func Figure2Experiment(ns []int, runs int) ([]Figure2Row, error) {
 	return rows, nil
 }
 
-// registered returns the spec and builder campaign.SelectProtocol
-// registers under protocol at size n, with oracle boxes seeded 1. The
-// callers pass registered names only, so an error is a programming error.
-func registered(protocol string, n int) (gsb.Spec, func(int) tasks.Solver) {
-	spec, build, err := campaign.SelectProtocol(protocol, n, 1)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	return spec, build
-}
-
 // figure2Sweep runs one n-row of the Figure 2 experiment on a single
 // reusable runner: each seed re-arms it with a fresh policy instead of
 // respawning n process coroutines and reallocating the run state per run.
@@ -231,7 +220,10 @@ func ExploreExperiment(ns []int, workers, crashRuns int, reduction sched.Reducti
 	}
 	var rows []ExploreRow
 	for _, n := range ns {
-		spec, build := registered("slot-renaming", n)
+		spec, build, err := campaign.SelectProtocol("slot-renaming", n, 1)
+		if err != nil {
+			return nil, fmt.Errorf("harness: %w", err)
+		}
 		opts := sched.ExploreOptions{Workers: workers, Reduction: reduction}
 		schedules, err := tasks.ExploreVerified(context.Background(), spec, sched.DefaultIDs(n), opts, build)
 		if err != nil {
@@ -297,7 +289,10 @@ func SampleExperiment(ns []int, workers, runs int, mode sched.SampleMode, depth 
 	}
 	var rows []SampleRow
 	for _, n := range ns {
-		spec, build := registered("slot-renaming", n)
+		spec, build, err := campaign.SelectProtocol("slot-renaming", n, 1)
+		if err != nil {
+			return nil, fmt.Errorf("harness: %w", err)
+		}
 		opts := sched.ExploreOptions{Workers: workers, SampleRuns: runs, SampleMode: mode, Depth: depth, Seed: 1}
 		rep, err := tasks.SampleVerified(context.Background(), spec, sched.DefaultIDs(n), opts, build)
 		if err != nil {

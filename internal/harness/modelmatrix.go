@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/gsb"
 	"repro/internal/sched"
 	"repro/internal/solvability"
@@ -114,8 +115,14 @@ func ModelMatrixExperiment(workers, sampleRuns, crashRuns int, models, adversari
 		{"snapshot-renaming", "renaming"},
 		{"grid-renaming", "grid"},
 	} {
-		spec2, build2 := registered(proto.registered, 2)
-		spec3, build3 := registered(proto.registered, 3)
+		spec2, build2, err := campaign.SelectProtocol(proto.registered, 2, 1)
+		if err != nil {
+			return nil, fmt.Errorf("harness: %w", err)
+		}
+		spec3, build3, err := campaign.SelectProtocol(proto.registered, 3, 1)
+		if err != nil {
+			return nil, fmt.Errorf("harness: %w", err)
+		}
 		for _, model := range res.Models {
 			opts := sched.ExploreOptions{
 				Workers:   workers,
