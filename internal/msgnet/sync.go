@@ -7,12 +7,12 @@ package msgnet
 // execute under a NetAdversary. Each wrapper tracks a simulated inner
 // round, buffers the inner protocol's sends, and exchanges envelopes
 // carrying (a) every not-yet-acknowledged inner payload, (b) a cumulative
-// ack of the rounds it has fully received, and (c) progress/halt flags. Loss is repaired by
-// retransmitting the unacked window every real round; delay and reorder
-// are absorbed by the per-round buffers. An inner round executes only
-// when the sends of every neighbor's previous inner round are known
-// (either received, or implied by the neighbor having halted earlier),
-// so the inner protocol observes exactly the reliable-substrate
+// ack of the rounds it has fully received, and (c) progress/halt flags.
+// Loss is repaired by retransmitting the unacked window every real round;
+// delay and reorder are absorbed by the per-round buffers. An inner round
+// executes only when the sends of every neighbor's previous inner round
+// are known (either received, or implied by the neighbor having halted
+// earlier), so the inner protocol observes exactly the reliable-substrate
 // semantics — neighbors' simulated clocks may drift, but each vertex's
 // view is indistinguishable from a fault-free execution.
 //
@@ -92,12 +92,12 @@ type syncProto struct {
 }
 
 // Synchronize wraps each protocol for execution under a message
-// adversary (Run with a non-nil NetAdversary). grace is the number of extra envelope
-// rounds a wrapper lingers after everything is settled, so neighbors can
-// collect its final acknowledgments; a handful suffices for moderate
-// fault rates. The wrapped protocols simulate more slowly (one inner
-// round needs at least one fault-free exchange), so callers should scale
-// maxRounds accordingly.
+// adversary (Run with a non-nil NetAdversary). grace is the number of
+// extra envelope rounds a wrapper lingers after everything is settled, so
+// neighbors can collect its final acknowledgments; a handful suffices for
+// moderate fault rates. The wrapped protocols simulate more slowly (one
+// inner round needs at least one fault-free exchange), so callers should
+// scale maxRounds accordingly.
 func Synchronize(protos []Proto, grace int) []Proto {
 	if grace < 0 {
 		grace = 0
