@@ -4,19 +4,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 )
 
-// RoundTripJSON is the dynamic complement of the statefield analyzer: the
-// analyzer proves every exported field of a serialized struct carries a
-// json tag; this helper proves the tagged fields actually survive an
-// encode/decode cycle. It fills every exported field of a fresh value of
+// RoundTripJSON checks the checkpoint wire format of v's type. First, the
+// struct and every struct type reachable from it must name each exported
+// field explicitly and uniquely in a json tag, and embed none
+// (checkJSONNames). Second, every exported field must survive an
+// encode/decode cycle: it fills every exported field of a fresh value of
 // v's type with a distinguishable non-zero value, marshals, unmarshals
 // into a second fresh value, and returns an error naming the first field
-// that did not round-trip. Packages with //gsb:serialized structs call it
-// from a table-driven test (TestCheckpointStateRoundTrips) so that a
-// field dropped from the wire format — a "-" tag, an omitempty-swallowed
-// zero, a custom MarshalJSON that forgets a field — fails the suite with
-// the field's name rather than a downstream campaign-corruption symptom.
+// that did not round-trip. Packages that own snapshot state call it from
+// a table-driven test (TestCheckpointStateRoundTrips) so that a field
+// dropped from the wire format — a "-" tag, an omitempty-swallowed zero,
+// a custom MarshalJSON that forgets a field — fails the suite with the
+// field's name rather than a downstream campaign-corruption symptom.
 //
 // v must be a non-nil pointer to a struct.
 func RoundTripJSON(v any) error {
@@ -25,6 +27,9 @@ func RoundTripJSON(v any) error {
 		return fmt.Errorf("RoundTripJSON: need non-nil pointer to struct, got %T", v)
 	}
 	t := rv.Elem().Type()
+	if err := checkJSONNames(t, map[reflect.Type]bool{}); err != nil {
+		return fmt.Errorf("RoundTripJSON: %w", err)
+	}
 
 	in := reflect.New(t)
 	if err := populate(in.Elem(), 1); err != nil {
@@ -40,6 +45,52 @@ func RoundTripJSON(v any) error {
 	}
 	if bad := firstMismatch(t.Name(), in.Elem(), out.Elem()); bad != "" {
 		return fmt.Errorf("RoundTripJSON: field %s did not survive the wire format (wire: %s)", bad, data)
+	}
+	return nil
+}
+
+// checkJSONNames checks the json names of t, when t is a struct, and of
+// every struct type reachable from it through fields, pointers, slices
+// and maps. An embedded field flattens into the wire format implicitly; a
+// field without an explicit json name serializes under its Go name,
+// which changes on a rename; a field tagged "-" vanishes from the wire;
+// and of two fields sharing a name, encoding/json silently drops both.
+// Unexported fields are skipped: encoding/json cannot see them.
+func checkJSONNames(t reflect.Type, seen map[reflect.Type]bool) error {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Map:
+		return checkJSONNames(t.Elem(), seen)
+	case reflect.Struct:
+	default:
+		return nil
+	}
+	if seen[t] {
+		return nil
+	}
+	seen[t] = true
+	names := map[string]string{}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Anonymous {
+			return fmt.Errorf("%s embeds %s: name the field and give it a json name", t, f.Type)
+		}
+		if !f.IsExported() {
+			continue
+		}
+		tag, _ := f.Tag.Lookup("json")
+		name, _, _ := strings.Cut(tag, ",")
+		switch {
+		case name == "":
+			return fmt.Errorf("%s.%s has no explicit json name", t, f.Name)
+		case name == "-":
+			return fmt.Errorf("%s.%s is tagged json:\"-\": it vanishes from the wire", t, f.Name)
+		case names[name] != "":
+			return fmt.Errorf("%s.%s reuses json name %q of %s.%s", t, f.Name, name, t, names[name])
+		}
+		names[name] = f.Name
+		if err := checkJSONNames(f.Type, seen); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -6,10 +6,21 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 func sample(runs int64, done bool) Record {
 	return Record{Shard: 0, Of: 1, Runs: runs, Schedules: runs * 2, Classes: runs / 2, Done: done}
+}
+
+// TestRecordRoundTrips checks the gsbtimeline/v1 wire format: every
+// exported Record field carries an explicit, unique json name and
+// survives an encode/decode cycle.
+func TestRecordRoundTrips(t *testing.T) {
+	if err := lint.RoundTripJSON(&Record{}); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestWriterAssignsMonotoneIndices(t *testing.T) {
