@@ -81,9 +81,9 @@ lint:
 	fi
 
 # gsbvet: the project's own analyzer suite (internal/lint,
-# docs/static-analysis.md) — determinism, optionshash, statefield,
-# hotpath, statshandle, annotations. Builds from the tree, needs no
-# network, and is never skipped.
+# docs/static-analysis.md) — determinism, hotpath, statshandle,
+# annotations. Builds from the tree, needs no network, and is never
+# skipped.
 vet-gsb:
 	$(GO) run ./cmd/gsbvet ./...
 

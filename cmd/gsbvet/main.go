@@ -1,7 +1,7 @@
 // Command gsbvet runs the project's static-analysis suite (internal/lint)
-// over the tree: determinism, optionshash, statefield, hotpath,
-// statshandle, annotations. It is the mechanical enforcement of the
-// engine contracts documented in docs/static-analysis.md, and it builds
+// over the tree: determinism, hotpath, statshandle, annotations. It is
+// the mechanical enforcement of the engine contracts documented in
+// docs/static-analysis.md, and it builds
 // from the tree with no network fetch — `go run ./cmd/gsbvet ./...` is
 // all CI needs.
 //

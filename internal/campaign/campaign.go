@@ -192,8 +192,6 @@ func (c *Config) header() Header {
 // is final and identical to the uninterrupted mode's report; for one
 // shard of many it is provisional (raw shard counts) until Merge combines
 // the shard set.
-//
-//gsb:serialized
 type Report struct {
 	Mode     Mode   `json:"mode"`
 	Protocol string `json:"protocol"`

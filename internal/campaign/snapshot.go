@@ -46,8 +46,6 @@ const (
 var ErrOptionsMismatch = errors.New("campaign: options do not match the snapshot")
 
 // Header is the first line of a snapshot file.
-//
-//gsb:serialized
 type Header struct {
 	Magic   string `json:"magic"`
 	Version int    `json:"version"`
@@ -81,12 +79,10 @@ type Header struct {
 }
 
 // OptionsHeader is the serializable, campaign-defining subset of
-// sched.ExploreOptions. gsbvet's optionshash analyzer enforces the
-// "subset" claim from both sides: every ExploreOptions field must be
-// captured here or listed in OptionsHashExcluded, and every field here
-// must be read by optionsHash.
-//
-//gsb:serialized
+// sched.ExploreOptions. TestOptionsHashCoversEveryOption checks the
+// "subset" claim from both sides: every ExploreOptions field must reach
+// the options hash through this header or be listed in
+// optionsHashExcluded, and every field here must change optionsHash.
 type OptionsHeader struct {
 	Seed       int64   `json:"seed"`
 	MaxRuns    int     `json:"max_runs,omitempty"`
@@ -106,12 +102,12 @@ type OptionsHeader struct {
 	Adversary string `json:"adversary,omitempty"`
 }
 
-// OptionsHashExcluded names the sched.ExploreOptions fields that are
-// deliberately NOT part of campaign identity, with the reason. gsbvet's
-// optionshash analyzer fails the build when an ExploreOptions field is
-// neither captured by optionsHeader nor listed here — adding an option
+// optionsHashExcluded names the sched.ExploreOptions fields that are
+// deliberately NOT part of campaign identity, with the reason.
+// TestOptionsHashCoversEveryOption fails when an ExploreOptions field
+// neither changes the options hash nor is listed here — adding an option
 // forces the hash-or-exclude decision to be made explicitly.
-var OptionsHashExcluded = map[string]string{
+var optionsHashExcluded = map[string]string{
 	"Workers": "execution-resource knob: worker count must not change what a campaign verifies (the determinism contract), so resumes may legally change it",
 	"Stats":   "observability sink: where metrics go never affects what is computed",
 }
@@ -185,8 +181,6 @@ func (h Header) ShardTotal() int64 {
 // whichever engine state is set: the observability registry's cumulative
 // totals as of the checkpoint, restored on resume so a resumed campaign
 // reports cumulative — not per-process-life — counters (docs/metrics.md).
-//
-//gsb:serialized
 type payload struct {
 	Explore *sched.ExploreState `json:"explore,omitempty"`
 	Sample  *sample.BatchState  `json:"sample,omitempty"`

@@ -29,7 +29,7 @@ func setNonZero(v reflect.Value) bool {
 // TestOptionsHashCoversEveryOption checks campaign option identity on the
 // real types: every sched.ExploreOptions field either changes the options
 // hash and survives Header.ExploreOptions, or is listed in
-// OptionsHashExcluded and leaves the hash alone; every exclusion names a
+// optionsHashExcluded and leaves the hash alone; every exclusion names a
 // field; and every OptionsHeader field reaches optionsHash. An option that
 // escapes the hash would let a resume or merge verify something other
 // than what the snapshot started.
@@ -47,10 +47,10 @@ func TestOptionsHashCoversEveryOption(t *testing.T) {
 		}
 		h := cfg.header()
 		changed := h.OptionsHash != baseHeader.OptionsHash
-		_, excluded := OptionsHashExcluded[name]
+		_, excluded := optionsHashExcluded[name]
 		switch {
 		case excluded && changed:
-			t.Errorf("ExploreOptions.%s changes the options hash but is listed in OptionsHashExcluded", name)
+			t.Errorf("ExploreOptions.%s changes the options hash but is listed in optionsHashExcluded", name)
 		case excluded:
 		case !changed:
 			t.Errorf("ExploreOptions.%s leaves the options hash unchanged and is not excluded: hash it, or exclude it with a reason", name)
@@ -58,9 +58,9 @@ func TestOptionsHashCoversEveryOption(t *testing.T) {
 			t.Errorf("ExploreOptions.%s does not survive Header.ExploreOptions: got %+v, header %+v", name, optionsHeader(h.ExploreOptions()), h.Options)
 		}
 	}
-	for name := range OptionsHashExcluded {
+	for name := range optionsHashExcluded {
 		if _, ok := opts.FieldByName(name); !ok {
-			t.Errorf("OptionsHashExcluded lists %q, which is not an ExploreOptions field", name)
+			t.Errorf("optionsHashExcluded lists %q, which is not an ExploreOptions field", name)
 		}
 	}
 

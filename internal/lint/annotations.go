@@ -11,9 +11,8 @@ package lint
 //
 // Two rules:
 //
-//   - every //gsb: verb must be a known marker (hotpath, serialized) or a
-//     known suppression verb (the Suppressor of some registered
-//     analyzer);
+//   - every //gsb: verb must be the known marker (hotpath) or a known
+//     suppression verb (the Suppressor of some registered analyzer);
 //   - every suppression verb must carry a non-empty reason.
 //
 // There is deliberately no way to suppress this analyzer.
@@ -25,8 +24,7 @@ var AnnotationsAnalyzer = &Analyzer{
 
 // markerVerbs are the non-suppression annotation verbs.
 var markerVerbs = map[string]bool{
-	HotPathMarker:    true,
-	SerializedMarker: true,
+	HotPathMarker: true,
 }
 
 // suppressorVerbs lists the known suppression verbs without referring to
@@ -35,7 +33,6 @@ var markerVerbs = map[string]bool{
 // Suppressor fields of the registered analyzers.
 var suppressorVerbs = map[string]bool{
 	"nondeterminism-ok": true,
-	"notserialized":     true,
 	"alloc-ok":          true,
 	"statslookup-ok":    true,
 }
@@ -51,7 +48,7 @@ func runAnnotations(pass *Pass) error {
 				pass.Reportf(a.Pos, "//gsb:%s needs a reason: a waiver nobody can audit is a silencing", a.Verb)
 			}
 		default:
-			pass.Reportf(a.Pos, "unknown //gsb: verb %q: known markers are hotpath, serialized; known suppressions are the analyzer Suppressor verbs (gsbvet -list)", a.Verb)
+			pass.Reportf(a.Pos, "unknown //gsb: verb %q: the known marker is hotpath; known suppressions are the analyzer Suppressor verbs (gsbvet -list)", a.Verb)
 		}
 	}
 	return nil

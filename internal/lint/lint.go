@@ -1,7 +1,8 @@
 // Package lint is gsbvet: a project-specific static-analysis suite that
 // mechanically enforces the engine's prose contracts — worker-count
-// determinism, checkpoint-format completeness, campaign option identity,
-// and the zero-allocation hot path (docs/static-analysis.md).
+// determinism, the zero-allocation hot path and handle-based stats
+// publishing (docs/static-analysis.md). The checkpoint-format contracts
+// are checked on the real types by tests instead (RoundTripJSON).
 //
 // The suite is built directly on the standard library's go/ast and
 // go/types (no golang.org/x/tools dependency: the analyzers must build
@@ -15,13 +16,13 @@
 // waives a finding on its line — with a mandatory reason, enforced by the
 // annotations analyzer. The annotation grammar is
 //
-//	//gsb:<verb>            marker (hotpath, serialized)
+//	//gsb:<verb>            marker (hotpath)
 //	//gsb:<verb> <reason>   suppression (nondeterminism-ok, alloc-ok,
-//	                        statslookup-ok, notserialized)
+//	                        statslookup-ok)
 //
 // placed either at the end of the offending line or on the line
-// immediately above it (markers go in the doc comment of the func or type
-// they mark).
+// immediately above it (markers go in the doc comment of the func they
+// mark).
 package lint
 
 import (
@@ -160,12 +161,6 @@ func (p *Pass) FuncMarked(fn *ast.FuncDecl, verb string) bool {
 	return groupMarked(fn.Doc, verb)
 }
 
-// TypeMarked reports whether the type declaration carries //gsb:<verb> in
-// the doc comment of either the TypeSpec or its enclosing GenDecl.
-func (p *Pass) TypeMarked(decl *ast.GenDecl, spec *ast.TypeSpec, verb string) bool {
-	return groupMarked(spec.Doc, verb) || groupMarked(decl.Doc, verb)
-}
-
 func groupMarked(doc *ast.CommentGroup, verb string) bool {
 	if doc == nil {
 		return false
@@ -237,8 +232,6 @@ func suppressorOf(analyzers []*Analyzer, name string) string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		OptionsHashAnalyzer,
-		StateFieldAnalyzer,
 		HotPathAnalyzer,
 		StatsHandleAnalyzer,
 		AnnotationsAnalyzer,

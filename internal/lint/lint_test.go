@@ -25,8 +25,6 @@ var goldenCases = []struct {
 	analyzer *Analyzer
 }{
 	{"determinism", "repro/internal/sched", DeterminismAnalyzer},
-	{"optionshash", "repro/internal/campaign", OptionsHashAnalyzer},
-	{"statefield", "repro/internal/sample", StateFieldAnalyzer},
 	{"hotpath", "repro/internal/hotfixture", HotPathAnalyzer},
 	{"statshandle", "repro/internal/statsfixture", StatsHandleAnalyzer},
 	{"annotations", "repro/internal/annofixture", AnnotationsAnalyzer},

@@ -4,7 +4,6 @@ package fixture
 //gsb:hotpath
 func marked() {}
 
-//gsb:serialized
 type state struct {
 	N int `json:"n"`
 }
@@ -14,5 +13,5 @@ func reasons() {
 	_ = 1       /* want `//gsb:alloc-ok needs a reason` */           //gsb:alloc-ok
 	_ = 2       /* want `unknown //gsb: verb "nondeterminism_ok"` */ //gsb:nondeterminism_ok typoed verb
 	_ = 3       /* want `unknown //gsb: verb "allocok"` */           //gsb:allocok another typo
-	_ = 4       //gsb:notserialized live-process scratch only
+	_ = 4       //gsb:statslookup-ok a second suppressor with a reason
 }

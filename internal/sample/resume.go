@@ -27,8 +27,6 @@ const MetricClasses = "gsb_classes_total"
 // have: kill/resume and shard/merge both preserve the report bit for bit.
 
 // BatchState is the serializable state of one shard of a sampling batch.
-//
-//gsb:serialized
 type BatchState struct {
 	// Depth and Horizon are the PCT parameters fixed at batch start
 	// (zero in walk mode). Horizon is measured once by a deterministic

@@ -34,8 +34,6 @@ import (
 // exhaustive/partial-order-reduced exploration engine: everything needed
 // to continue (or merge) an exploration is in this value. The zero value
 // is not meaningful; use RootExploreState for a fresh exploration.
-//
-//gsb:serialized
 type ExploreState struct {
 	// Frontier is the unexplored work: one entry per schedule prefix
 	// whose subtree has not been walked, sorted lexicographically (the
@@ -55,8 +53,6 @@ type ExploreState struct {
 
 // FrontierState is one serialized frontier item: a schedule prefix and,
 // under partial-order reduction, the sleep set at the node it reaches.
-//
-//gsb:serialized
 type FrontierState struct {
 	Choices []int `json:"choices"`
 	Sleep   []int `json:"sleep,omitempty"`
@@ -67,8 +63,6 @@ type FrontierState struct {
 // the original by text, not by errors.Is identity. The explorer records
 // its smallest failure as this value and never modifies one once
 // recorded, so the states it returns share it.
-//
-//gsb:serialized
 type FailureState struct {
 	Choices []int  `json:"choices"`
 	Message string `json:"message"`

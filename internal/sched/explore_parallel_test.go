@@ -155,10 +155,10 @@ func TestExploreCrashSweepDeterministicFailure(t *testing.T) {
 
 // TestExploreWorkerCountInvariance is the regression test behind the
 // //gsb:nondeterminism-ok waiver on the exploration worker pool (and the
-// optionshash exclusion of Workers from campaign identity): across every
-// mode family — exhaustive, sleep-set reduced, memoized, and the seeded
-// crash sweep — the (count, error) outcome must be byte-identical at
-// every worker count. A failure here means an interleaving artifact
+// exclusion of Workers from campaign identity in internal/campaign's
+// optionsHashExcluded): across every mode family — exhaustive, sleep-set
+// reduced, memoized, and the seeded crash sweep — the (count, error)
+// outcome must be byte-identical at every worker count. A failure here means an interleaving artifact
 // reached a result, and the correct fix is in the engine, not a wider
 // waiver.
 func TestExploreWorkerCountInvariance(t *testing.T) {

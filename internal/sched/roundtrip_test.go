@@ -6,11 +6,11 @@ import (
 	"repro/internal/lint"
 )
 
-// TestCheckpointStateRoundTrips is the dynamic half of gsbvet's
-// statefield contract: the analyzer proves every exported field of the
-// //gsb:serialized structs carries a json tag; this test proves each
-// field actually survives an encode/decode cycle, so a field silently
-// dropped by the wire format fails here by name.
+// TestCheckpointStateRoundTrips checks the wire format of the engine's
+// checkpoint state: lint.RoundTripJSON requires every exported field of
+// these structs, and of the structs they reach, to carry an explicit,
+// unique json name and to survive an encode/decode cycle, so a field
+// silently dropped by the wire format fails here by name.
 func TestCheckpointStateRoundTrips(t *testing.T) {
 	for _, v := range []any{
 		&ExploreState{},

@@ -78,8 +78,6 @@ func (m SampleMode) valid() bool {
 // is an exact resume point: re-running from it executes exactly the runs
 // an uninterrupted batch would have. The zero value of Shard/Of means
 // shard 0 of 1 (the whole batch).
-//
-//gsb:serialized
 type SeededState struct {
 	Shard int   `json:"shard"`
 	Of    int   `json:"of"`
@@ -95,8 +93,6 @@ type SeededState struct {
 // SeededFailure is a serialized seeded-run failure: the global run index
 // and the rendered error. As with FailureState, only the message survives
 // serialization.
-//
-//gsb:serialized
 type SeededFailure struct {
 	Run     int    `json:"run"`
 	Message string `json:"message"`

@@ -6,9 +6,9 @@ import (
 	"repro/internal/lint"
 )
 
-// TestCheckpointStateRoundTrips: see the statefield analyzer
-// (internal/lint) — every exported field of the //gsb:serialized structs
-// must survive an encode/decode cycle.
+// TestCheckpointStateRoundTrips checks the wire format of the package's
+// checkpoint state with lint.RoundTripJSON: every exported field carries
+// an explicit, unique json name and survives an encode/decode cycle.
 func TestCheckpointStateRoundTrips(t *testing.T) {
 	for _, v := range []any{
 		&Snapshot{},

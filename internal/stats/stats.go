@@ -274,8 +274,6 @@ func formatBound(b float64) string {
 }
 
 // HistogramSnapshot is the serializable state of one histogram.
-//
-//gsb:serialized
 type HistogramSnapshot struct {
 	// Bounds are the bucket upper bounds (+Inf implicit); Counts has one
 	// entry per bucket plus the +Inf bucket, non-cumulative.
@@ -288,8 +286,6 @@ type HistogramSnapshot struct {
 // Snapshot is a serializable point-in-time copy of a registry: the value
 // every campaign checkpoint carries (docs/checkpoint-format.md) so
 // counters survive kills and sum across shards.
-//
-//gsb:serialized
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`

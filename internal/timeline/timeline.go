@@ -48,8 +48,6 @@ const Schema = "gsbtimeline/v1"
 // metrics are (docs/metrics.md); the timing columns (Time, RunsPerSec,
 // CheckpointAgeSec, CheckpointWriteSec) describe the sampling life and
 // are never compared across runs.
-//
-//gsb:serialized
 type Record struct {
 	Schema string `json:"schema"`
 	// Index is the monotone sample index: strictly increasing across the
