@@ -50,7 +50,7 @@ type clause struct {
 type Solver struct {
 	nVars   int
 	clauses []*clause
-	watches map[int][]*clause // literal -> clauses watching it
+	watches [][]*clause // litIndex(literal) -> clauses watching it
 
 	assign  []int8 // 1-based by variable
 	level   []int
@@ -78,7 +78,7 @@ func New(nVars int) *Solver {
 	}
 	return &Solver{
 		nVars:    nVars,
-		watches:  map[int][]*clause{},
+		watches:  make([][]*clause, 2*(nVars+1)),
 		assign:   make([]int8, nVars+1),
 		level:    make([]int, nVars+1),
 		reason:   make([]*clause, nVars+1),
@@ -149,8 +149,18 @@ func (s *Solver) AddClause(lits ...int) {
 	s.watch(c, cl[1])
 }
 
+// litIndex maps literal +v to 2v and -v to 2v+1, the literal's slot in
+// watches.
+func litIndex(lit int) int {
+	if lit < 0 {
+		return -2*lit + 1
+	}
+	return 2 * lit
+}
+
 func (s *Solver) watch(c *clause, lit int) {
-	s.watches[-lit] = append(s.watches[-lit], c)
+	i := litIndex(-lit)
+	s.watches[i] = append(s.watches[i], c)
 }
 
 func (s *Solver) value(lit int) int8 {
@@ -188,7 +198,8 @@ func (s *Solver) propagate() *clause {
 	for s.propHead < len(s.trail) {
 		lit := s.trail[s.propHead]
 		s.propHead++
-		watching := s.watches[lit]
+		li := litIndex(lit)
+		watching := s.watches[li]
 		kept := watching[:0]
 		for i := 0; i < len(watching); i++ {
 			c := watching[i]
@@ -218,12 +229,12 @@ func (s *Solver) propagate() *clause {
 			if s.value(c.lits[0]) == assignedFalse {
 				// Conflict: keep remaining watchers, then report.
 				kept = append(kept, watching[i+1:]...)
-				s.watches[lit] = kept
+				s.watches[li] = kept
 				return c
 			}
 			s.enqueue(c.lits[0], c)
 		}
-		s.watches[lit] = kept
+		s.watches[li] = kept
 	}
 	return nil
 }
