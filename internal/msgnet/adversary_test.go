@@ -1,6 +1,7 @@
 package msgnet
 
 import (
+	"maps"
 	"math"
 	"reflect"
 	"testing"
@@ -153,10 +154,15 @@ func TestNetFaultsDeterministic(t *testing.T) {
 
 // flood is a trivial protocol: send the round number to every neighbor
 // for k rounds, then halt. It tolerates missing messages, so it runs on
-// the raw adversarial substrate without a synchronizer.
-type flood struct{ k int }
+// the raw adversarial substrate without a synchronizer. got logs what it
+// receives in each round.
+type flood struct {
+	k   int
+	got []map[int]any
+}
 
 func (f *flood) Step(node Node, recv map[int]any) (map[int]any, bool) {
+	f.got = append(f.got, maps.Clone(recv))
 	send := map[int]any{}
 	for _, nb := range node.Neighbors {
 		send[nb] = node.Round
@@ -164,28 +170,45 @@ func (f *flood) Step(node Node, recv map[int]any) (map[int]any, bool) {
 	return send, node.Round >= f.k-1
 }
 
-// TestRunNilAndZeroAdversary: a nil adversary is the reliable Run, and
-// a zero-probability adversary behaves identically.
+// TestRunNilAndZeroAdversary: a nil adversary is the reliable Run, which
+// delivers every round's sends in the next round, and a zero-probability
+// adversary delivers exactly the same messages, round by round.
 func TestRunNilAndZeroAdversary(t *testing.T) {
 	g := Complete(4)
-	mk := func() []Proto {
+	run := func(adv *NetAdversary) []*flood {
+		fs := make([]*flood, g.N)
 		ps := make([]Proto, g.N)
 		for v := range ps {
-			ps[v] = &flood{k: 5}
+			fs[v] = &flood{k: 5}
+			ps[v] = fs[v]
 		}
-		return ps
+		res, err := Run(g, ps, 100, adv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != 5 {
+			t.Fatalf("adversary %+v: %d rounds, want 5", adv, res.Rounds)
+		}
+		return fs
 	}
-	ref, err := Run(g, mk(), 100, nil)
-	if err != nil {
-		t.Fatal(err)
+	ref := run(nil)
+	for v, f := range ref {
+		for r, recv := range f.got {
+			want := map[int]any{}
+			for _, nb := range g.Neighbors(v) {
+				if r > 0 {
+					want[nb] = r - 1
+				}
+			}
+			if !reflect.DeepEqual(recv, want) {
+				t.Errorf("nil adversary: vertex %d round %d received %v, want %v", v, r, recv, want)
+			}
+		}
 	}
-	viaNil, err := Run(g, mk(), 100, nil)
-	if err != nil || viaNil.Rounds != ref.Rounds {
-		t.Errorf("nil adversary: (%+v, %v), want %+v", viaNil, err, ref)
-	}
-	viaZero, err := Run(g, mk(), 100, &NetAdversary{Seed: 9})
-	if err != nil || viaZero.Rounds != ref.Rounds {
-		t.Errorf("zero adversary: (%+v, %v), want %+v", viaZero, err, ref)
+	for v, f := range run(&NetAdversary{Seed: 9}) {
+		if !reflect.DeepEqual(f.got, ref[v].got) {
+			t.Errorf("zero adversary: vertex %d received %v, want %v", v, f.got, ref[v].got)
+		}
 	}
 }
 
