@@ -213,7 +213,7 @@ var (
 	RunCampaign    = campaign.Start
 	ResumeCampaign = campaign.Resume
 	MergeCampaigns = campaign.Merge
-	CampaignStatus = campaign.Status
+	CampaignStatus = campaign.ReadHeader
 	// CampaignETASec is the remaining-time estimate every campaign ETA
 	// uses (0 when none is honest); CampaignHeader.ShardTotal is its
 	// usual total.

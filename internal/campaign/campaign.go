@@ -551,7 +551,3 @@ func withVerdict(cfg *Config, rep Report, err error) (Report, error) {
 	}
 	return rep, err
 }
-
-// Status reads a snapshot's header: campaign identity, progress and — for
-// completed campaigns — the final report, without parsing the payload.
-func Status(path string) (Header, error) { return ReadHeader(path) }

@@ -360,7 +360,7 @@ func TestCampaignSnapshotValidation(t *testing.T) {
 	}
 
 	// Status on the good snapshot reports a finished campaign.
-	st, err := Status(path)
+	st, err := ReadHeader(path)
 	if err != nil {
 		t.Fatalf("status: %v", err)
 	}

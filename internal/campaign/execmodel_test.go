@@ -50,11 +50,11 @@ func TestCampaignExplicitDefaultsIdentical(t *testing.T) {
 						label, namedRep.Schedules, namedRep.Classes, errText(namedErr),
 						zeroRep.Schedules, zeroRep.Classes, errText(zeroErr))
 				}
-				zh, err := Status(zeroPath)
+				zh, err := ReadHeader(zeroPath)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				nh, err := Status(namedPath)
+				nh, err := ReadHeader(namedPath)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

@@ -31,7 +31,7 @@ func ExploreVerified(ctx context.Context, spec gsb.Spec, ids []int, opts sched.E
 	n := spec.N()
 	return sched.Explore(ctx, n, ids, opts,
 		func() sched.Body { return Body(build(n)) },
-		func(res *sched.Result) error { return verifyResult(spec, res) })
+		func(res *sched.Result) error { return VerifyResult(spec, res) })
 }
 
 // VerifyResult applies the RunVerified acceptance rule to one recorded
@@ -40,10 +40,7 @@ func ExploreVerified(ctx context.Context, spec gsb.Spec, ids []int, opts sched.E
 // check every verification mode in this repository shares — exploration,
 // sampling, crash sweeps, and the campaign subsystem's resumable forms
 // of all three.
-func VerifyResult(spec gsb.Spec, res *sched.Result) error { return verifyResult(spec, res) }
-
-// verifyResult is the unexported form VerifyResult wraps.
-func verifyResult(spec gsb.Spec, res *sched.Result) error {
+func VerifyResult(spec gsb.Spec, res *sched.Result) error {
 	crashed := false
 	for _, c := range res.Crashed {
 		crashed = crashed || c

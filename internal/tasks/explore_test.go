@@ -57,7 +57,7 @@ func TestExploreVerifiedMatchesSequential(t *testing.T) {
 			n := tc.spec.N()
 			want, err := schedtest.ExploreSequential(n, sched.DefaultIDs(n), 1<<20, 4096*n,
 				func() sched.Body { return Body(tc.build(n)) },
-				func(res *sched.Result) error { return verifyResult(tc.spec, res) })
+				func(res *sched.Result) error { return VerifyResult(tc.spec, res) })
 			if err != nil {
 				t.Fatalf("sequential baseline: %v", err)
 			}
@@ -89,7 +89,7 @@ func TestExploreVerifiedPORDifferential(t *testing.T) {
 			n := tc.spec.N()
 			want, err := schedtest.ExploreSequential(n, sched.DefaultIDs(n), 1<<20, 4096*n,
 				func() sched.Body { return Body(tc.build(n)) },
-				func(res *sched.Result) error { return verifyResult(tc.spec, res) })
+				func(res *sched.Result) error { return VerifyResult(tc.spec, res) })
 			if err != nil {
 				t.Fatalf("sequential baseline: %v", err)
 			}

@@ -26,5 +26,5 @@ func SampleVerified(ctx context.Context, spec gsb.Spec, ids []int, opts sched.Ex
 	n := spec.N()
 	return sample.Explore(ctx, n, ids, opts,
 		func() sched.Body { return Body(build(n)) },
-		func(res *sched.Result) error { return verifyResult(spec, res) })
+		func(res *sched.Result) error { return VerifyResult(spec, res) })
 }

@@ -61,5 +61,5 @@ func RunVerified(spec gsb.Spec, ids []int, policy sched.Policy, build func(n int
 	if err != nil {
 		return res, err
 	}
-	return res, verifyResult(spec, res)
+	return res, VerifyResult(spec, res)
 }
