@@ -1,9 +1,8 @@
 // Command gsbvet runs the project's static-analysis suite (internal/lint)
 // over the tree: determinism, hotpath, statshandle, annotations. It is
 // the mechanical enforcement of the engine contracts documented in
-// docs/static-analysis.md, and it builds
-// from the tree with no network fetch — `go run ./cmd/gsbvet ./...` is
-// all CI needs.
+// docs/static-analysis.md, and it builds from the tree with no network
+// fetch — `go run ./cmd/gsbvet ./...` is all CI needs.
 //
 // Exit status: 0 clean, 1 findings, 2 load or usage error.
 package main
