@@ -27,10 +27,11 @@ func setNonZero(v reflect.Value) bool {
 }
 
 // TestOptionsHashCoversEveryOption checks campaign option identity on the
-// real types: every sched.ExploreOptions field either changes the options
-// hash and survives Header.ExploreOptions, or is listed in
-// optionsHashExcluded and leaves the hash alone; every exclusion names a
-// field; and every OptionsHeader field reaches optionsHash. An option that
+// real types: every sched.ExploreOptions field either reaches the
+// OptionsHeader, changes the options hash and survives
+// Header.ExploreOptions, or is listed in optionsHashExcluded and leaves
+// the hash alone; every exclusion names a field and gives a reason; and
+// every OptionsHeader field reaches optionsHash. An option that
 // escapes the hash would let a resume or merge verify something other
 // than what the snapshot started.
 func TestOptionsHashCoversEveryOption(t *testing.T) {
@@ -54,13 +55,18 @@ func TestOptionsHashCoversEveryOption(t *testing.T) {
 		case excluded:
 		case !changed:
 			t.Errorf("ExploreOptions.%s leaves the options hash unchanged and is not excluded: hash it, or exclude it with a reason", name)
+		case reflect.DeepEqual(h.Options, baseHeader.Options):
+			t.Errorf("ExploreOptions.%s is not captured by optionsHeader: only the mode it implies reaches the hash", name)
 		case !reflect.DeepEqual(optionsHeader(h.ExploreOptions()), h.Options):
 			t.Errorf("ExploreOptions.%s does not survive Header.ExploreOptions: got %+v, header %+v", name, optionsHeader(h.ExploreOptions()), h.Options)
 		}
 	}
-	for name := range optionsHashExcluded {
+	for name, reason := range optionsHashExcluded {
 		if _, ok := opts.FieldByName(name); !ok {
 			t.Errorf("optionsHashExcluded lists %q, which is not an ExploreOptions field", name)
+		}
+		if reason == "" {
+			t.Errorf("optionsHashExcluded lists %q without a reason", name)
 		}
 	}
 

@@ -14,10 +14,7 @@ import (
 func TestCheckpointStateRoundTrips(t *testing.T) {
 	for _, v := range []any{
 		&ExploreState{},
-		&FrontierState{},
-		&FailureState{},
 		&SeededState{},
-		&SeededFailure{},
 	} {
 		if err := lint.RoundTripJSON(v); err != nil {
 			t.Error(err)
