@@ -80,24 +80,18 @@ const (
 	ReductionSleepMemo = sched.ReductionSleepMemo
 )
 
-// Memory models (ExploreOptions.Model; docs/models.md): register and
-// snapshot semantics as a named, first-class execution axis. The default
-// atomic model is bit-identical to the pre-registry engine; the weak
-// models (regular, safe, stale-snapshot) express their weakness as extra
-// scheduler-visible decision points, so runs stay pure functions of
-// (model, schedule).
-const (
-	ModelAtomic  = sched.ModelAtomic
-	ModelRegular = sched.ModelRegular
-)
+// ModelAtomic is the default memory model (ExploreOptions.Model;
+// docs/models.md), bit-identical to the pre-registry engine. The weak
+// models (regular, safe, stale-snapshot) are selected by name and express
+// their weakness as extra scheduler-visible decision points, so runs stay
+// pure functions of (model, schedule).
+const ModelAtomic = sched.ModelAtomic
 
-// Crash adversaries (ExploreOptions.Adversary; docs/models.md): the
-// strategy generating per-run crash policies in seeded sweeps
-// (uniform-crash, t-resilient, adaptive).
-const (
-	AdversaryUniformCrash = sched.AdversaryUniformCrash
-	AdversaryTResilient   = sched.AdversaryTResilient
-)
+// AdversaryUniformCrash is the default crash adversary
+// (ExploreOptions.Adversary; docs/models.md): the strategy generating
+// per-run crash policies in seeded sweeps. The others (t-resilient,
+// adaptive) are selected by name.
+const AdversaryUniformCrash = sched.AdversaryUniformCrash
 
 var (
 	// MemModelByName and AdversaryByName resolve a registry name, with

@@ -11,7 +11,7 @@ import "repro/internal/vecmath"
 // change the task. Panics on asymmetric specs.
 func (s Spec) LAnchored() bool {
 	l, u := s.SymBounds()
-	up := vecmath.Min(s.n, u+1)
+	up := min(s.n, u+1)
 	if up == u {
 		return true
 	}
@@ -23,7 +23,7 @@ func (s Spec) LAnchored() bool {
 // change the task. Panics on asymmetric specs.
 func (s Spec) UAnchored() bool {
 	l, u := s.SymBounds()
-	lo := vecmath.Max(0, l-1)
+	lo := max(0, l-1)
 	if lo == l {
 		return true
 	}
@@ -56,8 +56,8 @@ func (s Spec) UAnchoredFormula() bool {
 func (s Spec) CanonicalStep() Spec {
 	l, u := s.SymBounds()
 	m := s.M()
-	lp := vecmath.Max(l, s.n-u*(m-1))
-	up := vecmath.Min(u, s.n-l*(m-1))
+	lp := max(l, s.n-u*(m-1))
+	up := min(u, s.n-l*(m-1))
 	return NewSym(s.n, m, lp, up)
 }
 

@@ -79,14 +79,14 @@ func TestCorollary1(t *testing.T) {
 	for n := 1; n <= 10; n++ {
 		for m := 1; m <= 4; m++ {
 			for l := 0; l*m <= n; l++ {
-				u := vecmath.Max(l, n-l*(m-1))
+				u := max(l, n-l*(m-1))
 				s := NewSym(n, m, l, u)
 				if s.Feasible() && !s.LAnchored() {
 					t.Errorf("Corollary 1 fails: %v not l-anchored", s)
 				}
 			}
 			for u := vecmath.CeilDiv(n, m); u <= n; u++ {
-				l := vecmath.Max(0, n-u*(m-1))
+				l := max(0, n-u*(m-1))
 				s := NewSym(n, m, l, u)
 				if s.Feasible() && !s.UAnchored() {
 					t.Errorf("Corollary 1 fails: %v not u-anchored", s)
@@ -156,7 +156,7 @@ func TestCanonicalIsSynonymAndFixedPoint(t *testing.T) {
 				// Tightest bounds: shrinking further changes the task.
 				l, u := c.SymBounds()
 				if l < s.N() && m > 1 {
-					if NewSym(s.N(), m, l+1, vecmath.Max(l+1, u)).Synonym(s) && l+1 <= u {
+					if NewSym(s.N(), m, l+1, max(l+1, u)).Synonym(s) && l+1 <= u {
 						t.Fatalf("%v canonical %v lower bound not tight", s, c)
 					}
 				}

@@ -21,7 +21,7 @@ func (randSpec) Generate(rng *rand.Rand, _ int) reflect.Value {
 		m := 1 + rng.Intn(6)
 		l := rng.Intn(n/m + 1)
 		maxU := n
-		minU := vecmath.Max(l, vecmath.CeilDiv(n, m))
+		minU := max(l, vecmath.CeilDiv(n, m))
 		if minU > maxU {
 			continue
 		}

@@ -11,7 +11,8 @@ import (
 // stats.Registry lookup — Counter(name), Gauge(name), Histogram(name) —
 // takes a mutex and hashes the name, so handles are resolved once at
 // construction (newEngineMetrics, campaign run() preamble) and the
-// resolved, nil-tolerant handles are what hot code touches. A lookup
+// resolved handles are what hot code touches; a handle resolved from a
+// nil registry is nil, and publishing through it does nothing. A lookup
 // inside a loop or a hot-path function silently reintroduces a
 // lock-and-hash per iteration, which is both a throughput cliff and a
 // contention point across workers.

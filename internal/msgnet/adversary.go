@@ -42,8 +42,8 @@ type NetAdversary struct {
 	LossProb    float64
 	DelayProb   float64
 	ReorderProb float64
-	// Stats, when non-nil, receives MetricAdversaryEvents increments
-	// (one per loss, delay or reorder).
+	// Stats receives MetricAdversaryEvents increments (one per loss,
+	// delay or reorder); nil publishes nowhere.
 	Stats *stats.Registry
 }
 
@@ -75,23 +75,13 @@ func newNetFaults(nbrs [][]int, adv *NetAdversary) *netFaults {
 	for to := range queues {
 		queues[to] = make([][]any, len(nbrs[to]))
 	}
-	f := &netFaults{
+	return &netFaults{
 		nbrs:   nbrs,
 		queues: queues,
 		rng:    runrand.New(adv.Seed),
 		adv:    adv,
-	}
-	if adv.Stats != nil {
-		f.events = adv.Stats.Counter(MetricAdversaryEvents,
-			"Adversary-injected fault events: crashes (crash adversaries) and message drops/delays/reorders (message adversary).")
-	}
-	return f
-}
-
-//gsb:hotpath
-func (f *netFaults) event() {
-	if f.events != nil {
-		f.events.Inc()
+		events: adv.Stats.Counter(MetricAdversaryEvents,
+			"Adversary-injected fault events: crashes (crash adversaries) and message drops/delays/reorders (message adversary)."),
 	}
 }
 
@@ -114,13 +104,13 @@ func (f *netFaults) deliver(sent, out []map[int]any) {
 			switch {
 			case f.rng.Float64() < f.adv.LossProb:
 				q = q[1:] // destroy the oldest
-				f.event()
+				f.events.Inc()
 			case f.rng.Float64() < f.adv.DelayProb:
-				f.event() // deliver nothing this round
+				f.events.Inc() // deliver nothing this round
 			case len(q) > 1 && f.rng.Float64() < f.adv.ReorderProb:
 				out[to][from] = q[len(q)-1] // newest overtakes
 				q = q[:len(q)-1]
-				f.event()
+				f.events.Inc()
 			default:
 				out[to][from] = q[0]
 				q = q[1:]

@@ -105,7 +105,7 @@ func Build(spec gsb.Spec) (DecisionFunc, bool) {
 	}
 	for v := 1; v <= m && total < IDSpace(n); v++ {
 		_, hi := groupInterval(spec, v)
-		add := vecmath.Min(hi-sizes[v-1], IDSpace(n)-total)
+		add := min(hi-sizes[v-1], IDSpace(n)-total)
 		sizes[v-1] += add
 		total += add
 	}
@@ -160,11 +160,11 @@ func Verify(spec gsb.Spec, delta DecisionFunc) error {
 	}
 	for v := 1; v <= spec.M(); v++ {
 		g := sizes[v-1]
-		if maxCount := vecmath.Min(g, n); maxCount > spec.Upper(v) {
+		if maxCount := min(g, n); maxCount > spec.Upper(v) {
 			return fmt.Errorf("nocomm: a participant set can decide value %d %d times, above upper bound %d",
 				v, maxCount, spec.Upper(v))
 		}
-		if minCount := vecmath.Max(0, g-(n-1)); minCount < spec.Lower(v) {
+		if minCount := max(0, g-(n-1)); minCount < spec.Lower(v) {
 			return fmt.Errorf("nocomm: a participant set can decide value %d only %d times, below lower bound %d",
 				v, minCount, spec.Lower(v))
 		}

@@ -15,7 +15,7 @@ func TestTheorem9AgainstIntervalCharacterization(t *testing.T) {
 	for n := 2; n <= 8; n++ {
 		for m := 1; m <= 2*n-1; m++ {
 			for l := 0; l*m <= n; l++ {
-				for u := vecmath.Max(l, vecmath.CeilDiv(n, m)); u <= n; u++ {
+				for u := max(l, vecmath.CeilDiv(n, m)); u <= n; u++ {
 					spec := gsb.NewSym(n, m, l, u)
 					if !spec.Feasible() {
 						continue
@@ -39,7 +39,7 @@ func TestTheorem9AgainstBruteForce(t *testing.T) {
 		}
 		for m := 1; m <= maxM; m++ {
 			for l := 0; l*m <= n; l++ {
-				for u := vecmath.Max(l, vecmath.CeilDiv(n, m)); u <= n; u++ {
+				for u := max(l, vecmath.CeilDiv(n, m)); u <= n; u++ {
 					spec := gsb.NewSym(n, m, l, u)
 					if !spec.Feasible() {
 						continue

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // MetricClasses is the sampling subsystem's observability counter (see
@@ -80,7 +79,7 @@ func (r *ResumableBatch) maxSteps() int {
 	if r.Opts.MaxSteps > 0 {
 		return r.Opts.MaxSteps
 	}
-	return 4096 * r.N
+	return sched.DefaultMaxSteps(r.N)
 }
 
 // Init returns the initial state of shard `shard` of `of`: an empty
@@ -156,10 +155,7 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 	keys := state.keys
 
 	var mu sync.Mutex // guards Classes
-	var classes *stats.Counter
-	if r.Opts.Stats != nil {
-		classes = r.Opts.Stats.Counter(MetricClasses, "Distinct Mazurkiewicz trace classes discovered by sampling (per-shard first sightings).")
-	}
+	classes := r.Opts.Stats.Counter(MetricClasses, "Distinct Mazurkiewicz trace classes discovered by sampling (per-shard first sightings).")
 
 	// Class hashing reuses level buckets: each worker goroutine takes a
 	// hasher from the pool for the duration of one visit.
@@ -188,7 +184,7 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 			keys.fresh = append(keys.fresh, h)
 		}
 		mu.Unlock()
-		if !ok && classes != nil {
+		if !ok {
 			classes.Inc()
 		}
 		if r.Check != nil {

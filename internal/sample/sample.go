@@ -120,12 +120,12 @@ func Explore(ctx context.Context, n int, ids []int, opts sched.ExploreOptions, b
 // ProbeHorizon measures the protocol's run length under a deterministic
 // round-robin schedule in the batch's memory model, for drawing PCT
 // change points over a realistic step range: drawing over the worst-case
-// step budget (4096*n by default) would land almost every change point
-// past the end of the run and silently degrade PCT to plain priority
-// scheduling, and measuring under another model than the runs execute in
-// would leave the tail of every run without a change point. It is
-// deterministic, which is what lets every shard of a campaign measure it
-// independently and agree.
+// step budget (sched.DefaultMaxSteps by default) would land almost every
+// change point past the end of the run and silently degrade PCT to plain
+// priority scheduling, and measuring under another model than the runs
+// execute in would leave the tail of every run without a change point.
+// It is deterministic, which is what lets every shard of a campaign
+// measure it independently and agree.
 func ProbeHorizon(n int, ids []int, maxSteps int, model sched.MemModel, build func() sched.Body) int {
 	runner := sched.NewRunner(n, ids, sched.NewRoundRobin(), sched.WithMaxSteps(maxSteps), sched.WithModel(model))
 	res, err := runner.Run(build())

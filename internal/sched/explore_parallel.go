@@ -56,7 +56,7 @@ type ExploreOptions struct {
 	// is bounded by CrashRuns instead and ignores MaxRuns.
 	MaxRuns int
 	// MaxSteps bounds each individual run (ErrStepBudget past it);
-	// <= 0 means the Runner default of 4096*n.
+	// <= 0 means DefaultMaxSteps(n).
 	MaxSteps int
 	// Seed seeds work-stealing victim selection and, in crash sweep
 	// mode, the per-run crash-injection policies. Results never depend
@@ -113,10 +113,11 @@ type ExploreOptions struct {
 	// Ignored outside sweep mode; part of campaign identity like Model.
 	Adversary string
 
-	// Stats, when non-nil, receives engine observability counters (runs,
-	// schedules, steals, aborts, prunes, frontier depth — see the Metric
-	// constants and docs/metrics.md). Publishing is a handful of atomic
-	// adds per run; nil disables it entirely. Stats never influences
+	// Stats receives engine observability counters (runs, schedules,
+	// steals, aborts, prunes, frontier depth — see the Metric constants
+	// and docs/metrics.md). Publishing is a handful of atomic adds per
+	// run; nil disables it entirely: a nil registry hands out nil
+	// handles, which publish nowhere. Stats never influences
 	// results and is excluded from campaign option identity
 	// (internal/campaign hashes only the semantic fields), so the same
 	// checkpoint can be resumed with or without observability attached.
@@ -191,7 +192,7 @@ func (o ExploreOptions) withDefaults(n int) ExploreOptions {
 		o.MaxRuns = DefaultMaxRuns
 	}
 	if o.MaxSteps <= 0 {
-		o.MaxSteps = 4096 * n
+		o.MaxSteps = DefaultMaxSteps(n)
 	}
 	return o
 }
@@ -323,9 +324,9 @@ type explorer struct {
 	sliceRuns int64
 	tickets   atomic.Int64
 
-	indep Independence   // commutation oracle; nil without reduction (no step commutes)
-	met   *engineMetrics // resolved stats handles; nil when opts.Stats is nil
-	model MemModel       // resolved opts.Model, applied to every worker runner
+	indep Independence  // commutation oracle; nil without reduction (no step commutes)
+	met   engineMetrics // resolved stats handles; all nil when opts.Stats is nil
+	model MemModel      // resolved opts.Model, applied to every worker runner
 
 	mu   sync.Mutex
 	best *FailureState // lexicographically smallest failure seen
@@ -432,7 +433,7 @@ func (e *explorer) worker(w int) {
 			e.returnTicket()
 		}
 		e.pending.Add(-1)
-		e.met.setFrontier(e.pending.Load())
+		e.met.frontier.Set(e.pending.Load())
 	}
 }
 
@@ -478,7 +479,7 @@ func (e *explorer) steal(w int, rng *rand.Rand) (frontierItem, bool) {
 				s.items = nil
 			}
 			s.mu.Unlock()
-			e.met.incSteals()
+			e.met.steals.Inc()
 			return it, true
 		}
 		s.mu.Unlock()
@@ -514,7 +515,7 @@ func (e *explorer) recordFailure(choices []int, err error) {
 // reports whether the item claimed a run-budget slot (false when pruned).
 func (e *explorer) process(item frontierItem, wk *exploreWorker) bool {
 	if b := e.pruneBound(); b != nil && !prefixViable(item.choices, b) {
-		e.met.incPrunes()
+		e.met.prunes.Inc()
 		return false
 	}
 	if e.claimed.Add(1) > int64(e.opts.MaxRuns) {
@@ -522,7 +523,7 @@ func (e *explorer) process(item frontierItem, wk *exploreWorker) bool {
 		e.cancel()
 		return true
 	}
-	e.met.incRuns()
+	e.met.runs.Inc()
 
 	policy := wk.policy
 	policy.reset(item.choices, item.sleep)
@@ -533,7 +534,7 @@ func (e *explorer) process(item frontierItem, wk *exploreWorker) bool {
 		// equivalent to a schedule explored under a smaller prefix. It
 		// consumed a run-budget slot but counts as no schedule; its
 		// pre-abort decision points still seed sibling branches below.
-		e.met.incAborts()
+		e.met.aborts.Inc()
 	case err != nil:
 		if e.bound == nil {
 			e.recordFailure(policy.choices, fmt.Errorf("sched: exploration run with prefix %v: %w", item.choices, err))
@@ -544,7 +545,7 @@ func (e *explorer) process(item frontierItem, wk *exploreWorker) bool {
 		}
 	default:
 		e.completed.Add(1)
-		e.met.incSchedules()
+		e.met.schedules.Inc()
 		if e.check != nil {
 			if cerr := e.check(res); cerr != nil {
 				e.recordFailure(policy.choices, fmt.Errorf("sched: schedule %v violates property: %w", policy.choices, cerr))
@@ -555,11 +556,11 @@ func (e *explorer) process(item frontierItem, wk *exploreWorker) bool {
 	b := e.pruneBound()
 	branches, blocked := policy.branchItems()
 	if blocked > 0 {
-		e.met.addBlocked(blocked)
+		e.met.blocked.Add(int64(blocked))
 	}
 	for _, branch := range branches {
 		if b != nil && !prefixViable(branch.choices, b) {
-			e.met.incPrunes()
+			e.met.prunes.Inc()
 			continue
 		}
 		e.pushTo(wk.w, branch)

@@ -5,10 +5,10 @@ import "repro/internal/stats"
 // This file is the engine's side of the observability pipeline
 // (internal/stats, docs/metrics.md): one struct of pre-resolved metric
 // handles, created once per explorer or seeded pool from
-// ExploreOptions.Stats. Publishing goes through nil-tolerant methods so
-// the hot path pays one predictable branch when observability is off and
-// one atomic add when it is on — never a registry lookup, never an
-// allocation.
+// ExploreOptions.Stats. Call sites publish straight through the handles:
+// a nil handle (ExploreOptions.Stats nil) does nothing, so the hot path
+// pays one predictable branch when observability is off and one atomic
+// add when it is on — never a registry lookup, never an allocation.
 
 // Engine metric names. The campaign layer (internal/campaign) registers
 // the checkpoint metrics; docs/metrics.md is the reference for all of
@@ -49,9 +49,9 @@ const (
 	MetricAdversaryEvents = "gsb_adversary_events_total"
 )
 
-// engineMetrics carries the engine's resolved metric handles. The nil
-// *engineMetrics publishes nowhere; every method tolerates it so call
-// sites need no guards.
+// engineMetrics carries the engine's resolved metric handles. Resolved
+// from a nil registry every handle is nil, and publishing through a nil
+// handle does nothing, so call sites need no guards.
 type engineMetrics struct {
 	runs      *stats.Counter
 	schedules *stats.Counter
@@ -63,13 +63,10 @@ type engineMetrics struct {
 	frontier  *stats.Gauge
 }
 
-// newEngineMetrics resolves the engine's handles in r, or returns nil
-// when r is nil (observability off).
-func newEngineMetrics(r *stats.Registry) *engineMetrics {
-	if r == nil {
-		return nil
-	}
-	return &engineMetrics{
+// newEngineMetrics resolves the engine's handles in r (all nil when r is
+// nil: observability off).
+func newEngineMetrics(r *stats.Registry) engineMetrics {
+	return engineMetrics{
 		runs:      r.Counter(MetricRuns, "Engine runs executed (verified schedules, POR probe runs, seeded sampler and crash-sweep runs)."),
 		schedules: r.Counter(MetricSchedules, "Schedules verified by exhaustive exploration (one per Mazurkiewicz trace class under reduction)."),
 		steals:    r.Counter(MetricSteals, "Frontier work items stolen between exploration workers."),
@@ -78,75 +75,5 @@ func newEngineMetrics(r *stats.Registry) *engineMetrics {
 		prunes:    r.Counter(MetricPrunes, "Frontier prefixes pruned against the lexicographic violation bound."),
 		advEvents: r.Counter(MetricAdversaryEvents, "Adversary-injected fault events: crashes (crash adversaries) and message drops/delays/reorders (message adversary)."),
 		frontier:  r.Gauge(MetricFrontierDepth, "Exploration frontier size: schedule prefixes queued or in flight."),
-	}
-}
-
-//gsb:hotpath
-func (m *engineMetrics) incRuns() {
-	if m != nil {
-		m.runs.Inc()
-	}
-}
-
-//gsb:hotpath
-func (m *engineMetrics) incSchedules() {
-	if m != nil {
-		m.schedules.Inc()
-	}
-}
-
-//gsb:hotpath
-func (m *engineMetrics) incSteals() {
-	if m != nil {
-		m.steals.Inc()
-	}
-}
-
-//gsb:hotpath
-func (m *engineMetrics) incAborts() {
-	if m != nil {
-		m.aborts.Inc()
-	}
-}
-
-// addBlocked publishes the children one run's branching left out.
-//
-//gsb:hotpath
-func (m *engineMetrics) addBlocked(k int) {
-	if m != nil {
-		m.blocked.Add(int64(k))
-	}
-}
-
-//gsb:hotpath
-func (m *engineMetrics) incPrunes() {
-	if m != nil {
-		m.prunes.Inc()
-	}
-}
-
-// addCrashEvents publishes a completed seeded run's adversary-injected
-// crashes as adversary events.
-//
-//gsb:hotpath
-func (m *engineMetrics) addCrashEvents(crashed []bool) {
-	if m == nil {
-		return
-	}
-	var k int64
-	for _, c := range crashed {
-		if c {
-			k++
-		}
-	}
-	if k > 0 {
-		m.advEvents.Add(k)
-	}
-}
-
-//gsb:hotpath
-func (m *engineMetrics) setFrontier(depth int64) {
-	if m != nil {
-		m.frontier.Set(depth)
 	}
 }

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"context"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/stats"
@@ -14,18 +16,28 @@ import (
 // frontier gauge has drained to zero. Blocked branches are counted only
 // by the ReductionSleepSets walk, deterministically. Steals are inherently
 // interleaving-dependent (and zero at one worker); prunes stay zero
-// without a violation bound.
+// without a violation bound. The nil-registry row walks unobserved and
+// must return the observed walk's count and verdict.
 func TestExploreStatsDeterministic(t *testing.T) {
+	build := func() Body { return stepsBody(2) }
 	for _, red := range []Reduction{ReductionNone, ReductionSleepSets, ReductionSleepMemo} {
+		unobserved, err := Explore(context.Background(), 3, DefaultIDs(3),
+			ExploreOptions{Workers: 1, MaxSteps: 1000, Reduction: red},
+			build, func(*Result) error { return nil })
+		if err != nil {
+			t.Fatalf("reduction=%v nil registry: %v", red, err)
+		}
 		var wantRuns, wantScheds, wantAborts, wantBlocked int64
 		for _, workers := range []int{1, 2, 8} {
 			reg := stats.New()
-			build := func() Body { return stepsBody(2) }
 			count, err := Explore(context.Background(), 3, DefaultIDs(3),
 				ExploreOptions{Workers: workers, MaxSteps: 1000, Reduction: red, Stats: reg},
 				build, func(*Result) error { return nil })
 			if err != nil {
 				t.Fatalf("reduction=%v workers=%d: %v", red, workers, err)
+			}
+			if count != unobserved {
+				t.Fatalf("reduction=%v workers=%d: observed walk counts %d, nil-registry walk %d", red, workers, count, unobserved)
 			}
 			snap := reg.Snapshot()
 			runs, scheds, aborts := snap.Counter(MetricRuns), snap.Counter(MetricSchedules), snap.Counter(MetricAborts)
@@ -61,27 +73,36 @@ func TestExploreStatsDeterministic(t *testing.T) {
 }
 
 // TestSeededSliceStats checks the seeded pool publishes one run per
-// executed index, cumulative across slices.
+// executed index, cumulative across slices. The nil-registry row runs the
+// same slices unobserved: it must visit as many runs and end in the same
+// state (watermark and verdict) as the observed pool.
 func TestSeededSliceStats(t *testing.T) {
-	reg := stats.New()
-	opts := ExploreOptions{Workers: 2, MaxSteps: 1000, Stats: reg}
 	policy := func(i int) Policy { return NewRandom(DeriveRunSeed(7, i)) }
 	build := func() Body { return stepsBody(2) }
-	visit := func(int, *Result, error) error { return nil }
-
-	var state *SeededState
-	for {
-		next, done, err := SeededSlice(context.Background(), 3, DefaultIDs(3), opts, 50,
-			policy, build, visit, state, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		state = next
-		if done {
-			break
+	pool := func(reg *stats.Registry) (*SeededState, int64) {
+		var visits atomic.Int64
+		visit := func(int, *Result, error) error { visits.Add(1); return nil }
+		opts := ExploreOptions{Workers: 2, MaxSteps: 1000, Stats: reg}
+		var state *SeededState
+		for {
+			next, done, err := SeededSlice(context.Background(), 3, DefaultIDs(3), opts, 50,
+				policy, build, visit, state, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			state = next
+			if done {
+				return state, visits.Load()
+			}
 		}
 	}
-	if got := reg.Snapshot().Counter(MetricRuns); got != 50 {
-		t.Fatalf("%s = %d after 50 seeded runs, want 50", MetricRuns, got)
+	reg := stats.New()
+	state, visits := pool(reg)
+	if got := reg.Snapshot().Counter(MetricRuns); got != 50 || visits != 50 {
+		t.Fatalf("%s = %d, %d visits after 50 seeded runs, want 50", MetricRuns, got, visits)
+	}
+	unobserved, unobservedVisits := pool(nil)
+	if !reflect.DeepEqual(unobserved, state) || unobservedVisits != visits {
+		t.Fatalf("nil-registry pool ended at %+v after %d visits, observed pool at %+v after %d", unobserved, unobservedVisits, state, visits)
 	}
 }

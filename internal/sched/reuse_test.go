@@ -177,9 +177,9 @@ func TestReusedRunnerAllocsPerStepWithStats(t *testing.T) {
 		if _, err := r.Run(body); err != nil {
 			t.Fatalf("run failed: %v", err)
 		}
-		m.incRuns()
-		m.incSchedules()
-		m.setFrontier(int64(counter & 0xff))
+		m.runs.Inc()
+		m.schedules.Inc()
+		m.frontier.Set(int64(counter & 0xff))
 	}
 	runOnce() // warm-up
 	allocs := testing.AllocsPerRun(200, runOnce)

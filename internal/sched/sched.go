@@ -266,8 +266,14 @@ type Runner struct {
 // Option configures a Runner.
 type Option func(*Runner)
 
+// DefaultMaxSteps is the per-run safety budget on total steps of an
+// n-process run when none is set: the Runner default, the exploration
+// default (ExploreOptions.MaxSteps), and the budget the PCT horizon probe
+// runs under.
+func DefaultMaxSteps(n int) int { return 4096 * n }
+
 // WithMaxSteps overrides the safety budget on total steps (default
-// 4096*n). Exceeding the budget aborts the run with an error; this is how
+// DefaultMaxSteps(n)). Exceeding the budget aborts the run with an error; this is how
 // non-wait-free loops and livelocks surface in tests.
 func WithMaxSteps(max int) Option {
 	return func(r *Runner) { r.maxSteps = max }
@@ -314,7 +320,7 @@ func NewRunner(n int, ids []int, policy Policy, opts ...Option) *Runner {
 		n:        n,
 		ids:      append([]int(nil), ids...),
 		policy:   policy,
-		maxSteps: 4096 * n,
+		maxSteps: DefaultMaxSteps(n),
 
 		result: &Result{
 			Outputs:   make([]int, n),

@@ -237,13 +237,17 @@ func SeededSlice(ctx context.Context, n int, ids []int, opts ExploreOptions, tot
 				runner.Reset(policyFor(g))
 				res, err := runner.Run(build())
 				completed.Add(1)
-				met.incRuns()
+				met.runs.Inc()
 				if err == nil {
 					// Crashes on a completed run are adversary-injected
 					// (samplers never crash, so this counts 0 for them);
 					// errored runs crash-unwind everyone, which is cleanup,
 					// not an adversary event.
-					met.addCrashEvents(res.Crashed)
+					for _, c := range res.Crashed {
+						if c {
+							met.advEvents.Inc()
+						}
+					}
 				}
 				if verr := visit(g, res, err); verr != nil {
 					record(g, verr)

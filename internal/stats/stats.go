@@ -12,6 +12,11 @@
 //   - Publishing (Counter.Inc/Add, Gauge.Set/Add, Histogram.Observe) is
 //     one or two atomic operations and allocates nothing, pinned by
 //     testing.AllocsPerRun in the package tests.
+//   - A nil handle is the off switch. A nil *Registry hands out nil
+//     handles, and every publishing method returns at once on a nil
+//     receiver, so callers resolve and publish without guards: one
+//     predictable branch when observability is off, one atomic add when
+//     it is on.
 //   - The whole registry is serializable: Snapshot renders every metric
 //     to a plain JSON value, Restore folds a snapshot back into the live
 //     metrics, and Snapshot.Add sums snapshots. That is what lets a
@@ -28,15 +33,17 @@ package stats
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // A Counter is a monotonically increasing metric (runs executed, steals,
 // checkpoint writes). All methods are safe for concurrent use and the
-// publishing methods (Inc, Add) never allocate.
+// publishing methods (Inc, Add) never allocate; on a nil *Counter they
+// do nothing.
 type Counter struct {
 	v atomic.Int64
 }
@@ -44,20 +51,29 @@ type Counter struct {
 // Inc adds 1 to the counter.
 //
 //gsb:hotpath
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Add adds delta to the counter. Counters are monotone by convention;
 // Restore uses Add internally, so negative deltas are not rejected, but
 // engine code must never pass one.
 //
 //gsb:hotpath
-func (c *Counter) Add(delta int64) { c.v.Add(delta) }
+func (c *Counter) Add(delta int64) {
+	if c != nil {
+		c.v.Add(delta)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // A Gauge is a point-in-time level (frontier depth, last snapshot size).
-// All methods are safe for concurrent use and never allocate.
+// All methods are safe for concurrent use and never allocate; the
+// publishing methods (Set, Add) do nothing on a nil *Gauge.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -65,20 +81,28 @@ type Gauge struct {
 // Set replaces the gauge's value.
 //
 //gsb:hotpath
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+func (g *Gauge) Set(v int64) {
+	if g != nil {
+		g.v.Store(v)
+	}
+}
 
 // Add moves the gauge by delta.
 //
 //gsb:hotpath
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
+func (g *Gauge) Add(delta int64) {
+	if g != nil {
+		g.v.Add(delta)
+	}
+}
 
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // A Histogram accumulates observations (checkpoint write latencies) into
 // fixed buckets chosen at registration. Observe is lock-free — a bucket
-// increment, a count increment and a CAS loop for the sum — and never
-// allocates.
+// increment, a count increment and a CAS loop for the sum — never
+// allocates, and does nothing on a nil *Histogram.
 type Histogram struct {
 	bounds  []float64 // immutable upper bounds, ascending; +Inf implied
 	buckets []atomic.Int64
@@ -95,16 +119,25 @@ var DefBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0
 //
 //gsb:hotpath
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
 	h.buckets[i].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// addSum adds v to the observation sum with a compare-and-swap loop.
+//
+//gsb:hotpath
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
-		s := math.Float64frombits(old) + v
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(s)) {
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}
@@ -138,11 +171,13 @@ func (m metric) kind() string {
 }
 
 // Registry is an ordered set of named metrics. The zero value is not
-// usable; call New. Registration is idempotent by name: asking twice for
-// the same name (with the same kind) returns the same handle, which is
-// what lets independent engine slices resolve their handles without
-// coordinating. Asking for an existing name with a different kind panics —
-// that is a programming error, not a runtime condition.
+// usable; call New. A nil *Registry is observability off: its Counter,
+// Gauge and Histogram return nil handles, which publish nowhere.
+// Registration is idempotent by name: asking twice for the same name
+// (with the same kind) returns the same handle, which is what lets
+// independent engine slices resolve their handles without coordinating.
+// Asking for an existing name with a different kind panics — that is a
+// programming error, not a runtime condition.
 type Registry struct {
 	mu      sync.Mutex
 	metrics []metric
@@ -154,52 +189,54 @@ func New() *Registry {
 	return &Registry{byName: make(map[string]int)}
 }
 
-func (r *Registry) lookup(name, help, kind string) (metric, bool) {
+// register returns the metric called name, registering the one mk makes
+// when the name is new. Asking for an existing name with another kind
+// panics.
+func (r *Registry) register(name, help, kind string, mk func(*metric)) metric {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if i, ok := r.byName[name]; ok {
 		m := r.metrics[i]
 		if m.kind() != kind {
 			panic(fmt.Sprintf("stats: metric %q registered as %s, requested as %s", name, m.kind(), kind))
 		}
-		return m, true
+		return m
 	}
-	return metric{name: name, help: help}, false
+	m := metric{name: name, help: help}
+	mk(&m)
+	r.byName[name] = len(r.metrics)
+	r.metrics = append(r.metrics, m)
+	return m
 }
 
-// Counter registers (or fetches) the counter called name.
+// Counter registers (or fetches) the counter called name; nil on a nil
+// registry.
 func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.lookup(name, help, "counter")
-	if !ok {
-		m.c = &Counter{}
-		r.byName[name] = len(r.metrics)
-		r.metrics = append(r.metrics, m)
+	if r == nil {
+		return nil
 	}
-	return m.c
+	return r.register(name, help, "counter", func(m *metric) { m.c = &Counter{} }).c
 }
 
-// Gauge registers (or fetches) the gauge called name.
+// Gauge registers (or fetches) the gauge called name; nil on a nil
+// registry.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.lookup(name, help, "gauge")
-	if !ok {
-		m.g = &Gauge{}
-		r.byName[name] = len(r.metrics)
-		r.metrics = append(r.metrics, m)
+	if r == nil {
+		return nil
 	}
-	return m.g
+	return r.register(name, help, "gauge", func(m *metric) { m.g = &Gauge{} }).g
 }
 
 // Histogram registers (or fetches) the histogram called name with the
 // given bucket upper bounds (ascending; a +Inf bucket is implicit; nil
-// means DefBuckets). The bounds of an already-registered histogram win —
-// re-registration never resizes live buckets.
+// means DefBuckets); nil on a nil registry. The bounds of an
+// already-registered histogram win — re-registration never resizes live
+// buckets.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.lookup(name, help, "histogram")
-	if !ok {
+	if r == nil {
+		return nil
+	}
+	return r.register(name, help, "histogram", func(m *metric) {
 		if bounds == nil {
 			bounds = DefBuckets
 		}
@@ -212,10 +249,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 			bounds:  append([]float64(nil), bounds...),
 			buckets: make([]atomic.Int64, len(bounds)+1),
 		}
-		r.byName[name] = len(r.metrics)
-		r.metrics = append(r.metrics, m)
-	}
-	return m.h
+	}).h
 }
 
 // snapshotLocked returns a copy of the metric list; rendering and
@@ -335,28 +369,22 @@ func (r *Registry) Snapshot() Snapshot {
 // comparable), which can only happen if the bucket layout changed between
 // the writing and the restoring build.
 func (r *Registry) Restore(s Snapshot) {
-	for _, name := range sortedKeys(s.Counters) {
+	for _, name := range slices.Sorted(maps.Keys(s.Counters)) {
 		r.Counter(name, "").Add(s.Counters[name])
 	}
-	for _, name := range sortedKeys(s.Gauges) {
+	for _, name := range slices.Sorted(maps.Keys(s.Gauges)) {
 		r.Gauge(name, "").Set(s.Gauges[name])
 	}
-	for _, name := range sortedKeys(s.Histograms) {
+	for _, name := range slices.Sorted(maps.Keys(s.Histograms)) {
 		hs := s.Histograms[name]
 		h := r.Histogram(name, "", hs.Bounds)
-		if len(h.buckets) == len(hs.Counts) && boundsEqual(h.bounds, hs.Bounds) {
+		if len(h.buckets) == len(hs.Counts) && slices.Equal(h.bounds, hs.Bounds) {
 			for i, c := range hs.Counts {
 				h.buckets[i].Add(c)
 			}
 		}
 		h.count.Add(hs.Count)
-		for {
-			old := h.sumBits.Load()
-			v := math.Float64frombits(old) + hs.Sum
-			if h.sumBits.CompareAndSwap(old, math.Float64bits(v)) {
-				break
-			}
-		}
+		h.addSum(hs.Sum)
 	}
 }
 
@@ -396,7 +424,7 @@ func (s Snapshot) Add(t Snapshot) Snapshot {
 				}
 				continue
 			}
-			if len(have.Counts) == len(v.Counts) && boundsEqual(have.Bounds, v.Bounds) {
+			if len(have.Counts) == len(v.Counts) && slices.Equal(have.Bounds, v.Bounds) {
 				for i := range have.Counts {
 					have.Counts[i] += v.Counts[i]
 				}
@@ -425,25 +453,4 @@ func Sum(snaps ...Snapshot) Snapshot {
 		out = out.Add(s)
 	}
 	return out
-}
-
-func boundsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

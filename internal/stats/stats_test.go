@@ -50,20 +50,32 @@ func TestRegistryConcurrency(t *testing.T) {
 
 // TestHotPathZeroAllocs pins the publishing operations at zero
 // allocations: these run once per engine run (>10^5/sec), so any
-// allocation here would show up in the gsbbench allocs gauge.
+// allocation here would show up in the gsbbench allocs gauge. The
+// nil-registry input is observability off: its handles are nil and
+// publishing through them is a no-op, also at zero allocations.
 func TestHotPathZeroAllocs(t *testing.T) {
-	r := New()
-	c := r.Counter("c", "")
-	g := r.Gauge("g", "")
-	h := r.Histogram("h", "", nil)
-	if n := testing.AllocsPerRun(1000, func() { c.Inc(); c.Add(2) }); n != 0 {
-		t.Fatalf("counter ops allocate %v/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(7); g.Add(-1) }); n != 0 {
-		t.Fatalf("gauge ops allocate %v/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.01) }); n != 0 {
-		t.Fatalf("histogram observe allocates %v/op, want 0", n)
+	for _, tc := range []struct {
+		name string
+		r    *Registry
+	}{{"registry", New()}, {"nil-registry", nil}} {
+		c := tc.r.Counter("c", "")
+		g := tc.r.Gauge("g", "")
+		h := tc.r.Histogram("h", "", nil)
+		if off := tc.r == nil; off != (c == nil) || off != (g == nil) || off != (h == nil) {
+			t.Fatalf("%s: handles (%p, %p, %p), want all nil exactly when the registry is nil", tc.name, c, g, h)
+		}
+		if n := testing.AllocsPerRun(1000, func() { c.Inc(); c.Add(2) }); n != 0 {
+			t.Fatalf("%s: counter ops allocate %v/op, want 0", tc.name, n)
+		}
+		if n := testing.AllocsPerRun(1000, func() { g.Set(7); g.Add(-1) }); n != 0 {
+			t.Fatalf("%s: gauge ops allocate %v/op, want 0", tc.name, n)
+		}
+		if n := testing.AllocsPerRun(1000, func() { h.Observe(0.01) }); n != 0 {
+			t.Fatalf("%s: histogram observe allocates %v/op, want 0", tc.name, n)
+		}
+		if tc.r != nil && (c.Value() != 3*1001 || g.Value() != 6 || h.Count() != 1001) {
+			t.Fatalf("%s: (counter, gauge, observations) = (%d, %d, %d), want (3003, 6, 1001)", tc.name, c.Value(), g.Value(), h.Count())
+		}
 	}
 }
 

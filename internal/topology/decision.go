@@ -31,12 +31,13 @@ func (c *Complex) FindDecisionMap(spec gsb.Spec) []int {
 	varOf := func(cls, val int) int { return cls*m + val } // val is 1-based
 
 	solver := sat.New(c.Classes * m)
+	var lits []int // one clause buffer for the whole search: AddClause copies
 
 	// Exactly one value per class.
 	for cls := 0; cls < c.Classes; cls++ {
-		lits := make([]int, m)
+		lits = lits[:0]
 		for v := 1; v <= m; v++ {
-			lits[v-1] = varOf(cls, v)
+			lits = append(lits, varOf(cls, v))
 		}
 		solver.AddClause(lits...)
 		for a := 1; a <= m; a++ {
@@ -72,7 +73,7 @@ func (c *Complex) FindDecisionMap(spec gsb.Spec) []int {
 				// violating subsets are needed: every proper subset must be
 				// within the bound.
 				if total > upper && minimalOver(cms, mask, upper) {
-					lits := make([]int, 0, k)
+					lits = lits[:0]
 					for i := 0; i < k; i++ {
 						if mask&(1<<i) != 0 {
 							lits = append(lits, -varOf(cms[i].cls, v))
@@ -84,7 +85,7 @@ func (c *Complex) FindDecisionMap(spec gsb.Spec) []int {
 				// l_v instances, so some class in the subset must pick v.
 				rest := c.N - total
 				if rest < lower && minimalUnder(cms, mask, c.N, lower) {
-					lits := make([]int, 0, k)
+					lits = lits[:0]
 					for i := 0; i < k; i++ {
 						if mask&(1<<i) != 0 {
 							lits = append(lits, varOf(cms[i].cls, v))

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -26,21 +27,9 @@ func ridgeKey(facet []int, omit int) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(itoa(v))
+		b.WriteString(strconv.Itoa(v))
 	}
 	return b.String()
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var digits []byte
-	for v > 0 {
-		digits = append([]byte{byte('0' + v%10)}, digits...)
-		v /= 10
-	}
-	return string(digits)
 }
 
 // IsPseudomanifold reports whether every ridge of the complex belongs to

@@ -252,15 +252,6 @@ func GCD(a, b int) int {
 	return a
 }
 
-// GCDAll returns the gcd of all values; GCDAll() = 0.
-func GCDAll(xs ...int) int {
-	g := 0
-	for _, x := range xs {
-		g = GCD(g, x)
-	}
-	return g
-}
-
 // Binomial returns C(n, k) computed exactly with int64 intermediates.
 // It panics on overflow for the sizes used in this repository (n <= 61).
 func Binomial(n, k int) int {
@@ -281,22 +272,6 @@ func Binomial(n, k int) int {
 	return int(res)
 }
 
-// Min returns the smaller of a and b.
-func Min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // CeilDiv returns ceil(a/b) for b > 0.
 func CeilDiv(a, b int) int {
 	if b <= 0 {
@@ -311,32 +286,6 @@ func FloorDiv(a, b int) int {
 		panic("vecmath: FloorDiv requires b > 0")
 	}
 	return a / b
-}
-
-// Permutations invokes fn with every permutation of [0..n-1]. The slice
-// passed to fn is reused between calls; fn must not retain it. If fn
-// returns false the enumeration stops early.
-func Permutations(n int, fn func(perm []int) bool) {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	var rec func(k int) bool
-	rec = func(k int) bool {
-		if k == n {
-			return fn(perm)
-		}
-		for i := k; i < n; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			if !rec(k + 1) {
-				perm[k], perm[i] = perm[i], perm[k]
-				return false
-			}
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-		return true
-	}
-	rec(0)
 }
 
 // Subsets invokes fn with every k-element subset of [0..n-1] in increasing

@@ -175,18 +175,6 @@ func TestGCD(t *testing.T) {
 	}
 }
 
-func TestGCDAll(t *testing.T) {
-	if got := GCDAll(); got != 0 {
-		t.Errorf("GCDAll() = %d, want 0", got)
-	}
-	if got := GCDAll(6, 15, 20); got != 1 {
-		t.Errorf("GCDAll(6,15,20) = %d, want 1 (n=6 binomials are prime)", got)
-	}
-	if got := GCDAll(4, 6, 4); got != 2 {
-		t.Errorf("GCDAll(4,6,4) = %d, want 2", got)
-	}
-}
-
 func TestBinomial(t *testing.T) {
 	tests := []struct{ n, k, want int }{
 		{0, 0, 1}, {5, 0, 1}, {5, 5, 1}, {5, 2, 10}, {6, 3, 20},
@@ -208,47 +196,6 @@ func TestBinomialPascal(t *testing.T) {
 				t.Fatalf("Pascal identity fails at C(%d,%d)", n, k)
 			}
 		}
-	}
-}
-
-func TestPermutations(t *testing.T) {
-	for n := 0; n <= 5; n++ {
-		seen := map[string]bool{}
-		count := 0
-		Permutations(n, func(perm []int) bool {
-			count++
-			v := Vec(perm).Clone()
-			if seen[v.Key()] {
-				t.Fatalf("duplicate permutation %v", v)
-			}
-			seen[v.Key()] = true
-			s := v.Clone()
-			sort.Ints(s)
-			for i := range s {
-				if s[i] != i {
-					t.Fatalf("%v is not a permutation of 0..%d", v, n-1)
-				}
-			}
-			return true
-		})
-		want := 1
-		for i := 2; i <= n; i++ {
-			want *= i
-		}
-		if count != want {
-			t.Fatalf("n=%d: %d permutations, want %d", n, count, want)
-		}
-	}
-}
-
-func TestPermutationsEarlyStop(t *testing.T) {
-	count := 0
-	Permutations(4, func([]int) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("early stop after %d permutations, want 3", count)
 	}
 }
 
@@ -348,9 +295,6 @@ func TestSortedDescProperty(t *testing.T) {
 }
 
 func TestMinMaxCeilFloor(t *testing.T) {
-	if Min(3, 5) != 3 || Min(5, 3) != 3 || Max(3, 5) != 5 || Max(5, 3) != 5 {
-		t.Error("Min/Max misbehave")
-	}
 	if CeilDiv(7, 3) != 3 || CeilDiv(6, 3) != 2 || CeilDiv(0, 3) != 0 {
 		t.Error("CeilDiv misbehaves")
 	}
