@@ -110,7 +110,8 @@ govulncheck:
 
 # Short native-fuzzing smoke over the campaign snapshot decoders, the
 # sample checkpoint encoder, the timeline sidecar reader, the fleet
-# submission gate and the fleet upload route: each target runs for
+# submission gate, the fleet upload route and the fleet coordinator's
+# event sequences: each target runs for
 # a few seconds (CI's static-analysis job runs the same), catching
 # parser panics early. -fuzzminimizetime 5x caps the minimizing of each
 # new input: at the 60 s default a leg spent its whole window minimizing
@@ -124,6 +125,7 @@ fuzz-smoke:
 	$(GO) test ./internal/timeline -run '^$$' -fuzz FuzzDecodeTimeline -fuzztime 10s -fuzzminimizetime 5x
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzSubmission -fuzztime 10s -fuzzminimizetime 5x
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzUpload -fuzztime 10s -fuzzminimizetime 5x
+	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzCoordinatorEvents -fuzztime 10s -fuzzminimizetime 5x
 
 fmt:
 	gofmt -w .

@@ -527,10 +527,29 @@ func TestClientRoutes(t *testing.T) {
 	if st, err := cl.Result(resp.ID); err != nil || st.State != "failed" || st.Error == "" {
 		t.Errorf("Result of a failed campaign = %+v, %v", st, err)
 	}
+	// A shard that is done stays done: a late fail report is refused.
+	blobs, _ := captureUploads(t, sub, 0)
+	final := filepath.Join(t.TempDir(), "final.ckpt")
+	if err := os.WriteFile(final, blobs[len(blobs)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	second, err := cl.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up, err := cl.Upload(second.ID, 0, "", final); err != nil || !up.Done {
+		t.Fatalf("Upload of a final snapshot = %+v, %v", up, err)
+	}
+	if err := cl.Fail(second.ID, 0, "", "late"); code(err) != 409 {
+		t.Errorf("Fail of a done shard: %v, want 409", err)
+	}
+	if st, err := cl.Campaign(second.ID); err != nil || st.Shards[0].State != "done" || st.Error != "" {
+		t.Errorf("Campaign after a refused fail = %+v, %v; want its shard done and no error", st, err)
+	}
 	if err := cl.Deregister(reg.WorkerID); err != nil {
 		t.Errorf("Deregister: %v", err)
 	}
-	if st, err := cl.Status(); err != nil || st.Schema != FleetStatusSchema || len(st.Workers) != 0 || st.Failed != 1 {
+	if st, err := cl.Status(); err != nil || st.Schema != FleetStatusSchema || len(st.Workers) != 0 || st.Failed != 1 || st.Done != 1 {
 		t.Errorf("Status = %+v, %v", st, err)
 	}
 }
@@ -687,7 +706,7 @@ func TestFleetUploadFences(t *testing.T) {
 	if got := c.status().Campaigns[0].Runs; got != 0 {
 		t.Errorf("rejected uploads changed the aggregate to %d runs, want 0", got)
 	}
-	if got := c.reg.Counter(MetricUploadsRejected, "").Value(); got != int64(len(cases)) {
+	if got := c.st.uploadsRejected; got != int64(len(cases)) {
 		t.Errorf("%s = %d, want %d", MetricUploadsRejected, got, len(cases))
 	}
 
@@ -721,7 +740,7 @@ func TestFleetCoordinatorAnchoredRate(t *testing.T) {
 
 	t0 := time.Now()
 	c.mu.Lock()
-	cs := c.campaigns[resp.ID]
+	cs := c.st.campaigns[resp.ID]
 	c.mu.Unlock()
 
 	c.reconcile(t0) // anchors the base at 0 runs
@@ -749,7 +768,7 @@ func TestFleetCoordinatorAnchoredRate(t *testing.T) {
 	}
 
 	c.mu.Lock()
-	st := c.campaignStatusLocked(cs, t0.Add(20*time.Second))
+	st := c.st.campaignStatus(cs, t0.Add(20*time.Second))
 	c.mu.Unlock()
 	if st.TotalRuns != 100000 {
 		t.Fatalf("TotalRuns = %d, want 100000", st.TotalRuns)

@@ -307,35 +307,53 @@ func WriteFile(path string, recs []Record) error {
 
 // AtomicWrite replaces path with the concatenation of parts so that a
 // crash at any instant leaves either the old file or the new one, never a
-// torn one: it writes the parts in order to a temp file in path's
-// directory, fsyncs it, and renames it over path. Parts let a writer hand
-// over bytes it keeps elsewhere, such as a sample state's class object,
-// without first copying them into one buffer.
+// torn one: it stages the parts in a temp file in path's directory
+// (Stage) and renames it over path. Parts let a writer hand over bytes it
+// keeps elsewhere, such as a sample state's class object, without first
+// copying them into one buffer.
 // It is the one durable-write helper of the repository — campaign
 // snapshots, timeline files and the fleet's shard copies all go through
-// it — and lives here because this stdlib-only package is the lowest one
-// all of those writers import.
+// it or its two halves — and lives here because this stdlib-only package
+// is the lowest one all of those writers import.
 func AtomicWrite(path string, parts ...[]byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	tmp, err := Stage(filepath.Dir(path), filepath.Base(path)+".tmp-*", parts...)
 	if err != nil {
-		return fmt.Errorf("atomic write: %w", err)
+		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	for _, data := range parts {
-		if _, err := tmp.Write(data); err != nil {
-			tmp.Close()
-			return fmt.Errorf("atomic write %s: %w", path, err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("atomic write %s: sync: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("atomic write %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("atomic write %s: %w", path, err)
 	}
 	return nil
+}
+
+// Stage is the first half of AtomicWrite: it writes the parts in order to
+// a new temp file in dir, named from pattern as os.CreateTemp names it,
+// fsyncs and closes it, and returns its path. The caller renames the file
+// over its destination in the same file system, the second half, or
+// removes it; on error nothing is left behind.
+func Stage(dir, pattern string, parts ...[]byte) (string, error) {
+	tmp, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return "", fmt.Errorf("atomic write: %w", err)
+	}
+	name := tmp.Name()
+	fail := func(format string, err error) (string, error) {
+		tmp.Close()
+		os.Remove(name)
+		return "", fmt.Errorf(format, name, err)
+	}
+	for _, data := range parts {
+		if _, err := tmp.Write(data); err != nil {
+			return fail("atomic write %s: %w", err)
+		}
+	}
+	if err := tmp.Sync(); err != nil {
+		return fail("atomic write %s: sync: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(name)
+		return "", fmt.Errorf("atomic write %s: %w", name, err)
+	}
+	return name, nil
 }
