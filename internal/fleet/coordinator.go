@@ -46,10 +46,10 @@ type CoordinatorConfig struct {
 	// declared dead and its shard re-dealt (default 10s). The interval
 	// workers are told to heartbeat at is a third of it.
 	HeartbeatTimeout time.Duration
-	// StaleCheckpoint re-deals a running shard whose last accepted
-	// snapshot upload (or deal, if none yet) is older than this, even if
-	// its worker still heartbeats — a wedged worker holds a lease but
-	// makes no progress (default 2m; <0 disables).
+	// StaleCheckpoint re-deals a running shard whose last deal or
+	// accepted snapshot upload, whichever is later, is older than this,
+	// even if its worker still heartbeats — a wedged worker holds a lease
+	// but makes no progress (default 2m; <0 disables).
 	StaleCheckpoint time.Duration
 	// ReconcileEvery is the reconcile-loop tick (default 1s).
 	ReconcileEvery time.Duration
@@ -155,8 +155,7 @@ func step[R any](c *Coordinator, t func(s *state, now time.Time) (R, effects, er
 	return resp, err
 }
 
-// run carries out a transition's effects, outside mu: the log lines in
-// order, then each merge.
+// run carries out a transition's effects once mu is released.
 func (c *Coordinator) run(fx effects) {
 	if c.cfg.Logf != nil {
 		for _, l := range fx.logs {
@@ -189,8 +188,7 @@ func (c *Coordinator) merge(id string) {
 	c.run(fx)
 }
 
-// shardPath is the on-disk home of a shard's latest uploaded snapshot;
-// its sidecar is timeline.SidecarPath of it.
+// shardPath is the on-disk home of a shard's latest uploaded snapshot.
 func (c *Coordinator) shardPath(id string, shard int) string {
 	return filepath.Join(c.cfg.DataDir, id, fmt.Sprintf("shard%d.ckpt", shard))
 }
@@ -202,47 +200,42 @@ func (c *Coordinator) Submit(sub Submission) (SubmitResponse, error) {
 	return step(c, func(s *state, now time.Time) (SubmitResponse, effects, error) { return s.submit(now, sub) })
 }
 
-// upload decodes and stages a shard snapshot upload before it takes mu:
-// the snapshot and its sidecar are written and fsynced to temp files in
-// the data dir under names of the coordinator's choosing. Under mu the
-// state's fences run, and only when all pass are the temp files renamed
-// over the shard's files and the upload committed to the state, so an
-// acknowledged upload is durable, a rejected one lands no byte, and one
-// whose rename fails changes no state.
+// upload decodes a shard snapshot upload and stages it before it takes
+// mu: the snapshot and sidecar are written and fsynced to temp files in
+// the data dir, under names no request chooses. The state's fences run
+// under mu, and only when all pass are the temps renamed into place and
+// the upload committed, so an acknowledged upload is durable and a
+// rejected one lands no byte.
 func (c *Coordinator) upload(campaignID string, shard int, req UploadRequest) (UploadResponse, error) {
 	up := decodeUpload(campaignID, shard, req)
-	var snapTmp, sideTmp string
+	var tmps []string // the staged snapshot, then its staged sidecar
 	var stageErr error
-	if up.err == nil {
-		snapTmp, stageErr = timeline.Stage(c.cfg.DataDir, "upload-*.tmp", req.Snapshot)
-		if stageErr == nil && len(req.Timeline) > 0 {
-			sideTmp, stageErr = timeline.Stage(c.cfg.DataDir, "upload-*.tmp", req.Timeline)
+	for _, data := range [][]byte{req.Snapshot, req.Timeline} {
+		if up.err != nil || stageErr != nil || len(data) == 0 {
+			break
 		}
+		var tmp string
+		tmp, stageErr = timeline.Stage(c.cfg.DataDir, "upload-*.tmp", data)
+		tmps = append(tmps, tmp)
 	}
-	defer func() { // both are empty once renamed into place
-		for _, tmp := range []string{snapTmp, sideTmp} {
-			if tmp != "" {
-				os.Remove(tmp)
-			}
+	defer func() {
+		for _, tmp := range tmps {
+			os.Remove(tmp) // a no-op once renamed into place
 		}
 	}()
 	commit := func() error {
-		if stageErr != nil {
-			return fmt.Errorf("fleet: %w", stageErr)
-		}
 		path := c.shardPath(campaignID, shard)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return fmt.Errorf("fleet: %w", err)
+		err := stageErr
+		if err == nil {
+			err = os.MkdirAll(filepath.Dir(path), 0o755)
 		}
-		if err := os.Rename(snapTmp, path); err != nil {
-			return fmt.Errorf("fleet: %w", err)
-		}
-		snapTmp = ""
-		if sideTmp != "" {
-			if err := os.Rename(sideTmp, timeline.SidecarPath(path)); err != nil {
-				return fmt.Errorf("fleet: %w", err)
+		for i, dst := range []string{path, timeline.SidecarPath(path)}[:len(tmps)] {
+			if err == nil {
+				err = os.Rename(tmps[i], dst)
 			}
-			sideTmp = ""
+		}
+		if err != nil {
+			return fmt.Errorf("fleet: %w", err)
 		}
 		return nil
 	}
@@ -282,21 +275,17 @@ func (c *Coordinator) buildMux() {
 	mux := http.NewServeMux()
 	campaignStatus := func(id string) (CampaignStatus, error) {
 		return step(c, func(s *state, now time.Time) (CampaignStatus, effects, error) {
-			st, err := s.campaign(id, now)
-			return st, effects{}, err
+			if cs, ok := s.campaigns[id]; ok {
+				return s.campaignStatus(cs, now), effects{}, nil
+			}
+			return CampaignStatus{}, effects{}, errorf(http.StatusNotFound, "fleet: unknown campaign %q", id)
 		})
 	}
 	handle(mux, "POST /v1/campaigns", func(_ *http.Request, sub Submission) (SubmitResponse, error) {
 		return c.Submit(sub)
 	})
 	handle(mux, "GET /v1/campaigns", func(*http.Request, none) ([]CampaignStatus, error) {
-		return step(c, func(s *state, now time.Time) ([]CampaignStatus, effects, error) {
-			out := make([]CampaignStatus, 0, len(s.order))
-			for _, id := range s.order {
-				out = append(out, s.campaignStatus(s.campaigns[id], now))
-			}
-			return out, effects{}, nil
-		})
+		return c.status().Campaigns, nil
 	})
 	handle(mux, "GET /v1/campaigns/{id}", func(r *http.Request, _ none) (CampaignStatus, error) {
 		return campaignStatus(r.PathValue("id"))
@@ -409,11 +398,19 @@ func shardParam(r *http.Request) (int, error) {
 // a campaign into one fleet-wide series — the same (index, shard)
 // interleaving `gsbcampaign merge -timeline` produces.
 func (c *Coordinator) campaignTimeline(id string) ([]timeline.Record, error) {
+	// Stored sidecars are only ever replaced, never modified, so they are
+	// decoded after the lock is released.
 	c.mu.Lock()
-	sidecars, err := c.st.sidecars(id)
+	cs, ok := c.st.campaigns[id]
+	var sidecars [][]byte
+	if ok {
+		for _, sh := range cs.shards {
+			sidecars = append(sidecars, sh.timeline)
+		}
+	}
 	c.mu.Unlock()
-	if err != nil {
-		return nil, err
+	if !ok {
+		return nil, errorf(http.StatusNotFound, "fleet: unknown campaign %q", id)
 	}
 	var series [][]timeline.Record
 	for i, b := range sidecars {

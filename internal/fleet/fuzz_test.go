@@ -297,7 +297,7 @@ func dumpState(s *state) string {
 		cs := s.campaigns[id]
 		fmt.Fprintf(&b, "%s merging=%v done=%v report=%v err=%q rate=%d@%v:%v\n", id, cs.merging, cs.done, cs.report != nil, cs.errMsg, cs.lastRuns, cs.lastRunsAt, cs.runsPerSec)
 		for _, sh := range cs.shards {
-			fmt.Fprintf(&b, "  %s redeals=%d err=%q header=%+v stats=%p ckpt=%v snap=%d side=%d up=%v stale=%v\n",
+			fmt.Fprintf(&b, "  %s redeals=%d err=%q header=%+v stats=%v ckpt=%v snap=%d side=%d up=%v stale=%v\n",
 				sh.state, sh.redeals, sh.errMsg, sh.header, sh.stats, sh.haveCkpt, len(sh.snapshot), len(sh.timeline), sh.uploadAt, sh.staleFrom)
 		}
 	}

@@ -14,13 +14,11 @@ import (
 	"repro/internal/timeline"
 )
 
-// state is the coordinator's whole control plane as a plain value: the
-// campaigns, the shard queue, the worker sessions, the id sequences and
-// the upload counters. Each event is one method that takes the event's
-// time as now and returns its typed response, the effects to run once
-// the coordinator's lock is released, and the error the route answers.
-// No method reads the clock, touches the file system, logs or runs a
-// shard merge; the Coordinator does those around the call.
+// state is the coordinator's whole control plane as a plain value. Each
+// event is one method that takes the event's time as now and returns its
+// typed response, the effects to run once the coordinator's lock is
+// released, and the error the route answers. No method reads the clock,
+// touches the file system, logs or runs a shard merge.
 type state struct {
 	heartbeatTimeout time.Duration
 	staleCheckpoint  time.Duration
@@ -36,17 +34,12 @@ type state struct {
 }
 
 func newState(cfg CoordinatorConfig) state {
-	return state{
-		heartbeatTimeout: cfg.HeartbeatTimeout,
-		staleCheckpoint:  cfg.StaleCheckpoint,
-		campaigns:        map[string]*campaignState{},
-		workers:          map[string]*workerState{},
-	}
+	return state{heartbeatTimeout: cfg.HeartbeatTimeout, staleCheckpoint: cfg.StaleCheckpoint,
+		campaigns: map[string]*campaignState{}, workers: map[string]*workerState{}}
 }
 
 // effects is what a transition leaves for the coordinator to run after
-// it releases its lock: log lines, in order, and the campaigns whose
-// shard merge to run.
+// it releases its lock: log lines, and the campaigns to merge.
 type effects struct {
 	logs   []logLine
 	merges []string
@@ -78,15 +71,13 @@ type shardState struct {
 	// stats it carries. Aggregations read ONLY these per-shard latest
 	// values — never a sum over uploads — which is what keeps a
 	// re-dealt shard's pre-crash runs from being counted twice.
-	snapshot []byte
-	timeline []byte
-	header   campaign.Header
-	stats    *stats.Snapshot
-	haveCkpt bool
-	uploadAt time.Time // the latest accepted upload (upload_age_sec)
-	// staleFrom anchors the stale-checkpoint rule: the later of the
-	// shard's last deal and its latest accepted upload.
-	staleFrom time.Time
+	snapshot  []byte
+	timeline  []byte
+	header    campaign.Header
+	stats     stats.Snapshot
+	haveCkpt  bool
+	uploadAt  time.Time // the latest accepted upload (upload_age_sec)
+	staleFrom time.Time // the stale rule's anchor: the last deal or upload
 }
 
 // campaignState is one submitted campaign.
@@ -257,9 +248,8 @@ func (s *state) deregister(now time.Time, workerID string) (Ack, effects, error)
 
 // fail records a terminal engine error on a shard (invalid or exhausted
 // budget — errors a resume cannot fix), failing the campaign. Every
-// refusal is a 409: an unknown campaign or shard, a shard already done,
-// and a reporter that does not own the shard (an empty worker id is an
-// operator's report).
+// refusal is a 409, an unknown campaign or shard and a done shard
+// included; an empty worker id is an operator's report.
 func (s *state) fail(now time.Time, campaignID string, shard int, req FailRequest) (Ack, effects, error) {
 	var fx effects
 	cs, ok := s.campaigns[campaignID]
@@ -290,9 +280,7 @@ func (s *state) fail(now time.Time, campaignID string, shard int, req FailReques
 }
 
 // decodedUpload is an upload request with its snapshot and sidecar
-// decoded, work done before the lock is taken: the header and stats the
-// fences and aggregates read, the sidecar's records, or the decode error
-// that rejects it.
+// decoded before the lock is taken, or the decode error that rejects it.
 type decodedUpload struct {
 	UploadRequest
 	header campaign.Header
@@ -313,13 +301,12 @@ func decodeUpload(campaignID string, shard int, req UploadRequest) decodedUpload
 // upload accepts a shard snapshot. The fences, in order: the blob must
 // have decoded; the campaign and shard must exist and the shard must not
 // be done; the uploader must own the shard (an empty worker id — an
-// operator import — is accepted only while no worker does); the
-// snapshot's header hash, shard index and shard count, and every sidecar
-// record's, must match the campaign identity; and progress must not
-// regress the latest accepted snapshot. Every rejection is loud, counted,
-// and changes nothing else. Once all pass, commit makes the upload
-// durable; only if it succeeds is the upload accepted, so a failed
-// commit changes nothing either.
+// operator import — is accepted only while no worker does); the header
+// hash, shard index and shard count, and every sidecar record's, must
+// match the campaign identity; and progress must not regress the latest
+// accepted snapshot. Every rejection is loud, counted, and changes
+// nothing else. Once all pass, commit makes the upload durable, and only
+// if it succeeds is the upload accepted.
 func (s *state) upload(now time.Time, campaignID string, shard int, up decodedUpload, commit func() error) (UploadResponse, effects, error) {
 	var fx effects
 	reject := func(code int, format string, args ...any) (UploadResponse, effects, error) {
@@ -375,7 +362,10 @@ func (s *state) upload(now time.Time, campaignID string, shard int, up decodedUp
 	if len(up.Timeline) > 0 {
 		sh.timeline = up.Timeline
 	}
-	sh.header, sh.stats, sh.haveCkpt = h, up.stats, true
+	sh.header, sh.haveCkpt = h, true
+	if up.stats != nil {
+		sh.stats = *up.stats
+	}
 	sh.uploadAt, sh.staleFrom = now, now
 	s.uploads++
 	if h.Done {
@@ -388,10 +378,8 @@ func (s *state) upload(now time.Time, campaignID string, shard int, up decodedUp
 	return UploadResponse{Schema: Schema, Done: h.Done, Runs: h.Runs}, fx, nil
 }
 
-// tick is one pass of the reconcile loop: it drops the workers whose
-// last heartbeat is older than the heartbeat timeout, re-deals the
-// running shards whose stale-rule anchor is older than the stale
-// checkpoint window, refreshes the rate anchors, and returns the
+// tick is one pass of the reconcile loop: it expires dead workers,
+// re-deals stale shards, refreshes the rate anchors and returns the
 // campaigns whose whole shard set is done as merges to run.
 func (s *state) tick(now time.Time) effects {
 	var fx effects
@@ -401,26 +389,17 @@ func (s *state) tick(now time.Time) effects {
 			s.dropWorker(&fx, w, "died")
 		}
 	}
-	if s.staleCheckpoint > 0 {
-		for _, id := range s.order {
-			cs := s.campaigns[id]
-			for i, sh := range cs.shards {
-				if age := now.Sub(sh.staleFrom); sh.state == "running" && age > s.staleCheckpoint {
-					fx.logf("fleet: campaign %s shard %d checkpoint is stale (%s), re-dealing", id, i, age.Round(time.Millisecond))
-					s.requeue(&fx, cs, i, "stale")
-				}
-			}
-		}
-	}
-	for _, id := range s.order {
-		s.campaigns[id].refreshRate(now)
-	}
 	for _, id := range s.order {
 		cs := s.campaigns[id]
-		if cs.done || cs.merging || cs.errMsg != "" {
-			continue
+		for i, sh := range cs.shards {
+			if age := now.Sub(sh.staleFrom); s.staleCheckpoint > 0 && sh.state == "running" && age > s.staleCheckpoint {
+				fx.logf("fleet: campaign %s shard %d checkpoint is stale (%s), re-dealing", id, i, age.Round(time.Millisecond))
+				s.requeue(&fx, cs, i, "stale")
+			}
 		}
-		if !slices.ContainsFunc(cs.shards, func(sh *shardState) bool { return sh.state != "done" }) {
+		cs.refreshRate(now)
+		if !cs.done && !cs.merging && cs.errMsg == "" &&
+			!slices.ContainsFunc(cs.shards, func(sh *shardState) bool { return sh.state != "done" }) {
 			cs.merging = true
 			fx.merges = append(fx.merges, id)
 		}
@@ -428,10 +407,9 @@ func (s *state) tick(now time.Time) effects {
 	return fx
 }
 
-// merged records the outcome of a finished campaign's shard merge: the
-// merged report, or the error that stopped the merge. A violation
-// verdict comes with a done report and settles the campaign like a
-// clean one.
+// merged records a finished campaign's shard merge: its report (a
+// violation verdict comes with a done report), or the error that stopped
+// it.
 func (s *state) merged(id string, rep campaign.Report, err error) effects {
 	var fx effects
 	cs := s.campaigns[id]
@@ -442,8 +420,7 @@ func (s *state) merged(id string, rep campaign.Report, err error) effects {
 		cs.errMsg = err.Error()
 		return fx
 	}
-	cs.done = true
-	cs.report = &rep
+	cs.done, cs.report = true, &rep
 	fx.logf("fleet: campaign %s merged: %d schedules, violation=%q", id, rep.Schedules, rep.Violation)
 	return fx
 }
@@ -470,8 +447,7 @@ func (s *state) owner(id string, shard int) *workerState {
 }
 
 // requeue returns a running shard to the queue (a re-deal: the next
-// lease resumes it from its latest uploaded snapshot and restarts its
-// stale-rule anchor).
+// lease resumes it from its latest uploaded snapshot).
 func (s *state) requeue(fx *effects, cs *campaignState, shard int, why string) {
 	sh := cs.shards[shard]
 	if sh.state != "running" {
@@ -559,7 +535,7 @@ func (s *state) campaignStatus(cs *campaignState, now time.Time) CampaignStatus 
 		}
 		if sh.haveCkpt {
 			row.UploadAgeSec = now.Sub(sh.uploadAt).Seconds()
-			snaps = append(snaps, *orEmpty(sh.stats))
+			snaps = append(snaps, sh.stats)
 		}
 		st.Shards = append(st.Shards, row)
 		st.Redeals += sh.redeals
@@ -597,22 +573,6 @@ func (s *state) campaignStatus(cs *campaignState, now time.Time) CampaignStatus 
 	return st
 }
 
-func orEmpty(s *stats.Snapshot) *stats.Snapshot {
-	if s == nil {
-		return &stats.Snapshot{}
-	}
-	return s
-}
-
-// campaign renders one campaign's live view at now (404 when unknown).
-func (s *state) campaign(id string, now time.Time) (CampaignStatus, error) {
-	cs, ok := s.campaigns[id]
-	if !ok {
-		return CampaignStatus{}, errorf(http.StatusNotFound, "fleet: unknown campaign %q", id)
-	}
-	return s.campaignStatus(cs, now), nil
-}
-
 // status renders the fleet-wide aggregate view at now.
 func (s *state) status(now time.Time) FleetStatus {
 	st := FleetStatus{Schema: FleetStatusSchema, Workers: []WorkerStatus{}, Campaigns: []CampaignStatus{}}
@@ -638,10 +598,8 @@ func (s *state) status(now time.Time) FleetStatus {
 	return st
 }
 
-// metrics returns the control-plane series of /metrics, read from the
-// state, as a registry in their documented order, and the latest stats
-// snapshot of every shard that has one, for the engine aggregates that
-// follow them.
+// metrics returns the control-plane series of /metrics as a registry,
+// and the latest stats snapshot of every shard, whose sum follows them.
 func (s *state) metrics() (*stats.Registry, []stats.Snapshot) {
 	var n shardCounts
 	var snaps []stats.Snapshot
@@ -650,7 +608,7 @@ func (s *state) metrics() (*stats.Registry, []stats.Snapshot) {
 		n.add(shards)
 		for _, sh := range shards {
 			if sh.haveCkpt {
-				snaps = append(snaps, *orEmpty(sh.stats))
+				snaps = append(snaps, sh.stats)
 			}
 		}
 	}
@@ -663,20 +621,4 @@ func (s *state) metrics() (*stats.Registry, []stats.Snapshot) {
 	reg.Gauge(MetricShardsRunning, "Shards currently leased to a worker.").Set(int64(n.running))
 	reg.Gauge(MetricShardsDone, "Shards completed.").Set(int64(n.done))
 	return reg, snaps
-}
-
-// sidecars returns the latest uploaded sidecar of every shard of a
-// campaign, in shard order (404 when the campaign is unknown). Stored
-// sidecars are never modified, only replaced, so the caller decodes
-// them after the lock is released.
-func (s *state) sidecars(id string) ([][]byte, error) {
-	cs, ok := s.campaigns[id]
-	if !ok {
-		return nil, errorf(http.StatusNotFound, "fleet: unknown campaign %q", id)
-	}
-	out := make([][]byte, len(cs.shards))
-	for i, sh := range cs.shards {
-		out[i] = sh.timeline
-	}
-	return out, nil
 }

@@ -330,30 +330,27 @@ func AtomicWrite(path string, parts ...[]byte) error {
 // Stage is the first half of AtomicWrite: it writes the parts in order to
 // a new temp file in dir, named from pattern as os.CreateTemp names it,
 // fsyncs and closes it, and returns its path. The caller renames the file
-// over its destination in the same file system, the second half, or
-// removes it; on error nothing is left behind.
+// over its destination in the same file system, or removes it; on error
+// nothing is left behind.
 func Stage(dir, pattern string, parts ...[]byte) (string, error) {
 	tmp, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return "", fmt.Errorf("atomic write: %w", err)
 	}
-	name := tmp.Name()
-	fail := func(format string, err error) (string, error) {
-		tmp.Close()
-		os.Remove(name)
-		return "", fmt.Errorf(format, name, err)
-	}
 	for _, data := range parts {
-		if _, err := tmp.Write(data); err != nil {
-			return fail("atomic write %s: %w", err)
+		if err == nil {
+			_, err = tmp.Write(data)
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		return fail("atomic write %s: sync: %w", err)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return "", fmt.Errorf("atomic write %s: %w", name, err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	return name, nil
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", fmt.Errorf("atomic write %s: %w", tmp.Name(), err)
+	}
+	return tmp.Name(), nil
 }
