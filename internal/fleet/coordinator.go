@@ -145,12 +145,15 @@ func (c *Coordinator) reconcile(now time.Time) {
 
 // step is the route adapter of every state method: it reads the clock
 // once, runs t on the state under mu, and runs the effects t returned
-// once mu is released.
+// once mu is released. The deferred unlock keeps a panicking transition,
+// which net/http recovers, from leaving mu held.
 func step[R any](c *Coordinator, t func(s *state, now time.Time) (R, effects, error)) (R, error) {
 	now := time.Now()
-	c.mu.Lock()
-	resp, fx, err := t(&c.st, now)
-	c.mu.Unlock()
+	resp, fx, err := func() (R, effects, error) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return t(&c.st, now)
+	}()
 	c.run(fx)
 	return resp, err
 }
