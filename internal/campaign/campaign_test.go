@@ -2,11 +2,13 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gsb"
@@ -366,6 +368,64 @@ func TestCampaignSnapshotValidation(t *testing.T) {
 	}
 	if !st.Done || st.Mode != ModeExhaustive || st.Result == nil || st.Result.Schedules == 0 {
 		t.Errorf("status of a finished campaign: %+v", st)
+	}
+}
+
+// TestDecodeHeaderValidation: decodeHeader rejects each kind of bad
+// header line with its own error, including a header whose hash is right
+// but whose mode is not the one its options select.
+func TestDecodeHeaderValidation(t *testing.T) {
+	valid := Header{
+		Mode: ModeWalk, Protocol: "slot-renaming", Task: "wait-free", N: 4,
+		IDs: []int{1, 2, 3, 4}, Of: 2, Shard: 1,
+		Options: optionsHeader(sched.ExploreOptions{Seed: 1, SampleRuns: 3000}),
+	}
+	// line renders h with its magic, version and a hash that covers it.
+	line := func(h Header) string {
+		h.Magic, h.Version = Magic, Version
+		h.OptionsHash = optionsHash(h)
+		b, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	with := func(edit func(*Header)) string {
+		h := valid
+		edit(&h)
+		return line(h)
+	}
+	for _, tc := range []struct {
+		name string
+		data string
+		want []string // substrings of the error; none for a valid header
+	}{
+		{"valid", line(valid), nil},
+		{"no header line", `{"magic":"gsb-campaign"}`, []string{"no header line"}},
+		{"not JSON", "gsb-campaign\n", []string{"not JSON"}},
+		{"wrong magic", strings.Replace(line(valid), Magic, "nope", 1), []string{"not a campaign snapshot"}},
+		{"wrong version", strings.Replace(line(valid), fmt.Sprintf(`"version":%d`, Version), `"version":99`, 1), []string{"format version 99"}},
+		{"hash mismatch", strings.Replace(line(valid), `"seed":1`, `"seed":2`, 1), []string{"hash"}},
+		{"invalid shard", with(func(h *Header) { h.Shard = 2 }), []string{"shard 2 of 2"}},
+		{"mode contradicts options", with(func(h *Header) { h.Mode = ModeCrash }), []string{string(ModeCrash), string(ModeWalk)}},
+		{"pct mode over walk options", with(func(h *Header) { h.Mode = ModePCT }), []string{string(ModePCT), string(ModeWalk)}},
+	} {
+		_, _, err := decodeHeader([]byte(tc.data))
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, w)
+			}
+		}
 	}
 }
 

@@ -2,10 +2,14 @@ package campaign
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,7 +58,7 @@ func seedSnapshots(f *testing.F) [][]byte {
 	write(Header{
 		Mode: ModePCT, Protocol: "reg", Task: "wait-free", N: 2,
 		IDs: []int{1, 2}, Of: 2, Shard: 1,
-		Options: optionsHeader(sched.ExploreOptions{Seed: 9, SampleRuns: 10, Depth: 3}),
+		Options: optionsHeader(sched.ExploreOptions{Seed: 9, SampleRuns: 10, SampleMode: sched.SamplePCT, Depth: 3}),
 	}, payload{Sample: &sample.BatchState{
 		Depth: 3, Horizon: 12,
 		Pool:    sched.SeededState{Shard: 1, Of: 2, Next: 5, Completed: 5},
@@ -247,8 +251,9 @@ func FuzzParseHeader(f *testing.F) {
 			return
 		}
 		// A header the decoder accepts must uphold its invariants: the
-		// declared magic/version, a self-consistent hash, a legal shard,
-		// and a remainder that is a tail of the input.
+		// declared magic/version, a self-consistent hash, a legal shard, a
+		// mode its options select, and a remainder that is a tail of the
+		// input.
 		if h.Magic != Magic || h.Version != Version {
 			t.Fatalf("accepted header with magic %q version %d", h.Magic, h.Version)
 		}
@@ -258,6 +263,9 @@ func FuzzParseHeader(f *testing.F) {
 		if h.Of < 1 || h.Shard < 0 || h.Shard >= h.Of {
 			t.Fatalf("accepted invalid shard %d of %d", h.Shard, h.Of)
 		}
+		if want := ModeOf(h.ExploreOptions()); h.Mode != want {
+			t.Fatalf("accepted mode %s over options that select %s", h.Mode, want)
+		}
 		if len(rest) > len(data) {
 			t.Fatalf("remainder longer than input")
 		}
@@ -266,6 +274,42 @@ func FuzzParseHeader(f *testing.F) {
 			t.Fatalf("accepted header does not re-encode: %v", err)
 		}
 	})
+}
+
+// firstRunOrder is a class map that marshals its entries in first-run
+// order: by value, ties by key.
+type firstRunOrder map[uint64]int
+
+func (c firstRunOrder) MarshalJSON() ([]byte, error) {
+	if c == nil {
+		return []byte("null"), nil
+	}
+	keys := slices.Collect(maps.Keys(c))
+	slices.SortFunc(keys, func(a, b uint64) int {
+		return cmp.Or(cmp.Compare(c[a], c[b]), cmp.Compare(a, b))
+	})
+	obj := []byte{'{'}
+	for i, h := range keys {
+		if i > 0 {
+			obj = append(obj, ',')
+		}
+		obj = fmt.Appendf(obj, `"%d":%d`, h, c[h])
+	}
+	return append(obj, '}'), nil
+}
+
+// sampleReference is p, a sample payload, with its class map in
+// firstRunOrder: json.Encoder's bytes for it are the bytes the writer
+// must write for p. The outer Classes field hides the embedded one.
+func sampleReference(p payload) any {
+	type state struct {
+		sample.BatchState
+		Classes firstRunOrder `json:"classes"`
+	}
+	return struct {
+		Sample state           `json:"sample"`
+		Stats  *stats.Snapshot `json:"stats,omitempty"`
+	}{state{*p.Sample, p.Sample.Classes}, p.Stats}
 }
 
 func FuzzDecodeSnapshot(f *testing.F) {
@@ -283,7 +327,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("accepted payload family %q under mode %s", got, h.Mode)
 		}
 		// The writer's payload encoding must write exactly json.Encoder's
-		// bytes for it.
+		// bytes for it, except that a sample state's class object lists
+		// its classes in first-run order; those bytes must decode to the
+		// same payload as json.Encoder's.
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(p); err != nil {
 			t.Fatalf("accepted snapshot payload does not re-encode: %v", err)
@@ -293,8 +339,24 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("writer cannot encode an accepted payload: %v", err)
 		}
 		got := bytes.Join(parts[:], nil)
+		if p.Sample != nil {
+			var gotP, wantP payload
+			if err := json.Unmarshal(got, &gotP); err != nil {
+				t.Fatalf("writer's payload encoding does not decode: %v\n%s", err, got)
+			}
+			if err := json.Unmarshal(want.Bytes(), &wantP); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotP, wantP) {
+				t.Fatalf("writer's payload encoding decodes to %+v, json.Encoder's to %+v", gotP, wantP)
+			}
+			want.Reset()
+			if err := json.NewEncoder(&want).Encode(sampleReference(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("writer's payload encoding differs from json.Encoder's:\n%s\n%s", got, want.Bytes())
+			t.Fatalf("writer's payload encoding differs from the reference:\n%s\n%s", got, want.Bytes())
 		}
 		// And it must survive a rewrite cycle: what a resume re-writes,
 		// a later resume must accept.

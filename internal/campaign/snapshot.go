@@ -272,7 +272,8 @@ func appendPayload(dst []byte, p payload) ([3][]byte, error) {
 }
 
 // decodeHeader parses and validates a snapshot's header line from the
-// leading bytes of its content, returning the header and the bytes after
+// leading bytes of its content (magic, version, hash, shard range, and a
+// mode that its options select), returning the header and the bytes after
 // the line (the payload). It is pure — no file I/O — so FuzzParseHeader
 // can drive it with arbitrary inputs; the file-reading wrappers add path
 // context to its errors.
@@ -297,6 +298,9 @@ func decodeHeader(data []byte) (Header, []byte, error) {
 	}
 	if h.Of < 1 || h.Shard < 0 || h.Shard >= h.Of {
 		return h, nil, fmt.Errorf("shard %d of %d is not a valid shard", h.Shard, h.Of)
+	}
+	if want := ModeOf(h.ExploreOptions()); h.Mode != want {
+		return h, nil, fmt.Errorf("header mode %s contradicts its options, which select mode %s", h.Mode, want)
 	}
 	return h, rest, nil
 }

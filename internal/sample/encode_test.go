@@ -2,31 +2,81 @@ package sample
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/sched"
 )
 
-// checkEncoding fails unless AppendJSON writes exactly json.Marshal's
-// bytes for st, appended after an existing prefix.
+// encode returns the whole encoding AppendJSONParts writes for st,
+// appended after prefix: head, class object and closing '}'.
+func encode(t testing.TB, st *BatchState, prefix []byte) []byte {
+	t.Helper()
+	head, classes, err := st.AppendJSONParts(prefix)
+	if err != nil {
+		t.Fatalf("AppendJSONParts: %v", err)
+	}
+	return append(append(head, classes...), '}')
+}
+
+// reference is the encoding st must have: json.Marshal's bytes for st
+// without its classes, with classObject in place of the null.
+func reference(t testing.TB, st *BatchState) []byte {
+	t.Helper()
+	bare := *st
+	bare.Classes = nil
+	b, err := json.Marshal(&bare)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	if st.Classes == nil {
+		return b
+	}
+	b = bytes.TrimSuffix(b, []byte("null}"))
+	return append(append(b, classObject(st.Classes)...), '}')
+}
+
+// classObject renders classes as a JSON object in first-run order: by
+// value, ties by key.
+func classObject(classes map[uint64]int) []byte {
+	keys := slices.Collect(maps.Keys(classes))
+	slices.SortFunc(keys, func(a, b uint64) int {
+		return cmp.Or(cmp.Compare(classes[a], classes[b]), cmp.Compare(a, b))
+	})
+	obj := []byte{'{'}
+	for i, h := range keys {
+		if i > 0 {
+			obj = append(obj, ',')
+		}
+		obj = fmt.Appendf(obj, `"%d":%d`, h, classes[h])
+	}
+	return append(obj, '}')
+}
+
+// checkEncoding fails unless the encoder writes exactly reference's bytes
+// for st, appended after an existing prefix, and they decode to st.
 func checkEncoding(t *testing.T, label string, st *BatchState) {
 	t.Helper()
-	want, err := json.Marshal(st)
-	if err != nil {
-		t.Fatalf("%s: marshal: %v", label, err)
-	}
-	got, err := st.AppendJSON([]byte("prefix"))
-	if err != nil {
-		t.Fatalf("%s: AppendJSON: %v", label, err)
-	}
+	want := reference(t, st)
+	got := encode(t, st, []byte("prefix"))
 	if !bytes.Equal(got[len("prefix"):], want) || string(got[:len("prefix")]) != "prefix" {
-		t.Fatalf("%s: AppendJSON wrote\n%s\njson.Marshal wrote\n%s", label, got, want)
+		t.Fatalf("%s: encoder wrote\n%s\nthe reference is\n%s", label, got, want)
+	}
+	var decoded BatchState
+	if err := json.Unmarshal(got[len("prefix"):], &decoded); err != nil {
+		t.Fatalf("%s: unmarshal: %v", label, err)
+	}
+	if want := roundTrip(t, st); !reflect.DeepEqual(&decoded, want) {
+		t.Fatalf("%s: the encoding decodes to %+v, json.Marshal's to %+v", label, decoded, want)
 	}
 }
 
@@ -37,6 +87,15 @@ var edgeKeys = []uint64{
 	1e18, 1e18 - 1, 1e19 - 1, 1e19, 1e19 + 1, math.MaxUint64, math.MaxUint64 - 1,
 	18446744073709551, 1844674407370955161,
 }
+
+// pow10 holds 10^0 .. 10^19, every power of ten a uint64 holds.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 10
+	}
+	return p
+}()
 
 // randomKey draws a key whose decimal rendering has exactly digits
 // digits (1 to 20).
@@ -66,34 +125,9 @@ func addClass(st *BatchState, h uint64, i int) {
 	}
 }
 
-func TestCompareDecimalMatchesStringOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	keys := append([]uint64(nil), edgeKeys...)
-	for d := 1; d <= 20; d++ {
-		for range 20 {
-			keys = append(keys, randomKey(rng, d))
-		}
-	}
-	for _, a := range keys {
-		for _, b := range keys {
-			want := strings.Compare(strconv.FormatUint(a, 10), strconv.FormatUint(b, 10))
-			if got := compareDecimal(a, b); got != want {
-				t.Fatalf("compareDecimal(%d, %d) = %d, want %d", a, b, got, want)
-			}
-		}
-	}
-	for d := 1; d <= 20; d++ {
-		for _, x := range []uint64{randomKey(rng, d), pow10[d-1], pow10[d-1] - 1} {
-			if got, want := decimalDigits(x), len(strconv.FormatUint(x, 10)); got != want {
-				t.Fatalf("decimalDigits(%d) = %d, want %d", x, got, want)
-			}
-		}
-	}
-}
-
 // TestAppendJSONMatchesMarshal is the encoder's differential: on random
 // and edge-case states, fresh, grown incrementally and decoded, its
-// bytes equal json.Marshal's.
+// bytes equal the reference's.
 func TestAppendJSONMatchesMarshal(t *testing.T) {
 	checkEncoding(t, "nil classes", &BatchState{})
 	checkEncoding(t, "empty classes", &BatchState{Classes: map[uint64]int{}})
@@ -177,7 +211,9 @@ func TestAppendJSONStaleOrder(t *testing.T) {
 
 // TestAppendJSONAcrossSlices encodes real batch states after every slice,
 // walk and PCT, before and after a decode: a passing batch whose class set
-// grows, and a failing one.
+// grows, and a failing one. A slice records only classes at runs after the
+// kept ones, so each encode appends to the previous class object: that
+// object without its '}' is a prefix of the next.
 func TestAppendJSONAcrossSlices(t *testing.T) {
 	for _, mode := range []sched.SampleMode{sched.SampleWalk, sched.SamplePCT} {
 		for _, check := range []func(*sched.Result) error{nil, distinctOutputs} {
@@ -188,11 +224,24 @@ func TestAppendJSONAcrossSlices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var prev []byte
+			appended := func(label string) {
+				t.Helper()
+				checkEncoding(t, label, st)
+				_, obj, err := st.AppendJSONParts(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if prev != nil && !bytes.HasPrefix(obj, prev[:len(prev)-1]) {
+					t.Fatalf("%s: class object\n%s\ndoes not extend the previous one\n%s", label, obj, prev)
+				}
+				prev = bytes.Clone(obj)
+			}
 			for slice := 0; ; slice++ {
-				checkEncoding(t, label+" slice "+strconv.Itoa(slice), st)
+				appended(label + " slice " + strconv.Itoa(slice))
 				if slice == 3 {
 					st = roundTrip(t, st)
-					checkEncoding(t, label+" decoded", st)
+					appended(label + " decoded")
 				}
 				var done bool
 				st, done, err = r.Slice(context.Background(), st, 37)
@@ -203,7 +252,7 @@ func TestAppendJSONAcrossSlices(t *testing.T) {
 					break
 				}
 			}
-			checkEncoding(t, label+" done", st)
+			appended(label + " done")
 			if check == nil && len(st.Classes) < 4 || check != nil && st.Pool.Failure == nil {
 				t.Fatalf("%s: %d classes, failure %+v: the batch does not exercise the encoder", label, len(st.Classes), st.Pool.Failure)
 			}
@@ -211,9 +260,10 @@ func TestAppendJSONAcrossSlices(t *testing.T) {
 	}
 }
 
-// BenchmarkClassCheckpoints encodes one state 60 times, recording 1,000
-// random 64-bit keys before each encode: the shape of a 60,000-run walk
-// campaign checkpointed every 1,000 runs. Only the encodes are timed.
+// BenchmarkClassCheckpoints encodes one state 60 times into one buffer,
+// recording 1,000 random 64-bit keys at increasing runs before each
+// encode: the shape of a 60,000-run walk campaign checkpointed every
+// 1,000 runs. Only the encodes are timed.
 func BenchmarkClassCheckpoints(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]uint64, 60*1000)
@@ -232,10 +282,7 @@ func BenchmarkClassCheckpoints(b *testing.B) {
 				addClass(st, keys[i], i)
 			}
 			b.StartTimer()
-			var err error
-			if buf, err = st.AppendJSON(buf[:0]); err != nil {
-				b.Fatal(err)
-			}
+			buf = encode(b, st, buf[:0])
 		}
 	}
 }

@@ -47,9 +47,9 @@ type BatchState struct {
 	// (class h occurred before run c iff Classes[h] < c), while the map
 	// grows with the distinct-class count rather than the run count.
 	Classes map[uint64]int `json:"classes"`
-	// keys keeps Classes' entries in checkpoint encoding order, with the
-	// class object they encode to (AppendJSONParts); Slice records each
-	// class it sees for the first time into it.
+	// keys keeps Classes' entries in first-run order, with the class
+	// object they encode to (AppendJSONParts); Slice records each class
+	// it sees for the first time into it.
 	keys *classKeys
 }
 

@@ -19,10 +19,10 @@
 //     it is on.
 //   - The whole registry is serializable: Snapshot renders every metric
 //     to a plain JSON value, Restore folds a snapshot back into the live
-//     metrics, and Snapshot.Add sums snapshots. That is what lets a
-//     campaign checkpoint its counters, a resumed campaign keep reporting
-//     cumulative (not per-process-life) totals, and a shard merge sum its
-//     shards' totals.
+//     metrics, and Snapshot.Add sums snapshots, gauges included. That is
+//     what lets a campaign checkpoint its counters, a resumed campaign
+//     keep reporting cumulative (not per-process-life) totals, and a
+//     shard merge or the fleet sum its shards' totals and levels.
 //
 // Rendering is Prometheus text exposition format (WritePrometheus), so a
 // `-metrics` endpoint needs no client library; internal/campaign builds
@@ -363,11 +363,11 @@ func (r *Registry) Snapshot() Snapshot {
 // Restore folds a snapshot's totals into the live registry: counters and
 // histogram buckets are added (the intended use restores a checkpoint
 // into a fresh registry, making the live totals cumulative across process
-// lives), gauges are set (a level has no meaningful sum). Metrics absent
-// from the registry are registered; a histogram whose live bounds differ
-// from the snapshot's folds only sum and count (the buckets are not
-// comparable), which can only happen if the bucket layout changed between
-// the writing and the restoring build.
+// lives), gauges are set (the checkpointed level replaces the live one).
+// Metrics absent from the registry are registered; a histogram whose live
+// bounds differ from the snapshot's folds only sum and count (the buckets
+// are not comparable), which can only happen if the bucket layout changed
+// between the writing and the restoring build.
 func (r *Registry) Restore(s Snapshot) {
 	for _, name := range slices.Sorted(maps.Keys(s.Counters)) {
 		r.Counter(name, "").Add(s.Counters[name])
@@ -388,27 +388,12 @@ func (r *Registry) Restore(s Snapshot) {
 	}
 }
 
-// Add returns the element-wise sum of two snapshots (counters and
-// histograms summed, gauges taken from t where present — the later/other
-// snapshot's level wins). Merging shard snapshots uses it.
+// Add returns the element-wise sum of two snapshots: counters, gauges and
+// histograms summed. Shard snapshots are disjoint parts of one campaign,
+// so their summed gauges are the whole's levels (the total frontier, the
+// total size of the latest snapshots). Merging shard snapshots uses it.
 func (s Snapshot) Add(t Snapshot) Snapshot {
-	out := Snapshot{}
-	for _, src := range []map[string]int64{s.Counters, t.Counters} {
-		for k, v := range src {
-			if out.Counters == nil {
-				out.Counters = map[string]int64{}
-			}
-			out.Counters[k] += v
-		}
-	}
-	for _, src := range []map[string]int64{s.Gauges, t.Gauges} {
-		for k, v := range src {
-			if out.Gauges == nil {
-				out.Gauges = map[string]int64{}
-			}
-			out.Gauges[k] = v
-		}
-	}
+	out := Snapshot{Counters: sumInts(s.Counters, t.Counters), Gauges: sumInts(s.Gauges, t.Gauges)}
 	for _, src := range []map[string]HistogramSnapshot{s.Histograms, t.Histograms} {
 		for k, v := range src {
 			if out.Histograms == nil {
@@ -437,12 +422,26 @@ func (s Snapshot) Add(t Snapshot) Snapshot {
 	return out
 }
 
+// sumInts returns the key-wise sum of a and b, nil when both are empty.
+func sumInts(a, b map[string]int64) map[string]int64 {
+	var out map[string]int64
+	for _, src := range []map[string]int64{a, b} {
+		for k, v := range src {
+			if out == nil {
+				out = map[string]int64{}
+			}
+			out[k] += v
+		}
+	}
+	return out
+}
+
 // Counter returns the snapshot's value for a counter (0 when absent).
 func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 
 // Sum folds any number of snapshots with Add: the element-wise total of
-// the set (counters and histograms summed; for gauges the last
-// snapshot's level wins). The fleet coordinator aggregates shard
+// the set, counters, gauges and histograms alike, so the order of the
+// snapshots does not matter. The fleet coordinator aggregates shard
 // snapshots with it — one snapshot per shard, each already cumulative
 // across that shard's process lives, so summing the latest snapshot per
 // shard equals an uninterrupted unsharded run and never double-counts a

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -166,7 +167,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotAdd checks shard-merge summing.
+// TestSnapshotAdd checks shard-merge summing: every kind of metric is
+// summed, so the order of the shards does not matter.
 func TestSnapshotAdd(t *testing.T) {
 	a := Snapshot{
 		Counters:   map[string]int64{"gsb_runs_total": 10, "gsb_steals_total": 1},
@@ -182,12 +184,15 @@ func TestSnapshotAdd(t *testing.T) {
 	if sum.Counters["gsb_runs_total"] != 15 || sum.Counters["gsb_steals_total"] != 1 {
 		t.Fatalf("counters = %v", sum.Counters)
 	}
-	if sum.Gauges["gsb_frontier_depth"] != 8 {
-		t.Fatalf("gauge merge = %d, want 8 (other wins)", sum.Gauges["gsb_frontier_depth"])
+	if sum.Gauges["gsb_frontier_depth"] != 11 {
+		t.Fatalf("gauge merge = %d, want 11 (3+8)", sum.Gauges["gsb_frontier_depth"])
 	}
 	h := sum.Histograms["h"]
 	if h.Count != 4 || h.Sum != 3.0 || h.Counts[0] != 3 || h.Counts[1] != 1 {
 		t.Fatalf("histogram merge = %+v", h)
+	}
+	if ab, ba := Sum(a, b), Sum(b, a); !reflect.DeepEqual(ab, ba) {
+		t.Fatalf("Sum(a, b) = %+v, Sum(b, a) = %+v", ab, ba)
 	}
 }
 
