@@ -492,7 +492,7 @@ func finalize(ctx context.Context, cfg *Config, p payload) (Report, error) {
 		}
 	case p.Sample != nil:
 		rep.Depth = p.Sample.Depth
-		rep.Classes = len(p.Sample.Classes)
+		rep.Classes = p.Sample.Classes.Len()
 		pool = &p.Sample.Pool
 	case p.Crash != nil:
 		pool = p.Crash

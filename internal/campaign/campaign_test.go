@@ -429,6 +429,68 @@ func TestDecodeHeaderValidation(t *testing.T) {
 	}
 }
 
+// TestDecodeSnapshotPoolAndClassRuns: a seeded payload must carry a pool
+// of the header's shard (a zero pool is shard 0 of 1), and every class of
+// a sample payload must have been first seen at a run its pool has
+// executed: a non-negative run of the shard below its next index.
+func TestDecodeSnapshotPoolAndClassRuns(t *testing.T) {
+	header := func(mode Mode, shard, of int, opts sched.ExploreOptions) string {
+		h := Header{Magic: Magic, Version: Version, Mode: mode, Protocol: "reg", Task: "wait-free",
+			N: 2, IDs: []int{1, 2}, Shard: shard, Of: of, Options: optionsHeader(opts)}
+		h.OptionsHash = optionsHash(h)
+		b, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	// Shard 1 of 2 has run 1, 3 and 5 at next index 3.
+	walk := header(ModeWalk, 1, 2, sched.ExploreOptions{Seed: 1, SampleRuns: 10})
+	sample := func(pool, classes string) string {
+		return fmt.Sprintf(`{"sample":{"pool":%s,"classes":%s}}`, pool, classes)
+	}
+	pool := `{"shard":1,"of":2,"next":3,"completed":3}`
+	walk0 := header(ModeWalk, 0, 1, sched.ExploreOptions{Seed: 1, SampleRuns: 10})
+	crash0 := header(ModeCrash, 0, 1, sched.ExploreOptions{Seed: 1, CrashRuns: 10, CrashProb: 0.1})
+	crash1 := header(ModeCrash, 1, 2, sched.ExploreOptions{Seed: 1, CrashRuns: 10, CrashProb: 0.1})
+	for _, tc := range []struct {
+		name string
+		data string
+		want string // a substring of the error; empty for a valid snapshot
+	}{
+		{"valid sample", walk + sample(pool, `{"7":1,"8":5,"9":3}`), ""},
+		{"valid sample, no classes", walk + sample(pool, `{}`), ""},
+		{"valid sample, zero pool", walk0 + sample(`{"next":3,"completed":3}`, `{"7":0,"8":2}`), ""},
+		{"valid crash, zero pool", crash0 + `{"crash":{"next":4,"completed":4}}`, ""},
+		{"valid crash", crash1 + `{"crash":{"shard":1,"of":2,"next":4,"completed":4}}`, ""},
+		{"sample pool of another shard", walk + sample(`{"shard":0,"of":2,"next":3,"completed":3}`, `{}`),
+			"pool is shard 0 of 2, the header's is shard 1 of 2"},
+		{"sample pool of another split", walk + sample(`{"shard":1,"of":3,"next":3,"completed":3}`, `{}`),
+			"pool is shard 1 of 3"},
+		{"zero sample pool under shard 1", walk + sample(`{"next":3,"completed":3}`, `{}`),
+			"pool is shard 0 of 0, the header's is shard 1 of 2"},
+		{"crash pool of another shard", crash0 + `{"crash":{"shard":1,"of":2,"next":4,"completed":4}}`,
+			"pool is shard 1 of 2, the header's is shard 0 of 1"},
+		{"zero crash pool under shard 1", crash1 + `{"crash":{"next":4,"completed":4}}`,
+			"pool is shard 0 of 0, the header's is shard 1 of 2"},
+		{"class at a negative run", walk + sample(pool, `{"7":1,"8":-1}`), "class 8 first seen at run -1, not a run shard 1 of 2 has executed"},
+		{"class at another shard's run", walk + sample(pool, `{"7":1,"8":4}`), "class 8 first seen at run 4, not a run shard 1 of 2"},
+		{"class at the shard's next run", walk + sample(pool, `{"7":1,"8":7}`), "class 8 first seen at run 7, not a run shard 1 of 2"},
+		{"class after the shard's next run", walk + sample(pool, `{"8":9}`), "class 8 first seen at run 9, not a run shard 1 of 2"},
+		{"class at a zero pool's next run", walk0 + sample(`{"next":3,"completed":3}`, `{"8":3}`), "class 8 first seen at run 3, not a run shard 0 of 1"},
+	} {
+		_, _, err := decodeSnapshot([]byte(tc.data))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestCampaignResumeAfterDone: resuming a finished campaign is a cheap
 // no-op that reproduces the final report.
 func TestCampaignResumeAfterDone(t *testing.T) {

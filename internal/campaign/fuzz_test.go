@@ -8,8 +8,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
-	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -62,7 +63,7 @@ func seedSnapshots(f *testing.F) [][]byte {
 	}, payload{Sample: &sample.BatchState{
 		Depth: 3, Horizon: 12,
 		Pool:    sched.SeededState{Shard: 1, Of: 2, Next: 5, Completed: 5},
-		Classes: map[uint64]int{0xdeadbeef: 2},
+		Classes: classSet(f, map[uint64]int{7: 1, 0xdeadbeef: 3, 12: 5, 99: 9}),
 	}})
 
 	write(Header{
@@ -91,13 +92,31 @@ func seedSnapshots(f *testing.F) [][]byte {
 	failed := sample.BatchState{
 		Pool: sched.SeededState{Of: 1, Next: 4, Completed: 4,
 			Failure: &sched.SeededFailure{Run: 3, Message: "<a> & \"b\" — ✓"}},
-		Classes: map[uint64]int{12: 0, 120: 1, 1200: 2, 1e19 - 1: 3, 1e19: 3, 1<<64 - 1: 2},
+		Classes: classSet(f, map[uint64]int{12: 0, 120: 1, 1200: 2, 1e19 - 1: 3, 1e19: 3, 1<<64 - 1: 2}),
 	}
 	write(walkHeader, payload{Sample: &failed, Stats: &snap})
 	for _, st := range oldFormatFailures(failed) {
 		seeds = append(seeds, oldFormatSnapshot(f, walkHeader, st))
 	}
+	// The failed state with a second class object, which replaces the
+	// first.
+	last := seeds[len(seeds)-5]
+	seeds = append(seeds, bytes.Replace(last, []byte(`"classes":{`), []byte(`"classes":{"7":1},"classes":{`), 1))
 	return seeds
+}
+
+// classSet returns classes as the snapshot decoder builds a class set.
+func classSet(tb testing.TB, classes map[uint64]int) *sample.ClassSet {
+	tb.Helper()
+	b, err := json.Marshal(classes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := new(sample.ClassSet)
+	if err := json.Unmarshal(b, c); err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }
 
 var walkHeader = Header{
@@ -156,7 +175,7 @@ func TestRetiredFailureKeysIgnored(t *testing.T) {
 	failed := sample.BatchState{
 		Pool: sched.SeededState{Of: 1, Next: 10, Completed: 10,
 			Failure: &sched.SeededFailure{Run: 3, Message: "run 3 failed"}},
-		Classes: map[uint64]int{7: 0},
+		Classes: classSet(t, map[uint64]int{7: 0}),
 	}
 	batch := &sample.ResumableBatch{N: 2, IDs: []int{1, 2}, Opts: walkHeader.ExploreOptions()}
 	for i, st := range oldFormatFailures(failed) {
@@ -241,39 +260,74 @@ func TestDecodeSnapshotRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// rehashed returns data with the shard and shard count of its header line
+// moved by dShard and dOf and its options_hash recomputed over the result,
+// so that a mutation of any header field, or of the shard the header names
+// against its payload's, reaches the checks after the hash check; ok is
+// false when the first line is not a header object.
+func rehashed(data []byte, dShard, dOf int) (_ []byte, ok bool) {
+	i := bytes.IndexByte(data, '\n')
+	if i < 0 {
+		return nil, false
+	}
+	var h Header
+	if json.Unmarshal(data[:i], &h) != nil {
+		return nil, false
+	}
+	h.Shard += dShard
+	h.Of += dOf
+	h.OptionsHash = optionsHash(h)
+	line, err := json.Marshal(h)
+	if err != nil {
+		return nil, false
+	}
+	return append(line, data[i:]...), true
+}
+
+// FuzzParseHeader drives decodeHeader with each input as given and with
+// its header rebuilt by rehashed.
 func FuzzParseHeader(f *testing.F) {
 	for _, seed := range seedSnapshots(f) {
-		f.Add(seed)
+		f.Add(seed, 0, 0)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, rest, err := decodeHeader(data)
-		if err != nil {
-			return
-		}
-		// A header the decoder accepts must uphold its invariants: the
-		// declared magic/version, a self-consistent hash, a legal shard, a
-		// mode its options select, and a remainder that is a tail of the
-		// input.
-		if h.Magic != Magic || h.Version != Version {
-			t.Fatalf("accepted header with magic %q version %d", h.Magic, h.Version)
-		}
-		if h.OptionsHash != optionsHash(h) {
-			t.Fatalf("accepted header whose hash does not cover its contents")
-		}
-		if h.Of < 1 || h.Shard < 0 || h.Shard >= h.Of {
-			t.Fatalf("accepted invalid shard %d of %d", h.Shard, h.Of)
-		}
-		if want := ModeOf(h.ExploreOptions()); h.Mode != want {
-			t.Fatalf("accepted mode %s over options that select %s", h.Mode, want)
-		}
-		if len(rest) > len(data) {
-			t.Fatalf("remainder longer than input")
-		}
-		// Accepted headers must re-encode: status endpoints marshal them.
-		if _, err := json.Marshal(h); err != nil {
-			t.Fatalf("accepted header does not re-encode: %v", err)
+	f.Fuzz(func(t *testing.T, data []byte, dShard, dOf int) {
+		checkHeader(t, data)
+		if rebuilt, ok := rehashed(data, dShard, dOf); ok && !bytes.Equal(rebuilt, data) {
+			checkHeader(t, rebuilt)
 		}
 	})
+}
+
+// checkHeader fails if decodeHeader accepts data's header line but the
+// header breaks one of the invariants it checks.
+func checkHeader(t *testing.T, data []byte) {
+	h, rest, err := decodeHeader(data)
+	if err != nil {
+		return
+	}
+	// A header the decoder accepts must uphold its invariants: the
+	// declared magic/version, a self-consistent hash, a legal shard, a
+	// mode its options select, and a remainder that is a tail of the
+	// input.
+	if h.Magic != Magic || h.Version != Version {
+		t.Fatalf("accepted header with magic %q version %d", h.Magic, h.Version)
+	}
+	if h.OptionsHash != optionsHash(h) {
+		t.Fatalf("accepted header whose hash does not cover its contents")
+	}
+	if h.Of < 1 || h.Shard < 0 || h.Shard >= h.Of {
+		t.Fatalf("accepted invalid shard %d of %d", h.Shard, h.Of)
+	}
+	if want := ModeOf(h.ExploreOptions()); h.Mode != want {
+		t.Fatalf("accepted mode %s over options that select %s", h.Mode, want)
+	}
+	if len(rest) > len(data) {
+		t.Fatalf("remainder longer than input")
+	}
+	// Accepted headers must re-encode: status endpoints marshal them.
+	if _, err := json.Marshal(h); err != nil {
+		t.Fatalf("accepted header does not re-encode: %v", err)
+	}
 }
 
 // firstRunOrder is a class map that marshals its entries in first-run
@@ -298,83 +352,132 @@ func (c firstRunOrder) MarshalJSON() ([]byte, error) {
 	return append(obj, '}'), nil
 }
 
-// sampleReference is p, a sample payload, with its class map in
-// firstRunOrder: json.Encoder's bytes for it are the bytes the writer
-// must write for p. The outer Classes field hides the embedded one.
-func sampleReference(p payload) any {
-	type state struct {
-		sample.BatchState
-		Classes firstRunOrder `json:"classes"`
-	}
-	return struct {
-		Sample state           `json:"sample"`
-		Stats  *stats.Snapshot `json:"stats,omitempty"`
-	}{state{*p.Sample, p.Sample.Classes}, p.Stats}
+// UnmarshalJSON replaces the map, as the class set's decoder does, where
+// encoding/json would merge a repeated object into it.
+func (c *firstRunOrder) UnmarshalJSON(data []byte) error {
+	var m map[uint64]int
+	err := json.Unmarshal(data, &m)
+	*c = m
+	return err
 }
 
+// sampleReference is the sample payload rest, decoded with its class map
+// in firstRunOrder: json.Encoder's bytes for it are the bytes the writer
+// must write for the decoded payload. The outer Classes field hides the
+// embedded one.
+type sampleReference struct {
+	Sample struct {
+		sample.BatchState
+		Classes firstRunOrder `json:"classes"`
+	} `json:"sample"`
+	Stats *stats.Snapshot `json:"stats,omitempty"`
+}
+
+// FuzzDecodeSnapshot drives decodeSnapshot with each input as given, with
+// its header rebuilt by rehashed, and with its seeded pool moved along
+// with the header, so that the class runs meet another shard.
 func FuzzDecodeSnapshot(f *testing.F) {
 	for _, seed := range seedSnapshots(f) {
-		f.Add(seed)
+		f.Add(seed, 0, 0)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, p, err := decodeSnapshot(data)
-		if err != nil {
-			return
+	f.Fuzz(func(t *testing.T, data []byte, dShard, dOf int) {
+		checkSnapshot(t, data)
+		if rebuilt, ok := rehashed(data, dShard, dOf); ok && !bytes.Equal(rebuilt, data) {
+			checkSnapshot(t, rebuilt)
+			checkSnapshot(t, movePool(rebuilt, dShard, dOf))
 		}
-		// An accepted snapshot carries exactly one engine state and its
-		// family agrees with the header's mode.
-		if got, want := p.payloadFamily(), h.Mode.family(); got != want || got == "none" {
-			t.Fatalf("accepted payload family %q under mode %s", got, h.Mode)
+	})
+}
+
+// poolShard matches the start of a seeded pool as the writer renders it.
+var poolShard = regexp.MustCompile(`\{"shard":(-?\d+),"of":(-?\d+)`)
+
+// movePool returns data with the first seeded pool after its header line
+// moved by dShard and dOf.
+func movePool(data []byte, dShard, dOf int) []byte {
+	i := bytes.IndexByte(data, '\n') + 1
+	m := poolShard.FindSubmatchIndex(data[i:])
+	if m == nil {
+		return data
+	}
+	shard, _ := strconv.Atoi(string(data[i+m[2] : i+m[3]]))
+	of, _ := strconv.Atoi(string(data[i+m[4] : i+m[5]]))
+	return slices.Concat(data[:i+m[0]], fmt.Appendf(nil, `{"shard":%d,"of":%d`, shard+dShard, of+dOf), data[i+m[1]:])
+}
+
+// checkSnapshot fails if decodeSnapshot accepts data but the snapshot
+// breaks one of the invariants it checks, or the writer does not write
+// the accepted payload back exactly.
+func checkSnapshot(t *testing.T, data []byte) {
+	h, p, err := decodeSnapshot(data)
+	if err != nil {
+		return
+	}
+	// An accepted snapshot carries exactly one engine state and its
+	// family agrees with the header's mode.
+	if got, want := p.payloadFamily(), h.Mode.family(); got != want || got == "none" {
+		t.Fatalf("accepted payload family %q under mode %s", got, h.Mode)
+	}
+	// A seeded pool names the header's shard (a zero pool is shard 0 of
+	// 1).
+	pool := p.Crash
+	if p.Sample != nil {
+		pool = &p.Sample.Pool
+	}
+	if pool != nil && (pool.Shard != h.Shard || max(pool.Of, 1) != h.Of || pool.Of < 0) {
+		t.Fatalf("accepted pool of shard %d of %d under a header of shard %d of %d", pool.Shard, pool.Of, h.Shard, h.Of)
+	}
+	// The writer's payload encoding must write exactly json.Encoder's
+	// bytes for it. A sample state's must also write its classes in
+	// first-run order, as the reference does from the input, and each
+	// class's first run must be one its pool has executed.
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(p); err != nil {
+		t.Fatalf("accepted snapshot payload does not re-encode: %v", err)
+	}
+	parts, err := appendPayload(nil, p)
+	if err != nil {
+		t.Fatalf("writer cannot encode an accepted payload: %v", err)
+	}
+	got := bytes.Join(parts[:], nil)
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("writer's payload encoding differs from json.Encoder's:\n%s\n%s", got, want.Bytes())
+	}
+	if p.Sample != nil {
+		var ref sampleReference
+		_, rest, _ := decodeHeader(data)
+		if err := json.Unmarshal(rest, &ref); err != nil {
+			t.Fatalf("accepted sample payload does not decode into the reference: %v", err)
 		}
-		// The writer's payload encoding must write exactly json.Encoder's
-		// bytes for it, except that a sample state's class object lists
-		// its classes in first-run order; those bytes must decode to the
-		// same payload as json.Encoder's.
-		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(p); err != nil {
-			t.Fatalf("accepted snapshot payload does not re-encode: %v", err)
+		for hash, run := range ref.Sample.Classes {
+			if run < 0 || (run-h.Shard)%h.Of != 0 || int64((run-h.Shard)/h.Of) >= pool.Next {
+				t.Fatalf("accepted class %d first seen at run %d, which shard %d of %d has not run (next %d)", hash, run, h.Shard, h.Of, pool.Next)
+			}
 		}
-		parts, err := appendPayload(nil, p)
-		if err != nil {
-			t.Fatalf("writer cannot encode an accepted payload: %v", err)
-		}
-		got := bytes.Join(parts[:], nil)
-		if p.Sample != nil {
-			var gotP, wantP payload
-			if err := json.Unmarshal(got, &gotP); err != nil {
-				t.Fatalf("writer's payload encoding does not decode: %v\n%s", err, got)
-			}
-			if err := json.Unmarshal(want.Bytes(), &wantP); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotP, wantP) {
-				t.Fatalf("writer's payload encoding decodes to %+v, json.Encoder's to %+v", gotP, wantP)
-			}
-			want.Reset()
-			if err := json.NewEncoder(&want).Encode(sampleReference(p)); err != nil {
-				t.Fatal(err)
-			}
+		want.Reset()
+		if err := json.NewEncoder(&want).Encode(ref); err != nil {
+			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("writer's payload encoding differs from the reference:\n%s\n%s", got, want.Bytes())
 		}
-		// And it must survive a rewrite cycle: what a resume re-writes,
-		// a later resume must accept.
-		var b bytes.Buffer
-		if err := json.NewEncoder(&b).Encode(h); err != nil {
-			t.Fatalf("accepted snapshot header does not re-encode: %v", err)
-		}
-		b.Write(got)
-		if _, _, err := decodeSnapshot(b.Bytes()); err != nil {
-			t.Fatalf("re-encoded snapshot rejected: %v", err)
-		}
-		// Settling an accepted seeded state may fail, but never panic.
-		switch {
-		case p.Sample != nil:
-			batch := &sample.ResumableBatch{N: h.N, IDs: h.IDs, Opts: h.ExploreOptions()}
-			_, _ = batch.Finalize(context.Background(), p.Sample)
-		case p.Crash != nil:
-			_, _, _ = sched.FinalizeSeeded(context.Background(), h.Options.CrashRuns, p.Crash)
-		}
-	})
+	}
+	// And it must survive a rewrite cycle: what a resume re-writes,
+	// a later resume must accept.
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(h); err != nil {
+		t.Fatalf("accepted snapshot header does not re-encode: %v", err)
+	}
+	b.Write(got)
+	if _, _, err := decodeSnapshot(b.Bytes()); err != nil {
+		t.Fatalf("re-encoded snapshot rejected: %v", err)
+	}
+	// Settling an accepted seeded state may fail, but never panic.
+	switch {
+	case p.Sample != nil:
+		batch := &sample.ResumableBatch{N: h.N, IDs: h.IDs, Opts: h.ExploreOptions()}
+		_, _ = batch.Finalize(context.Background(), p.Sample)
+	case p.Crash != nil:
+		_, _, _ = sched.FinalizeSeeded(context.Background(), h.Options.CrashRuns, p.Crash)
+	}
 }

@@ -306,8 +306,8 @@ func decodeHeader(data []byte) (Header, []byte, error) {
 }
 
 // decodeSnapshot parses and validates a whole snapshot (header line plus
-// payload). Pure for the same reason as decodeHeader: FuzzDecodeSnapshot
-// drives it directly.
+// payload), the one gate for resume, merge and fleet uploads. Pure for the
+// same reason as decodeHeader: FuzzDecodeSnapshot drives it directly.
 func decodeSnapshot(data []byte) (Header, payload, error) {
 	var p payload
 	h, rest, err := decodeHeader(data)
@@ -331,7 +331,15 @@ func decodeSnapshot(data []byte) (Header, payload, error) {
 	if got, want := p.payloadFamily(), h.Mode.family(); got != want {
 		return h, p, fmt.Errorf("payload family %q does not match mode %s", got, h.Mode)
 	}
-	return h, p, nil
+	pool := p.Crash
+	if p.Sample != nil {
+		pool = &p.Sample.Pool
+	}
+	// A zero pool is shard 0 of 1, as sched.SeededSlice reads it.
+	if pool != nil && (pool.Shard != h.Shard || pool.Of != h.Of && (pool.Of != 0 || h.Of != 1)) {
+		return h, p, fmt.Errorf("payload pool is shard %d of %d, the header's is shard %d of %d", pool.Shard, pool.Of, h.Shard, h.Of)
+	}
+	return h, p, p.Sample.CheckClasses()
 }
 
 // ReadHeader reads and validates only the snapshot header — the cheap

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -42,7 +43,7 @@ func reference(t testing.TB, st *BatchState) []byte {
 		return b
 	}
 	b = bytes.TrimSuffix(b, []byte("null}"))
-	return append(append(b, classObject(st.Classes)...), '}')
+	return append(append(b, classObject(st.Classes.first)...), '}')
 }
 
 // classObject renders classes as a JSON object in first-run order: by
@@ -63,7 +64,8 @@ func classObject(classes map[uint64]int) []byte {
 }
 
 // checkEncoding fails unless the encoder writes exactly reference's bytes
-// for st, appended after an existing prefix, and they decode to st.
+// for st, appended after an existing prefix, json.Marshal writes the same
+// bytes for st and for *st, and they decode to st.
 func checkEncoding(t *testing.T, label string, st *BatchState) {
 	t.Helper()
 	want := reference(t, st)
@@ -71,13 +73,44 @@ func checkEncoding(t *testing.T, label string, st *BatchState) {
 	if !bytes.Equal(got[len("prefix"):], want) || string(got[:len("prefix")]) != "prefix" {
 		t.Fatalf("%s: encoder wrote\n%s\nthe reference is\n%s", label, got, want)
 	}
+	for _, v := range []any{st, *st} {
+		if b, err := json.Marshal(v); err != nil || !bytes.Equal(b, want) {
+			t.Fatalf("%s: json.Marshal(%T) wrote\n%s (error %v)\nthe reference is\n%s", label, v, b, err, want)
+		}
+	}
 	var decoded BatchState
 	if err := json.Unmarshal(got[len("prefix"):], &decoded); err != nil {
 		t.Fatalf("%s: unmarshal: %v", label, err)
 	}
-	if want := roundTrip(t, st); !reflect.DeepEqual(&decoded, want) {
-		t.Fatalf("%s: the encoding decodes to %+v, json.Marshal's to %+v", label, decoded, want)
+	if want := roundTrip(t, st); !sameState(&decoded, want) {
+		t.Fatalf("%s: the encoding decodes to %+v, json.Marshal's to %+v", label, decoded, *want)
 	}
+}
+
+// sameState reports whether a and b hold the same state: equal fields and
+// equal class maps, whatever their encoders have written so far.
+func sameState(a, b *BatchState) bool {
+	if (a.Classes == nil) != (b.Classes == nil) ||
+		a.Classes != nil && !maps.Equal(a.Classes.first, b.Classes.first) {
+		return false
+	}
+	x, y := *a, *b
+	x.Classes, y.Classes = nil, nil
+	return reflect.DeepEqual(x, y)
+}
+
+// decodedSet returns classes as the JSON decoder builds a class set.
+func decodedSet(t testing.TB, classes map[uint64]int) *ClassSet {
+	t.Helper()
+	b, err := json.Marshal(classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := new(ClassSet)
+	if err := json.Unmarshal(b, c); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // edgeKeys are class keys whose decimal renderings are prefixes of each
@@ -110,38 +143,23 @@ func randomKey(rng *rand.Rand, digits int) uint64 {
 	return lo + rng.Uint64()%(pow10[digits]-lo)
 }
 
-// addClass records class h at run i the way Slice does: the map keeps the
-// smallest run, and a first sighting is recorded as a fresh key.
-func addClass(st *BatchState, h uint64, i int) {
-	if st.keys == nil {
-		st.keys = new(classKeys)
-	}
-	first, ok := st.Classes[h]
-	if !ok || i < first {
-		st.Classes[h] = i
-	}
-	if !ok {
-		st.keys.fresh = append(st.keys.fresh, h)
-	}
-}
-
 // TestAppendJSONMatchesMarshal is the encoder's differential: on random
-// and edge-case states, fresh, grown incrementally and decoded, its
-// bytes equal the reference's.
+// and edge-case states, decoded, grown slice by slice as Slice grows them
+// and decoded again, its bytes equal the reference's.
 func TestAppendJSONMatchesMarshal(t *testing.T) {
 	checkEncoding(t, "nil classes", &BatchState{})
-	checkEncoding(t, "empty classes", &BatchState{Classes: map[uint64]int{}})
-	checkEncoding(t, "zero state", &BatchState{})
+	checkEncoding(t, "empty classes", &BatchState{Classes: new(ClassSet)})
+	checkEncoding(t, "empty decoded classes", &BatchState{Classes: decodedSet(t, map[uint64]int{})})
 	checkEncoding(t, "edge keys and escaping", &BatchState{
 		Depth: 3, Horizon: 41,
 		Pool: sched.SeededState{Shard: 1, Of: 3, Next: 9, Completed: 8,
 			Failure: &sched.SeededFailure{Run: 25, Message: "processes <0> & \"1\" both decided 2 — naïve ✓ \u2028\u2029 \xff\x01"}},
-		Classes: map[uint64]int{12: 4, 120: 1, 1200: 7, 1e19 - 1: 2, 1e19: 3, math.MaxUint64: 0},
+		Classes: decodedSet(t, map[uint64]int{12: 4, 120: 1, 1200: 7, 1e19 - 1: 2, 1e19: 3, math.MaxUint64: 0}),
 	})
 
 	rng := rand.New(rand.NewSource(7))
 	for trial := range 40 {
-		st := &BatchState{Classes: map[uint64]int{}}
+		st := &BatchState{Classes: new(ClassSet)}
 		if trial%2 == 1 {
 			st.Depth, st.Horizon = 1+rng.Intn(5), rng.Intn(1000)
 		}
@@ -150,63 +168,41 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 			st.Pool.Failure = &sched.SeededFailure{Run: run, Message: "run <" + strconv.Itoa(run) + "> & \"ß\""}
 		}
 		// Several slices' worth of classes, checkpointed after each, with
-		// keys of every decimal length and edge keys mixed in.
-		for slice := range 5 {
-			for range rng.Intn(200) {
-				addClass(st, randomKey(rng, 1+rng.Intn(20)), rng.Intn(1e6))
+		// keys of every decimal length and edge keys mixed in. A slice
+		// records runs above every earlier slice's, in any order, and a
+		// class seen again at a smaller run of the slice keeps that run.
+		base := 0
+		grow := func(label string, runs int) {
+			for range rng.Intn(runs) {
+				st.Classes.record(randomKey(rng, 1+rng.Intn(20)), base+rng.Intn(runs))
 			}
-			addClass(st, edgeKeys[rng.Intn(len(edgeKeys))], rng.Intn(1e6))
-			checkEncoding(t, "trial "+strconv.Itoa(trial)+" slice "+strconv.Itoa(slice), st)
+			st.Classes.record(edgeKeys[rng.Intn(len(edgeKeys))], base+rng.Intn(runs))
+			base += runs
+			checkEncoding(t, label, st)
 		}
-		// A decoded state keeps no order: the encoder rebuilds it, then
-		// continues incrementally.
-		decoded := roundTrip(t, st)
-		checkEncoding(t, "decoded trial "+strconv.Itoa(trial), decoded)
-		for range 50 {
-			addClass(decoded, randomKey(rng, 1+rng.Intn(20)), rng.Intn(1e6))
+		for slice := range 5 {
+			grow("trial "+strconv.Itoa(trial)+" slice "+strconv.Itoa(slice), 200)
 		}
-		checkEncoding(t, "decoded and grown trial "+strconv.Itoa(trial), decoded)
+		// A decoded state encodes its classes whole, then continues
+		// appending.
+		st = roundTrip(t, st)
+		checkEncoding(t, "decoded trial "+strconv.Itoa(trial), st)
+		grow("decoded and grown trial "+strconv.Itoa(trial), 50)
 	}
 }
 
-// TestAppendJSONStaleOrder: a class map changed without Slice — keys
-// added, removed or replaced behind the state's back, or the map swapped
-// for another of the same size — is still encoded exactly.
-func TestAppendJSONStaleOrder(t *testing.T) {
-	st := &BatchState{Classes: map[uint64]int{5: 1, 50: 2, 6: 3}}
-	checkEncoding(t, "hand-built", st)
-	st.Classes[51] = 4
-	checkEncoding(t, "key added behind the state's back", st)
-	delete(st.Classes, 50)
-	checkEncoding(t, "key removed", st)
-	delete(st.Classes, 5)
-	st.Classes[7] = 9
-	checkEncoding(t, "key replaced", st)
-	st.Classes = map[uint64]int{1: 1, 2: 2, 3: 3}
-	checkEncoding(t, "map swapped for one of the same size", st)
-	addClass(st, 3, 0)
-	st.keys.fresh = append(st.keys.fresh, 2, 2) // duplicates no Slice records
-	checkEncoding(t, "duplicate fresh keys", st)
-	st.Classes[4] = 0
-	st.keys.fresh = append(st.keys.fresh, 1)
-	checkEncoding(t, "fresh key already kept", st)
-
-	st = &BatchState{Classes: map[uint64]int{}}
-	for i, h := range []uint64{30, 4, 500, 61, 7} {
-		addClass(st, h, i)
+// TestAppendJSONRejectsOutOfOrderRecord: a class first recorded at a run
+// that does not sort after the last class written is an error, never an
+// object out of first-run order. No slice of a state that passed
+// CheckClasses records one.
+func TestAppendJSONRejectsOutOfOrderRecord(t *testing.T) {
+	st := &BatchState{Classes: new(ClassSet)}
+	st.Classes.record(5, 10)
+	checkEncoding(t, "one class", st)
+	st.Classes.record(6, 9)
+	if _, _, err := st.AppendJSONParts(nil); err == nil || !strings.Contains(err.Error(), "class 6 first seen at run 9") {
+		t.Fatalf("encode after a record below the last written run: error %v", err)
 	}
-	checkEncoding(t, "recorded", st)
-	st.Classes[500] = 12345
-	checkEncoding(t, "kept value changed, size unchanged", st)
-	delete(st.Classes, 61)
-	st.Classes[62] = 3
-	checkEncoding(t, "kept key replaced by a new key with the same value", st)
-	addClass(st, 8, 9)
-	addClass(st, 99, 10)
-	delete(st.Classes, 8)
-	checkEncoding(t, "fresh key deleted before the encode", st)
-	checkEncoding(t, "second encode, no fresh keys", st)
-	checkEncoding(t, "third encode, no fresh keys", st)
 }
 
 // TestAppendJSONAcrossSlices encodes real batch states after every slice,
@@ -253,8 +249,8 @@ func TestAppendJSONAcrossSlices(t *testing.T) {
 				}
 			}
 			appended(label + " done")
-			if check == nil && len(st.Classes) < 4 || check != nil && st.Pool.Failure == nil {
-				t.Fatalf("%s: %d classes, failure %+v: the batch does not exercise the encoder", label, len(st.Classes), st.Pool.Failure)
+			if check == nil && st.Classes.Len() < 4 || check != nil && st.Pool.Failure == nil {
+				t.Fatalf("%s: %d classes, failure %+v: the batch does not exercise the encoder", label, st.Classes.Len(), st.Pool.Failure)
 			}
 		}
 	}
@@ -274,12 +270,12 @@ func BenchmarkClassCheckpoints(b *testing.B) {
 	b.ReportAllocs()
 	for range b.N {
 		b.StopTimer()
-		st := &BatchState{Classes: map[uint64]int{}}
+		st := &BatchState{Classes: new(ClassSet)}
 		b.StartTimer()
 		for c := range 60 {
 			b.StopTimer()
 			for i := c * 1000; i < (c+1)*1000; i++ {
-				addClass(st, keys[i], i)
+				st.Classes.record(keys[i], i)
 			}
 			b.StartTimer()
 			buf = encode(b, st, buf[:0])

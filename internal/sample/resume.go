@@ -40,17 +40,9 @@ type BatchState struct {
 	// the process that recorded it runs, and an error with the same text
 	// after a restore.
 	Pool sched.SeededState `json:"pool"`
-	// Classes maps each canonical trace-class hash seen by this shard to
-	// the smallest (global) run index that produced it — the coverage
-	// tracker's full state. First-occurrence indices are what let a
-	// finalize or merge count distinct classes below any run cutoff
-	// (class h occurred before run c iff Classes[h] < c), while the map
-	// grows with the distinct-class count rather than the run count.
-	Classes map[uint64]int `json:"classes"`
-	// keys keeps Classes' entries in first-run order, with the class
-	// object they encode to (AppendJSONParts); Slice records each class
-	// it sees for the first time into it.
-	keys *classKeys
+	// Classes is the coverage tracker's full state: each trace class the
+	// shard has seen, with the smallest run that produced it.
+	Classes *ClassSet `json:"classes"`
 }
 
 // ResumableBatch drives a sampling batch in bounded slices with
@@ -94,7 +86,7 @@ func (r *ResumableBatch) Init(shard, of int) (*BatchState, error) {
 	}
 	st := &BatchState{
 		Pool:    sched.SeededState{Shard: shard, Of: of},
-		Classes: map[uint64]int{},
+		Classes: new(ClassSet),
 	}
 	if r.Opts.SampleMode == sched.SamplePCT {
 		st.Depth = r.Opts.Depth
@@ -133,8 +125,7 @@ func (r *ResumableBatch) policyFor(st *BatchState) (func(int) sched.Policy, erro
 // returned state, and reports whether the shard's batch is complete. Pause
 // semantics are those of sched.SeededSlice: runs already claimed finish,
 // and the returned state is an exact resume point. The input state's
-// coverage map, and the encoded class object kept with it, are reused
-// (not copied) by the returned state.
+// class set is reused (not copied) by the returned state.
 func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns int) (*BatchState, bool, error) {
 	if err := r.validate(); err != nil {
 		return state, false, err
@@ -147,14 +138,10 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 		return state, false, err
 	}
 	if state.Classes == nil {
-		state.Classes = map[uint64]int{}
+		state.Classes = new(ClassSet)
 	}
-	if state.keys == nil {
-		state.keys = new(classKeys)
-	}
-	keys := state.keys
 
-	var mu sync.Mutex // guards Classes
+	var mu sync.Mutex // guards state.Classes
 	classes := r.Opts.Stats.Counter(MetricClasses, "Distinct Mazurkiewicz trace classes discovered by sampling (per-shard first sightings).")
 
 	// Class hashing reuses level buckets: each worker goroutine takes a
@@ -176,15 +163,9 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 		h := hasher.Hash(res.Schedule, sched.OpIndependent)
 		hashers.Put(hasher)
 		mu.Lock()
-		first, ok := state.Classes[h]
-		if !ok || i < first {
-			state.Classes[h] = i
-		}
-		if !ok {
-			keys.fresh = append(keys.fresh, h)
-		}
+		fresh := state.Classes.record(h, i)
 		mu.Unlock()
-		if !ok {
+		if fresh {
 			classes.Inc()
 		}
 		if r.Check != nil {
@@ -205,7 +186,6 @@ func (r *ResumableBatch) Slice(ctx context.Context, state *BatchState, sliceRuns
 		Horizon: state.Horizon,
 		Pool:    *pool,
 		Classes: state.Classes,
-		keys:    keys,
 	}
 	return next, done, nil
 }
@@ -255,7 +235,10 @@ func (r *ResumableBatch) Finalize(ctx context.Context, states ...*BatchState) (R
 func classesBelow(states []*BatchState, count int) int {
 	classes := make(map[uint64]struct{})
 	for _, st := range states {
-		for h, first := range st.Classes {
+		if st.Classes == nil {
+			continue
+		}
+		for h, first := range st.Classes.first {
 			if first < count {
 				classes[h] = struct{}{}
 			}
